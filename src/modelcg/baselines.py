@@ -5,24 +5,24 @@
   outer loop applied to a proximally regularized model oracle.
 * ``prox_linear_bt_solve`` -- backtracks on the proximal weight itself,
   re-solving the subproblem for every trial weight until the objective
-  decreases sufficiently, then takes the full step.
+  decreases sufficiently, then takes the full step. Only this step rule is
+  its own: the outer loop and the certify-and-retry first solve of each
+  iteration are the ones ``mcgm_solve`` runs on.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .geometry import require_finite
 from .solver import (
-    IterationRecord,
     LineSearchParams,
     SolverConfig,
-    SolverTrace,
-    _EpsSchedule,
+    _certified_minimize,
+    _outer_loop,
+    _Step,
     mcgm_solve,
 )
 
@@ -154,54 +154,28 @@ def prox_linear_bt_solve(
     """
     plcfg = plcfg or ProxLinearConfig()
     cfg = cfg or SolverConfig()
-    x = require_finite(x0, "x0")
-    if not constraint.contains(x):
-        x = constraint.project(x)
-    f_x = float(fun(x))
-    f0 = f_x
-    tol = cfg.resolve_tol(f0)
-    floor = cfg.inner.floor
-    schedule = _EpsSchedule(cfg.inner, f0)
     tau = plcfg.tau0
     tau_max = plcfg.tau_max_factor * plcfg.tau0
-    records: List[IterationRecord] = []
     warm = None
-    status = "max_iterations"
-    start = time.perf_counter()
 
-    for k in range(cfg.max_iterations):
+    def weight_backtracking_step(k, x, f_x, eps, budget, tol):
+        nonlocal tau, warm
         base = oracle.instantiate(x)
-        eps_k = schedule.eps(k)
-        budget = schedule.budget(k)
 
-        res = base.minimize_proximal(constraint, eps_k, tau, warm=warm, max_iterations=budget)
+        def solve(e, w):
+            return base.minimize_proximal(constraint, e, tau, warm=w, max_iterations=budget)
+
+        def improvement(y):
+            return _prox_improvement(base, y, tau)
+
+        res, delta, eps, n_inner = _certified_minimize(
+            solve, improvement, eps, warm, tol, cfg.inner.floor
+        )
         warm = res.state
-        solves, n_inner = 1, res.iterations
-        delta = _prox_improvement(base, res.point, tau)
-        # tighten the certificate as needed; continuations of the same
-        # subproblem solve, not additional solves
-        retries = 0
-        while delta <= tol and res.gap > max(tol, floor) and eps_k > floor and retries < 6:
-            eps_k = max(min(0.1 * eps_k, 0.5 * tol), floor)
-            res = base.minimize_proximal(
-                constraint, eps_k, tau, warm=res.state, max_iterations=budget
-            )
-            warm = res.state
-            n_inner += res.iterations
-            delta = _prox_improvement(base, res.point, tau)
-            retries += 1
         if delta <= tol:
-            records.append(
-                IterationRecord(
-                    k, f_x, delta, 0.0, 0, n_inner, solves,
-                    time.perf_counter() - start,
-                )
-            )
-            if callback is not None:
-                callback(records[-1])
-            status = "stationary"
-            break
+            return _Step(delta, n_inner, 1)
 
+        # trials re-solve at the tolerance the certificate was tightened to
         y = res.point
         f_y = float(fun(y))
         shrinks = 0
@@ -209,40 +183,20 @@ def prox_linear_bt_solve(
             tau *= plcfg.shrink
             if tau < plcfg.tau_floor:
                 raise TauUnderflowError(
-                    f"proximal weight underflowed at iteration {k} "
-                    f"after {solves} subproblem solves (last improvement {delta:.3e})"
+                    f"proximal weight underflowed at iteration {k} after "
+                    f"{1 + shrinks} subproblem solves (last improvement {delta:.3e})"
                 )
-            res = base.minimize_proximal(
-                constraint, eps_k, tau, warm=warm, max_iterations=budget
-            )
+            res = solve(eps, warm)
             warm = res.state
-            solves += 1
             n_inner += res.iterations
             shrinks += 1
             y = res.point
-            delta = _prox_improvement(base, y, tau)
+            delta = improvement(y)
             f_y = float(fun(y))
-
-        records.append(
-            IterationRecord(
-                k, f_x, delta, 1.0, shrinks, n_inner, solves,
-                time.perf_counter() - start,
-            )
-        )
-        if callback is not None:
-            callback(records[-1])
-        schedule.observe(delta)
-        x, f_x = y, f_y
         tau = min(tau * plcfg.expand, tau_max)
-        if cfg.time_budget_s is not None and time.perf_counter() - start > cfg.time_budget_s:
-            status = "time_budget"
-            break
+        return _Step(delta, n_inner, 1 + shrinks, y, f_y, 1.0, shrinks, delta)
 
-    return SolverTrace(
-        records=records,
-        status=status,
-        final_x=x,
-        final_f=f_x,
-        rho=plcfg.accept_ratio,
-        method="proxlin_bt",
+    return _outer_loop(
+        fun, constraint, x0, cfg, weight_backtracking_step, plcfg.accept_ratio,
+        "proxlin_bt", callback,
     )

@@ -121,9 +121,6 @@ class PdState:
 
     u: np.ndarray
     p: np.ndarray
-    u_bar: np.ndarray
-    sigma: np.ndarray
-    theta: np.ndarray
     iterations: int = 0
 
 
@@ -257,7 +254,7 @@ def pdhg_solve(
         if it % check_every == 0 or it == max_iters:
             gap = primal_dual_gap(problem, u, p)
 
-    state = PdState(u=u, p=p, u_bar=u_bar, sigma=sigma, theta=theta, iterations=it)
+    state = PdState(u=u, p=p, iterations=it)
     return PdhgResult(u=u, state=state, gap=gap, iterations=it, converged=gap <= gap_tol)
 
 

@@ -152,7 +152,6 @@ class ModelMinimum:
     gap: float
     iterations: int = 0
     state: object = None
-    solves: int = 1
 
 
 class ModelInstance:
@@ -204,10 +203,9 @@ class LinearModelOracle:
 
     family = "linear"
 
-    def __init__(self, fun, grad, omega=None):
+    def __init__(self, fun, grad):
         self.fun = fun
         self.grad = grad
-        self.omega = omega
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)
@@ -247,11 +245,10 @@ class AdditiveCompositeOracle:
 
     family = "additive_composite"
 
-    def __init__(self, penalty, h, grad_h, omega=None):
+    def __init__(self, penalty, h, grad_h):
         self.penalty = penalty
         self.h = h
         self.grad_h = grad_h
-        self.omega = omega
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)
@@ -311,7 +308,7 @@ class BlockHybridOracle:
 
     family = "hybrid"
 
-    def __init__(self, penalty_a, penalty_b, h, grad_h, tau, sizes, prox_block=0, omega=None):
+    def __init__(self, penalty_a, penalty_b, h, grad_h, tau, sizes, prox_block=0):
         if not tau > 0:
             raise ValueError("tau must be positive")
         if prox_block not in (0, 1):
@@ -325,7 +322,6 @@ class BlockHybridOracle:
         self.tau = float(tau)
         self.sizes = (int(sizes[0]), int(sizes[1]))
         self.prox_block = int(prox_block)
-        self.omega = omega
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)
@@ -430,12 +426,11 @@ class NewtonModelOracle:
 
     family = "newton"
 
-    def __init__(self, penalty, h, grad_h, hess_h, omega=None):
+    def __init__(self, penalty, h, grad_h, hess_h):
         self.penalty = penalty
         self.h = h
         self.grad_h = grad_h
         self.hess_h = hess_h
-        self.omega = omega
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)
@@ -542,13 +537,12 @@ class GaussNewtonOracle:
 
     family = "gauss_newton"
 
-    def __init__(self, residual, jacobian, loss, penalty=None, omega=None,
-                 minimizer=None, **pdhg_opts):
+    def __init__(self, residual, jacobian, loss, penalty=None, minimizer=None,
+                 **pdhg_opts):
         self.residual = residual
         self.jacobian = jacobian
         self.loss = loss
         self.penalty = penalty
-        self.omega = omega
         self.minimizer = minimizer
         self.pdhg_opts = pdhg_opts
 

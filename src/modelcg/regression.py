@@ -166,7 +166,6 @@ def make_oracle(dataset, **pdhg_opts):
         jacobian,
         L1Loss(dataset.observations),
         penalty=WeightedL1(dataset.mu, amplitude_mask(dataset)),
-        omega=model_error_growth(dataset),
         **pdhg_opts,
     )
 

@@ -1,6 +1,5 @@
 """Benchmark runner: solve one dataset with each requested method from a
-common start, write per-method CSV traces plus a JSON summary, and emit a
-small plot script that consumes the CSVs.
+common start, write per-method CSV traces plus a JSON summary.
 
 CSV schema (one row per outer iteration):
 
@@ -22,7 +21,14 @@ import numpy as np
 
 from .baselines import ProxLinearConfig, prox_linear_bt_solve, prox_linear_ls_solve
 from .regression import make_constraint_set, make_objective, make_oracle
-from .solver import LineSearchParams, SolverConfig, mcgm_solve, rate_certificate, verify_trace_arrays
+from .solver import (
+    LineSearchParams,
+    SolverConfig,
+    mcgm_solve,
+    rate_certificate,
+    rate_certificate_arrays,
+    verify_trace_arrays,
+)
 
 __all__ = [
     "METHOD_NAMES",
@@ -33,7 +39,6 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
     "check_trace_file",
-    "emit_plot_script",
 ]
 
 METHOD_NAMES = ("mcgm", "proxlin_ls", "proxlin_bt")
@@ -109,19 +114,13 @@ def check_trace_file(path, rho, rtol=1e-9):
     sufficient decrease, steps in [0, 1], and the telescoped rate bound.
     Returns a list of failure strings (empty means the trace checks out)."""
     cols = read_trace_csv(path)
-    problems = verify_trace_arrays(cols["f"], cols["delta"], cols["gamma"], rho, rtol=rtol)
-    f0 = float(cols["f"][0])
-    f_lower = float(cols["f"].min())
-    best = np.inf
-    cum = 0.0
-    for k in range(len(cols["f"])):
-        best = min(best, float(cols["delta"][k]))
-        cum += float(cols["gamma"][k])
-        if cum <= 0:
-            continue
-        rhs = (f0 - f_lower) / (rho * cum)
-        if best > rhs * (1.0 + rtol) + 1e-15:
-            problems.append(f"rate bound violated at k={k}")
+    f, delta, gamma = cols["f"], cols["delta"], cols["gamma"]
+    problems = verify_trace_arrays(f, delta, gamma, rho, rtol=rtol)
+    cert = rate_certificate_arrays(f, delta, gamma, rho, rtol=rtol)
+    if not cert.passed:
+        problems.append(
+            f"rate bound violated at k={cert.worst_k} (ratio {cert.worst_ratio:.3e})"
+        )
     return problems
 
 
@@ -135,7 +134,7 @@ def run_comparison(
     x0=None,
 ):
     """Run each method from the same start (box midpoint by default), write
-    one CSV trace per method plus ``summary.json`` and ``plot_traces.py``."""
+    one CSV trace per method plus ``summary.json``."""
     methods = tuple(methods)
     for m in methods:
         if m not in METHOD_NAMES:
@@ -181,41 +180,7 @@ def run_comparison(
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    emit_plot_script(out_dir)
     return ComparisonResult(
         traces=traces, f_lower=f_lower, trace_paths=trace_paths,
         summary_path=summary_path, summary=summary,
     )
-
-
-_PLOT_SCRIPT = '''"""Plot objective error and model improvement against wall time
-from the trace CSVs sitting next to this script."""
-import csv
-import glob
-import os
-
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4))
-for path in sorted(glob.glob(os.path.join(here, "*.csv"))):
-    name = os.path.splitext(os.path.basename(path))[0]
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    t = [float(r["time_s"]) for r in rows]
-    ax1.loglog(t, [max(float(r["obj_err"]), 1e-16) for r in rows], label=name)
-    ax2.loglog(t, [max(float(r["delta"]), 1e-16) for r in rows], label=name)
-ax1.set_xlabel("time [s]"); ax1.set_ylabel("objective error")
-ax2.set_xlabel("time [s]"); ax2.set_ylabel("model improvement")
-ax1.legend()
-fig.tight_layout()
-fig.savefig(os.path.join(here, "traces.png"), dpi=130)
-print(os.path.join(here, "traces.png"))
-'''
-
-
-def emit_plot_script(out_dir):
-    path = os.path.join(out_dir, "plot_traces.py")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_PLOT_SCRIPT)
-    return path

@@ -7,6 +7,11 @@ and moves along the segment toward the minimizer by the largest backtracked
 step that decreases the objective by at least ``rho * gamma * improvement``.
 A non-positive best model improvement certifies approximate stationarity and
 stops the loop.
+
+The loop itself (``_outer_loop``) and the certify-and-retry model
+minimization (``_certified_minimize``) are shared with the proximal
+backtracking baseline, which supplies a different step rule: a solver is the
+rule that turns a model minimization at the iterate into the next iterate.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "mcgm_solve",
     "stationarity_measure",
     "rate_certificate",
+    "rate_certificate_arrays",
     "RateCertificate",
     "verify_trace_arrays",
 ]
@@ -238,23 +244,89 @@ class _EpsSchedule:
         self.prev_delta = max(delta, self.inner.floor)
 
 
-def _certified_minimize(model, constraint, eps, warm, budget, tol, schedule_floor):
-    """Minimize the model; if the measured improvement is below the
-    stationarity tolerance but the certificate is looser than it, continue
-    the same solve with a tighter tolerance so that termination is sound.
-    The continuations are warm-started from the solve's own state and do not
-    count as additional subproblem solves."""
-    res = model.minimize(constraint, eps, warm=warm, max_iterations=budget)
-    iterations, solves = res.iterations, res.solves
-    delta = model.anchor_value - model.value(res.point)
+def _certified_minimize(minimize, improvement, eps, warm, tol, floor):
+    """Minimize a model through ``minimize(eps, warm)``; if the measured
+    ``improvement(point)`` is below the stationarity tolerance but the
+    certificate is looser than it, continue the same solve with a tighter
+    tolerance so that termination is sound. The continuations are
+    warm-started from the solve's own state and do not count as additional
+    subproblem solves.
+
+    Returns the last result, its improvement, the tolerance it was solved
+    to, and the inner iterations of all the continuations together.
+    """
+    res = minimize(eps, warm)
+    iterations = res.iterations
+    delta = improvement(res.point)
     retries = 0
-    while delta <= tol and res.gap > tol and eps > schedule_floor and retries < 6:
-        eps = max(min(0.1 * eps, 0.5 * tol), schedule_floor)
-        res = model.minimize(constraint, eps, warm=res.state, max_iterations=budget)
+    while delta <= tol and res.gap > max(tol, floor) and eps > floor and retries < 6:
+        eps = max(min(0.1 * eps, 0.5 * tol), floor)
+        res = minimize(eps, res.state)
         iterations += res.iterations
-        delta = model.anchor_value - model.value(res.point)
+        delta = improvement(res.point)
         retries += 1
-    return res, delta, iterations, solves
+    return res, delta, eps, iterations
+
+
+@dataclass
+class _Step:
+    """One outer iteration as a step rule reports it. ``x`` is None when
+    the certified improvement is within the tolerance: the iterate is
+    stationary and no step is taken."""
+
+    delta: float  # the improvement the step was accepted against
+    inner_iterations: int
+    inner_solves: int
+    x: Optional[np.ndarray] = None
+    f: float = math.nan  # objective at x
+    gamma: float = 0.0
+    backtracks: int = 0
+    solved_delta: float = math.nan  # the last subproblem solve's improvement
+
+
+def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
+    """The bookkeeping every outer loop shares; ``rule`` supplies the step.
+
+    ``rule(k, x, f_x, eps, budget, tol)`` minimizes a model at the iterate
+    ``x`` to the scheduled inner tolerance ``eps`` (or iteration
+    ``budget``) and returns a :class:`_Step`. The loop projects ``x0``,
+    resolves the stationarity tolerance, runs the tolerance schedule,
+    records each iteration, and decides the status of the returned trace.
+    """
+    x = require_finite(x0, "x0")
+    if not constraint.contains(x):
+        x = constraint.project(x)
+    f_x = float(fun(x))
+    tol = cfg.resolve_tol(f_x)
+    schedule = _EpsSchedule(cfg.inner, f_x)
+    records: List[IterationRecord] = []
+    status = "max_iterations"
+    start = time.perf_counter()
+
+    for k in range(cfg.max_iterations):
+        if cfg.check_feasibility and not constraint.contains(x, 1e-7):
+            raise RuntimeError(f"iterate left the constraint set at k={k}")
+        step = rule(k, x, f_x, schedule.eps(k), schedule.budget(k), tol)
+        records.append(
+            IterationRecord(
+                k, f_x, step.delta, step.gamma, step.backtracks,
+                step.inner_iterations, step.inner_solves, time.perf_counter() - start,
+            )
+        )
+        if callback is not None:
+            callback(records[-1])
+        if step.x is None:
+            status = "stationary"
+            break
+        schedule.observe(step.solved_delta)
+        x, f_x = step.x, step.f
+        if cfg.time_budget_s is not None and time.perf_counter() - start > cfg.time_budget_s:
+            status = "time_budget"
+            break
+
+    return SolverTrace(
+        records=records, status=status, final_x=x, final_f=f_x, rho=rho, method=method
+    )
 
 
 def mcgm_solve(
@@ -288,66 +360,33 @@ def mcgm_solve(
     """
     ls = ls or LineSearchParams()
     cfg = cfg or SolverConfig()
-    x = require_finite(x0, "x0")
-    if not constraint.contains(x):
-        x = constraint.project(x)
-    f_x = float(fun(x))
-    f0 = f_x
-    tol = cfg.resolve_tol(f0)
-    schedule = _EpsSchedule(cfg.inner, f0)
-    records: List[IterationRecord] = []
     warm = None
-    status = "max_iterations"
-    start = time.perf_counter()
 
-    for k in range(cfg.max_iterations):
-        if cfg.check_feasibility and not constraint.contains(x, 1e-7):
-            raise RuntimeError(f"iterate left the constraint set at k={k}")
+    def armijo_step(k, x, f_x, eps, budget, tol):
+        nonlocal warm
         model = oracle.instantiate(x)
-        eps_k = schedule.eps(k)
-        res, delta, n_inner, n_solves = _certified_minimize(
-            model, constraint, eps_k, warm, schedule.budget(k), tol, cfg.inner.floor
+        res, delta, _, n_inner = _certified_minimize(
+            lambda e, w: model.minimize(constraint, e, warm=w, max_iterations=budget),
+            lambda y: model.anchor_value - model.value(y),
+            eps, warm, tol, cfg.inner.floor,
         )
         warm = res.state
-        schedule.observe(delta)
-        elapsed = time.perf_counter() - start
-
         # stationarity is decided on the certified improvement, before any
         # candidate hook dampens the step target
         if delta <= tol:
-            records.append(
-                IterationRecord(k, f_x, delta, 0.0, 0, n_inner, n_solves, elapsed)
-            )
-            if callback is not None:
-                callback(records[-1])
-            status = "stationary"
-            break
-
+            return _Step(delta, n_inner, 1)
+        solved_delta = delta
         y = res.point
         if candidate_hook is not None:
             y = candidate_hook(model, x, y)
             delta = model.anchor_value - model.value(y)
-
         ar = armijo_search(fun, x, y, delta, ls, f_x=f_x)
-        records.append(
-            IterationRecord(
-                k, f_x, delta, ar.gamma, ar.backtracks, n_inner, n_solves, elapsed
-            )
+        return _Step(
+            delta, n_inner, 1, x + ar.gamma * (y - x), ar.f_new, ar.gamma,
+            ar.backtracks, solved_delta,
         )
-        if callback is not None:
-            callback(records[-1])
-        x = x + ar.gamma * (y - x)
-        f_x = ar.f_new
-        if (
-            cfg.time_budget_s is not None
-            and time.perf_counter() - start > cfg.time_budget_s
-        ):
-            status = "time_budget"
-            break
 
-    return SolverTrace(
-        records=records, status=status, final_x=x, final_f=f_x, rho=ls.rho, method=method
-    )
+    return _outer_loop(fun, constraint, x0, cfg, armijo_step, ls.rho, method, callback)
 
 
 def stationarity_measure(oracle, x, constraint, eps=1e-10, max_iterations=None):
@@ -374,20 +413,30 @@ class RateCertificate:
 
 
 def rate_certificate(trace, ls=None, f_lower=None, rtol=1e-9):
+    """Check the telescoped sufficient-decrease bound on a trace; see
+    :func:`rate_certificate_arrays`. ``f_lower`` defaults to the best
+    objective value in the trace (final point included), which makes the
+    check conservative."""
+    rho = ls.rho if ls is not None else trace.rho
+    f_vals, deltas, gammas = trace.arrays()
+    if f_lower is None:
+        f_lower = trace.best_f()
+    return rate_certificate_arrays(f_vals, deltas, gammas, rho, f_lower, rtol)
+
+
+def rate_certificate_arrays(f_values, deltas, gammas, rho, f_lower=None, rtol=1e-9):
     """Check that the running-best improvement obeys the telescoped
     sufficient-decrease bound at every iteration:
 
         min_{i<=k} delta_i <= (f(x0) - f_lower) / (rho * sum_{i<=k} gamma_i).
 
-    ``f_lower`` defaults to the best objective value in the trace, which
-    makes the check conservative. Returns the verdict and the tightest
-    observed ratio of the two sides.
+    ``f_lower`` defaults to the smallest of ``f_values``. Returns the
+    verdict and the tightest observed ratio of the two sides.
     """
-    rho = ls.rho if ls is not None else trace.rho
+    f_values = np.asarray(f_values, dtype=float)
     if f_lower is None:
-        f_lower = trace.best_f()
-    f_vals, deltas, gammas = trace.arrays()
-    f0 = float(f_vals[0])
+        f_lower = float(f_values.min())
+    f0 = float(f_values[0])
     best = math.inf
     cum_gamma = 0.0
     worst_ratio = 0.0

@@ -9,7 +9,7 @@ from modelcg.baselines import (
     prox_linear_ls_solve,
 )
 from modelcg.geometry import Box
-from modelcg.models import LinearModelOracle
+from modelcg.models import LinearModelOracle, ModelInstance, ModelMinimum
 from modelcg.regression import (
     generate_regression_data,
     make_constraint_set,
@@ -92,7 +92,7 @@ def test_bt_underflow_on_never_accepting_objective():
 
     oracle = LinearModelOracle(fun, lambda x: np.array([1.0, 1.0]))
     box = Box(-np.ones(2), np.ones(2))
-    with pytest.raises(TauUnderflowError):
+    with pytest.raises(TauUnderflowError, match="at iteration 0 "):
         prox_linear_bt_solve(oracle, fun, box, x0,
                              plcfg=ProxLinearConfig(tau0=1.0),
                              cfg=SolverConfig(max_iterations=5))
@@ -110,13 +110,58 @@ def test_bt_cost_signature_on_regression_problem():
     assert all(r.inner_solves == 1 + r.backtracks for r in trace.records)
 
 
+def test_bt_time_budget_status():
+    ds = generate_regression_data(P=6, M=60, mu=2.0, seed=4)
+    fun = make_objective(ds)
+    box = make_constraint_set(ds)
+    trace = prox_linear_bt_solve(
+        make_oracle(ds), fun, box, box.midpoint(),
+        cfg=SolverConfig(max_iterations=10000, time_budget_s=0.0),
+    )
+    assert trace.status in ("time_budget", "stationary")
+    assert len(trace.records) == 1
+
+
+class _UnprojectedLinearModel(ModelInstance):
+    """A broken linear model whose proximal step ignores the set."""
+
+    def __init__(self, anchor, grad):
+        super().__init__(anchor, float(np.sum(anchor)))
+        self.grad = grad
+
+    def value(self, x):
+        return self.anchor_value + float(self.grad @ (np.asarray(x) - self.anchor))
+
+    def minimize_proximal(self, constraint, eps, tau, warm=None, max_iterations=None):
+        return ModelMinimum(point=self.anchor - tau * self.grad, gap=0.0)
+
+
+class _UnprojectedOracle:
+    def instantiate(self, anchor):
+        return _UnprojectedLinearModel(np.asarray(anchor, float), np.ones(2))
+
+
+def test_bt_feasibility_check_catches_iterate_leaving_the_set():
+    fun = lambda x: float(np.sum(x))
+    box = Box(-np.ones(2), np.ones(2))
+    plcfg = ProxLinearConfig(tau0=4.0)
+    # the first full step lands at (-4, -4), outside the box
+    trace = prox_linear_bt_solve(_UnprojectedOracle(), fun, box, np.zeros(2), plcfg=plcfg,
+                                 cfg=SolverConfig(max_iterations=2))
+    assert not box.contains(trace.final_x)
+    with pytest.raises(RuntimeError, match="k=1"):
+        prox_linear_bt_solve(_UnprojectedOracle(), fun, box, np.zeros(2), plcfg=plcfg,
+                             cfg=SolverConfig(max_iterations=2, check_feasibility=True))
+
+
 def test_both_baselines_monotone_and_certified():
     ds = generate_regression_data(P=5, M=40, mu=2.0, seed=9)
     fun = make_objective(ds)
     box = make_constraint_set(ds)
     x0 = box.midpoint()
     for solve in (prox_linear_ls_solve, prox_linear_bt_solve):
-        trace = solve(make_oracle(ds), fun, box, x0, cfg=SolverConfig(max_iterations=80))
+        cfg = SolverConfig(max_iterations=80, check_feasibility=True)
+        trace = solve(make_oracle(ds), fun, box, x0, cfg=cfg)
         f, d, g = trace.arrays()
         assert verify_trace_arrays(f, d, g, trace.rho, final_f=trace.final_f) == []
         assert rate_certificate(trace).passed

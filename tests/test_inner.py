@@ -129,9 +129,8 @@ def test_pdhg_warm_start_resumes(rng):
     res3 = pdhg_solve(sub, warm=res1.state, gap_tol=1e-10, max_iters=100000)
     assert res3.converged
     # inconsistent warm state is ignored, not an error
-    res4 = pdhg_solve(sub, warm=res1.state.__class__(
-        u=np.zeros(2), p=np.zeros(3), u_bar=np.zeros(2),
-        sigma=np.ones(3), theta=np.ones(2)), gap_tol=1e-6, max_iters=100000)
+    res4 = pdhg_solve(sub, warm=res1.state.__class__(u=np.zeros(2), p=np.zeros(3)),
+                      gap_tol=1e-6, max_iters=100000)
     assert res4.converged
 
 

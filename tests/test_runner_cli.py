@@ -13,7 +13,7 @@ from modelcg.runner import (
     run_comparison,
     write_trace_csv,
 )
-from modelcg.solver import SolverConfig
+from modelcg.solver import SolverConfig, rate_certificate
 
 
 def small_dataset(seed=0):
@@ -52,7 +52,6 @@ def test_run_comparison_outputs(tmp_path):
     for info in summary["methods"].values():
         assert info["rate_certificate"] is True
         assert info["best_f"] >= res.f_lower
-    assert (tmp_path / "out" / "plot_traces.py").exists()
 
 
 def test_single_method_lower_bound_is_its_own_best(tmp_path):
@@ -84,6 +83,27 @@ def test_check_trace_file_detects_corruption(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert check_trace_file(str(bad), rho=0.25) != []
+
+
+def test_csv_check_and_in_memory_certificate_agree(tmp_path):
+    # one rate check: the CSV path and the trace path give the same verdict
+    # on the same trace, clean and with one improvement inflated
+    ds = small_dataset(seed=3)
+    res = run_comparison(ds, str(tmp_path / "c"), methods=("mcgm",),
+                         cfg=SolverConfig(max_iterations=20))
+    trace = res.traces["mcgm"]
+
+    def csv_rate_passed(path):
+        problems = check_trace_file(str(path), rho=trace.rho)
+        return not any(p.startswith("rate bound violated at k=") for p in problems)
+
+    assert csv_rate_passed(res.trace_paths["mcgm"])
+    assert rate_certificate(trace).passed
+    trace.records[0].delta = 1e12
+    bad = tmp_path / "bad.csv"
+    write_trace_csv(trace, str(bad), res.f_lower)
+    assert not csv_rate_passed(bad)
+    assert not rate_certificate(trace).passed
 
 
 def test_unknown_method_rejected(tmp_path):
@@ -143,7 +163,7 @@ def test_cli_compare_and_check_roundtrip(tmp_path):
     assert cli_main(["check", "--trace", str(out_dir / "mcgm.csv"), "--rho", "0.25"]) == 0
 
 
-def test_cli_check_fails_on_corrupted_trace(tmp_path):
+def test_cli_check_fails_on_corrupted_trace(tmp_path, capsys):
     ds = small_dataset(seed=4)
     res = run_comparison(ds, str(tmp_path / "r"), methods=("mcgm",),
                          cfg=SolverConfig(max_iterations=15))
@@ -154,6 +174,7 @@ def test_cli_check_fails_on_corrupted_trace(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert cli_main(["check", "--trace", str(bad)]) == 2
+    assert "FAIL rate bound violated at k=" in capsys.readouterr().out
 
 
 def test_cli_usage_errors_exit_one(tmp_path, capsys):

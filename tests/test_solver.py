@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modelcg.geometry import Box, Simplex
-from modelcg.models import LinearModelOracle
+from modelcg.models import LinearModelOracle, ModelMinimum
 from modelcg.regression import (
     generate_regression_data,
     make_constraint_set,
@@ -20,6 +20,7 @@ from modelcg.solver import (
     stationarity_measure,
     verify_trace_arrays,
 )
+from modelcg.solver import _certified_minimize
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,27 @@ def test_mcgm_time_budget_status():
     )
     assert trace.status in ("time_budget", "stationary")
     assert len(trace.records) >= 1
+
+
+def test_certified_minimize_tightens_until_the_gap_certifies():
+    # a solve whose gap is ten times its tolerance, at an improvement below
+    # the stationarity tolerance: continue from the solve's own state with
+    # a tighter tolerance until the gap is within the tolerance
+    calls = []
+
+    def minimize(eps, warm):
+        calls.append((eps, warm))
+        return ModelMinimum(point=np.zeros(1), gap=10.0 * eps, iterations=3, state=len(calls))
+
+    res, delta, eps, iterations = _certified_minimize(
+        minimize, lambda y: 0.0, 1e-2, "w", tol=1e-6, floor=1e-12
+    )
+    assert calls == [(1e-2, "w"), (5e-7, 1), (5e-8, 2)]
+    assert (res.gap, delta, eps, iterations) == (5e-7, 0.0, 5e-8, 9)
+    # an improvement above the tolerance needs no certificate
+    calls.clear()
+    _certified_minimize(minimize, lambda y: 1.0, 1e-2, None, tol=1e-6, floor=1e-12)
+    assert len(calls) == 1
 
 
 def test_mcgm_max_iterations_status():
