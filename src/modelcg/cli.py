@@ -6,7 +6,9 @@ dataset), ``compare`` (all methods, CSV traces + summary), ``mf-demo``
 an optional JSON config file with explicit flags taking precedence.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 solver or check
-failure.
+failure. Non-finite values in a dataset file are a configuration error;
+non-finite model data computed during a solve (``NonFiniteModelError``) are
+a solver failure.
 """
 
 from __future__ import annotations

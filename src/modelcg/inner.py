@@ -150,10 +150,6 @@ def precond_steps(K, beta=1.0):
     return sigma, theta
 
 
-def _soft(z, level):
-    return np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
-
-
 def _conjugate_box_l1(problem, v):
     """sup_{lo<=u<=hi} <v, u> - w|u| [- (u-center)^2/(2 tau)], coordinate-wise.
 
@@ -210,7 +206,11 @@ def pdhg_solve(
     which case the achieved gap is reported and ``converged`` is False.
 
     A dimensionally consistent ``warm`` state seeds the primal and dual
-    points; anything else is ignored.
+    points; anything else is ignored. The warm state is only read.
+
+    ``callback(u, p)`` is called after every iteration with snapshots of the
+    primal and dual iterates: copies that later iterations leave alone, so
+    a callback may keep them.
     """
     K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
     m, n = K.shape
@@ -226,8 +226,6 @@ def pdhg_solve(
     else:
         u = np.clip(np.zeros(n), lo, hi)
         p = np.zeros(m)
-    u_bar = u.copy()
-
     if problem.prox_tau is not None:
         tau = problem.prox_tau
         blend = tau / (tau + theta)  # effective step theta*blend, center mix 1-blend
@@ -238,19 +236,53 @@ def pdhg_solve(
         theta_eff = theta
     level = theta_eff * problem.penalty_weights()
 
+    # Work buffers: the loop allocates nothing. Each update is the same
+    # sequence of rounded operations as the expression in its comment, so
+    # the iterates do not depend on the buffering, and np.clip is spelled
+    # np.maximum then np.minimum (the same result, including the sign of a
+    # zero, for finite input).
+    u_bar = u.copy()
+    u_new = np.empty(n)
+    z = np.empty(n)
+    w = np.empty(n)
+    r = np.empty(m)
+    KT = K.T
+    # array bounds: np.maximum/np.minimum convert a Python float on every call
+    zero, minus_one, one = np.zeros(n), np.full(m, -1.0), np.full(m, 1.0)
+
     gap = primal_dual_gap(problem, u, p)
     it = 0
     while gap > gap_tol and it < max_iters:
-        p = np.clip(p + sigma * (K @ u_bar - target), -1.0, 1.0)
-        z = u - theta * (K.T @ p)
+        # p = clip(p + sigma * (K @ u_bar - target), -1, 1)
+        np.matmul(K, u_bar, out=r)
+        np.subtract(r, target, out=r)
+        np.multiply(sigma, r, out=r)
+        np.add(p, r, out=p)
+        np.maximum(p, minus_one, out=p)
+        np.minimum(p, one, out=p)
+        # z = u - theta * (K.T @ p), then z = blend * z + center_term
+        np.matmul(KT, p, out=w)
+        np.multiply(theta, w, out=w)
+        np.subtract(u, w, out=z)
         if blend is not None:
-            z = blend * z + center_term
-        u_new = np.clip(_soft(z, level), lo, hi)
-        u_bar = 2.0 * u_new - u
-        u = u_new
+            np.multiply(blend, z, out=z)
+            np.add(z, center_term, out=z)
+        # u_new = clip(sign(z) * max(|z| - level, 0), lo, hi); the sign
+        # factor keeps the -0.0 of a negative z inside the threshold
+        np.abs(z, out=w)
+        np.subtract(w, level, out=w)
+        np.maximum(w, zero, out=w)
+        np.sign(z, out=u_new)
+        np.multiply(u_new, w, out=u_new)
+        np.maximum(u_new, lo, out=u_new)
+        np.minimum(u_new, hi, out=u_new)
+        # u_bar = 2 * u_new - u (doubling by addition is exact)
+        np.add(u_new, u_new, out=u_bar)
+        np.subtract(u_bar, u, out=u_bar)
+        u, u_new = u_new, u
         it += 1
         if callback is not None:
-            callback(u, p)
+            callback(u.copy(), p.copy())
         if it % check_every == 0 or it == max_iters:
             gap = primal_dual_gap(problem, u, p)
 

@@ -45,9 +45,25 @@ __all__ = [
     "model_improvement",
     "verify_model_error",
     "ModelErrorReport",
+    "NonFiniteModelError",
     "prox_penalized",
     "linear_composite_min",
 ]
+
+
+class NonFiniteModelError(RuntimeError):
+    """An oracle returned NaN or Inf data (gradient, residual, Jacobian) for
+    the model at an anchor: the solve failed, its inputs were accepted."""
+
+
+def _finite_oracle_data(arr, name):
+    a = np.asarray(arr, dtype=float)
+    if not np.all(np.isfinite(a)):
+        bad = int(np.sum(~np.isfinite(a)))
+        raise NonFiniteModelError(
+            f"oracle returned a {name} with {bad} non-finite entries of {a.size}"
+        )
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +200,7 @@ class _LinearModel(ModelInstance):
 
     def __init__(self, anchor, f_value, grad):
         super().__init__(anchor, f_value)
-        self.grad = require_finite(grad, "grad")
+        self.grad = _finite_oracle_data(grad, "gradient")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -218,7 +234,7 @@ class _AdditiveCompositeModel(ModelInstance):
     def __init__(self, anchor, penalty, h_value, h_grad):
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.h_value = float(h_value)
-        self.h_grad = require_finite(h_grad, "h_grad")
+        self.h_grad = _finite_oracle_data(h_grad, "gradient")
         super().__init__(anchor, self.h_value + self.penalty.value(anchor))
 
     def smooth_part(self, x):
@@ -263,7 +279,7 @@ class _BlockHybridModel(ModelInstance):
     def __init__(self, anchor, penalties, h_value, h_grad, tau, sizes, prox_block):
         self.penalties = penalties
         self.h_value = float(h_value)
-        self.h_grad = require_finite(h_grad, "h_grad")
+        self.h_grad = _finite_oracle_data(h_grad, "gradient")
         self.tau = float(tau)
         self.sizes = tuple(sizes)
         self.prox_block = prox_block
@@ -344,7 +360,7 @@ class _NewtonModel(ModelInstance):
     def __init__(self, anchor, penalty, h_value, h_grad, curvature, lam_max):
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.h_value = float(h_value)
-        self.h_grad = require_finite(h_grad, "h_grad")
+        self.h_grad = _finite_oracle_data(h_grad, "gradient")
         self.curvature = curvature  # PSD-projected Hessian
         self.lam_max = float(lam_max)
         super().__init__(anchor, self.h_value + self.penalty.value(anchor))
@@ -457,8 +473,8 @@ class _GaussNewtonModel(ModelInstance):
     def __init__(self, anchor, loss, penalty, F_value, jac, pdhg_opts, minimizer):
         self.loss = loss
         self.penalty = penalty if penalty is not None else ZeroPenalty()
-        self.F_value = require_finite(F_value, "F_value")
-        self.jac = require_finite(jac, "jacobian")
+        self.F_value = _finite_oracle_data(F_value, "residual")
+        self.jac = _finite_oracle_data(jac, "Jacobian")
         if self.jac.shape[0] != self.F_value.size:
             raise ValueError("jacobian rows do not match the residual dimension")
         self.pdhg_opts = pdhg_opts

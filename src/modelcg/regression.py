@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, PowerGrowth
+from .geometry import Box, PowerGrowth, require_finite
 from .inner import PiecewiseLinearSubproblem
 from .models import GaussNewtonOracle, L1Loss, WeightedL1
 
@@ -238,8 +238,8 @@ def load_dataset(path):
     if payload.get("schema") != DATASET_SCHEMA:
         raise ValueError(f"unrecognized dataset schema: {payload.get('schema')!r}")
     return RegressionDataset(
-        covariates=np.asarray(payload["covariates"], dtype=float),
-        observations=np.asarray(payload["observations"], dtype=float),
+        covariates=require_finite(payload["covariates"], "covariates"),
+        observations=require_finite(payload["observations"], "observations"),
         a_true=np.asarray(payload["a_true"], dtype=float),
         b_true=np.asarray(payload["b_true"], dtype=float),
         P=int(payload["P"]),

@@ -1,13 +1,16 @@
 """Benchmark runner: solve one dataset with each requested method from a
 common start, write per-method CSV traces plus a JSON summary.
 
-CSV schema (one row per outer iteration):
+CSV schema (one row per outer iteration, then a terminal row):
 
     k,time_s,f,obj_err,delta,gamma,backtracks,inner_iters
+    final,,<f>,<obj_err>,,,,
 
-``obj_err`` is the objective value minus the smallest value found by any of
-the methods in the run. Floats carry 17 significant digits, so numeric
-content is bit-stable across reruns; only the timing column varies.
+The terminal row holds the objective at the returned point, which the last
+step's sufficient decrease is checked against. ``obj_err`` is the objective
+value minus the smallest value found by any of the methods in the run.
+Floats carry 17 significant digits, so numeric content is bit-stable across
+reruns; only the timing column varies.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
 
 METHOD_NAMES = ("mcgm", "proxlin_ls", "proxlin_bt")
 CSV_COLUMNS = ("k", "time_s", "f", "obj_err", "delta", "gamma", "backtracks", "inner_iters")
+FINAL_ROW = "final"  # the k field of the terminal row
 SUMMARY_SCHEMA = "modelcg.summary/1"
 
 
@@ -94,29 +98,43 @@ def write_trace_csv(trace, path, f_lower):
                 ]
             )
         )
+    final_f = trace.final_f
+    lines.append(",".join([FINAL_ROW, "", _fmt(final_f), _fmt(final_f - f_lower)] + [""] * 4))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trace_csv(path):
+def _read_trace(path):
+    """The per-iteration columns and the final objective of a trace CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected trace columns in {path}: {header}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: np.array([row[i] for row in rows], dtype=float)
+    if len(rows) < 2 or rows[-1][0] != FINAL_ROW:
+        raise ValueError(f"{path} needs iteration rows and a final row last")
+    final_f = float(rows[-1][CSV_COLUMNS.index("f")])
+    cols = {name: np.array([row[i] for row in rows[:-1]], dtype=float)
             for i, name in enumerate(CSV_COLUMNS)}
-    return cols
+    return cols, final_f
+
+
+def read_trace_csv(path):
+    """The per-iteration columns of a trace CSV (the final row excluded)."""
+    return _read_trace(path)[0]
 
 
 def check_trace_file(path, rho, rtol=1e-9):
     """Re-run the trace invariants on a CSV file: monotone objective,
-    sufficient decrease, steps in [0, 1], and the telescoped rate bound.
+    sufficient decrease (the last step's against the final objective),
+    steps in [0, 1], and the telescoped rate bound against the best
+    objective, the final one included, as :func:`rate_certificate` does.
     Returns a list of failure strings (empty means the trace checks out)."""
-    cols = read_trace_csv(path)
+    cols, final_f = _read_trace(path)
     f, delta, gamma = cols["f"], cols["delta"], cols["gamma"]
-    problems = verify_trace_arrays(f, delta, gamma, rho, rtol=rtol)
-    cert = rate_certificate_arrays(f, delta, gamma, rho, rtol=rtol)
+    problems = verify_trace_arrays(f, delta, gamma, rho, final_f=final_f, rtol=rtol)
+    f_lower = float(np.min(f, initial=final_f))
+    cert = rate_certificate_arrays(f, delta, gamma, rho, f_lower, rtol)
     if not cert.passed:
         problems.append(
             f"rate bound violated at k={cert.worst_k} (ratio {cert.worst_ratio:.3e})"

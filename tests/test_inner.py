@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from modelcg.inner import (
+    PdState,
     PiecewiseLinearSubproblem,
     brute_force_subproblem,
     pdhg_solve,
     precond_steps,
     primal_dual_gap,
 )
+from modelcg.regression import generate_regression_data, make_subproblem
 
 
 def random_subproblem(rng, m=None, n=None, with_prox=False):
@@ -299,3 +301,150 @@ def test_subproblem_validation():
     sub = box_problem(np.ones((2, 2)), np.ones(2), 0.0, [False, False], [0, 0], [1, 1])
     with pytest.raises(ValueError):
         sub.with_prox(-1.0, np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# the allocation-free loop against the reference loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000, check_every=25,
+                    beta=1.0):
+    """The PDHG loop written with a fresh array per operation: the reference
+    that ``pdhg_solve`` must match bit for bit. Returns (u, p, gap,
+    iterations, converged)."""
+    K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
+    m, n = K.shape
+    sigma, theta = precond_steps(K, beta)
+    if (
+        warm is not None
+        and getattr(warm, "u", None) is not None
+        and np.shape(warm.u) == (n,)
+        and np.shape(warm.p) == (m,)
+    ):
+        u = np.clip(np.asarray(warm.u, float), lo, hi)
+        p = np.clip(np.asarray(warm.p, float), -1.0, 1.0)
+    else:
+        u = np.clip(np.zeros(n), lo, hi)
+        p = np.zeros(m)
+    u_bar = u.copy()
+    if problem.prox_tau is not None:
+        tau = problem.prox_tau
+        blend = tau / (tau + theta)
+        theta_eff = theta * blend
+        center_term = (1.0 - blend) * problem.prox_center
+    else:
+        blend = None
+        theta_eff = theta
+    level = theta_eff * problem.penalty_weights()
+
+    def soft(z):
+        return np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
+
+    gap = primal_dual_gap(problem, u, p)
+    it = 0
+    while gap > gap_tol and it < max_iters:
+        p = np.clip(p + sigma * (K @ u_bar - target), -1.0, 1.0)
+        z = u - theta * (K.T @ p)
+        if blend is not None:
+            z = blend * z + center_term
+        u_new = np.clip(soft(z), lo, hi)
+        u_bar = 2.0 * u_new - u
+        u = u_new
+        it += 1
+        if it % check_every == 0 or it == max_iters:
+            gap = primal_dual_gap(problem, u, p)
+    return u, p, gap, it, gap <= gap_tol
+
+
+def _reference_cases(rng):
+    """(name, problem, solve keywords) covering both branches of the loop."""
+    cases = []
+    for i in range(6):
+        sub = random_subproblem(rng, m=8, n=4, with_prox=i % 2 == 1)
+        cases.append((f"random{i}", sub, {}))
+    sub = random_subproblem(rng, m=7, n=4)
+    for name, weight, mask in (("no_penalty", 0.0, sub.l1_mask),
+                               ("partial_mask", 1.3, [True, False, True, False])):
+        cases.append((name, box_problem(sub.K, sub.target, weight, mask, sub.lo, sub.hi), {}))
+    # coordinate 1 is pinned (lo == hi), coordinate 2 pinned at zero
+    lo, hi = np.array([-2.0, 0.5, 0.0, -1.0]), np.array([2.0, 0.5, 0.0, 3.0])
+    pinned = box_problem(sub.K, sub.target, 0.8, [True, True, True, False], lo, hi)
+    cases.append(("zero_width", pinned, {}))
+    cases.append(("zero_width_prox", pinned.with_prox(0.3, rng.standard_normal(4)), {}))
+    capped = {"gap_tol": 1e-14, "max_iters": 37}
+    cases.append(("max_iters", random_subproblem(rng, m=8, n=4), capped))
+    ds = generate_regression_data(P=4, M=30, mu=2.0, a_max=4.0, b_max=2.5, seed=1)
+    u0 = np.concatenate([np.full(4, 2.0), np.full(4, 1.25)])
+    cases.append(("regression", make_subproblem(ds, u0), {"gap_tol": 1e-9}))
+    cases.append(("regression_prox", make_subproblem(ds, u0, tau=0.05), {"gap_tol": 1e-9}))
+    return cases
+
+
+def _assert_same_run(res, ref, name):
+    u, p, gap, it, converged = ref
+    assert res.u.tobytes() == u.tobytes(), name
+    assert res.state.u.tobytes() == u.tobytes(), name
+    assert res.state.p.tobytes() == p.tobytes(), name
+    assert res.gap == gap, name
+    assert res.iterations == it == res.state.iterations, name
+    assert res.converged == converged, name
+
+
+def test_pdhg_matches_reference_loop_bit_for_bit(rng):
+    signed_zeros = 0
+    for name, sub, kw in _reference_cases(rng):
+        kw = {"gap_tol": 1e-10, "max_iters": 3000, **kw}
+        res = pdhg_solve(sub, **kw)
+        ref = _reference_pdhg(sub, **kw)
+        _assert_same_run(res, ref, name)
+        if name == "max_iters":
+            assert res.iterations == 37 and not res.converged
+        signed_zeros += int(np.sum(np.signbit(ref[0]) & (ref[0] == 0.0)))
+        # warm start from the cold result (a tighter tolerance so it moves)
+        warm_kw = {**kw, "gap_tol": kw["gap_tol"] * 1e-3, "max_iters": 500}
+        _assert_same_run(pdhg_solve(sub, warm=res.state, **warm_kw),
+                         _reference_pdhg(sub, warm=res.state, **warm_kw), name + "/warm")
+    # the cases reach the -0.0 that the sign factor of the soft-threshold
+    # produces inside a box around zero, so the byte comparison sees it
+    assert signed_zeros > 0
+
+
+# ---------------------------------------------------------------------------
+# nothing handed out is overwritten by the in-place updates
+# ---------------------------------------------------------------------------
+
+
+def test_pdhg_callback_arrays_are_snapshots(rng):
+    sub = random_subproblem(rng, m=6, n=3)
+    kept, copies = [], []
+
+    def cb(u, p):
+        kept.append((u, p))
+        copies.append((u.copy(), p.copy()))
+
+    res = pdhg_solve(sub, gap_tol=1e-10, max_iters=200, callback=cb)
+    assert len(kept) == res.iterations > 2
+    for (u, p), (u0, p0) in zip(kept, copies):
+        assert u.tobytes() == u0.tobytes() and p.tobytes() == p0.tobytes()
+    assert kept[-1][0].tobytes() == res.u.tobytes()
+    assert kept[-1][0] is not res.u
+
+
+def test_pdhg_warm_state_and_result_not_overwritten(rng):
+    sub = random_subproblem(rng, m=7, n=4, with_prox=True)
+    first = pdhg_solve(sub, gap_tol=1e-4, max_iters=100000)
+    before = [a.copy() for a in (first.u, first.state.u, first.state.p)]
+    second = pdhg_solve(sub, warm=first.state, gap_tol=1e-12, max_iters=100000)
+    assert second.iterations > 0
+    for a, b in zip((first.u, first.state.u, first.state.p), before):
+        assert a.tobytes() == b.tobytes()
+    # a caller-built warm state is only read, and a third solve does not
+    # reach back into the second one's result
+    warm = PdState(u=np.full(4, 0.5), p=np.full(7, 0.25))
+    pdhg_solve(sub, warm=warm, gap_tol=1e-10, max_iters=300)
+    assert np.all(warm.u == 0.5) and np.all(warm.p == 0.25)
+    kept = [a.copy() for a in (second.u, second.state.p)]
+    pdhg_solve(sub, warm=second.state, gap_tol=0.0, max_iters=50)
+    assert second.u.tobytes() == kept[0].tobytes()
+    assert second.state.p.tobytes() == kept[1].tobytes()

@@ -13,7 +13,7 @@ from modelcg.runner import (
     run_comparison,
     write_trace_csv,
 )
-from modelcg.solver import SolverConfig, rate_certificate
+from modelcg.solver import SolverConfig, rate_certificate, verify_trace_arrays
 
 
 def small_dataset(seed=0):
@@ -106,6 +106,45 @@ def test_csv_check_and_in_memory_certificate_agree(tmp_path):
     assert not rate_certificate(trace).passed
 
 
+def test_csv_check_reads_the_final_objective(tmp_path):
+    # one iteration: the only step ends at the returned point, so both its
+    # sufficient decrease and the rate bound's lower bound need final_f
+    res = run_comparison(small_dataset(seed=0), str(tmp_path / "one"), methods=("mcgm",),
+                         cfg=SolverConfig(max_iterations=1))
+    trace = res.traces["mcgm"]
+    f, delta, gamma = trace.arrays()
+    assert trace.final_f < f[-1]
+    assert verify_trace_arrays(f, delta, gamma, trace.rho, final_f=trace.final_f) == []
+    assert rate_certificate(trace).passed
+    path = res.trace_paths["mcgm"]
+    assert check_trace_file(path, rho=trace.rho) == []
+    np.testing.assert_array_equal(read_trace_csv(path)["f"], f)
+
+    # a final objective that decreased, but by less than rho * gamma * delta
+    bad_f = f[-1] - 0.1 * trace.rho * gamma[-1] * delta[-1]
+    lines = open(path).read().splitlines()
+    parts = lines[-1].split(",")
+    assert parts[0] == "final"
+    parts[CSV_COLUMNS.index("f")] = repr(float(bad_f))
+    lines[-1] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    trace.final_f = bad_f
+    problems = check_trace_file(str(bad), rho=trace.rho)
+    assert problems[0] == "sufficient decrease violated at k=0"
+    assert problems[:1] == verify_trace_arrays(f, delta, gamma, trace.rho, final_f=bad_f)
+    # the raised lower bound also breaks the rate bound, in memory and in the CSV
+    assert not rate_certificate(trace).passed
+    assert problems[1].startswith("rate bound violated at k=0")
+    assert len(problems) == 2
+
+    # a trace without its final row is malformed, not silently shorter
+    cut = tmp_path / "cut.csv"
+    cut.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError):
+        check_trace_file(str(cut), rho=trace.rho)
+
+
 def test_unknown_method_rejected(tmp_path):
     with pytest.raises(ValueError):
         run_comparison(small_dataset(), str(tmp_path), methods=("nope",))
@@ -189,6 +228,41 @@ def test_cli_config_errors_exit_one(tmp_path):
     bad_cfg.write_text("not json{")
     assert cli_main(["gen", "--out", str(tmp_path / "d.json"),
                      "--config", str(bad_cfg)]) == 1
+
+
+def test_cli_non_finite_jacobian_mid_solve_exits_two(tmp_path, monkeypatch, capsys):
+    import modelcg.regression as regression
+
+    path = tmp_path / "ds.json"
+    save_dataset(small_dataset(), path)
+    real = regression.eval_jacobian
+    calls = []
+
+    def nan_on_second_call(a, b, x):
+        calls.append(1)
+        jac = real(a, b, x)
+        return np.full_like(jac, np.nan) if len(calls) == 2 else jac
+
+    monkeypatch.setattr(regression, "eval_jacobian", nan_on_second_call)
+    assert cli_main(["solve", "--dataset", str(path), "--max-iterations", "5"]) == 2
+    assert len(calls) == 2
+    assert "solver failure: NonFiniteModelError" in capsys.readouterr().err
+
+
+def test_cli_malformed_dataset_or_config_exits_one(tmp_path, capsys):
+    good = tmp_path / "ds.json"
+    save_dataset(small_dataset(), good)
+    payload = json.loads(good.read_text())
+    payload["covariates"][3] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(payload))
+    assert cli_main(["solve", "--dataset", str(bad)]) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"delta_tol": -1.0}))
+    assert cli_main(["solve", "--dataset", str(good), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 2
+    assert "covariates contains non-finite entries" in err
 
 
 def test_cli_mf_demo(tmp_path):
