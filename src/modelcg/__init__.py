@@ -28,7 +28,6 @@ from .models import (
 )
 from .baselines import ProxLinearConfig, prox_linear_bt_solve, prox_linear_ls_solve
 from .solver import (
-    InnerTolerance,
     LineSearchParams,
     SolverConfig,
     SolverTrace,
@@ -66,7 +65,6 @@ __all__ = [
     "ProxLinearConfig",
     "prox_linear_bt_solve",
     "prox_linear_ls_solve",
-    "InnerTolerance",
     "LineSearchParams",
     "SolverConfig",
     "SolverTrace",

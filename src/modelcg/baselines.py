@@ -73,8 +73,6 @@ class _ProxRegularizedModel:
     """A model instance plus ||x - anchor||^2 / (2 tau); still a valid model
     (the quadratic vanishes at the anchor and is dominated by t^2 growth)."""
 
-    family = "prox_regularized"
-
     def __init__(self, base, tau):
         self.base = base
         self.tau = float(tau)
@@ -85,16 +83,12 @@ class _ProxRegularizedModel:
         d = np.asarray(x, dtype=float) - self.anchor
         return self.base.value(x) + float(d @ d) / (2.0 * self.tau)
 
-    def minimize(self, constraint, eps, warm=None, max_iterations=None):
-        return self.base.minimize_proximal(
-            constraint, eps, self.tau, warm=warm, max_iterations=max_iterations
-        )
+    def minimize(self, constraint, eps, warm=None):
+        return self.base.minimize_proximal(constraint, eps, self.tau, warm=warm)
 
 
 class ProximalModelOracle:
     """Wraps a model oracle so every instance carries the quadratic term."""
-
-    family = "prox_regularized"
 
     def __init__(self, base_oracle, tau):
         if not tau > 0:
@@ -158,19 +152,17 @@ def prox_linear_bt_solve(
     tau_max = plcfg.tau_max_factor * plcfg.tau0
     warm = None
 
-    def weight_backtracking_step(k, x, f_x, eps, budget, tol):
+    def weight_backtracking_step(k, x, f_x, eps, tol):
         nonlocal tau, warm
         base = oracle.instantiate(x)
 
         def solve(e, w):
-            return base.minimize_proximal(constraint, e, tau, warm=w, max_iterations=budget)
+            return base.minimize_proximal(constraint, e, tau, warm=w)
 
         def improvement(y):
             return _prox_improvement(base, y, tau)
 
-        res, delta, eps, n_inner = _certified_minimize(
-            solve, improvement, eps, warm, tol, cfg.inner.floor
-        )
+        res, delta, eps, n_inner = _certified_minimize(solve, improvement, eps, warm, tol)
         warm = res.state
         if delta <= tol:
             return _Step(delta, n_inner, 1)

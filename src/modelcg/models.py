@@ -177,8 +177,6 @@ class ModelInstance:
     construction; ``anchor_value`` stores that number.
     """
 
-    family = "abstract"
-
     def __init__(self, anchor, anchor_value):
         self.anchor = np.asarray(anchor, dtype=float)
         self.anchor_value = float(anchor_value)
@@ -186,18 +184,16 @@ class ModelInstance:
     def value(self, x):
         raise NotImplementedError
 
-    def minimize(self, constraint, eps, warm=None, max_iterations=None):
+    def minimize(self, constraint, eps, warm=None):
         """An eps-approximate minimizer of the model over the set."""
         raise NotImplementedError
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, max_iterations=None):
+    def minimize_proximal(self, constraint, eps, tau, warm=None):
         """Same, for the model plus ||x - anchor||^2 / (2 tau)."""
         raise NotImplementedError
 
 
 class _LinearModel(ModelInstance):
-    family = "linear"
-
     def __init__(self, anchor, f_value, grad):
         super().__init__(anchor, f_value)
         self.grad = _finite_oracle_data(grad, "gradient")
@@ -206,18 +202,16 @@ class _LinearModel(ModelInstance):
         x = np.asarray(x, dtype=float)
         return self.anchor_value + float(self.grad @ (x - self.anchor))
 
-    def minimize(self, constraint, eps, warm=None, max_iterations=None):
+    def minimize(self, constraint, eps, warm=None):
         return ModelMinimum(point=constraint.lmo(self.grad), gap=0.0)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, max_iterations=None):
+    def minimize_proximal(self, constraint, eps, tau, warm=None):
         y = constraint.project(self.anchor - tau * self.grad)
         return ModelMinimum(point=y, gap=0.0)
 
 
 class LinearModelOracle:
     """First-order linearization of a smooth objective."""
-
-    family = "linear"
 
     def __init__(self, fun, grad):
         self.fun = fun
@@ -229,8 +223,6 @@ class LinearModelOracle:
 
 
 class _AdditiveCompositeModel(ModelInstance):
-    family = "additive_composite"
-
     def __init__(self, anchor, penalty, h_value, h_grad):
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.h_value = float(h_value)
@@ -243,11 +235,11 @@ class _AdditiveCompositeModel(ModelInstance):
     def value(self, x):
         return self.penalty.value(x) + self.smooth_part(x)
 
-    def minimize(self, constraint, eps, warm=None, max_iterations=None):
+    def minimize(self, constraint, eps, warm=None):
         y = linear_composite_min(self.penalty, self.h_grad, constraint)
         return ModelMinimum(point=y, gap=0.0)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, max_iterations=None):
+    def minimize_proximal(self, constraint, eps, tau, warm=None):
         y = prox_penalized(self.penalty, self.anchor - tau * self.h_grad, tau, constraint)
         return ModelMinimum(point=y, gap=0.0)
 
@@ -258,8 +250,6 @@ class AdditiveCompositeOracle:
     ``h`` and ``grad_h`` evaluate the smooth part and its gradient. The model
     error is entirely the linearization error of ``h``.
     """
-
-    family = "additive_composite"
 
     def __init__(self, penalty, h, grad_h):
         self.penalty = penalty
@@ -274,8 +264,6 @@ class AdditiveCompositeOracle:
 
 
 class _BlockHybridModel(ModelInstance):
-    family = "hybrid"
-
     def __init__(self, anchor, penalties, h_value, h_grad, tau, sizes, prox_block):
         self.penalties = penalties
         self.h_value = float(h_value)
@@ -300,7 +288,7 @@ class _BlockHybridModel(ModelInstance):
         dp = d[self.slices[self.prox_block]]
         return val + float(dp @ dp) / (2.0 * self.tau)
 
-    def minimize(self, constraint, eps, warm=None, max_iterations=None):
+    def minimize(self, constraint, eps, warm=None):
         if not (isinstance(constraint, ProductSet) and len(constraint.sets) == 2):
             raise ValueError("hybrid models need a two-block product set")
         if tuple(s.dim for s in constraint.sets) != self.sizes:
@@ -321,8 +309,6 @@ class BlockHybridOracle:
     """Additive composite model on two blocks, with a quadratic proximal term
     on one of them: that block takes proximal-gradient steps, the other takes
     conditional-gradient steps."""
-
-    family = "hybrid"
 
     def __init__(self, penalty_a, penalty_b, h, grad_h, tau, sizes, prox_block=0):
         if not tau > 0:
@@ -354,9 +340,12 @@ class BlockHybridOracle:
         )
 
 
-class _NewtonModel(ModelInstance):
-    family = "newton"
+# iteration cap of one accelerated projected gradient solve, which
+# normally stops earlier on its Frank-Wolfe gap
+_APG_MAX_ITERATIONS = 20000
 
+
+class _NewtonModel(ModelInstance):
     def __init__(self, anchor, penalty, h_value, h_grad, curvature, lam_max):
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.h_value = float(h_value)
@@ -387,13 +376,12 @@ class _NewtonModel(ModelInstance):
         gap = float(c @ (x - v)) + self.penalty.value(x) - self.penalty.value(v)
         return gap, v
 
-    def _solve(self, constraint, eps, warm, max_iterations, extra_tau):
+    def _solve(self, constraint, eps, warm, extra_tau):
         lip = self.lam_max + (1.0 / extra_tau if extra_tau is not None else 0.0)
         if lip <= 0.0:
             # no curvature: the model is additive composite, solve exactly
             y = linear_composite_min(self.penalty, self.h_grad, constraint)
             return ModelMinimum(point=y, gap=0.0)
-        max_iterations = max_iterations or 5000
         if warm is not None and np.shape(warm) == self.anchor.shape:
             x = constraint.project(np.asarray(warm, float))
         else:
@@ -406,7 +394,7 @@ class _NewtonModel(ModelInstance):
         )
         gap = np.inf
         it = 0
-        for it in range(1, max_iterations + 1):
+        for it in range(1, _APG_MAX_ITERATIONS + 1):
             x_new = prox_penalized(
                 self.penalty, z - self.quad_grad(z, extra_tau) / lip, 1.0 / lip, constraint
             )
@@ -422,25 +410,23 @@ class _NewtonModel(ModelInstance):
             else:
                 x, prox_val = x_new, val_new
             t = t_new
-            if it % 10 == 0 or it == max_iterations:
+            if it % 10 == 0 or it == _APG_MAX_ITERATIONS:
                 gap, _ = self._fw_gap(x, constraint, extra_tau)
                 if gap <= eps:
                     break
         return ModelMinimum(point=x, gap=float(gap), iterations=it, state=x)
 
-    def minimize(self, constraint, eps, warm=None, max_iterations=None):
-        return self._solve(constraint, eps, warm, max_iterations, None)
+    def minimize(self, constraint, eps, warm=None):
+        return self._solve(constraint, eps, warm, None)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, max_iterations=None):
-        return self._solve(constraint, eps, warm, max_iterations, float(tau))
+    def minimize_proximal(self, constraint, eps, tau, warm=None):
+        return self._solve(constraint, eps, warm, float(tau))
 
 
 class NewtonModelOracle:
     """Second-order model: the Hessian of the smooth part is projected onto
     the PSD cone to keep the surrogate convex. Minimization runs accelerated
     projected gradient with a linear-oracle duality gap as stopping rule."""
-
-    family = "newton"
 
     def __init__(self, penalty, h, grad_h, hess_h):
         self.penalty = penalty
@@ -468,16 +454,13 @@ class L1Loss:
 
 
 class _GaussNewtonModel(ModelInstance):
-    family = "gauss_newton"
-
-    def __init__(self, anchor, loss, penalty, F_value, jac, pdhg_opts, minimizer):
+    def __init__(self, anchor, loss, penalty, F_value, jac, minimizer):
         self.loss = loss
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.F_value = _finite_oracle_data(F_value, "residual")
         self.jac = _finite_oracle_data(jac, "Jacobian")
         if self.jac.shape[0] != self.F_value.size:
             raise ValueError("jacobian rows do not match the residual dimension")
-        self.pdhg_opts = pdhg_opts
         self.minimizer = minimizer
         anchor = np.asarray(anchor, dtype=float)
         if self.jac.shape[1] != anchor.size:
@@ -517,29 +500,22 @@ class _GaussNewtonModel(ModelInstance):
             hi=constraint.hi,
         )
 
-    def _run(self, sub, eps, warm, max_iterations):
-        res = pdhg_solve(
-            sub,
-            warm=warm,
-            gap_tol=eps,
-            max_iters=max_iterations or self.pdhg_opts.get("max_iters", 20000),
-            check_every=self.pdhg_opts.get("check_every", 25),
-            beta=self.pdhg_opts.get("beta", 1.0),
-        )
+    def _run(self, sub, eps, warm):
+        res = pdhg_solve(sub, warm=warm, gap_tol=eps)
         return ModelMinimum(
             point=res.u, gap=res.gap, iterations=res.iterations, state=res.state
         )
 
-    def minimize(self, constraint, eps, warm=None, max_iterations=None):
+    def minimize(self, constraint, eps, warm=None):
         if self.minimizer is not None:
             return self.minimizer(self, constraint, eps, warm)
-        return self._run(self.subproblem(constraint), eps, warm, max_iterations)
+        return self._run(self.subproblem(constraint), eps, warm)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, max_iterations=None):
+    def minimize_proximal(self, constraint, eps, tau, warm=None):
         if self.minimizer is not None:
             raise NotImplementedError("custom minimizers have no proximal variant")
         sub = self.subproblem(constraint).with_prox(tau, self.anchor)
-        return self._run(sub, eps, warm, max_iterations)
+        return self._run(sub, eps, warm)
 
 
 class GaussNewtonOracle:
@@ -551,16 +527,12 @@ class GaussNewtonOracle:
     needs a caller-supplied ``minimizer(model, constraint, eps, warm)``.
     """
 
-    family = "gauss_newton"
-
-    def __init__(self, residual, jacobian, loss, penalty=None, minimizer=None,
-                 **pdhg_opts):
+    def __init__(self, residual, jacobian, loss, penalty=None, minimizer=None):
         self.residual = residual
         self.jacobian = jacobian
         self.loss = loss
         self.penalty = penalty
         self.minimizer = minimizer
-        self.pdhg_opts = pdhg_opts
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)
@@ -570,7 +542,6 @@ class GaussNewtonOracle:
             self.penalty,
             np.asarray(self.residual(anchor), dtype=float),
             np.asarray(self.jacobian(anchor), dtype=float),
-            self.pdhg_opts,
             self.minimizer,
         )
 

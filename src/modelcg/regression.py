@@ -87,6 +87,17 @@ def eval_jacobian(a, b, x_points):
     return np.hstack([E, -(x[:, None] * E) * a[None, :]])
 
 
+def _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale):
+    if P < 1 or M < 1:
+        raise ValueError("P and M must be positive")
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError("sparsity must lie in [0, 1)")
+    if not all(math.isfinite(v) for v in (mu, a_max, b_max, noise_scale)):
+        raise ValueError("mu/a_max/b_max/noise_scale must be finite")
+    if mu < 0 or a_max <= 0 or b_max <= 0 or noise_scale < 0:
+        raise ValueError("mu/a_max/b_max/noise_scale out of range")
+
+
 def generate_regression_data(
     P=100, M=1000, mu=80.0, a_max=20.0, b_max=5.0, sparsity=0.8,
     noise_scale=0.5, seed=0,
@@ -96,12 +107,7 @@ def generate_regression_data(
     Laplacian noise by inverse-CDF sampling. Regeneration from the same
     parameters and seed is bit-identical.
     """
-    if P < 1 or M < 1:
-        raise ValueError("P and M must be positive")
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError("sparsity must lie in [0, 1)")
-    if mu < 0 or a_max <= 0 or b_max <= 0 or noise_scale < 0:
-        raise ValueError("mu/a_max/b_max/noise_scale out of range")
+    _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale)
     x = np.linspace(0.0, 1.0, M)
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, a_max, P)
@@ -147,7 +153,7 @@ def amplitude_mask(dataset):
     return mask
 
 
-def make_oracle(dataset, **pdhg_opts):
+def make_oracle(dataset):
     """Model oracle for the benchmark: the residual map is linearized inside
     the l1 loss, the amplitude penalty is kept exactly, and the model
     subproblems go to the primal-dual inner solver."""
@@ -166,7 +172,6 @@ def make_oracle(dataset, **pdhg_opts):
         jacobian,
         L1Loss(dataset.observations),
         penalty=WeightedL1(dataset.mu, amplitude_mask(dataset)),
-        **pdhg_opts,
     )
 
 
@@ -233,15 +238,19 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
+    """Read a dataset file, rejecting with ``ValueError`` any file whose
+    sizes disagree or whose values ``generate_regression_data`` would not
+    accept."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("schema") != DATASET_SCHEMA:
-        raise ValueError(f"unrecognized dataset schema: {payload.get('schema')!r}")
-    return RegressionDataset(
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != DATASET_SCHEMA:
+        raise ValueError(f"unrecognized dataset schema: {schema!r}")
+    ds = RegressionDataset(
         covariates=require_finite(payload["covariates"], "covariates"),
         observations=require_finite(payload["observations"], "observations"),
-        a_true=np.asarray(payload["a_true"], dtype=float),
-        b_true=np.asarray(payload["b_true"], dtype=float),
+        a_true=require_finite(payload["a_true"], "a_true"),
+        b_true=require_finite(payload["b_true"], "b_true"),
         P=int(payload["P"]),
         M=int(payload["M"]),
         mu=float(payload["mu"]),
@@ -251,3 +260,11 @@ def load_dataset(path):
         noise_scale=float(payload["noise_scale"]),
         seed=int(payload["seed"]),
     )
+    _check_parameters(ds.P, ds.M, ds.mu, ds.a_max, ds.b_max, ds.sparsity, ds.noise_scale)
+    for name, size in (("covariates", ds.M), ("observations", ds.M),
+                       ("a_true", ds.P), ("b_true", ds.P)):
+        if getattr(ds, name).shape != (size,):
+            raise ValueError(
+                f"{name} has shape {getattr(ds, name).shape}, expected ({size},)"
+            )
+    return ds

@@ -106,11 +106,20 @@ def write_trace_csv(trace, path, f_lower):
 
 def _read_trace(path):
     """The per-iteration columns and the final objective of a trace CSV."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected trace columns in {path}: {header}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = line.strip().split(",")
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(
+                    f"{path} line {lineno} has {len(row)} fields, expected {len(CSV_COLUMNS)}"
+                )
+            rows.append(row)
     if len(rows) < 2 or rows[-1][0] != FINAL_ROW:
         raise ValueError(f"{path} needs iteration rows and a final row last")
     final_f = float(rows[-1][CSV_COLUMNS.index("f")])
@@ -154,6 +163,8 @@ def run_comparison(
     """Run each method from the same start (box midpoint by default), write
     one CSV trace per method plus ``summary.json``."""
     methods = tuple(methods)
+    if not methods:
+        raise ValueError("no methods to compare")
     for m in methods:
         if m not in METHOD_NAMES:
             raise ValueError(f"unknown method {m!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from .geometry import require_finite
 
 __all__ = [
     "LineSearchParams",
-    "InnerTolerance",
     "SolverConfig",
     "IterationRecord",
     "SolverTrace",
@@ -117,41 +116,11 @@ def armijo_search(fun, x, y, delta, params=None, f_x=None):
 
 
 @dataclass(frozen=True)
-class InnerTolerance:
-    """Vanishing tolerance schedule for the approximate model minimization.
-
-    In ``gap`` mode iteration k solves to duality gap
-    ``eps_k = max(floor, min(eps0 (k+1)^-power, adapt * previous improvement))``
-    with eps0 defaulting to a tenth of the first improvement; the schedule is
-    clipped to be non-increasing. In ``budget`` mode the inner solver instead
-    gets an iteration budget that grows linearly with k.
-    """
-
-    mode: str = "gap"
-    eps0: Optional[float] = None
-    power: float = 1.5
-    floor: float = 1e-12
-    adapt: float = 0.1
-    max_iterations: int = 20000
-    budget0: int = 100
-    budget_step: int = 100
-
-    def __post_init__(self):
-        if self.mode not in ("gap", "budget"):
-            raise ValueError("mode must be 'gap' or 'budget'")
-        if self.eps0 is not None and not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
-        if not self.floor > 0:
-            raise ValueError("floor must be positive")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 200
     delta_tol: Optional[float] = None  # None: delta_rtol * (1 + |f(x0)|)
     delta_rtol: float = 1e-8
     time_budget_s: Optional[float] = None
-    inner: InnerTolerance = field(default_factory=InnerTolerance)
     check_feasibility: bool = False
 
     def __post_init__(self):
@@ -210,41 +179,42 @@ class SolverTrace:
         )
 
 
-class _EpsSchedule:
-    """Realizes the vanishing-tolerance contract; see InnerTolerance."""
+# The vanishing tolerance schedule of the model minimization: iteration k
+# solves its model to duality gap
+#     eps_k = max(EPS_FLOOR, min(eps0 (k+1)^-EPS_POWER,
+#                                EPS_ADAPT * previous improvement, eps_{k-1}))
+# with eps0 a tenth of the first improvement, and 1e-2 (1 + |f(x0)|) until
+# that improvement is known. EPS_FLOOR is also the tightest tolerance a
+# certification retry asks for.
+EPS_POWER = 1.5
+EPS_ADAPT = 0.1
+EPS_FLOOR = 1e-12
 
-    def __init__(self, inner, f0):
-        self.inner = inner
+
+class _EpsSchedule:
+    def __init__(self, f0):
         self.bootstrap = 1e-2 * (1.0 + abs(f0))
-        self.eps0 = inner.eps0
+        self.eps0 = None
         self.prev = math.inf
         self.prev_delta = math.inf
 
     def eps(self, k):
-        if self.inner.mode == "budget":
-            return self.inner.floor
         if self.eps0 is None:
             base = self.bootstrap
         else:
-            base = self.eps0 * (k + 1.0) ** (-self.inner.power)
-        if self.inner.adapt > 0:
-            base = min(base, self.inner.adapt * self.prev_delta)
-        eps = max(self.inner.floor, min(base, self.prev))
+            base = self.eps0 * (k + 1.0) ** (-EPS_POWER)
+        base = min(base, EPS_ADAPT * self.prev_delta)
+        eps = max(EPS_FLOOR, min(base, self.prev))
         self.prev = eps
         return eps
 
-    def budget(self, k):
-        if self.inner.mode == "budget":
-            return self.inner.budget0 + self.inner.budget_step * k
-        return self.inner.max_iterations
-
     def observe(self, delta):
         if self.eps0 is None and delta > 0:
-            self.eps0 = max(0.1 * delta, self.inner.floor)
-        self.prev_delta = max(delta, self.inner.floor)
+            self.eps0 = max(0.1 * delta, EPS_FLOOR)
+        self.prev_delta = max(delta, EPS_FLOOR)
 
 
-def _certified_minimize(minimize, improvement, eps, warm, tol, floor):
+def _certified_minimize(minimize, improvement, eps, warm, tol):
     """Minimize a model through ``minimize(eps, warm)``; if the measured
     ``improvement(point)`` is below the stationarity tolerance but the
     certificate is looser than it, continue the same solve with a tighter
@@ -259,8 +229,8 @@ def _certified_minimize(minimize, improvement, eps, warm, tol, floor):
     iterations = res.iterations
     delta = improvement(res.point)
     retries = 0
-    while delta <= tol and res.gap > max(tol, floor) and eps > floor and retries < 6:
-        eps = max(min(0.1 * eps, 0.5 * tol), floor)
+    while delta <= tol and res.gap > max(tol, EPS_FLOOR) and eps > EPS_FLOOR and retries < 6:
+        eps = max(min(0.1 * eps, 0.5 * tol), EPS_FLOOR)
         res = minimize(eps, res.state)
         iterations += res.iterations
         delta = improvement(res.point)
@@ -287,18 +257,18 @@ class _Step:
 def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
     """The bookkeeping every outer loop shares; ``rule`` supplies the step.
 
-    ``rule(k, x, f_x, eps, budget, tol)`` minimizes a model at the iterate
-    ``x`` to the scheduled inner tolerance ``eps`` (or iteration
-    ``budget``) and returns a :class:`_Step`. The loop projects ``x0``,
-    resolves the stationarity tolerance, runs the tolerance schedule,
-    records each iteration, and decides the status of the returned trace.
+    ``rule(k, x, f_x, eps, tol)`` minimizes a model at the iterate ``x``
+    to the scheduled inner tolerance ``eps`` and returns a :class:`_Step`.
+    The loop projects ``x0``, resolves the stationarity tolerance, runs the
+    tolerance schedule, records each iteration, and decides the status of
+    the returned trace.
     """
     x = require_finite(x0, "x0")
     if not constraint.contains(x):
         x = constraint.project(x)
     f_x = float(fun(x))
     tol = cfg.resolve_tol(f_x)
-    schedule = _EpsSchedule(cfg.inner, f_x)
+    schedule = _EpsSchedule(f_x)
     records: List[IterationRecord] = []
     status = "max_iterations"
     start = time.perf_counter()
@@ -306,7 +276,7 @@ def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
     for k in range(cfg.max_iterations):
         if cfg.check_feasibility and not constraint.contains(x, 1e-7):
             raise RuntimeError(f"iterate left the constraint set at k={k}")
-        step = rule(k, x, f_x, schedule.eps(k), schedule.budget(k), tol)
+        step = rule(k, x, f_x, schedule.eps(k), tol)
         records.append(
             IterationRecord(
                 k, f_x, step.delta, step.gamma, step.backtracks,
@@ -362,13 +332,13 @@ def mcgm_solve(
     cfg = cfg or SolverConfig()
     warm = None
 
-    def armijo_step(k, x, f_x, eps, budget, tol):
+    def armijo_step(k, x, f_x, eps, tol):
         nonlocal warm
         model = oracle.instantiate(x)
         res, delta, _, n_inner = _certified_minimize(
-            lambda e, w: model.minimize(constraint, e, warm=w, max_iterations=budget),
+            lambda e, w: model.minimize(constraint, e, warm=w),
             lambda y: model.anchor_value - model.value(y),
-            eps, warm, tol, cfg.inner.floor,
+            eps, warm, tol,
         )
         warm = res.state
         # stationarity is decided on the certified improvement, before any
@@ -389,16 +359,16 @@ def mcgm_solve(
     return _outer_loop(fun, constraint, x0, cfg, armijo_step, ls.rho, method, callback)
 
 
-def stationarity_measure(oracle, x, constraint, eps=1e-10, max_iterations=None):
+def stationarity_measure(oracle, x, constraint, eps=1e-10):
     """Best available model improvement at x; a value below eps certifies
     eps-approximate stationarity."""
     x = np.asarray(x, dtype=float)
     model = oracle.instantiate(x)
-    res = model.minimize(constraint, eps, max_iterations=max_iterations)
+    res = model.minimize(constraint, eps)
     retries = 0
     delta = model.anchor_value - model.value(res.point)
     while res.gap > eps and retries < 6:
-        res = model.minimize(constraint, eps, warm=res.state, max_iterations=max_iterations)
+        res = model.minimize(constraint, eps, warm=res.state)
         delta = model.anchor_value - model.value(res.point)
         retries += 1
     return delta

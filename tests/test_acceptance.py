@@ -20,7 +20,7 @@ from modelcg.geometry import (
     ProductSet,
     Simplex,
 )
-from modelcg.inner import PiecewiseLinearSubproblem, brute_force_subproblem, pdhg_solve
+from modelcg.inner import PiecewiseLinearSubproblem, pdhg_solve
 from modelcg.matfac import make_mf_sets, mf_gradient, mf_objective
 from modelcg.models import (
     AdditiveCompositeOracle,
@@ -50,6 +50,7 @@ from modelcg.solver import (
 )
 
 from conftest import box_vertices, central_difference, l1_vertices, simplex_vertices, sphere_points
+from oracle import brute_force_subproblem
 
 RHO = 0.25
 

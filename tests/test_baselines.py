@@ -132,7 +132,7 @@ class _UnprojectedLinearModel(ModelInstance):
     def value(self, x):
         return self.anchor_value + float(self.grad @ (np.asarray(x) - self.anchor))
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, max_iterations=None):
+    def minimize_proximal(self, constraint, eps, tau, warm=None):
         return ModelMinimum(point=self.anchor - tau * self.grad, gap=0.0)
 
 

@@ -4,12 +4,13 @@ import pytest
 from modelcg.inner import (
     PdState,
     PiecewiseLinearSubproblem,
-    brute_force_subproblem,
     pdhg_solve,
     precond_steps,
     primal_dual_gap,
 )
 from modelcg.regression import generate_regression_data, make_subproblem
+
+from oracle import brute_force_subproblem
 
 
 def random_subproblem(rng, m=None, n=None, with_prox=False):
@@ -308,14 +309,13 @@ def test_subproblem_validation():
 # ---------------------------------------------------------------------------
 
 
-def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000, check_every=25,
-                    beta=1.0):
+def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000):
     """The PDHG loop written with a fresh array per operation: the reference
     that ``pdhg_solve`` must match bit for bit. Returns (u, p, gap,
     iterations, converged)."""
     K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
     m, n = K.shape
-    sigma, theta = precond_steps(K, beta)
+    sigma, theta = precond_steps(K)
     if (
         warm is not None
         and getattr(warm, "u", None) is not None
@@ -352,7 +352,7 @@ def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000, check_eve
         u_bar = 2.0 * u_new - u
         u = u_new
         it += 1
-        if it % check_every == 0 or it == max_iters:
+        if it % 25 == 0 or it == max_iters:
             gap = primal_dual_gap(problem, u, p)
     return u, p, gap, it, gap <= gap_tol
 

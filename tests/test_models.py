@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from modelcg.geometry import Box, PowerGrowth, ProductSet
-from modelcg.inner import brute_force_subproblem
 from modelcg.models import (
     AdditiveCompositeOracle,
     BlockHybridOracle,
@@ -20,6 +19,7 @@ from modelcg.models import (
 from modelcg.regression import generate_regression_data, make_constraint_set, make_objective, make_oracle, make_subproblem, model_error_growth
 
 from conftest import central_difference
+from oracle import brute_force_subproblem
 
 
 def quadratic_problem(dim=4, seed=0):
@@ -372,7 +372,7 @@ def test_exact_minimizer_dominance_gauss_newton(rng):
     box = make_constraint_set(ds)
     x = box.sample(rng)
     m = oracle.instantiate(x)
-    res = m.minimize(box, 1e-8, max_iterations=200000)
+    res = m.minimize(box, 1e-8)
     d_hat = m.anchor_value - m.value(res.point)
     slack = max(res.gap, 1e-8)
     for _ in range(50):
@@ -429,8 +429,6 @@ def test_custom_model_family_plugs_into_the_solver(rng):
     f, grad, Q, lmax, box = quadratic_problem(seed=9)
 
     class PartialQuadraticModel:
-        family = "custom"
-
         def __init__(self, anchor):
             self.anchor = np.asarray(anchor, float)
             self.anchor_value = f(anchor)
@@ -441,7 +439,7 @@ def test_custom_model_family_plugs_into_the_solver(rng):
             d = np.asarray(x, float) - self.anchor
             return self.anchor_value + float(self.grad @ d) + 0.5 * self.q11 * d[0] ** 2
 
-        def minimize(self, constraint, eps, warm=None, max_iterations=None):
+        def minimize(self, constraint, eps, warm=None):
             from modelcg.models import ModelMinimum
 
             # separable: exact 1-D quadratic min on coordinate 0, oracle
@@ -452,8 +450,6 @@ def test_custom_model_family_plugs_into_the_solver(rng):
             return ModelMinimum(point=y, gap=0.0)
 
     class PartialQuadraticOracle:
-        family = "custom"
-
         def instantiate(self, anchor):
             return PartialQuadraticModel(anchor)
 

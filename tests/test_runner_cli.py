@@ -265,6 +265,49 @@ def test_cli_malformed_dataset_or_config_exits_one(tmp_path, capsys):
     assert "covariates contains non-finite entries" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("observations", [1.0], "observations has shape (1,), expected (30,)"),
+    ("a_true", [0.0] * 3, "a_true has shape (3,), expected (4,)"),
+    ("P", 0, "P and M must be positive"),
+    ("mu", float("nan"), "must be finite"),
+    ("b_max", -1.0, "out of range"),
+    ("sparsity", 1.0, "sparsity must lie in [0, 1)"),
+], ids=["observations", "a_true", "P", "mu", "b_max", "sparsity"])
+def test_cli_rejects_inconsistent_dataset_file(tmp_path, capsys, field, value, message):
+    path = tmp_path / "ds.json"
+    save_dataset(small_dataset(), path)
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    assert cli_main(["solve", "--dataset", str(path), "--max-iterations", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+def test_cli_check_rejects_rows_with_wrong_field_count(tmp_path, capsys):
+    res = run_comparison(small_dataset(seed=2), str(tmp_path / "r"), methods=("mcgm",),
+                         cfg=SolverConfig(max_iterations=3))
+    lines = open(res.trace_paths["mcgm"]).read().splitlines()
+    short_iteration = lines[:1] + [",".join(lines[1].split(",")[:5])] + lines[2:]
+    short_final = lines[:-1] + ["final,,4.0"]
+    for bad_lines, lineno in ((short_iteration, 2), (short_final, len(lines))):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(bad_lines) + "\n")
+        assert cli_main(["check", "--trace", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {bad} line {lineno} has" in err
+
+
+def test_cli_compare_rejects_an_empty_method_list(tmp_path, capsys):
+    path = tmp_path / "ds.json"
+    save_dataset(small_dataset(), path)
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--dataset", str(path), "--methods", ",",
+                     "--out", str(out)]) == 1
+    assert "no methods to compare" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_mf_demo(tmp_path):
     out = tmp_path / "mf"
     code = cli_main(["mf-demo", "--rows", "10", "--cols", "8", "--inner-dim", "3",

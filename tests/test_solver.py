@@ -10,7 +10,6 @@ from modelcg.regression import (
     make_oracle,
 )
 from modelcg.solver import (
-    InnerTolerance,
     LineSearchError,
     LineSearchParams,
     SolverConfig,
@@ -183,13 +182,13 @@ def test_certified_minimize_tightens_until_the_gap_certifies():
         return ModelMinimum(point=np.zeros(1), gap=10.0 * eps, iterations=3, state=len(calls))
 
     res, delta, eps, iterations = _certified_minimize(
-        minimize, lambda y: 0.0, 1e-2, "w", tol=1e-6, floor=1e-12
+        minimize, lambda y: 0.0, 1e-2, "w", tol=1e-6
     )
     assert calls == [(1e-2, "w"), (5e-7, 1), (5e-8, 2)]
     assert (res.gap, delta, eps, iterations) == (5e-7, 0.0, 5e-8, 9)
     # an improvement above the tolerance needs no certificate
     calls.clear()
-    _certified_minimize(minimize, lambda y: 1.0, 1e-2, None, tol=1e-6, floor=1e-12)
+    _certified_minimize(minimize, lambda y: 1.0, 1e-2, None, tol=1e-6)
     assert len(calls) == 1
 
 
@@ -218,21 +217,56 @@ def test_mcgm_callback_and_candidate_hook():
     assert verify_trace_arrays(f, d, g, trace.rho, final_f=trace.final_f) == []
 
 
-def test_inner_tolerance_validation_and_budget_mode():
-    with pytest.raises(ValueError):
-        InnerTolerance(mode="nope")
-    with pytest.raises(ValueError):
-        InnerTolerance(eps0=-1.0)
-    ds = generate_regression_data(P=3, M=24, mu=1.0, seed=6)
-    fun = make_objective(ds)
-    box = make_constraint_set(ds)
-    cfg = SolverConfig(
-        max_iterations=25,
-        inner=InnerTolerance(mode="budget", budget0=40, budget_step=40),
-    )
-    trace = mcgm_solve(make_oracle(ds), fun, box, box.midpoint(), cfg=cfg)
-    f, d, g = trace.arrays()
-    assert verify_trace_arrays(f, d, g, trace.rho, final_f=trace.final_f) == []
+class _ScriptedModel:
+    """A model whose minimization records the tolerance it is asked for and
+    reports the next scripted improvement, exactly: the anchor value is 0
+    and every point the model returns has value -delta."""
+
+    def __init__(self, anchor, script, requested):
+        self.anchor = anchor
+        self.anchor_value = 0.0
+        self.script = script
+        self.requested = requested
+
+    def value(self, y):
+        return -self.delta
+
+    def minimize(self, constraint, eps, warm=None):
+        self.requested.append(eps)
+        self.delta = self.script[len(self.requested) - 1]
+        return ModelMinimum(point=self.anchor + 1.0, gap=0.0)
+
+
+class _ScriptedOracle:
+    def __init__(self, script):
+        self.script = script
+        self.requested = []
+
+    def instantiate(self, anchor):
+        return _ScriptedModel(anchor, self.script, self.requested)
+
+
+def test_mcgm_requests_the_vanishing_tolerance_schedule():
+    # f(x) = 1000 - x on [0, 100]: the unit step to each model minimizer is
+    # accepted in full, so the k-th solve's improvement is script[k]
+    fun = lambda x: 1000.0 - float(x[0])
+    box = Box(np.zeros(1), np.full(1, 100.0))
+    script = [2.0, 3.0, 0.05, 4.0, 1e-13, 4.0, 0.0]
+    oracle = _ScriptedOracle(script)
+    trace = mcgm_solve(oracle, fun, box, np.zeros(1), cfg=SolverConfig(delta_tol=1e-14))
+    assert trace.status == "stationary"
+    assert [r.delta for r in trace.records] == script
+    assert [r.gamma for r in trace.records] == [1.0] * 6 + [0.0]
+    eps0 = 0.1 * 2.0  # a tenth of the first improvement
+    assert oracle.requested == [
+        1e-2 * (1.0 + 1000.0),  # bootstrap: 1e-2 (1 + |f(x0)|)
+        eps0 * 2.0 ** -1.5,  # decay (k+1)^-1.5
+        eps0 * 3.0 ** -1.5,
+        0.1 * 0.05,  # adapt: a tenth of the previous improvement
+        0.1 * 0.05,  # non-increasing: the decay and adapt values are larger
+        1e-12,  # floor: a tenth of an improvement of 1e-13
+        1e-12,  # non-increasing at the floor
+    ]
 
 
 # ---------------------------------------------------------------------------
