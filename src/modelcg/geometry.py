@@ -1,8 +1,11 @@
 """Convex geometry layer: growth functions, compact constraint sets with linear
 minimization oracles and Euclidean projections, and the PSD matrix projection.
 
+Each set owns its oracle and its projection as methods; the set parameters
+are checked once, in the constructor, and each call checks only its input.
 All sets live on flat float vectors. Matrix-shaped sets (nuclear norm ball)
-store their shape and reshape internally, row-major.
+store their shape and reshape internally, row-major; their oracle and
+projection come from the thin SVD.
 """
 
 from __future__ import annotations
@@ -21,16 +24,6 @@ __all__ = [
     "L2Ball",
     "NuclearBall",
     "ProductSet",
-    "PowerIterationError",
-    "lmo_box",
-    "lmo_simplex",
-    "lmo_l1_ball",
-    "lmo_l2_ball",
-    "lmo_nuclear_ball",
-    "top_singular_pair",
-    "project_box",
-    "project_simplex",
-    "project_l1_ball",
     "psd_projection",
     "require_finite",
 ]
@@ -71,132 +64,6 @@ class PowerGrowth:
         return float(value) if value.ndim == 0 else value
 
 
-# ---------------------------------------------------------------------------
-# linear minimization oracles and projections (functional layer)
-# ---------------------------------------------------------------------------
-
-
-def lmo_box(c, lo, hi):
-    """argmin <c, x> over the box [lo, hi]; zero coefficients pick lo."""
-    c = require_finite(c, "c")
-    lo = require_finite(lo, "lo")
-    hi = require_finite(hi, "hi")
-    if c.shape != lo.shape or lo.shape != hi.shape:
-        raise ValueError("dimension mismatch between c and the box bounds")
-    if np.any(lo > hi):
-        raise ValueError("box is empty: lo > hi somewhere")
-    return np.where(c < 0, hi, lo)
-
-
-def lmo_simplex(c):
-    """argmin <c, x> over the unit simplex: the vertex of the smallest
-    coefficient, lowest index on ties."""
-    c = require_finite(c, "c")
-    if c.size == 0:
-        raise ValueError("empty cost vector")
-    out = np.zeros_like(c)
-    out[int(np.argmin(c))] = 1.0
-    return out
-
-
-def lmo_l1_ball(c, radius):
-    """argmin <c, x> over the l1 ball: a signed scaled basis vector at the
-    largest-magnitude coefficient (lowest index on ties); origin if c = 0."""
-    c = require_finite(c, "c")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    out = np.zeros_like(c)
-    i = int(np.argmax(np.abs(c)))
-    if c[i] != 0.0:
-        out[i] = -radius * np.sign(c[i])
-    return out
-
-
-def lmo_l2_ball(c, radius, mean_zero=False):
-    """argmin <c, x> over the l2 ball (optionally intersected with the
-    mean-zero hyperplane): -radius * c~ / ||c~||, origin if c~ = 0."""
-    c = require_finite(c, "c")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    ct = c - c.mean() if mean_zero else c
-    nrm = float(np.linalg.norm(ct))
-    if nrm == 0.0:
-        return np.zeros_like(c)
-    return (-radius / nrm) * ct
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration did not reach the requested residual."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (achieved relative residual {residual:.3e})")
-        self.residual = residual
-
-
-def top_singular_pair(G, tol=1e-9, max_iters=1000, seed=0):
-    """Dominant singular triple (u, s, v) of G via power iteration on G^T G.
-
-    Starts from the normalized all-ones vector and restarts from a seeded
-    random vector if the Rayleigh quotient stagnates at zero. Convergence is
-    declared when ``||G^T G v - lam v|| <= tol * lam``; otherwise a
-    :class:`PowerIterationError` reports the achieved residual.
-    """
-    G = require_finite(G, "G")
-    if G.ndim != 2:
-        raise ValueError("G must be a matrix")
-    scale = float(np.max(np.abs(G)))
-    if scale == 0.0:
-        raise ValueError("zero matrix has no dominant singular pair")
-    n = G.shape[1]
-    v = np.ones(n) / math.sqrt(n)
-    rng = np.random.default_rng(seed)
-    restarted = False
-    residual = np.inf
-    for _ in range(max_iters):
-        z = G.T @ (G @ v)
-        lam = float(v @ z)
-        nz = float(np.linalg.norm(z))
-        if nz <= 1e-30 * scale * scale or lam <= 0.0:
-            if restarted:
-                raise PowerIterationError("power iteration stagnated", np.inf)
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            restarted = True
-            continue
-        residual = float(np.linalg.norm(z - lam * v)) / lam
-        v = z / nz
-        if residual <= tol:
-            break
-    else:
-        raise PowerIterationError("power iteration did not converge", residual)
-    Gv = G @ v
-    s = float(np.linalg.norm(Gv))
-    u = Gv / s
-    return u, s, v
-
-
-def lmo_nuclear_ball(G, radius, tol=1e-9, max_iters=1000, seed=0):
-    """argmin <G, X> over the nuclear norm ball of the given radius.
-
-    Returns the rank-one matrix -radius * u v^T built from the dominant
-    singular pair of G. The zero matrix is rejected as degenerate.
-    """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    u, _, v = top_singular_pair(G, tol=tol, max_iters=max_iters, seed=seed)
-    return -radius * np.outer(u, v)
-
-
-def project_box(x, lo, hi):
-    """Euclidean projection onto the box [lo, hi]: coordinate-wise clamp."""
-    x = require_finite(x, "x")
-    lo = require_finite(lo, "lo")
-    hi = require_finite(hi, "hi")
-    if np.any(lo > hi):
-        raise ValueError("box is empty: lo > hi somewhere")
-    return np.clip(x, lo, hi)
-
-
 def _simplex_threshold(v, radius):
     # Shift for projecting v onto {x >= 0, sum x = radius} by sort-and-threshold.
     u = np.sort(v)[::-1]
@@ -204,26 +71,6 @@ def _simplex_threshold(v, radius):
     idx = np.arange(1, v.size + 1)
     rho = int(np.nonzero(u * idx > css)[0][-1])
     return css[rho] / (rho + 1.0)
-
-
-def project_simplex(x):
-    """Euclidean projection onto the unit simplex (sort-and-threshold)."""
-    x = require_finite(x, "x")
-    if x.size == 0:
-        raise ValueError("empty vector")
-    return np.maximum(x - _simplex_threshold(x, 1.0), 0.0)
-
-
-def project_l1_ball(x, radius):
-    """Euclidean projection onto the l1 ball of the given radius."""
-    x = require_finite(x, "x")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    a = np.abs(x)
-    if a.sum() <= radius:
-        return x.copy()
-    w = np.maximum(a - _simplex_threshold(a, radius), 0.0)
-    return np.sign(x) * w
 
 
 def psd_projection(H, sym_tol=1e-10):
@@ -298,10 +145,15 @@ class Box(ConstraintSet):
         return float(np.linalg.norm(self.hi - self.lo))
 
     def lmo(self, c):
-        return lmo_box(c, self.lo, self.hi)
+        """Zero coefficients pick lo."""
+        c = require_finite(c, "c")
+        if c.shape != self.lo.shape:
+            raise ValueError("dimension mismatch between c and the box bounds")
+        return np.where(c < 0, self.hi, self.lo)
 
     def project(self, x):
-        return project_box(x, self.lo, self.hi)
+        """Coordinate-wise clamp."""
+        return np.clip(require_finite(x, "x"), self.lo, self.hi)
 
     def sample(self, rng):
         return self.lo + rng.random(self.dim) * (self.hi - self.lo)
@@ -326,10 +178,20 @@ class Simplex(ConstraintSet):
         return math.sqrt(2.0) if self.dim > 1 else 0.0
 
     def lmo(self, c):
-        return lmo_simplex(c)
+        """The vertex of the smallest coefficient, lowest index on ties."""
+        c = require_finite(c, "c")
+        if c.size == 0:
+            raise ValueError("empty cost vector")
+        out = np.zeros_like(c)
+        out[int(np.argmin(c))] = 1.0
+        return out
 
     def project(self, x):
-        return project_simplex(x)
+        """Sort-and-threshold."""
+        x = require_finite(x, "x")
+        if x.size == 0:
+            raise ValueError("empty vector")
+        return np.maximum(x - _simplex_threshold(x, 1.0), 0.0)
 
     def sample(self, rng):
         e = rng.exponential(size=self.dim)
@@ -354,10 +216,22 @@ class L1Ball(ConstraintSet):
         return 2.0 * self.radius
 
     def lmo(self, c):
-        return lmo_l1_ball(c, self.radius)
+        """A signed scaled basis vector at the largest-magnitude coefficient
+        (lowest index on ties); the origin if c = 0."""
+        c = require_finite(c, "c")
+        out = np.zeros_like(c)
+        i = int(np.argmax(np.abs(c)))
+        if c[i] != 0.0:
+            out[i] = -self.radius * np.sign(c[i])
+        return out
 
     def project(self, x):
-        return project_l1_ball(x, self.radius)
+        x = require_finite(x, "x")
+        a = np.abs(x)
+        if a.sum() <= self.radius:
+            return x.copy()
+        w = np.maximum(a - _simplex_threshold(a, self.radius), 0.0)
+        return np.sign(x) * w
 
     def sample(self, rng):
         g = rng.standard_normal(self.dim)
@@ -387,7 +261,14 @@ class L2Ball(ConstraintSet):
         return 2.0 * self.radius
 
     def lmo(self, c):
-        return lmo_l2_ball(c, self.radius, mean_zero=self.mean_zero)
+        """-radius * c~ / ||c~|| with c~ the cost (made mean-zero if the set
+        is); the origin if c~ = 0."""
+        c = require_finite(c, "c")
+        ct = c - c.mean() if self.mean_zero else c
+        nrm = float(np.linalg.norm(ct))
+        if nrm == 0.0:
+            return np.zeros_like(c)
+        return (-self.radius / nrm) * ct
 
     def project(self, x):
         y = np.asarray(x, dtype=float)
@@ -413,12 +294,12 @@ class L2Ball(ConstraintSet):
 class NuclearBall(ConstraintSet):
     """Nuclear norm ball over rows x cols matrices, flattened row-major.
 
-    The oracle returns a rank-one extreme point from the dominant singular
-    pair of the (reshaped) cost; a zero cost yields the origin, which is
-    optimal for any feasible point.
+    The oracle returns the rank-one extreme point -radius * u v^T from the
+    dominant singular pair (u, v) of the (reshaped) cost; a zero cost yields
+    the origin, which is optimal for any feasible point.
     """
 
-    def __init__(self, rows, cols, radius, power_tol=1e-9, power_max_iters=1000):
+    def __init__(self, rows, cols, radius):
         if rows < 1 or cols < 1:
             raise ValueError("matrix shape must be positive")
         if not radius > 0:
@@ -426,8 +307,6 @@ class NuclearBall(ConstraintSet):
         self.rows = int(rows)
         self.cols = int(cols)
         self.radius = float(radius)
-        self.power_tol = float(power_tol)
-        self.power_max_iters = int(power_max_iters)
         self.dim = self.rows * self.cols
 
     def _mat(self, x):
@@ -442,13 +321,11 @@ class NuclearBall(ConstraintSet):
         return 2.0 * self.radius
 
     def lmo(self, c):
-        G = self._mat(c)
+        G = self._mat(require_finite(c, "c"))
         if float(np.max(np.abs(G))) == 0.0:
             return np.zeros(self.dim)
-        out = lmo_nuclear_ball(
-            G, self.radius, tol=self.power_tol, max_iters=self.power_max_iters
-        )
-        return out.ravel()
+        U, _, Vt = np.linalg.svd(G, full_matrices=False)
+        return (-self.radius * np.outer(U[:, 0], Vt[0])).ravel()
 
     def project(self, x):
         U, s, Vt = np.linalg.svd(self._mat(x), full_matrices=False)

@@ -6,7 +6,7 @@ X and Y constrained to problem-specific compact convex sets.
 The smooth coupling is linearized, which makes the subproblems separate over
 the factors: per-column oracles for X (normalized atoms or simplex columns)
 and either an entrywise-l1 ball or a nuclear norm ball for Y, whose linear
-oracle needs only the dominant singular pair. The hybrid mode keeps a
+oracle is the dominant singular pair of the thin SVD. The hybrid mode keeps a
 quadratic proximal term on the Y block instead (proximal step on Y,
 linear-oracle step on X).
 
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import L1Ball, L2Ball, NuclearBall, ProductSet, Simplex, require_finite
-from .models import AdditiveCompositeOracle, BlockHybridOracle, ZeroPenalty
+from .models import AdditiveCompositeOracle, BlockHybridOracle
 from .runner import write_trace_csv
 from .solver import LineSearchParams, SolverConfig, mcgm_solve
 
@@ -73,10 +73,6 @@ def low_rank_ball_set(rows, cols, radius):
 class MfProblem:
     """One factorization instance. ``x_kind`` in {"unit_atoms", "simplex"},
     ``y_kind`` in {"sparsity", "low_rank"}, ``model`` in {"cg", "hybrid"}.
-
-    ``x_penalty`` is reserved for a convex regularizer on X; with the shipped
-    column sets no closed-form oracle step exists for a non-zero penalty, so
-    only ``None`` is accepted.
     """
 
     A: np.ndarray
@@ -86,7 +82,6 @@ class MfProblem:
     radius: float = 1.0
     model: str = "cg"
     tau: float = 1.0
-    x_penalty: object = None
 
     def __post_init__(self):
         self.A = require_finite(self.A, "A")
@@ -100,10 +95,6 @@ class MfProblem:
             raise ValueError(f"unknown y_kind {self.y_kind!r}")
         if self.model not in ("cg", "hybrid"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.x_penalty is not None and not isinstance(self.x_penalty, ZeroPenalty):
-            raise NotImplementedError(
-                "a non-zero X regularizer has no oracle step with these sets"
-            )
         if not self.tau > 0:
             raise ValueError("tau must be positive")
 
@@ -174,10 +165,10 @@ def make_mf_oracle(problem):
     h = mf_objective(problem)
     grad = mf_gradient(problem)
     if problem.model == "cg":
-        return AdditiveCompositeOracle(problem.x_penalty, h, grad)
+        return AdditiveCompositeOracle(None, h, grad)
     # hybrid: quadratic proximal term on the Y block, oracle step on X
     return BlockHybridOracle(
-        problem.x_penalty,
+        None,
         None,
         h,
         grad,

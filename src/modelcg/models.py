@@ -193,35 +193,6 @@ class ModelInstance:
         raise NotImplementedError
 
 
-class _LinearModel(ModelInstance):
-    def __init__(self, anchor, f_value, grad):
-        super().__init__(anchor, f_value)
-        self.grad = _finite_oracle_data(grad, "gradient")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.anchor_value + float(self.grad @ (x - self.anchor))
-
-    def minimize(self, constraint, eps, warm=None):
-        return ModelMinimum(point=constraint.lmo(self.grad), gap=0.0)
-
-    def minimize_proximal(self, constraint, eps, tau, warm=None):
-        y = constraint.project(self.anchor - tau * self.grad)
-        return ModelMinimum(point=y, gap=0.0)
-
-
-class LinearModelOracle:
-    """First-order linearization of a smooth objective."""
-
-    def __init__(self, fun, grad):
-        self.fun = fun
-        self.grad = grad
-
-    def instantiate(self, anchor):
-        anchor = np.asarray(anchor, dtype=float)
-        return _LinearModel(anchor, float(self.fun(anchor)), self.grad(anchor))
-
-
 class _AdditiveCompositeModel(ModelInstance):
     def __init__(self, anchor, penalty, h_value, h_grad):
         self.penalty = penalty if penalty is not None else ZeroPenalty()
@@ -261,6 +232,14 @@ class AdditiveCompositeOracle:
         return _AdditiveCompositeModel(
             anchor, self.penalty, float(self.h(anchor)), self.grad_h(anchor)
         )
+
+
+class LinearModelOracle(AdditiveCompositeOracle):
+    """First-order linearization of a smooth objective: the additive
+    composite model with no penalty."""
+
+    def __init__(self, fun, grad):
+        super().__init__(None, fun, grad)
 
 
 class _BlockHybridModel(ModelInstance):

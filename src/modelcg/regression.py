@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, PowerGrowth, require_finite
-from .inner import PiecewiseLinearSubproblem
 from .models import GaussNewtonOracle, L1Loss, WeightedL1
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "generate_regression_data",
     "eval_F",
     "eval_jacobian",
-    "build_linearization",
     "make_objective",
     "make_constraint_set",
     "make_oracle",
@@ -187,27 +185,10 @@ def model_error_growth(dataset):
     return PowerGrowth(coefficient=c, exponent=1.0)
 
 
-def build_linearization(dataset, u):
-    """Jacobian K at u and the shifted observations of the linearized fit,
-    so that the model data term reads sum_i |(K v - shifted)_i| in v."""
-    a, b = dataset.split(u)
-    K = eval_jacobian(a, b, dataset.covariates)
-    shifted = dataset.observations - eval_F(a, b, dataset.covariates) + K @ np.asarray(u, float)
-    return K, shifted
-
-
 def make_subproblem(dataset, u, tau=None):
-    """The inner subproblem anchored at u (optionally with a proximal term)."""
-    K, shifted = build_linearization(dataset, u)
-    box = make_constraint_set(dataset)
-    sub = PiecewiseLinearSubproblem(
-        K=K,
-        target=shifted,
-        l1_weight=dataset.mu,
-        l1_mask=amplitude_mask(dataset),
-        lo=box.lo,
-        hi=box.hi,
-    )
+    """The inner subproblem anchored at u (optionally with a proximal term):
+    the box-constrained form of the benchmark oracle's model at u."""
+    sub = make_oracle(dataset).instantiate(u).subproblem(make_constraint_set(dataset))
     return sub if tau is None else sub.with_prox(tau, np.asarray(u, float))
 
 

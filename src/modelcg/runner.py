@@ -133,7 +133,7 @@ def read_trace_csv(path):
     return _read_trace(path)[0]
 
 
-def check_trace_file(path, rho, rtol=1e-9):
+def check_trace_file(path, rho):
     """Re-run the trace invariants on a CSV file: monotone objective,
     sufficient decrease (the last step's against the final objective),
     steps in [0, 1], and the telescoped rate bound against the best
@@ -141,9 +141,9 @@ def check_trace_file(path, rho, rtol=1e-9):
     Returns a list of failure strings (empty means the trace checks out)."""
     cols, final_f = _read_trace(path)
     f, delta, gamma = cols["f"], cols["delta"], cols["gamma"]
-    problems = verify_trace_arrays(f, delta, gamma, rho, final_f=final_f, rtol=rtol)
+    problems = verify_trace_arrays(f, delta, gamma, rho, final_f=final_f)
     f_lower = float(np.min(f, initial=final_f))
-    cert = rate_certificate_arrays(f, delta, gamma, rho, f_lower, rtol)
+    cert = rate_certificate_arrays(f, delta, gamma, rho, f_lower)
     if not cert.passed:
         problems.append(
             f"rate bound violated at k={cert.worst_k} (ratio {cert.worst_ratio:.3e})"

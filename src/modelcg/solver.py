@@ -382,16 +382,15 @@ class RateCertificate:
     f_lower: float
 
 
-def rate_certificate(trace, ls=None, f_lower=None, rtol=1e-9):
-    """Check the telescoped sufficient-decrease bound on a trace; see
-    :func:`rate_certificate_arrays`. ``f_lower`` defaults to the best
-    objective value in the trace (final point included), which makes the
-    check conservative."""
-    rho = ls.rho if ls is not None else trace.rho
+def rate_certificate(trace, f_lower=None, rtol=1e-9):
+    """Check the telescoped sufficient-decrease bound on a trace, with the
+    trace's own ``rho``; see :func:`rate_certificate_arrays`. ``f_lower``
+    defaults to the best objective value in the trace (final point
+    included), which makes the check conservative."""
     f_vals, deltas, gammas = trace.arrays()
     if f_lower is None:
         f_lower = trace.best_f()
-    return rate_certificate_arrays(f_vals, deltas, gammas, rho, f_lower, rtol)
+    return rate_certificate_arrays(f_vals, deltas, gammas, trace.rho, f_lower, rtol)
 
 
 def rate_certificate_arrays(f_values, deltas, gammas, rho, f_lower=None, rtol=1e-9):
@@ -431,13 +430,22 @@ def rate_certificate_arrays(f_values, deltas, gammas, rho, f_lower=None, rtol=1e
 
 def verify_trace_arrays(f_values, deltas, gammas, rho, final_f=None, rtol=1e-9):
     """Machine-check the per-iteration invariants of a trace given as arrays:
-    objective monotonicity, the sufficient-decrease inequality between
-    consecutive iterates, non-negative improvements past the tolerance, and
-    steps within [0, 1]. Returns a list of human-readable failures."""
+    finite values, objective monotonicity, the sufficient-decrease
+    inequality between consecutive iterates, non-negative improvements past
+    the tolerance, and steps within [0, 1]. Returns a list of human-readable
+    failures."""
     f_values = np.asarray(f_values, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    problems = []
+    # every comparison with NaN is false, so the checks below cannot see one
+    problems = [
+        f"non-finite {name} recorded"
+        for name, values in (("objective", f_values), ("improvement", deltas),
+                             ("step size", gammas))
+        if not np.all(np.isfinite(values))
+    ]
+    if final_f is not None and not math.isfinite(final_f):
+        problems.append("non-finite final objective")
     scale = 1.0 + float(np.max(np.abs(f_values), initial=0.0))
     seq = list(f_values) + ([final_f] if final_f is not None else [])
     for k in range(len(seq) - 1):

@@ -196,7 +196,7 @@ def test_criterion_05_lmo_oracle_equivalence():
         cols = int(rng.integers(2, 9))
         radius = float(0.5 + 2 * rng.random())
         G = rng.standard_normal((rows, cols))
-        s = NuclearBall(rows, cols, radius, power_tol=1e-12, power_max_iters=50000)
+        s = NuclearBall(rows, cols, radius)
         out = s.lmo(G.ravel())
         top = np.linalg.svd(G, compute_uv=False)[0]
         worst_nuc = max(worst_nuc, abs(float(G.ravel() @ out) - (-radius * top)))

@@ -9,19 +9,9 @@ from modelcg.geometry import (
     L2Ball,
     NuclearBall,
     PowerGrowth,
-    PowerIterationError,
     ProductSet,
     Simplex,
-    lmo_box,
-    lmo_l1_ball,
-    lmo_l2_ball,
-    lmo_nuclear_ball,
-    lmo_simplex,
-    project_box,
-    project_l1_ball,
-    project_simplex,
     psd_projection,
-    top_singular_pair,
 )
 
 from conftest import box_vertices, l1_vertices, simplex_vertices, sphere_points
@@ -72,14 +62,14 @@ def test_growth_monotone_on_nonnegative_axis():
 
 def test_lmo_box_examples():
     np.testing.assert_allclose(
-        lmo_box(np.array([1.0, -1.0]), np.zeros(2), np.array([2.0, 5.0])), [0.0, 5.0]
+        Box(np.zeros(2), np.array([2.0, 5.0])).lmo(np.array([1.0, -1.0])), [0.0, 5.0]
     )
     # zero coefficients pick the lower corner
-    np.testing.assert_allclose(lmo_box(np.zeros(2), np.zeros(2), np.ones(2)), [0.0, 0.0])
+    np.testing.assert_allclose(Box(np.zeros(2), np.ones(2)).lmo(np.zeros(2)), [0.0, 0.0])
     # derived: enumerate all 8 vertices
     c = np.array([-3.0, 2.0, -1.0])
     lo, hi = -np.ones(3), np.ones(3)
-    out = lmo_box(c, lo, hi)
+    out = Box(lo, hi).lmo(c)
     best = min(box_vertices(lo, hi) @ c)
     assert c @ out == pytest.approx(best, abs=1e-12)
     np.testing.assert_allclose(out, [1.0, -1.0, 1.0])
@@ -87,38 +77,41 @@ def test_lmo_box_examples():
 
 def test_lmo_box_errors():
     with pytest.raises(ValueError):
-        lmo_box(np.zeros(2), np.zeros(3), np.ones(3))
+        Box(np.zeros(3), np.ones(3)).lmo(np.zeros(2))
     with pytest.raises(ValueError):
-        lmo_box(np.zeros(2), np.ones(2), np.zeros(2))
+        Box(np.zeros(3), np.ones(3)).lmo(np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(ValueError):
+        Box(np.ones(2), np.zeros(2))
 
 
 def test_lmo_simplex_examples():
-    np.testing.assert_allclose(lmo_simplex(np.array([3.0, 1.0, 2.0])), [0, 1, 0])
-    np.testing.assert_allclose(lmo_simplex(np.array([5.0, 5.0, 5.0])), [1, 0, 0])
+    s = Simplex(3)
+    np.testing.assert_allclose(s.lmo(np.array([3.0, 1.0, 2.0])), [0, 1, 0])
+    np.testing.assert_allclose(s.lmo(np.array([5.0, 5.0, 5.0])), [1, 0, 0])
     c = np.array([-1.0, 0.0, -1.0])
-    out = lmo_simplex(c)
+    out = s.lmo(c)
     assert c @ out == pytest.approx(min(simplex_vertices(3) @ c), abs=0)
     np.testing.assert_allclose(out, [1, 0, 0])  # lowest index on ties
     with pytest.raises(ValueError):
-        lmo_simplex(np.array([]))
+        s.lmo(np.array([]))
 
 
 def test_lmo_l1_examples():
-    np.testing.assert_allclose(lmo_l1_ball(np.array([1.0, -4.0, 2.0]), 1.0), [0, 1, 0])
-    np.testing.assert_allclose(lmo_l1_ball(np.zeros(3), 3.0), np.zeros(3))
+    np.testing.assert_allclose(L1Ball(3, 1.0).lmo(np.array([1.0, -4.0, 2.0])), [0, 1, 0])
+    np.testing.assert_allclose(L1Ball(3, 3.0).lmo(np.zeros(3)), np.zeros(3))
     c = np.array([2.0, -2.0])
-    out = lmo_l1_ball(c, 2.0)
+    out = L1Ball(2, 2.0).lmo(c)
     assert c @ out == pytest.approx(min(l1_vertices(2, 2.0) @ c), abs=1e-12)
     np.testing.assert_allclose(out, [-2.0, 0.0])  # lowest index on magnitude ties
 
 
 def test_lmo_l2_examples():
-    np.testing.assert_allclose(lmo_l2_ball(np.array([3.0, 4.0]), 1.0), [-0.6, -0.8])
+    np.testing.assert_allclose(L2Ball(2, 1.0).lmo(np.array([3.0, 4.0])), [-0.6, -0.8])
     np.testing.assert_allclose(
-        lmo_l2_ball(np.array([1.0, 1.0]), 1.0, mean_zero=True), [0.0, 0.0]
+        L2Ball(2, 1.0, mean_zero=True).lmo(np.array([1.0, 1.0])), [0.0, 0.0]
     )
     c = np.array([1.0, 0.0, -1.0])
-    out = lmo_l2_ball(c, 2.0, mean_zero=True)
+    out = L2Ball(3, 2.0, mean_zero=True).lmo(c)
     np.testing.assert_allclose(out, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12)
     # projected-gradient oracle over the sphere intersected with mean-zero
     x = np.array([0.3, -0.2, 0.1])
@@ -132,25 +125,26 @@ def test_lmo_l2_examples():
 
 
 def test_lmo_nuclear_examples():
-    out = lmo_nuclear_ball(np.diag([5.0, 1.0]), 1.0)
-    np.testing.assert_allclose(out, [[-1.0, 0.0], [0.0, 0.0]], atol=1e-9)
+    out = NuclearBall(2, 2, 1.0).lmo(np.diag([5.0, 1.0]).ravel())
+    np.testing.assert_allclose(out, [-1.0, 0.0, 0.0, 0.0], atol=1e-9)
     with pytest.raises(ValueError):
-        lmo_nuclear_ball(np.zeros((3, 2)), 1.0)
+        NuclearBall(2, 2, 1.0).lmo(np.array([1.0, np.inf, 0.0, 0.0]))
     rng = np.random.default_rng(5)
     G = rng.standard_normal((5, 4))
-    out = lmo_nuclear_ball(G, 2.0, tol=1e-12, max_iters=20000)
+    out = NuclearBall(5, 4, 2.0).lmo(G.ravel()).reshape(5, 4)
     U, s, Vt = np.linalg.svd(G)
     oracle = -2.0 * np.outer(U[:, 0], Vt[0])
     assert np.tensordot(G, out) == pytest.approx(np.tensordot(G, oracle), abs=1e-8)
     assert np.tensordot(G, out) == pytest.approx(-2.0 * s[0], abs=1e-8)
 
 
-def test_power_iteration_reports_residual_on_failure():
-    # nearly degenerate top pair converges too slowly for one iteration
-    G = np.diag([1.0, 1.0 - 1e-12, 0.5])
-    with pytest.raises(PowerIterationError) as err:
-        top_singular_pair(G, tol=1e-15, max_iters=2)
-    assert err.value.residual >= 0
+def test_lmo_nuclear_nearly_degenerate_top_pair():
+    # nearly degenerate top singular pair: relative spectral gap 1e-6
+    s = NuclearBall(3, 3, 2.0)
+    c = np.diag([1.0, 1.0 - 1e-6, 0.5]).ravel()
+    out = s.lmo(c)
+    assert s.contains(out, 1e-9)
+    assert c @ out == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_lmo_product_blocks():
@@ -190,10 +184,10 @@ def test_lmo_product_blocks():
 
 def test_project_box_and_simplex_examples():
     np.testing.assert_allclose(
-        project_box(np.array([-1.0, 7.0]), np.zeros(2), np.full(2, 5.0)), [0.0, 5.0]
+        Box(np.zeros(2), np.full(2, 5.0)).project(np.array([-1.0, 7.0])), [0.0, 5.0]
     )
-    np.testing.assert_allclose(project_simplex(np.array([1.0, 0.0])), [1.0, 0.0])
-    np.testing.assert_allclose(project_simplex(np.array([0.6, 0.6])), [0.5, 0.5])
+    np.testing.assert_allclose(Simplex(2).project(np.array([1.0, 0.0])), [1.0, 0.0])
+    np.testing.assert_allclose(Simplex(2).project(np.array([0.6, 0.6])), [0.5, 0.5])
     # fine-grid search confirms the hand KKT value
     t = np.linspace(0, 1, 2001)
     pts = np.stack([t, 1 - t], axis=1)
@@ -221,7 +215,7 @@ def test_projection_idempotence(rng):
 
 def test_project_l1_ball_against_dense_sampling():
     x = np.array([1.3, -0.4])
-    p = project_l1_ball(x, 1.0)
+    p = L1Ball(2, 1.0).project(x)
     g = np.random.default_rng(0).uniform(-1, 1, size=(20000, 2))
     g = g[np.abs(g).sum(axis=1) <= 1.0]
     assert np.linalg.norm(x - p) <= np.linalg.norm(x - g, axis=1).min() + 1e-6
@@ -268,7 +262,7 @@ def test_ball_lmo_zero_cost_returns_origin():
 
 
 def test_nuclear_ball_lmo_matches_svd(rng):
-    s = NuclearBall(4, 3, 1.5, power_tol=1e-11, power_max_iters=20000)
+    s = NuclearBall(4, 3, 1.5)
     for _ in range(10):
         c = rng.standard_normal(s.dim)
         out = s.lmo(c)

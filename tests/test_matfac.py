@@ -144,7 +144,3 @@ def test_problem_validation():
         MfProblem(A=np.zeros((3, 3)), inner_dim=0)
     with pytest.raises(ValueError):
         MfProblem(A=np.zeros((3, 3)), inner_dim=2, x_kind="nope")
-    with pytest.raises(NotImplementedError):
-        from modelcg.models import WeightedL1
-
-        MfProblem(A=np.zeros((3, 3)), inner_dim=2, x_penalty=WeightedL1(1.0))

@@ -6,7 +6,6 @@ import pytest
 
 from modelcg.regression import (
     RegressionDataset,
-    build_linearization,
     eval_F,
     eval_jacobian,
     generate_regression_data,
@@ -103,11 +102,13 @@ def test_linearization_identity_and_anchor(rng):
     box = make_constraint_set(ds)
     fun = make_objective(ds)
     u = box.sample(rng)
-    K, shifted = build_linearization(ds, u)
-    assert K.shape == (25, 8)
     sub = make_subproblem(ds, u)
+    a, b = ds.split(u)
+    assert sub.K.shape == (25, 8)
+    np.testing.assert_array_equal(sub.K, eval_jacobian(a, b, ds.covariates))
     # the linearized data term at the anchor reproduces the objective
     assert sub.objective(u) == pytest.approx(fun(u), rel=1e-12)
+    shifted = ds.observations - eval_F(a, b, ds.covariates) + sub.K @ u
     np.testing.assert_allclose(sub.target, shifted)
     # proximal variant carries the anchor
     subp = make_subproblem(ds, u, tau=0.5)

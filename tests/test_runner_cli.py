@@ -298,6 +298,21 @@ def test_cli_check_rejects_rows_with_wrong_field_count(tmp_path, capsys):
         assert f"configuration error: {bad} line {lineno} has" in err
 
 
+def test_cli_check_fails_on_nan_objectives(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text(
+        ",".join(CSV_COLUMNS) + "\n"
+        "0,0.01,nan,nan,1.0,0.5,0,10\n"
+        "1,0.02,nan,nan,0.5,0,0,10\n"
+        "final,,nan,,,,,\n"
+    )
+    assert check_trace_file(str(bad), rho=0.25) == [
+        "non-finite objective recorded", "non-finite final objective"
+    ]
+    assert cli_main(["check", "--trace", str(bad)]) == 2
+    assert "FAIL non-finite objective recorded" in capsys.readouterr().out
+
+
 def test_cli_compare_rejects_an_empty_method_list(tmp_path, capsys):
     path = tmp_path / "ds.json"
     save_dataset(small_dataset(), path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -355,3 +357,17 @@ def test_verify_trace_arrays_detects_violations():
     assert verify_trace_arrays([5.0, 4.0], [1.0, 0.1], [1.0, 1.5], 0.25) != []
     assert verify_trace_arrays([5.0, 4.0], [1.0, -0.5], [1.0, 0.0], 0.25) != []
     assert verify_trace_arrays([5.0, 4.0], [3.9, 0.1], [1.0, 0.0], 0.25) == []
+
+
+def test_verify_trace_arrays_reports_non_finite_values():
+    nan = math.nan
+    assert verify_trace_arrays([nan, nan], [1.0, 0.5], [0.5, 0.0], 0.25, final_f=nan) != []
+    assert verify_trace_arrays([5.0, 4.0], [3.9, 0.1], [1.0, 0.0], 0.25, final_f=nan) == [
+        "non-finite final objective"
+    ]
+    for f, delta, gamma, name in (
+        ([5.0, math.inf], [3.9, 0.1], [1.0, 0.0], "objective"),
+        ([5.0, 4.0], [3.9, nan], [1.0, 0.0], "improvement"),
+        ([5.0, 4.0], [3.9, 0.1], [nan, 0.0], "step size"),
+    ):
+        assert verify_trace_arrays(f, delta, gamma, 0.25) == [f"non-finite {name} recorded"]
