@@ -47,16 +47,18 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with defaults for the flags")
 
-    g = sub.add_parser("gen", parents=[common], help="generate a dataset file")
+    dataset_flags = argparse.ArgumentParser(add_help=False)
+    dataset_flags.add_argument("--P", type=int)
+    dataset_flags.add_argument("--M", type=int)
+    dataset_flags.add_argument("--mu", type=float)
+    dataset_flags.add_argument("--a-max", type=float)
+    dataset_flags.add_argument("--b-max", type=float)
+    dataset_flags.add_argument("--sparsity", type=float)
+    dataset_flags.add_argument("--noise-scale", type=float)
+    dataset_flags.add_argument("--seed", type=int)
+
+    g = sub.add_parser("gen", parents=[common, dataset_flags], help="generate a dataset file")
     g.add_argument("--out", required=True)
-    g.add_argument("--P", type=int)
-    g.add_argument("--M", type=int)
-    g.add_argument("--mu", type=float)
-    g.add_argument("--a-max", type=float)
-    g.add_argument("--b-max", type=float)
-    g.add_argument("--sparsity", type=float)
-    g.add_argument("--noise-scale", type=float)
-    g.add_argument("--seed", type=int)
 
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--max-iterations", type=int)
@@ -70,8 +72,10 @@ def _build_parser():
     s.add_argument("--method", choices=METHOD_NAMES, default="mcgm")
     s.add_argument("--out", help="trace CSV path")
 
-    c = sub.add_parser("compare", parents=[common, solver_flags], help="run all methods")
-    c.add_argument("--dataset")
+    c = sub.add_parser(
+        "compare", parents=[common, solver_flags, dataset_flags], help="run all methods"
+    )
+    c.add_argument("--dataset", help="dataset file (default: generate one from the dataset flags)")
     c.add_argument("--methods", help="comma separated subset of " + ",".join(METHOD_NAMES))
     c.add_argument("--out", required=True, help="output directory")
 

@@ -123,6 +123,13 @@ class ConstraintSet:
         """A feasible point; distribution unspecified but covers the set."""
         raise NotImplementedError
 
+    def _vector(self, x, name):
+        # a call's input: finite floats of shape (dim,)
+        x = require_finite(x, name)
+        if x.shape != (self.dim,):
+            raise ValueError(f"{name} has shape {x.shape}, the set needs ({self.dim},)")
+        return x
+
 
 class Box(ConstraintSet):
     """Axis-aligned box [lo, hi]."""
@@ -146,14 +153,12 @@ class Box(ConstraintSet):
 
     def lmo(self, c):
         """Zero coefficients pick lo."""
-        c = require_finite(c, "c")
-        if c.shape != self.lo.shape:
-            raise ValueError("dimension mismatch between c and the box bounds")
+        c = self._vector(c, "c")
         return np.where(c < 0, self.hi, self.lo)
 
     def project(self, x):
         """Coordinate-wise clamp."""
-        return np.clip(require_finite(x, "x"), self.lo, self.hi)
+        return np.clip(self._vector(x, "x"), self.lo, self.hi)
 
     def sample(self, rng):
         return self.lo + rng.random(self.dim) * (self.hi - self.lo)
@@ -179,18 +184,14 @@ class Simplex(ConstraintSet):
 
     def lmo(self, c):
         """The vertex of the smallest coefficient, lowest index on ties."""
-        c = require_finite(c, "c")
-        if c.size == 0:
-            raise ValueError("empty cost vector")
+        c = self._vector(c, "c")
         out = np.zeros_like(c)
         out[int(np.argmin(c))] = 1.0
         return out
 
     def project(self, x):
         """Sort-and-threshold."""
-        x = require_finite(x, "x")
-        if x.size == 0:
-            raise ValueError("empty vector")
+        x = self._vector(x, "x")
         return np.maximum(x - _simplex_threshold(x, 1.0), 0.0)
 
     def sample(self, rng):
@@ -218,7 +219,7 @@ class L1Ball(ConstraintSet):
     def lmo(self, c):
         """A signed scaled basis vector at the largest-magnitude coefficient
         (lowest index on ties); the origin if c = 0."""
-        c = require_finite(c, "c")
+        c = self._vector(c, "c")
         out = np.zeros_like(c)
         i = int(np.argmax(np.abs(c)))
         if c[i] != 0.0:
@@ -226,7 +227,7 @@ class L1Ball(ConstraintSet):
         return out
 
     def project(self, x):
-        x = require_finite(x, "x")
+        x = self._vector(x, "x")
         a = np.abs(x)
         if a.sum() <= self.radius:
             return x.copy()
@@ -263,7 +264,7 @@ class L2Ball(ConstraintSet):
     def lmo(self, c):
         """-radius * c~ / ||c~|| with c~ the cost (made mean-zero if the set
         is); the origin if c~ = 0."""
-        c = require_finite(c, "c")
+        c = self._vector(c, "c")
         ct = c - c.mean() if self.mean_zero else c
         nrm = float(np.linalg.norm(ct))
         if nrm == 0.0:
@@ -271,7 +272,7 @@ class L2Ball(ConstraintSet):
         return (-self.radius / nrm) * ct
 
     def project(self, x):
-        y = np.asarray(x, dtype=float)
+        y = self._vector(x, "x")
         if self.mean_zero:
             y = y - y.mean()
         nrm = float(np.linalg.norm(y))

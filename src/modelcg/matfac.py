@@ -10,6 +10,9 @@ oracle is the dominant singular pair of the thin SVD. The hybrid mode keeps a
 quadratic proximal term on the Y block instead (proximal step on Y,
 linear-oracle step on X).
 
+One objective or gradient evaluation allocates one m x n temporary: the
+product XY, turned into the residual XY - A in place.
+
 Flattening conventions: X column-major (its sets act per column), Y row-major
 (the nuclear ball reshapes row-major); the solver variable is
 ``[vec(X), vec(Y)]`` in that order.
@@ -128,10 +131,16 @@ def unpack_factors(problem, v):
 
 
 def mf_objective(problem):
+    """0.5 ||A - XY||_F^2 on the packed variable. The residual is formed as
+    XY - A in the product's buffer; negating a rounded difference is exact,
+    so its square is that of A - XY bit for bit."""
+
     def objective(v):
         X, Y = unpack_factors(problem, v)
-        R = problem.A - X @ Y
-        return 0.5 * float((R * R).sum())
+        D = X @ Y
+        np.subtract(D, problem.A, out=D)
+        np.multiply(D, D, out=D)
+        return 0.5 * float(D.sum())
 
     return objective
 
@@ -142,7 +151,8 @@ def mf_gradient(problem):
 
     def gradient(v):
         X, Y = unpack_factors(problem, v)
-        R = X @ Y - problem.A
+        R = X @ Y
+        np.subtract(R, problem.A, out=R)
         return np.concatenate([(R @ Y.T).ravel(order="F"), (X.T @ R).ravel()])
 
     return gradient

@@ -96,6 +96,21 @@ def test_lmo_simplex_examples():
         s.lmo(np.array([]))
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: Simplex(3), lambda: L1Ball(3, 1.0), lambda: L2Ball(3, 1.0),
+             lambda: L2Ball(3, 1.0, mean_zero=True)],
+    ids=["simplex", "l1", "l2", "l2_mean_zero"],
+)
+@pytest.mark.parametrize("op", ["lmo", "project"])
+@pytest.mark.parametrize("bad", [np.arange(5.0), np.ones(2), np.ones((3, 1)), np.array(1.0)],
+                         ids=["longer", "shorter", "column", "scalar"])
+def test_set_oracles_reject_inputs_of_the_wrong_length(make, op, bad):
+    s = make()
+    with pytest.raises(ValueError, match="shape"):
+        getattr(s, op)(bad)
+    assert getattr(s, op)(np.array([0.5, -0.25, 0.125])).shape == (3,)
+
+
 def test_lmo_l1_examples():
     np.testing.assert_allclose(L1Ball(3, 1.0).lmo(np.array([1.0, -4.0, 2.0])), [0, 1, 0])
     np.testing.assert_allclose(L1Ball(3, 3.0).lmo(np.zeros(3)), np.zeros(3))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from modelcg import matfac
 from modelcg.geometry import NuclearBall
 from modelcg.matfac import (
     MfProblem,
@@ -58,6 +59,84 @@ def test_columnwise_simplex_set(rng):
     np.testing.assert_allclose(out.sum(axis=0), np.ones(3))
     assert np.all(out >= 0)
     assert ((out == 1).sum(axis=0) == 1).all()  # one vertex per column
+
+
+def _reference_objective(problem, v):
+    # the three-temporary evaluation the in-place one must reproduce bit for bit
+    X, Y = unpack_factors(problem, v)
+    R = problem.A - X @ Y
+    return 0.5 * float((R * R).sum())
+
+
+def _reference_gradient(problem, v):
+    X, Y = unpack_factors(problem, v)
+    R = X @ Y - problem.A
+    return np.concatenate([(R @ Y.T).ravel(order="F"), (X.T @ R).ravel()])
+
+
+def _evaluation_points(problem, rng, count):
+    constraint, _, _ = make_mf_sets(problem)
+    n = problem.x_size + problem.y_size
+    yield np.zeros(n)
+    yield np.full(n, -0.0)
+    signed_zeros = constraint.sample(rng)
+    signed_zeros[::3] = -0.0
+    yield signed_zeros
+    for i in range(count):
+        v = constraint.sample(rng) if i % 2 else rng.standard_normal(n)
+        yield v * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("x_kind", ["unit_atoms", "simplex"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mf_evaluations_match_the_reference_bit_for_bit(x_kind, order):
+    rng = np.random.default_rng(17)
+    A = np.asarray(rng.standard_normal((9, 2)) @ rng.standard_normal((2, 7))
+                   + 0.1 * rng.standard_normal((9, 7)), order=order)
+    prob = MfProblem(A=A, inner_dim=3, x_kind=x_kind, y_kind="low_rank", radius=5.0)
+    A_before = prob.A.copy()
+    fun, grad = mf_objective(prob), mf_gradient(prob)
+    points = list(_evaluation_points(prob, rng, 100))
+    for v in points:
+        v_before = v.copy()
+        assert fun(v).hex() == _reference_objective(prob, v).hex()
+        g = grad(v)
+        assert g.tobytes() == _reference_gradient(prob, v).tobytes()
+        assert v.tobytes() == v_before.tobytes()
+        assert prob.A.tobytes() == A_before.tobytes()
+    assert len(points) >= 100
+
+
+@pytest.mark.parametrize("model, final_f, backtracks, evaluations", [
+    ("cg", "0x1.e9fc80a6eb028p+3", 106, 147),
+    ("hybrid", "0x1.d0b76fa8035eep+3", 76, 117),
+])
+def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations):
+    # recorded with the three-temporary objective; the in-place evaluation
+    # must leave every iterate, and so these numbers, unchanged
+    calls = []
+    plain = matfac.mf_objective
+
+    def counted(problem):
+        fun = plain(problem)
+
+        def objective(v):
+            calls.append(1)
+            return fun(v)
+
+        return objective
+
+    monkeypatch.setattr(matfac, "mf_objective", counted)
+    rng = np.random.default_rng(11)
+    A = (rng.standard_normal((40, 2)) @ rng.standard_normal((2, 30))
+         + 0.1 * rng.standard_normal((40, 30)))
+    prob = MfProblem(A=A, inner_dim=4, y_kind="low_rank",
+                     radius=1.5 * float(np.linalg.norm(A, "nuc")), model=model)
+    trace, _, _ = mf_demo(prob, cfg=SolverConfig(max_iterations=20), seed=3)
+    assert trace.status == "max_iterations"
+    assert trace.final_f.hex() == final_f
+    assert sum(r.backtracks for r in trace.records) == backtracks
+    assert len(calls) == evaluations
 
 
 def test_mf_gradients_match_finite_differences(rng):

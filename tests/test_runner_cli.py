@@ -313,6 +313,17 @@ def test_cli_check_fails_on_nan_objectives(tmp_path, capsys):
     assert "FAIL non-finite objective recorded" in capsys.readouterr().out
 
 
+def test_cli_compare_generates_a_dataset_from_the_dataset_flags(tmp_path):
+    out = tmp_path / "results"
+    code = cli_main(["compare", "--P", "4", "--M", "30", "--max-iterations", "2",
+                     "--out", str(out)])
+    assert code == 0
+    dataset = json.loads((out / "summary.json").read_text())["dataset"]
+    assert (dataset["P"], dataset["M"]) == (4, 30)
+    for m in METHOD_NAMES:
+        assert (out / f"{m}.csv").exists()
+
+
 def test_cli_compare_rejects_an_empty_method_list(tmp_path, capsys):
     path = tmp_path / "ds.json"
     save_dataset(small_dataset(), path)
