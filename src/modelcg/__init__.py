@@ -16,11 +16,11 @@ from .geometry import (
 from .inner import PiecewiseLinearSubproblem, pdhg_solve, primal_dual_gap
 from .models import (
     AdditiveCompositeOracle,
-    BlockHybridOracle,
     GaussNewtonOracle,
     L1Loss,
     LinearModelOracle,
     NewtonModelOracle,
+    ProximalModelOracle,
     WeightedL1,
     ZeroPenalty,
     model_improvement,
@@ -53,11 +53,11 @@ __all__ = [
     "pdhg_solve",
     "primal_dual_gap",
     "AdditiveCompositeOracle",
-    "BlockHybridOracle",
     "GaussNewtonOracle",
     "L1Loss",
     "LinearModelOracle",
     "NewtonModelOracle",
+    "ProximalModelOracle",
     "WeightedL1",
     "ZeroPenalty",
     "model_improvement",

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
+import math
 
+from .models import ProximalModelOracle
 from .solver import (
     LineSearchParams,
     SolverConfig,
@@ -28,7 +29,6 @@ from .solver import (
 
 __all__ = [
     "ProxLinearConfig",
-    "ProximalModelOracle",
     "TauUnderflowError",
     "prox_linear_ls_solve",
     "prox_linear_bt_solve",
@@ -44,9 +44,10 @@ class ProxLinearConfig:
     """Proximal-weight settings shared by both baselines.
 
     ``tau0`` below ``tau_floor`` is rejected outright: a vanishing weight
-    pins the subproblem solution to the anchor and stalls the method. After
-    an accepted backtracking step the weight re-expands by ``expand`` (capped
-    at ``tau_max_factor * tau0``).
+    pins the subproblem solution to the anchor and stalls the method. An
+    infinite one is rejected too: the inner solver's step blends turn NaN.
+    After an accepted backtracking step the weight re-expands by ``expand``
+    (capped at ``tau_max_factor * tau0``, with a finite factor of at least 1).
     """
 
     tau0: float = 1.0
@@ -59,6 +60,8 @@ class ProxLinearConfig:
     def __post_init__(self):
         if not self.tau_floor > 0:
             raise ValueError("tau_floor must be positive")
+        if not math.isfinite(self.tau0):
+            raise ValueError("tau0 must be finite")
         if not self.tau0 >= self.tau_floor:
             raise ValueError("tau0 is below the proximal-weight floor")
         if not 0.0 < self.shrink < 1.0:
@@ -67,37 +70,8 @@ class ProxLinearConfig:
             raise ValueError("accept_ratio must lie in (0, 1)")
         if not self.expand >= 1.0:
             raise ValueError("expand must be at least 1")
-
-
-class _ProxRegularizedModel:
-    """A model instance plus ||x - anchor||^2 / (2 tau); still a valid model
-    (the quadratic vanishes at the anchor and is dominated by t^2 growth)."""
-
-    def __init__(self, base, tau):
-        self.base = base
-        self.tau = float(tau)
-        self.anchor = base.anchor
-        self.anchor_value = base.anchor_value
-
-    def value(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        return self.base.value(x) + float(d @ d) / (2.0 * self.tau)
-
-    def minimize(self, constraint, eps, warm=None):
-        return self.base.minimize_proximal(constraint, eps, self.tau, warm=warm)
-
-
-class ProximalModelOracle:
-    """Wraps a model oracle so every instance carries the quadratic term."""
-
-    def __init__(self, base_oracle, tau):
-        if not tau > 0:
-            raise ValueError("tau must be positive")
-        self.base_oracle = base_oracle
-        self.tau = float(tau)
-
-    def instantiate(self, anchor):
-        return _ProxRegularizedModel(self.base_oracle.instantiate(anchor), self.tau)
+        if not (math.isfinite(self.tau_max_factor) and self.tau_max_factor >= 1.0):
+            raise ValueError("tau_max_factor must be finite and at least 1")
 
 
 def prox_linear_ls_solve(

@@ -11,6 +11,7 @@ as the stopping certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -68,8 +69,8 @@ class PiecewiseLinearSubproblem:
         if (self.prox_tau is None) != (self.prox_center is None):
             raise ValueError("prox_tau and prox_center must be given together")
         if self.prox_tau is not None:
-            if not self.prox_tau > 0:
-                raise ValueError("prox_tau must be positive")
+            if not (math.isfinite(self.prox_tau) and self.prox_tau > 0):
+                raise ValueError("prox_tau must be positive and finite")
             center = require_finite(self.prox_center, "prox_center")
             if center.shape != (n,):
                 raise ValueError("prox_center must match the columns of K")

@@ -21,6 +21,7 @@ Flattening conventions: X column-major (its sets act per column), Y row-major
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import L1Ball, L2Ball, NuclearBall, ProductSet, Simplex, require_finite
-from .models import AdditiveCompositeOracle, BlockHybridOracle
+from .models import AdditiveCompositeOracle, ProximalModelOracle
 from .runner import write_trace_csv
 from .solver import LineSearchParams, SolverConfig, mcgm_solve
 
@@ -98,8 +99,8 @@ class MfProblem:
             raise ValueError(f"unknown y_kind {self.y_kind!r}")
         if self.model not in ("cg", "hybrid"):
             raise ValueError(f"unknown model {self.model!r}")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
 
     @property
     def shape(self):
@@ -172,20 +173,12 @@ def make_mf_sets(problem):
 
 
 def make_mf_oracle(problem):
-    h = mf_objective(problem)
-    grad = mf_gradient(problem)
+    base = AdditiveCompositeOracle(None, mf_objective(problem), mf_gradient(problem))
     if problem.model == "cg":
-        return AdditiveCompositeOracle(None, h, grad)
+        return base
     # hybrid: quadratic proximal term on the Y block, oracle step on X
-    return BlockHybridOracle(
-        None,
-        None,
-        h,
-        grad,
-        problem.tau,
-        sizes=(problem.x_size, problem.y_size),
-        prox_block=1,
-    )
+    mask = np.arange(problem.x_size + problem.y_size) >= problem.x_size
+    return ProximalModelOracle(base, problem.tau, mask)
 
 
 def default_start(problem, seed=0):

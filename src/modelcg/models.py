@@ -10,10 +10,11 @@ the work horse of the conditional-gradient outer loop:
                                   one call to the set's linear oracle.
 * ``AdditiveCompositeOracle``  -- keeps a convex penalty exactly, linearizes
                                   the smooth part.
-* ``BlockHybridOracle``        -- additive composite on two blocks with an
-                                  extra quadratic on one of them: a proximal
-                                  step on that block, a linear-oracle step on
-                                  the other.
+* ``ProximalModelOracle``      -- any of these plus ||x - anchor||^2/(2 tau),
+                                  on all coordinates or on a ``mask``. The
+                                  mask makes the hybrid: the masked blocks of
+                                  a product set take a proximal step, the
+                                  others a linear-oracle step.
 * ``NewtonModelOracle``        -- adds the PSD-projected Hessian quadratic;
                                   minimized by accelerated projected gradient.
 * ``GaussNewtonOracle``        -- linearizes an inner residual map inside a
@@ -23,6 +24,7 @@ the work horse of the conditional-gradient outer loop:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +41,7 @@ __all__ = [
     "ModelInstance",
     "LinearModelOracle",
     "AdditiveCompositeOracle",
-    "BlockHybridOracle",
+    "ProximalModelOracle",
     "NewtonModelOracle",
     "GaussNewtonOracle",
     "model_improvement",
@@ -188,8 +190,9 @@ class ModelInstance:
         """An eps-approximate minimizer of the model over the set."""
         raise NotImplementedError
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None):
-        """Same, for the model plus ||x - anchor||^2 / (2 tau)."""
+    def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
+        """Same, for the model plus ||x - anchor||^2 / (2 tau), the quadratic
+        taken over the coordinates set in ``mask`` (all if None)."""
         raise NotImplementedError
 
 
@@ -210,9 +213,26 @@ class _AdditiveCompositeModel(ModelInstance):
         y = linear_composite_min(self.penalty, self.h_grad, constraint)
         return ModelMinimum(point=y, gap=0.0)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None):
-        y = prox_penalized(self.penalty, self.anchor - tau * self.h_grad, tau, constraint)
-        return ModelMinimum(point=y, gap=0.0)
+    def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
+        """With a mask, each block of a product set is either fully masked
+        (proximal step) or fully unmasked (linear-oracle step)."""
+        if mask is None:
+            y = prox_penalized(self.penalty, self.anchor - tau * self.h_grad, tau, constraint)
+            return ModelMinimum(point=y, gap=0.0)
+        if not isinstance(constraint, ProductSet):
+            raise ValueError("a proximal mask needs a product set to split into blocks")
+        parts = []
+        for b, set_b in enumerate(constraint.sets):
+            s = slice(constraint.offsets[b], constraint.offsets[b + 1])
+            g_b, mask_b = self.h_grad[s], mask[s]
+            if mask_b.all():
+                z = self.anchor[s] - tau * g_b
+                parts.append(prox_penalized(self.penalty, z, tau, set_b))
+            elif not mask_b.any():
+                parts.append(linear_composite_min(self.penalty, g_b, set_b))
+            else:
+                raise ValueError(f"the proximal mask splits block {b} of the product set")
+        return ModelMinimum(point=np.concatenate(parts), gap=0.0)
 
 
 class AdditiveCompositeOracle:
@@ -242,81 +262,44 @@ class LinearModelOracle(AdditiveCompositeOracle):
         super().__init__(None, fun, grad)
 
 
-class _BlockHybridModel(ModelInstance):
-    def __init__(self, anchor, penalties, h_value, h_grad, tau, sizes, prox_block):
-        self.penalties = penalties
-        self.h_value = float(h_value)
-        self.h_grad = _finite_oracle_data(h_grad, "gradient")
-        self.tau = float(tau)
-        self.sizes = tuple(sizes)
-        self.prox_block = prox_block
-        n1 = sizes[0]
-        self.slices = (slice(0, n1), slice(n1, n1 + sizes[1]))
-        anchor = np.asarray(anchor, dtype=float)
-        base = self.h_value + sum(
-            p.value(anchor[s]) for p, s in zip(penalties, self.slices)
-        )
-        super().__init__(anchor, base)
+class _ProxRegularizedModel(ModelInstance):
+    """A model instance plus ||x - anchor||^2 / (2 tau) over the masked
+    coordinates; still a valid model (the quadratic vanishes at the anchor
+    and is dominated by t^2 growth)."""
+
+    def __init__(self, base, tau, mask):
+        self.base = base
+        self.tau = tau
+        self.mask = mask
+        super().__init__(base.anchor, base.anchor_value)
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.anchor
-        val = self.h_value + float(self.h_grad @ d)
-        for p, s in zip(self.penalties, self.slices):
-            val += p.value(x[s])
-        dp = d[self.slices[self.prox_block]]
-        return val + float(dp @ dp) / (2.0 * self.tau)
+        d = np.asarray(x, dtype=float) - self.anchor
+        if self.mask is not None:
+            d = d[self.mask]
+        return self.base.value(x) + float(d @ d) / (2.0 * self.tau)
 
     def minimize(self, constraint, eps, warm=None):
-        if not (isinstance(constraint, ProductSet) and len(constraint.sets) == 2):
-            raise ValueError("hybrid models need a two-block product set")
-        if tuple(s.dim for s in constraint.sets) != self.sizes:
-            raise ValueError("product set blocks do not match the model's split")
-        parts = []
-        for b, (pen, s) in enumerate(zip(self.penalties, self.slices)):
-            g_b = self.h_grad[s]
-            set_b = constraint.sets[b]
-            if b == self.prox_block:
-                z = self.anchor[s] - self.tau * g_b
-                parts.append(prox_penalized(pen, z, self.tau, set_b))
-            else:
-                parts.append(linear_composite_min(pen, g_b, set_b))
-        return ModelMinimum(point=np.concatenate(parts), gap=0.0)
+        return self.base.minimize_proximal(constraint, eps, self.tau, warm=warm, mask=self.mask)
 
 
-class BlockHybridOracle:
-    """Additive composite model on two blocks, with a quadratic proximal term
-    on one of them: that block takes proximal-gradient steps, the other takes
-    conditional-gradient steps."""
+class ProximalModelOracle:
+    """Wraps a model oracle so every instance carries the quadratic term
+    ||x - anchor||^2 / (2 tau), on the coordinates set in ``mask`` (all if
+    None)."""
 
-    def __init__(self, penalty_a, penalty_b, h, grad_h, tau, sizes, prox_block=0):
-        if not tau > 0:
-            raise ValueError("tau must be positive")
-        if prox_block not in (0, 1):
-            raise ValueError("prox_block must be 0 or 1")
-        self.penalties = (
-            penalty_a if penalty_a is not None else ZeroPenalty(),
-            penalty_b if penalty_b is not None else ZeroPenalty(),
-        )
-        self.h = h
-        self.grad_h = grad_h
+    def __init__(self, base_oracle, tau, mask=None):
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError("tau must be positive and finite")
+        self.base_oracle = base_oracle
         self.tau = float(tau)
-        self.sizes = (int(sizes[0]), int(sizes[1]))
-        self.prox_block = int(prox_block)
+        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
 
     def instantiate(self, anchor):
-        anchor = np.asarray(anchor, dtype=float)
-        if anchor.size != sum(self.sizes):
-            raise ValueError("anchor does not match the block sizes")
-        return _BlockHybridModel(
-            anchor,
-            self.penalties,
-            float(self.h(anchor)),
-            self.grad_h(anchor),
-            self.tau,
-            self.sizes,
-            self.prox_block,
-        )
+        base = self.base_oracle.instantiate(anchor)
+        if self.mask is not None and self.mask.shape != base.anchor.shape:
+            raise ValueError("proximal mask does not match the anchor")
+        return _ProxRegularizedModel(base, self.tau, self.mask)
 
 
 # iteration cap of one accelerated projected gradient solve, which
@@ -398,7 +381,9 @@ class _NewtonModel(ModelInstance):
     def minimize(self, constraint, eps, warm=None):
         return self._solve(constraint, eps, warm, None)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None):
+    def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
+        if mask is not None:
+            raise NotImplementedError("the Newton model has no masked proximal step")
         return self._solve(constraint, eps, warm, float(tau))
 
 
@@ -490,7 +475,9 @@ class _GaussNewtonModel(ModelInstance):
             return self.minimizer(self, constraint, eps, warm)
         return self._run(self.subproblem(constraint), eps, warm)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None):
+    def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
+        if mask is not None:
+            raise NotImplementedError("the Gauss-Newton model has no masked proximal step")
         if self.minimizer is not None:
             raise NotImplementedError("custom minimizers have no proximal variant")
         sub = self.subproblem(constraint).with_prox(tau, self.anchor)

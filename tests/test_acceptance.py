@@ -24,9 +24,9 @@ from modelcg.inner import PiecewiseLinearSubproblem, pdhg_solve
 from modelcg.matfac import make_mf_sets, mf_gradient, mf_objective
 from modelcg.models import (
     AdditiveCompositeOracle,
-    BlockHybridOracle,
     LinearModelOracle,
     NewtonModelOracle,
+    ProximalModelOracle,
     WeightedL1,
 )
 from modelcg.regression import (
@@ -263,7 +263,8 @@ def _quadratic_family_setups():
         ("linear", LinearModelOracle(h, grad), f_plain, box, PowerGrowth(lmax, 1.0)),
         ("additive_composite", AdditiveCompositeOracle(pen, h, grad), f_pen, box,
          PowerGrowth(lmax, 1.0)),
-        ("hybrid", BlockHybridOracle(pen, pen, h, grad, tau, (2, 2)), f_hybrid, prod,
+        ("hybrid", ProximalModelOracle(AdditiveCompositeOracle(pen, h, grad), tau,
+                                       np.arange(4) < 2), f_hybrid, prod,
          PowerGrowth(lmax + 1.0 / tau, 1.0)),
         ("newton", NewtonModelOracle(pen, h, grad, lambda x: Q), f_pen, box,
          PowerGrowth(1e-7, 1.0)),  # exact quadratic model: zero error

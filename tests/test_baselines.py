@@ -3,13 +3,12 @@ import pytest
 
 from modelcg.baselines import (
     ProxLinearConfig,
-    ProximalModelOracle,
     TauUnderflowError,
     prox_linear_bt_solve,
     prox_linear_ls_solve,
 )
 from modelcg.geometry import Box
-from modelcg.models import LinearModelOracle, ModelInstance, ModelMinimum
+from modelcg.models import LinearModelOracle, ModelInstance, ModelMinimum, ProximalModelOracle
 from modelcg.regression import (
     generate_regression_data,
     make_constraint_set,
@@ -38,6 +37,14 @@ def test_config_validation():
         ProxLinearConfig(accept_ratio=0.0)
     with pytest.raises(ValueError):
         ProxLinearConfig(expand=0.5)
+    for tau0 in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau0"):
+            ProxLinearConfig(tau0=tau0)
+    # a cap below tau0 would shrink the weight after every accepted step
+    for factor in (0.0, 0.5, np.inf):
+        with pytest.raises(ValueError, match="tau_max_factor"):
+            ProxLinearConfig(tau_max_factor=factor)
+    ProxLinearConfig(tau_max_factor=1.0)
     with pytest.raises(ValueError):
         ProximalModelOracle(LinearModelOracle(lambda x: 0.0, lambda x: x), 0.0)
 

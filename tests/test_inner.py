@@ -300,8 +300,9 @@ def test_subproblem_validation():
     with pytest.raises(ValueError):
         box_problem(np.ones((2, 2)), np.ones(2), 0.0, [False, False], [2, 2], [1, 1])
     sub = box_problem(np.ones((2, 2)), np.ones(2), 0.0, [False, False], [0, 0], [1, 1])
-    with pytest.raises(ValueError):
-        sub.with_prox(-1.0, np.zeros(2))
+    for tau in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            sub.with_prox(tau, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

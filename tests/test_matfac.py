@@ -192,7 +192,8 @@ def test_hybrid_mode_runs_and_descends():
     trace, X, Y = mf_demo(prob, cfg=SolverConfig(max_iterations=200))
     assert np.linalg.norm(prob.A - X @ Y) < 0.1 * np.linalg.norm(prob.A)
     oracle = make_mf_oracle(prob)
-    assert oracle.prox_block == 1  # proximal step on the Y block
+    # proximal step on the Y block
+    np.testing.assert_array_equal(oracle.mask, np.arange(prob.x_size + prob.y_size) >= prob.x_size)
 
 
 def test_simplex_and_sparsity_variants_run():
@@ -221,5 +222,8 @@ def test_mf_demo_writes_files(tmp_path):
 def test_problem_validation():
     with pytest.raises(ValueError):
         MfProblem(A=np.zeros((3, 3)), inner_dim=0)
+    for tau in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau"):
+            MfProblem(A=np.zeros((3, 3)), inner_dim=2, model="hybrid", tau=tau)
     with pytest.raises(ValueError):
         MfProblem(A=np.zeros((3, 3)), inner_dim=2, x_kind="nope")

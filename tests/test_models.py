@@ -4,11 +4,12 @@ import pytest
 from modelcg.geometry import Box, PowerGrowth, ProductSet
 from modelcg.models import (
     AdditiveCompositeOracle,
-    BlockHybridOracle,
     GaussNewtonOracle,
     L1Loss,
     LinearModelOracle,
+    ModelInstance,
     NewtonModelOracle,
+    ProximalModelOracle,
     WeightedL1,
     ZeroPenalty,
     linear_composite_min,
@@ -52,7 +53,8 @@ def all_oracles(dim=4, seed=0, mu=0.3):
     return [
         ("linear", LinearModelOracle(f, grad), f, box),
         ("additive", AdditiveCompositeOracle(pen, f, grad), f_pen, box),
-        ("hybrid", BlockHybridOracle(pen, pen, f, grad, 0.7, (2, dim - 2)), f_pen, hybrid_box),
+        ("hybrid", ProximalModelOracle(AdditiveCompositeOracle(pen, f, grad), 0.7,
+                                       np.arange(dim) < 2), f_pen, hybrid_box),
         ("newton", NewtonModelOracle(pen, f, grad, lambda x: Q), f_pen, box),
     ]
 
@@ -162,8 +164,10 @@ def test_prox_penalized_matches_candidates(rng):
 
 
 # ---------------------------------------------------------------------------
-# hybrid models
+# hybrid models: a proximal term on the masked blocks only
 # ---------------------------------------------------------------------------
+
+FIRST_BLOCK = np.array([True, True, False, False])
 
 
 def test_hybrid_closed_form_blocks(rng):
@@ -172,7 +176,7 @@ def test_hybrid_closed_form_blocks(rng):
     c2 = Box(-np.ones(2), np.ones(2))
     prod = ProductSet([c1, c2])
     tau = 0.3
-    oracle = BlockHybridOracle(None, None, f, grad, tau, (2, 2))
+    oracle = ProximalModelOracle(AdditiveCompositeOracle(None, f, grad), tau, FIRST_BLOCK)
     x = prod.sample(rng)
     m = oracle.instantiate(x)
     res = m.minimize(prod, 0.0)
@@ -187,21 +191,52 @@ def test_hybrid_large_tau_approaches_conditional_gradient(rng):
     f, grad, Q, lmax, _ = quadratic_problem(dim=4, seed=2)
     prod = ProductSet([Box(-np.ones(2), np.ones(2)), Box(-np.ones(2), np.ones(2))])
     x = prod.sample(rng)
-    big = BlockHybridOracle(None, None, f, grad, 1e6, (2, 2)).instantiate(x)
+    big = ProximalModelOracle(AdditiveCompositeOracle(None, f, grad), 1e6, FIRST_BLOCK)
+    big = big.instantiate(x)
     y_big = big.minimize(prod, 0.0).point
     y_cg = prod.lmo(grad(x))
     np.testing.assert_allclose(y_big, y_cg, atol=1e-4)
 
 
-def test_hybrid_prox_block_selection(rng):
+def test_hybrid_mask_selects_the_proximal_block(rng):
     f, grad, Q, lmax, _ = quadratic_problem()
     prod = ProductSet([Box(-np.ones(2), np.ones(2)), Box(-np.ones(2), np.ones(2))])
     x = prod.sample(rng)
-    oracle = BlockHybridOracle(None, None, f, grad, 0.4, (2, 2), prox_block=1)
+    oracle = ProximalModelOracle(AdditiveCompositeOracle(None, f, grad), 0.4, ~FIRST_BLOCK)
     res = oracle.instantiate(x).minimize(prod, 0.0)
     g = grad(x)
     np.testing.assert_allclose(res.point[:2], prod.sets[0].lmo(g[:2]))
     np.testing.assert_allclose(res.point[2:], np.clip(x[2:] - 0.4 * g[2:], -1, 1))
+
+
+def test_proximal_mask_contract(rng):
+    f, grad, Q, lmax, box = quadratic_problem()
+    base = AdditiveCompositeOracle(None, f, grad)
+    x = 0.5 * box.sample(rng)
+    # the mask must cover whole product-set blocks, and needs a product set
+    split = ProximalModelOracle(base, 0.5, np.array([True, False, False, False])).instantiate(x)
+    assert isinstance(split, ModelInstance)
+    prod = ProductSet([Box(-np.ones(2), np.ones(2)), Box(-np.ones(2), np.ones(2))])
+    with pytest.raises(ValueError, match="splits block 0"):
+        split.minimize(prod, 0.0)
+    with pytest.raises(ValueError, match="product set"):
+        ProximalModelOracle(base, 0.5, FIRST_BLOCK).instantiate(x).minimize(box, 0.0)
+    with pytest.raises(ValueError, match="does not match the anchor"):
+        ProximalModelOracle(base, 0.5, np.ones(3, dtype=bool)).instantiate(x)
+    for tau in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ProximalModelOracle(base, tau)
+    # the curvature families have no masked proximal step
+    ds = generate_regression_data(P=3, M=15, mu=1.0, seed=21)
+    gn_box = make_constraint_set(ds)
+    families = [
+        (NewtonModelOracle(None, f, grad, lambda x: Q), box, x),
+        (make_oracle(ds), gn_box, gn_box.midpoint()),
+    ]
+    for oracle, constraint, anchor in families:
+        m = oracle.instantiate(anchor)
+        with pytest.raises(NotImplementedError):
+            m.minimize_proximal(constraint, 1e-6, 0.5, mask=np.ones(anchor.size, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +436,7 @@ def test_gradient_consistency_at_anchor(rng):
     oracles = [
         LinearModelOracle(f, grad),
         AdditiveCompositeOracle(None, f, grad),
-        BlockHybridOracle(None, None, f, grad, 0.5, (2, 2)),
+        ProximalModelOracle(AdditiveCompositeOracle(None, f, grad), 0.5, FIRST_BLOCK),
         NewtonModelOracle(None, f, grad, lambda x: Q),
     ]
     x = 0.5 * box.sample(rng)

@@ -343,6 +343,19 @@ def test_cli_mf_demo(tmp_path):
     assert (out / "mf_trace.csv").exists()
 
 
+def test_cli_rejects_an_infinite_proximal_weight(tmp_path, capsys):
+    # an infinite weight used to pass as a NaN inner gap and a false
+    # "stationary" status (compare), or fail later inside the SVD (mf-demo)
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--P", "4", "--M", "30", "--tau0", "inf",
+                     "--methods", "proxlin_ls,proxlin_bt", "--max-iterations", "5",
+                     "--out", str(out)]) == 1
+    assert "configuration error: tau0 must be finite" in capsys.readouterr().err
+    assert cli_main(["mf-demo", "--rows", "10", "--cols", "8", "--model", "hybrid",
+                     "--tau", "inf", "--out", str(tmp_path / "mf")]) == 1
+    assert "configuration error: tau must be positive and finite" in capsys.readouterr().err
+
+
 def test_dataset_file_roundtrip_preserves_solver_behaviour(tmp_path):
     from modelcg.regression import load_dataset, make_constraint_set
     from modelcg.runner import run_method
