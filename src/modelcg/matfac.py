@@ -13,6 +13,18 @@ linear-oracle step on X).
 One objective or gradient evaluation allocates one m x n temporary: the
 product XY, turned into the residual XY - A in place.
 
+Along a segment the objective is an exact quartic in the step. With
+d = (dX, dY), R0 = XY - A, B = X dY + dX Y and C = dX dY,
+
+    h(x + g d) - h(x) - g <grad h(x), d>
+        = g^2 (||B||^2/2 + <R0, C>) + g^3 <B, C> + g^4 ||C||^2/2.
+
+``mf_segment_remainder`` computes these coefficients from k x k Gram
+matrices and the one k x m x n product dX^T A, with no m x n temporary. The
+oracle hands them to the line search, which then skips the trial steps the
+objective would reject: it usually evaluates the objective once per outer
+iteration, at the accepted step.
+
 Flattening conventions: X column-major (its sets act per column), Y row-major
 (the nuclear ball reshapes row-major); the solver variable is
 ``[vec(X), vec(Y)]`` in that order.
@@ -22,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -43,6 +56,7 @@ __all__ = [
     "unpack_factors",
     "mf_objective",
     "mf_gradient",
+    "mf_segment_remainder",
     "make_mf_sets",
     "make_mf_oracle",
     "mf_demo",
@@ -91,6 +105,8 @@ class MfProblem:
         self.A = require_finite(self.A, "A")
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")
+        if isinstance(self.inner_dim, bool) or not isinstance(self.inner_dim, numbers.Integral):
+            raise ValueError(f"inner_dim must be an integer, got {self.inner_dim!r}")
         if self.inner_dim < 1:
             raise ValueError("inner_dim must be positive")
         if self.x_kind not in ("unit_atoms", "simplex"):
@@ -159,6 +175,27 @@ def mf_gradient(problem):
     return gradient
 
 
+def mf_segment_remainder(problem):
+    """Coefficients ``(c2, c3, c4)`` of the linearization error of the
+    objective along ``v + g d``: ``c2 g^2 + c3 g^3 + c4 g^4`` (module
+    docstring). Every factor but ``dX^T A`` is a k x k Gram matrix."""
+
+    def remainder(v, d):
+        X, Y = unpack_factors(problem, v)
+        dX, dY = unpack_factors(problem, d)
+        xx, yy = X.T @ X, Y @ Y.T
+        dxdx, dydy = dX.T @ dX, dY @ dY.T
+        xdx, ydy = X.T @ dX, Y @ dY.T
+        # <X dY, dX dY> + <dX Y, dX dY>, and <XY, dX dY> - <A, dX dY>
+        bc = float(np.vdot(xdx, dydy)) + float(np.vdot(dxdx, ydy))
+        r0c = float(np.vdot(xdx, ydy)) - float(np.vdot(dX.T @ problem.A, dY))
+        bb = (float(np.vdot(xx, dydy)) + 2.0 * float(np.vdot(xdx, ydy.T))
+              + float(np.vdot(dxdx, yy)))
+        return 0.5 * bb + r0c, bc, 0.5 * float(np.vdot(dxdx, dydy))
+
+    return remainder
+
+
 def make_mf_sets(problem):
     m, k, n = problem.shape
     if problem.x_kind == "unit_atoms":
@@ -173,7 +210,9 @@ def make_mf_sets(problem):
 
 
 def make_mf_oracle(problem):
-    base = AdditiveCompositeOracle(None, mf_objective(problem), mf_gradient(problem))
+    base = AdditiveCompositeOracle(
+        None, mf_objective(problem), mf_gradient(problem), mf_segment_remainder(problem)
+    )
     if problem.model == "cg":
         return base
     # hybrid: quadratic proximal term on the Y block, oracle step on X

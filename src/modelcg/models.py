@@ -195,13 +195,30 @@ class ModelInstance:
         taken over the coordinates set in ``mask`` (all if None)."""
         raise NotImplementedError
 
+    def segment_change(self, y):
+        """The exact change of the objective along the segment to ``y``, as
+        ``g -> f(anchor + g (y - anchor)) - f(anchor)``, or None when the
+        model does not know it. Exact up to rounding; the line search uses it
+        only to skip trial steps the objective would reject."""
+        return None
+
 
 class _AdditiveCompositeModel(ModelInstance):
-    def __init__(self, anchor, penalty, h_value, h_grad):
+    def __init__(self, anchor, penalty, h_value, h_grad, remainder=None):
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.h_value = float(h_value)
         self.h_grad = _finite_oracle_data(h_grad, "gradient")
+        self.remainder = remainder
         super().__init__(anchor, self.h_value + self.penalty.value(anchor))
+
+    def segment_change(self, y):
+        # the objective is h alone only without a penalty
+        if self.remainder is None or not _is_zero(self.penalty):
+            return None
+        d = np.asarray(y, dtype=float) - self.anchor
+        slope = float(self.h_grad @ d)
+        c2, c3, c4 = self.remainder(self.anchor, d)
+        return lambda g: g * (slope + g * (c2 + g * (c3 + g * c4)))
 
     def smooth_part(self, x):
         return self.h_value + float(self.h_grad @ (np.asarray(x, float) - self.anchor))
@@ -240,17 +257,26 @@ class AdditiveCompositeOracle:
 
     ``h`` and ``grad_h`` evaluate the smooth part and its gradient. The model
     error is entirely the linearization error of ``h``.
+
+    ``remainder(x, d)``, if given, returns ``(c2, c3, c4)`` with
+    ``h(x + g d) - h(x) - g <grad_h(x), d> = c2 g^2 + c3 g^3 + c4 g^4`` for
+    every step g, exact up to rounding: only a smooth part that is a quartic
+    polynomial along lines has one. With a zero penalty, the instances then
+    give the objective's change along a segment (``segment_change``), and
+    the line search skips the trial steps it shows the objective would
+    reject. A remainder that is not exact may change the iterates.
     """
 
-    def __init__(self, penalty, h, grad_h):
+    def __init__(self, penalty, h, grad_h, remainder=None):
         self.penalty = penalty
         self.h = h
         self.grad_h = grad_h
+        self.remainder = remainder
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)
         return _AdditiveCompositeModel(
-            anchor, self.penalty, float(self.h(anchor)), self.grad_h(anchor)
+            anchor, self.penalty, float(self.h(anchor)), self.grad_h(anchor), self.remainder
         )
 
 
@@ -281,6 +307,10 @@ class _ProxRegularizedModel(ModelInstance):
 
     def minimize(self, constraint, eps, warm=None):
         return self.base.minimize_proximal(constraint, eps, self.tau, warm=warm, mask=self.mask)
+
+    def segment_change(self, y):
+        # the quadratic is part of the model, not of the objective
+        return self.base.segment_change(y)
 
 
 class ProximalModelOracle:

@@ -90,13 +90,28 @@ class ArmijoResult:
     f_new: float
 
 
-def armijo_search(fun, x, y, delta, params=None, f_x=None):
+# a screened trial is skipped only when its predicted value exceeds the
+# acceptance threshold by this share of (1 + |f(x)| + |predicted change|),
+# far above the rounding error of an exact screen
+SCREEN_RTOL = 1e-9
+
+
+def armijo_search(fun, x, y, delta, params=None, f_x=None, screen=None):
     """Backtracking line search along y - x against the model improvement.
 
     Returns the first step gamma = gamma_max * shrink**j satisfying the
     sufficient decrease condition. ``delta`` must be positive (a
     non-positive improvement means the step should not be attempted).
     Raises :class:`LineSearchError` when the backtrack budget is exhausted.
+
+    ``screen(gamma)``, if given, predicts ``fun(x + gamma d) - f(x)``. A
+    trial whose prediction exceeds the acceptance threshold by more than a
+    rounding margin is rejected without calling ``fun``; acceptance is
+    decided on ``fun``'s own value only, and the last trial is always
+    evaluated. So a screen that is exact up to rounding leaves the result
+    (step, backtracks, objective value) bit for bit that of the plain rule;
+    it may only skip trials ``fun`` would reject. A NaN or infinite
+    prediction skips nothing.
     """
     params = params or LineSearchParams()
     if not delta > 0:
@@ -109,8 +124,13 @@ def armijo_search(fun, x, y, delta, params=None, f_x=None):
     gamma = params.gamma_max
     for j in range(params.max_backtracks + 1):
         gamma = params.gamma_max * params.shrink**j
+        threshold = f_x - params.rho * gamma * delta
+        if screen is not None and j < params.max_backtracks:
+            change = float(screen(gamma))
+            if f_x + change - threshold > SCREEN_RTOL * (1.0 + abs(f_x) + abs(change)):
+                continue
         f_new = float(fun(x + gamma * d))
-        if f_new <= f_x - params.rho * gamma * delta:
+        if f_new <= threshold:
             return ArmijoResult(gamma=gamma, backtracks=j, f_new=f_new)
     raise LineSearchError(params.max_backtracks, gamma, f_x, f_new, delta)
 
@@ -267,6 +287,8 @@ def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
     if not constraint.contains(x):
         x = constraint.project(x)
     f_x = float(fun(x))
+    if not math.isfinite(f_x):
+        raise ValueError(f"the objective at the start is not finite: f(x0) = {f_x!r}")
     tol = cfg.resolve_tol(f_x)
     schedule = _EpsSchedule(f_x)
     records: List[IterationRecord] = []
@@ -324,6 +346,11 @@ def mcgm_solve(
         default choice of the approximate model minimizer as the step target
         (any point with positive improvement is admissible for descent).
 
+    When the model instance gives the exact change of ``fun`` along the
+    segment to the step target (``segment_change``), the line search uses
+    it as its screen and calls ``fun`` only on the trial steps it cannot
+    rule out; the iterates are those of the plain rule.
+
     Returns a :class:`SolverTrace`; the terminal record of a ``stationary``
     trace carries the certified improvement (at most the tolerance) and a
     zero step.
@@ -350,7 +377,10 @@ def mcgm_solve(
         if candidate_hook is not None:
             y = candidate_hook(model, x, y)
             delta = model.anchor_value - model.value(y)
-        ar = armijo_search(fun, x, y, delta, ls, f_x=f_x)
+        # a model outside the ModelInstance hierarchy may lack the method
+        segment_change = getattr(model, "segment_change", None)
+        screen = segment_change(y) if segment_change is not None else None
+        ar = armijo_search(fun, x, y, delta, ls, f_x=f_x, screen=screen)
         return _Step(
             delta, n_inner, 1, x + ar.gamma * (y - x), ar.f_new, ar.gamma,
             ar.backtracks, solved_delta,

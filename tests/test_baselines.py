@@ -105,6 +105,14 @@ def test_bt_underflow_on_never_accepting_objective():
                              cfg=SolverConfig(max_iterations=5))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_bt_rejects_a_non_finite_start_value(bad):
+    fun = lambda x: bad
+    oracle = LinearModelOracle(fun, lambda x: np.ones(2))
+    with pytest.raises(ValueError, match=r"f\(x0\)"):
+        prox_linear_bt_solve(oracle, fun, Box(-np.ones(2), np.ones(2)), np.zeros(2))
+
+
 def test_bt_cost_signature_on_regression_problem():
     ds = generate_regression_data(P=5, M=40, mu=2.0, seed=2)
     fun = make_objective(ds)

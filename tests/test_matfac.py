@@ -14,11 +14,12 @@ from modelcg.matfac import (
     mf_demo,
     mf_gradient,
     mf_objective,
+    mf_segment_remainder,
     pack_factors,
     unit_atoms_set,
     unpack_factors,
 )
-from modelcg.solver import SolverConfig
+from modelcg.solver import SolverConfig, armijo_search
 
 from conftest import central_difference
 
@@ -108,12 +109,15 @@ def test_mf_evaluations_match_the_reference_bit_for_bit(x_kind, order):
 
 
 @pytest.mark.parametrize("model, final_f, backtracks, evaluations", [
-    ("cg", "0x1.e9fc80a6eb028p+3", 106, 147),
-    ("hybrid", "0x1.d0b76fa8035eep+3", 76, 117),
-])
+    ("cg", "0x1.e9fc80a6eb028p+3", 106, 41),
+    ("hybrid", "0x1.d0b76fa8035eep+3", 76, 41),
+], ids=["cg", "hybrid"])
 def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations):
-    # recorded with the three-temporary objective; the in-place evaluation
-    # must leave every iterate, and so these numbers, unchanged
+    # final_f and backtracks recorded with the three-temporary objective;
+    # the in-place evaluation and the line-search screen must leave every
+    # iterate, and so these numbers, unchanged. The screen cuts the objective
+    # line-search evaluations to one per iteration (41 = start + 20 anchors
+    # + 20 trials).
     calls = []
     plain = matfac.mf_objective
 
@@ -137,6 +141,81 @@ def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations
     assert trace.final_f.hex() == final_f
     assert sum(r.backtracks for r in trace.records) == backtracks
     assert len(calls) == evaluations
+
+
+def _noisy_problem(seed, x_kind="unit_atoms", y_kind="low_rank", model="cg"):
+    rng = np.random.default_rng(seed)
+    A = (rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
+         + 0.1 * rng.standard_normal((12, 9)))
+    return MfProblem(A=A, inner_dim=3, x_kind=x_kind, y_kind=y_kind,
+                     radius=float(np.abs(A).sum()), model=model)
+
+
+@pytest.mark.parametrize("x_kind", ["unit_atoms", "simplex"])
+@pytest.mark.parametrize("y_kind", ["sparsity", "low_rank"])
+def test_mf_segment_remainder_is_the_linearization_error(x_kind, y_kind):
+    prob = _noisy_problem(5, x_kind, y_kind)
+    fun, grad, remainder = mf_objective(prob), mf_gradient(prob), mf_segment_remainder(prob)
+    constraint, _, _ = make_mf_sets(prob)
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        v, w = constraint.sample(rng), constraint.sample(rng)
+        d = w - v
+        slope = float(grad(v) @ d)
+        c2, c3, c4 = remainder(v, d)
+        for g in (1.0, 0.5, 0.1, 1e-3):
+            err = fun(v + g * d) - fun(v) - g * slope
+            expected = c2 * g**2 + c3 * g**3 + c4 * g**4
+            assert abs(err - expected) <= 1e-11 * (1.0 + fun(v))
+
+
+@pytest.mark.parametrize("model", ["cg", "hybrid"])
+def test_mf_screened_line_search_matches_the_plain_rule(model):
+    # the screen of a real model skips every rejected trial and changes no bit
+    prob = _noisy_problem(6, model=model)
+    constraint, _, _ = make_mf_sets(prob)
+    oracle = make_mf_oracle(prob)
+    calls = []
+    plain_fun = mf_objective(prob)
+
+    def fun(v):
+        calls.append(1)
+        return plain_fun(v)
+
+    rng = np.random.default_rng(9)
+    backtracked = 0
+    for _ in range(20):
+        x = constraint.sample(rng)
+        model_x = oracle.instantiate(x)
+        y = model_x.minimize(constraint, 1e-12).point
+        delta = model_x.anchor_value - model_x.value(y)
+        f_x = fun(x)
+        plain = armijo_search(fun, x, y, delta, f_x=f_x)
+        calls.clear()
+        screened = armijo_search(fun, x, y, delta, f_x=f_x, screen=model_x.segment_change(y))
+        assert len(calls) == 1
+        assert (screened.gamma, screened.backtracks, screened.f_new.hex()) == (
+            plain.gamma, plain.backtracks, plain.f_new.hex())
+        backtracked += plain.backtracks > 0
+    assert backtracked >= 5
+
+
+def _trace_bits(trace):
+    records = [(r.k, r.f_value.hex(), float(r.delta).hex(), float(r.gamma).hex(),
+                r.backtracks, r.inner_iterations, r.inner_solves) for r in trace.records]
+    return records, trace.status, trace.final_f.hex(), trace.final_x.tobytes()
+
+
+@pytest.mark.parametrize("model", ["cg", "hybrid"])
+@pytest.mark.parametrize("y_kind", ["sparsity", "low_rank"])
+def test_mf_demo_trace_is_unchanged_by_the_remainder(monkeypatch, model, y_kind):
+    prob = _noisy_problem(7, y_kind=y_kind, model=model)
+    cfg = SolverConfig(max_iterations=60)
+    screened, _, _ = mf_demo(prob, cfg=cfg, seed=2)
+    monkeypatch.setattr(matfac, "mf_segment_remainder", lambda problem: None)
+    plain, _, _ = mf_demo(prob, cfg=cfg, seed=2)
+    assert _trace_bits(screened) == _trace_bits(plain)
+    assert sum(r.backtracks for r in plain.records) > 0
 
 
 def test_mf_gradients_match_finite_differences(rng):
@@ -222,6 +301,10 @@ def test_mf_demo_writes_files(tmp_path):
 def test_problem_validation():
     with pytest.raises(ValueError):
         MfProblem(A=np.zeros((3, 3)), inner_dim=0)
+    for inner_dim in (2.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="inner_dim must be an integer"):
+            MfProblem(A=np.zeros((3, 3)), inner_dim=inner_dim)
+    assert MfProblem(A=np.zeros((3, 3)), inner_dim=np.int64(2)).shape == (3, 2, 3)
     for tau in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="tau"):
             MfProblem(A=np.zeros((3, 3)), inner_dim=2, model="hybrid", tau=tau)

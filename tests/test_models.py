@@ -124,6 +124,27 @@ def test_additive_composite_formula(rng):
         assert m.value(z) == pytest.approx(expected, rel=1e-12)
 
 
+def test_segment_change_only_from_a_zero_penalty_with_a_remainder(rng):
+    # a quadratic's linearization error along d is g^2 d^T Q d / 2
+    f, grad, Q, lmax, box = quadratic_problem()
+    remainder = lambda x, d: (0.5 * float(d @ (Q @ d)), 0.0, 0.0)
+    x, y = box.sample(rng), box.sample(rng)
+    smooth = AdditiveCompositeOracle(None, f, grad, remainder)
+    masked = ProximalModelOracle(smooth, 0.7, np.arange(4) < 2)
+    for oracle in (smooth, masked):
+        change = oracle.instantiate(x).segment_change(y)
+        for g in (1.0, 0.25, 1e-3):
+            assert change(g) == pytest.approx(f(x + g * (y - x)) - f(x), rel=1e-12, abs=1e-14)
+    without = (
+        AdditiveCompositeOracle(WeightedL1(0.3), f, grad, remainder),
+        LinearModelOracle(f, grad),
+        NewtonModelOracle(None, f, grad, lambda z: Q),
+        GaussNewtonOracle(lambda z: z, lambda z: np.eye(4), L1Loss(np.zeros(4))),
+    )
+    for oracle in without:
+        assert oracle.instantiate(x).segment_change(y) is None
+
+
 def test_additive_composite_model_error_bound():
     f, grad, Q, lmax, box = quadratic_problem()
     pen = WeightedL1(0.8)

@@ -65,6 +65,70 @@ def test_armijo_exhaustion_raises_with_diagnostics():
     assert err.value.delta == 1e9
 
 
+def _quartic_segment(n=3):
+    # f(v) = sum v^4 from x = 1 toward y = -4 with the linear-model
+    # improvement 20 n: (1 - 5 g)^4 per coordinate, first accepted at
+    # g = 0.125 after three rejections
+    x, y = np.ones(n), np.full(n, -4.0)
+    d = y - x
+    calls = []
+
+    def fun(v):
+        calls.append(1)
+        return float(np.sum(v ** 4))
+
+    def exact(g):
+        # the binomial expansion of sum((x + g d)^4 - x^4)
+        return float(np.sum(g * (4 * x**3 * d + g * (6 * x**2 * d**2
+                                                     + g * (4 * x * d**3 + g * d**4)))))
+
+    return fun, calls, x, y, 20.0 * n, exact
+
+
+def _result_bits(res):
+    return res.gamma, res.backtracks, res.f_new.hex()
+
+
+def test_armijo_exact_screen_leaves_the_result_and_evaluates_once():
+    fun, calls, x, y, delta, exact = _quartic_segment()
+    f_x = fun(x)
+    calls.clear()
+    plain = armijo_search(fun, x, y, delta, f_x=f_x)
+    assert plain.backtracks == 3 and len(calls) == 4
+    calls.clear()
+    screened = armijo_search(fun, x, y, delta, f_x=f_x, screen=exact)
+    assert _result_bits(screened) == _result_bits(plain)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("screen", [lambda g: math.nan, lambda g: -math.inf,
+                                    lambda g: -1e300],
+                         ids=["nan", "minus_inf", "always_accepts"])
+def test_armijo_uninformative_screen_gives_the_plain_rule(screen):
+    fun, calls, x, y, delta, _ = _quartic_segment()
+    plain = armijo_search(fun, x, y, delta)
+    n_plain = len(calls)
+    calls.clear()
+    screened = armijo_search(fun, x, y, delta, screen=screen)
+    assert _result_bits(screened) == _result_bits(plain)
+    assert len(calls) == n_plain
+
+
+def test_armijo_screen_never_skips_the_last_trial():
+    # every trial is predicted to fail: only the last one is evaluated, so
+    # the error reports the objective's own last value
+    fun, calls, x, y, _, _ = _quartic_segment()
+    params = LineSearchParams(max_backtracks=5)
+    with pytest.raises(LineSearchError) as plain:
+        armijo_search(fun, x, y, 1e9, params)
+    calls.clear()
+    with pytest.raises(LineSearchError) as screened:
+        armijo_search(fun, x, y, 1e9, params, screen=lambda g: 1e6)
+    assert len(calls) == 2  # f(x) and the last trial
+    assert screened.value.f_last == plain.value.f_last
+    assert screened.value.backtracks == plain.value.backtracks == 5
+
+
 def test_armijo_rejects_nonpositive_improvement():
     with pytest.raises(ValueError):
         armijo_search(lambda z: 0.0, np.zeros(1), np.ones(1), 0.0)
@@ -128,6 +192,14 @@ def test_mcgm_terminates_immediately_at_stationary_start():
     assert trace.records[0].k == 0
     assert trace.records[0].gamma == 0.0
     assert trace.records[0].delta <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_mcgm_rejects_a_non_finite_start_value(bad):
+    fun = lambda x: bad
+    oracle = LinearModelOracle(fun, lambda x: np.ones(2))
+    with pytest.raises(ValueError, match=r"f\(x0\)"):
+        mcgm_solve(oracle, fun, Box(-np.ones(2), np.ones(2)), np.zeros(2))
 
 
 def test_mcgm_projects_infeasible_start():
