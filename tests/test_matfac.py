@@ -115,9 +115,9 @@ def test_mf_evaluations_match_the_reference_bit_for_bit(x_kind, order):
 def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations):
     # final_f and backtracks recorded with the three-temporary objective;
     # the in-place evaluation and the line-search screen must leave every
-    # iterate, and so these numbers, unchanged. The screen cuts the objective
-    # line-search evaluations to one per iteration (41 = start + 20 anchors
-    # + 20 trials).
+    # iterate, and so these numbers, unchanged. The screen leaves one
+    # line-search evaluation per iteration: 41 = the start + 20 anchors +
+    # 20 trials.
     calls = []
     plain = matfac.mf_objective
 
