@@ -205,8 +205,8 @@ class L1Ball(ConstraintSet):
     def __init__(self, dim, radius):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("radius must be positive and finite")
         self.dim = int(dim)
         self.radius = float(radius)
 
@@ -245,8 +245,8 @@ class L2Ball(ConstraintSet):
     def __init__(self, dim, radius, mean_zero=False):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("radius must be positive and finite")
         self.dim = int(dim)
         self.radius = float(radius)
         self.mean_zero = bool(mean_zero)
@@ -303,8 +303,8 @@ class NuclearBall(ConstraintSet):
     def __init__(self, rows, cols, radius):
         if rows < 1 or cols < 1:
             raise ValueError("matrix shape must be positive")
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("radius must be positive and finite")
         self.rows = int(rows)
         self.cols = int(cols)
         self.radius = float(radius)

@@ -10,8 +10,13 @@ oracle is the dominant singular pair of the thin SVD. The hybrid mode keeps a
 quadratic proximal term on the Y block instead (proximal step on Y,
 linear-oracle step on X).
 
-One objective or gradient evaluation allocates one m x n temporary: the
-product XY, turned into the residual XY - A in place.
+The objective and the gradient share one evaluator of the residual
+R = XY - A. Each thread keeps its last residual: an evaluation of the same
+problem at a point bit for bit equal to the last one forms no product. The
+line search's accepted trial is the next anchor, where the model needs the
+objective and the gradient, so an outer iteration forms one residual. A new
+point overwrites two m x n buffers the thread reuses while the shape of A
+stays the same.
 
 Along a segment the objective is an exact quartic in the step. With
 d = (dX, dY), R0 = XY - A, B = X dY + dX Y and C = dX dY,
@@ -36,6 +41,7 @@ import json
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,6 +97,10 @@ def low_rank_ball_set(rows, cols, radius):
 class MfProblem:
     """One factorization instance. ``x_kind`` in {"unit_atoms", "simplex"},
     ``y_kind`` in {"sparsity", "low_rank"}, ``model`` in {"cg", "hybrid"}.
+
+    ``A`` must not be written in place or replaced after construction:
+    evaluations remember their last residual by the problem and the point
+    alone.
     """
 
     A: np.ndarray
@@ -147,17 +157,56 @@ def unpack_factors(problem, v):
     return X, Y
 
 
+class _LastResidual(threading.local):
+    """One thread's last evaluation: the problem, a private copy of the
+    point, the residual and its value, and the buffer of its squares."""
+
+    def __init__(self):
+        self.problem = None
+        self.v = None
+        self.R = self.S = None
+        self.value = math.nan
+
+
+_last = _LastResidual()
+
+
+def _residual(problem, v):
+    """``(R, value)`` at the packed point ``v``, with ``R = XY - A`` and
+    ``value = 0.5 ||R||_F^2``. ``R`` is the thread's buffer: the caller may
+    read it until the thread's next evaluation, and must not write it."""
+    v = np.asarray(v, dtype=float)
+    last = _last
+    # bit patterns: a signed zero is told apart, and a NaN point matches itself
+    if not (last.problem is problem
+            and np.array_equal(last.v.view(np.uint64), v.view(np.uint64))):
+        _form_residual(problem, v)
+    return last.R, last.value
+
+
+def _form_residual(problem, v):
+    """Fill the thread's slot at ``v``: the same rounded operations as
+    ``A - XY`` squared and summed in fresh arrays. Negating a rounded
+    difference is exact, so the squares are those of ``A - XY`` bit for bit."""
+    X, Y = unpack_factors(problem, v)
+    last = _last
+    last.problem = None  # the buffers no longer hold the remembered point
+    if last.R is None or last.R.shape != problem.A.shape:
+        last.R, last.S = np.empty(problem.A.shape), np.empty(problem.A.shape)
+    R, S = last.R, last.S
+    np.matmul(X, Y, out=R)
+    np.subtract(R, problem.A, out=R)
+    np.multiply(R, R, out=S)
+    last.value = 0.5 * float(S.sum())
+    last.v = v.copy()
+    last.problem = problem
+
+
 def mf_objective(problem):
-    """0.5 ||A - XY||_F^2 on the packed variable. The residual is formed as
-    XY - A in the product's buffer; negating a rounded difference is exact,
-    so its square is that of A - XY bit for bit."""
+    """0.5 ||A - XY||_F^2 on the packed variable."""
 
     def objective(v):
-        X, Y = unpack_factors(problem, v)
-        D = X @ Y
-        np.subtract(D, problem.A, out=D)
-        np.multiply(D, D, out=D)
-        return 0.5 * float(D.sum())
+        return _residual(problem, v)[1]
 
     return objective
 
@@ -167,9 +216,8 @@ def mf_gradient(problem):
     d/dY = X^T (XY - A), packed like the variable."""
 
     def gradient(v):
+        R, _ = _residual(problem, v)
         X, Y = unpack_factors(problem, v)
-        R = X @ Y
-        np.subtract(R, problem.A, out=R)
         return np.concatenate([(R @ Y.T).ravel(order="F"), (X.T @ R).ravel()])
 
     return gradient

@@ -88,6 +88,7 @@ class ArmijoResult:
     gamma: float
     backtracks: int
     f_new: float
+    x_new: np.ndarray  # the accepted trial point, at which fun gave f_new
 
 
 # a screened trial is skipped only when its predicted value exceeds the
@@ -100,7 +101,9 @@ def armijo_search(fun, x, y, delta, params=None, f_x=None, screen=None):
     """Backtracking line search along y - x against the model improvement.
 
     Returns the first step gamma = gamma_max * shrink**j satisfying the
-    sufficient decrease condition. ``delta`` must be positive (a
+    sufficient decrease condition, with the point ``x_new = x + gamma (y - x)``
+    at which ``fun`` was evaluated; the step should move to that very array,
+    not to a recomputation of it. ``delta`` must be positive (a
     non-positive improvement means the step should not be attempted).
     Raises :class:`LineSearchError` when the backtrack budget is exhausted.
 
@@ -129,9 +132,10 @@ def armijo_search(fun, x, y, delta, params=None, f_x=None, screen=None):
             change = float(screen(gamma))
             if f_x + change - threshold > SCREEN_RTOL * (1.0 + abs(f_x) + abs(change)):
                 continue
-        f_new = float(fun(x + gamma * d))
+        x_new = x + gamma * d
+        f_new = float(fun(x_new))
         if f_new <= threshold:
-            return ArmijoResult(gamma=gamma, backtracks=j, f_new=f_new)
+            return ArmijoResult(gamma=gamma, backtracks=j, f_new=f_new, x_new=x_new)
     raise LineSearchError(params.max_backtracks, gamma, f_x, f_new, delta)
 
 
@@ -382,7 +386,7 @@ def mcgm_solve(
         screen = segment_change(y) if segment_change is not None else None
         ar = armijo_search(fun, x, y, delta, ls, f_x=f_x, screen=screen)
         return _Step(
-            delta, n_inner, 1, x + ar.gamma * (y - x), ar.f_new, ar.gamma,
+            delta, n_inner, 1, ar.x_new, ar.f_new, ar.gamma,
             ar.backtracks, solved_delta,
         )
 

@@ -111,6 +111,18 @@ def test_set_oracles_reject_inputs_of_the_wrong_length(make, op, bad):
     assert getattr(s, op)(np.array([0.5, -0.25, 0.125])).shape == (3,)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda r: L1Ball(4, r), lambda r: L2Ball(4, r), lambda r: NuclearBall(2, 2, r)],
+    ids=["l1", "l2", "nuclear"],
+)
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_balls_reject_a_radius_that_is_not_positive_and_finite(make, radius):
+    # an infinite radius made a non-compact set, whose oracle returns inf
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        make(radius)
+    assert make(2.5).radius == 2.5
+
+
 def test_lmo_l1_examples():
     np.testing.assert_allclose(L1Ball(3, 1.0).lmo(np.array([1.0, -4.0, 2.0])), [0, 1, 0])
     np.testing.assert_allclose(L1Ball(3, 3.0).lmo(np.zeros(3)), np.zeros(3))

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -114,12 +117,14 @@ def test_mf_evaluations_match_the_reference_bit_for_bit(x_kind, order):
 ], ids=["cg", "hybrid"])
 def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations):
     # final_f and backtracks recorded with the three-temporary objective;
-    # the in-place evaluation and the line-search screen must leave every
-    # iterate, and so these numbers, unchanged. The screen leaves one
-    # line-search evaluation per iteration: 41 = the start + 20 anchors +
-    # 20 trials.
-    calls = []
-    plain = matfac.mf_objective
+    # the in-place evaluation, the line-search screen and the residual reuse
+    # must leave every iterate, and so these numbers, unchanged. The screen
+    # leaves one line-search evaluation per iteration: 41 = the start + 20
+    # anchors + 20 trials. Each anchor is the accepted trial, so its
+    # objective and gradient reuse the trial's residual: 21 residuals = the
+    # start + 20 trials (61 = 41 objectives + 20 gradients without reuse).
+    calls, formed = [], []
+    plain, form = matfac.mf_objective, matfac._form_residual
 
     def counted(problem):
         fun = plain(problem)
@@ -130,7 +135,12 @@ def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations
 
         return objective
 
+    def counted_form(problem, v):
+        formed.append(1)
+        form(problem, v)
+
     monkeypatch.setattr(matfac, "mf_objective", counted)
+    monkeypatch.setattr(matfac, "_form_residual", counted_form)
     rng = np.random.default_rng(11)
     A = (rng.standard_normal((40, 2)) @ rng.standard_normal((2, 30))
          + 0.1 * rng.standard_normal((40, 30)))
@@ -141,6 +151,57 @@ def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations
     assert trace.final_f.hex() == final_f
     assert sum(r.backtracks for r in trace.records) == backtracks
     assert len(calls) == evaluations
+    assert len(formed) == 21
+
+
+def _problems_at_one_point(seed, count, shape):
+    # equal shapes and one point, so only the problem tells their residuals apart
+    rng = np.random.default_rng(seed)
+    probs = [MfProblem(A=rng.standard_normal(shape), inner_dim=3, y_kind="low_rank",
+                       radius=5.0) for _ in range(count)]
+    return probs, rng.standard_normal(probs[0].x_size + probs[0].y_size)
+
+
+def test_mf_residual_reuse_keeps_problems_apart():
+    probs, v = _problems_at_one_point(23, 2, (9, 7))
+    evaluations = [(mf_objective(p), mf_gradient(p), p) for p in probs]
+    for _ in range(2):
+        for fun, grad, prob in evaluations:
+            assert fun(v).hex() == _reference_objective(prob, v).hex()
+            assert grad(v).tobytes() == _reference_gradient(prob, v).tobytes()
+            assert fun(v).hex() == _reference_objective(prob, v).hex()
+
+
+def test_mf_residual_reuse_is_per_thread():
+    # more threads than cores, frequent switches, and matrices large enough
+    # that one slot shared by the threads fails this test: a thread's product
+    # then overwrites the residual another one is reading
+    threads = 4
+    probs, v = _problems_at_one_point(29, threads, (300, 200))
+    rng = np.random.default_rng(31)
+    points = [v] + [v + 1e-3 * rng.standard_normal(v.size) for _ in range(20)]
+    barrier = threading.Barrier(threads, timeout=30)
+
+    def evaluate(prob):
+        fun, grad = mf_objective(prob), mf_gradient(prob)
+        got = []
+        for w in points:
+            barrier.wait()  # every thread evaluates each point together
+            got.append((fun(w).hex(), grad(w).tobytes(), fun(w).hex()))
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(evaluate, prob) for prob in probs]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for prob, got in zip(probs, results):
+        assert got == [(_reference_objective(prob, w).hex(),
+                        _reference_gradient(prob, w).tobytes(),
+                        _reference_objective(prob, w).hex()) for w in points]
 
 
 def _noisy_problem(seed, x_kind="unit_atoms", y_kind="low_rank", model="cg"):

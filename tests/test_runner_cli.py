@@ -356,6 +356,17 @@ def test_cli_rejects_an_infinite_proximal_weight(tmp_path, capsys):
     assert "configuration error: tau must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("y_kind", ["low_rank", "sparsity"])
+def test_cli_mf_demo_rejects_an_infinite_radius(tmp_path, capsys, y_kind):
+    # an infinite radius used to start a solve over an unbounded set, which
+    # failed in the line search after a RuntimeWarning from the oracle's inf
+    out = tmp_path / "mf"
+    assert cli_main(["mf-demo", "--rows", "6", "--cols", "5", "--inner-dim", "2",
+                     "--y-set", y_kind, "--radius", "inf", "--out", str(out)]) == 1
+    assert "configuration error: radius must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dataset_file_roundtrip_preserves_solver_behaviour(tmp_path):
     from modelcg.regression import load_dataset, make_constraint_set
     from modelcg.runner import run_method
