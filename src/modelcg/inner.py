@@ -7,11 +7,18 @@ subproblems that arise from linearized l1 regression models:
 The diagonal step sizes are computed from the entries of K, the dual of the
 l1 data term is kept in [-1, 1] by clipping, and a Fenchel duality gap serves
 as the stopping certificate.
+
+On a one-signed box (no lo_j below +0.0, which holds for every regression
+subproblem) the penalty is linear, w|u| = w u, so the primal step is the
+clamp of z - level instead of a soft-threshold then a clamp, with the same
+bits. The gap check reuses the iteration's K^T p and the per-problem
+constants of the box conjugate, so it adds one matvec.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -135,30 +142,50 @@ def precond_steps(K, beta=1.0):
     return sigma, theta
 
 
-def _conjugate_box_l1(problem, v):
-    """sup_{lo<=u<=hi} <v, u> - w|u| [- (u-center)^2/(2 tau)], coordinate-wise.
+def _gap_function(problem):
+    """The Fenchel duality gap of ``problem`` as a function gap(u, p, ktp) of a
+    primal point u in the box, a dual point p in [-1, 1] and ktp = K.T @ p.
 
-    Closed form: without the proximal term the supremum of a piecewise linear
-    function sits at {lo, 0, hi}; with it, each sign branch is a concave
-    parabola whose clamped vertex is optimal.
+    The dual value needs the box conjugate
+    sup_{lo<=u<=hi} <v, u> - w|u| [- (u-center)^2/(2 tau)], coordinate-wise,
+    at v = -ktp. Closed form: without the proximal term the supremum of a
+    piecewise linear function sits at {lo, 0, hi}; with it, each sign branch
+    is a concave parabola whose clamped vertex is optimal. The terms that do
+    not depend on v are computed here once.
     """
-    lo, hi = problem.lo, problem.hi
+    lo, hi, target = problem.lo, problem.hi, problem.target
     w = problem.penalty_weights()
     if problem.prox_tau is None:
-        vals = np.maximum(v * lo - w * np.abs(lo), v * hi - w * np.abs(hi))
+        w_lo, w_hi = w * np.abs(lo), w * np.abs(hi)
         inside = (lo <= 0.0) & (hi >= 0.0)
-        vals = np.where(inside, np.maximum(vals, 0.0), vals)
-        return float(vals.sum())
-    tau, c = problem.prox_tau, problem.prox_center
 
-    def branch_value(vertex, blo, bhi):
-        u = np.clip(vertex, blo, bhi)
-        val = v * u - w * np.abs(u) - (u - c) ** 2 / (2.0 * tau)
-        return np.where(blo <= bhi, val, -np.inf)
+        def conjugate(v):
+            vals = np.maximum(v * lo - w_lo, v * hi - w_hi)
+            vals = np.where(inside, np.maximum(vals, 0.0), vals)
+            return float(vals.sum())
 
-    pos = branch_value(c + tau * (v - w), np.maximum(lo, 0.0), hi)
-    neg = branch_value(c + tau * (v + w), lo, np.minimum(hi, 0.0))
-    return float(np.maximum(pos, neg).sum())
+    else:
+        tau, c = problem.prox_tau, problem.prox_center
+        two_tau = 2.0 * tau
+        pos_lo, neg_hi = np.maximum(lo, 0.0), np.minimum(hi, 0.0)
+        pos_ok, neg_ok = pos_lo <= hi, lo <= neg_hi
+
+        def branch_value(v, vertex, blo, bhi, nonempty):
+            u = np.clip(vertex, blo, bhi)
+            val = v * u - w * np.abs(u) - (u - c) ** 2 / two_tau
+            return np.where(nonempty, val, -np.inf)
+
+        def conjugate(v):
+            pos = branch_value(v, c + tau * (v - w), pos_lo, hi, pos_ok)
+            neg = branch_value(v, c + tau * (v + w), lo, neg_hi, neg_ok)
+            return float(np.maximum(pos, neg).sum())
+
+    def gap(u, p, ktp):
+        primal = problem.objective(u)
+        dual = -float(p @ target) - conjugate(-ktp)
+        return primal - dual
+
+    return gap
 
 
 def primal_dual_gap(problem, u, p):
@@ -167,12 +194,11 @@ def primal_dual_gap(problem, u, p):
     Non-negative up to rounding and an upper bound on the suboptimality of u,
     hence a sound certificate for approximate subproblem solves.
     """
-    primal = problem.objective(u)
-    dual = -float(p @ problem.target) - _conjugate_box_l1(problem, -(problem.K.T @ p))
-    return primal - dual
+    return _gap_function(problem)(u, p, problem.K.T @ p)
 
 
-# iterations between duality-gap evaluations (each costs about two matvecs)
+# iterations between duality-gap evaluations (each forms one matvec, K @ u;
+# the loop's check reuses the iteration's K.T @ p)
 _GAP_CHECK_EVERY = 25
 
 
@@ -187,18 +213,26 @@ def pdhg_solve(
 
     Dual ascent step then clip to [-1, 1]; primal step by soft-thresholding
     the penalized coordinates and clamping to the box (exact coordinate-wise
-    proximal step, since the 1-D objective is convex); primal extrapolation
+    proximal step, since the 1-D objective is convex; on a one-signed box the
+    threshold is a shift, see the module docstring); primal extrapolation
     by a factor of two. Stops when the duality gap drops below ``gap_tol``
-    (checked every ``_GAP_CHECK_EVERY`` iterations) or at the iteration cap, in
-    which case the achieved gap is reported and ``converged`` is False.
+    (checked every ``_GAP_CHECK_EVERY`` iterations and after the last) or at
+    the iteration cap, in which case the achieved gap is reported and
+    ``converged`` is False. ``gap_tol`` must be a number >= 0 and
+    ``max_iters`` an integer >= 0, else ``ValueError``.
 
     A dimensionally consistent ``warm`` state seeds the primal and dual
-    points; anything else is ignored. The warm state is only read.
+    points; anything else is ignored. A consistent warm state with NaN or
+    Inf entries raises ``ValueError``. The warm state is only read.
 
     ``callback(u, p)`` is called after every iteration with snapshots of the
     primal and dual iterates: copies that later iterations leave alone, so
     a callback may keep them.
     """
+    if not (isinstance(gap_tol, numbers.Real) and gap_tol >= 0):
+        raise ValueError(f"gap_tol must be a number >= 0, got {gap_tol!r}")
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
     m, n = K.shape
     sigma, theta = precond_steps(K)
@@ -208,8 +242,8 @@ def pdhg_solve(
         and np.shape(warm.u) == (n,)
         and np.shape(warm.p) == (m,)
     ):
-        u = np.clip(np.asarray(warm.u, float), lo, hi)
-        p = np.clip(np.asarray(warm.p, float), -1.0, 1.0)
+        u = np.clip(require_finite(warm.u, "warm.u"), lo, hi)
+        p = np.clip(require_finite(warm.p, "warm.p"), -1.0, 1.0)
     else:
         u = np.clip(np.zeros(n), lo, hi)
         p = np.zeros(m)
@@ -222,56 +256,74 @@ def pdhg_solve(
         blend = None
         theta_eff = theta
     level = theta_eff * problem.penalty_weights()
+    # No lo_j below +0.0: then u >= 0 on the box and the soft-threshold then
+    # clamp equals clip(z - level, lo, hi) bit for bit. Where z <= level both
+    # give lo, as np.maximum(-0.0, +0.0) is +0.0; with a lo_j of -0.0 that
+    # would rest on which zero np.maximum(+0.0, -0.0) returns, so such a box
+    # takes the general path.
+    one_signed = not np.signbit(lo).any()
+    gap_of = _gap_function(problem)
 
     # Work buffers: the loop allocates nothing. Each update is the same
     # sequence of rounded operations as the expression in its comment, so
     # the iterates do not depend on the buffering, and np.clip is spelled
     # np.maximum then np.minimum (the same result, including the sign of a
-    # zero, for finite input).
+    # zero, for finite input). ktp keeps the iteration's K.T @ p for the gap
+    # check, which then forms only K @ u.
     u_bar = u.copy()
     u_new = np.empty(n)
     z = np.empty(n)
     w = np.empty(n)
+    ktp = np.empty(n)
     r = np.empty(m)
     KT = K.T
     # array bounds: np.maximum/np.minimum convert a Python float on every call
     zero, minus_one, one = np.zeros(n), np.full(m, -1.0), np.full(m, 1.0)
+    # ufuncs bound to locals (one attribute lookup per call less); out= stays
+    # a keyword, as the positional form is deprecated and slower
+    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+    maximum, minimum, absolute, sign = np.maximum, np.minimum, np.absolute, np.sign
 
-    gap = primal_dual_gap(problem, u, p)
+    np.matmul(KT, p, out=ktp)
+    gap = gap_of(u, p, ktp)
     it = 0
     while gap > gap_tol and it < max_iters:
         # p = clip(p + sigma * (K @ u_bar - target), -1, 1)
-        np.matmul(K, u_bar, out=r)
-        np.subtract(r, target, out=r)
-        np.multiply(sigma, r, out=r)
-        np.add(p, r, out=p)
-        np.maximum(p, minus_one, out=p)
-        np.minimum(p, one, out=p)
+        matmul(K, u_bar, out=r)
+        subtract(r, target, out=r)
+        multiply(sigma, r, out=r)
+        add(p, r, out=p)
+        maximum(p, minus_one, out=p)
+        minimum(p, one, out=p)
         # z = u - theta * (K.T @ p), then z = blend * z + center_term
-        np.matmul(KT, p, out=w)
-        np.multiply(theta, w, out=w)
-        np.subtract(u, w, out=z)
+        matmul(KT, p, out=ktp)
+        multiply(theta, ktp, out=w)
+        subtract(u, w, out=z)
         if blend is not None:
-            np.multiply(blend, z, out=z)
-            np.add(z, center_term, out=z)
-        # u_new = clip(sign(z) * max(|z| - level, 0), lo, hi); the sign
-        # factor keeps the -0.0 of a negative z inside the threshold
-        np.abs(z, out=w)
-        np.subtract(w, level, out=w)
-        np.maximum(w, zero, out=w)
-        np.sign(z, out=u_new)
-        np.multiply(u_new, w, out=u_new)
-        np.maximum(u_new, lo, out=u_new)
-        np.minimum(u_new, hi, out=u_new)
+            multiply(blend, z, out=z)
+            add(z, center_term, out=z)
+        if one_signed:
+            # u_new = clip(z - level, lo, hi)
+            subtract(z, level, out=u_new)
+        else:
+            # u_new = clip(sign(z) * max(|z| - level, 0), lo, hi); the sign
+            # factor keeps the -0.0 of a negative z inside the threshold
+            absolute(z, out=w)
+            subtract(w, level, out=w)
+            maximum(w, zero, out=w)
+            sign(z, out=u_new)
+            multiply(u_new, w, out=u_new)
+        maximum(u_new, lo, out=u_new)
+        minimum(u_new, hi, out=u_new)
         # u_bar = 2 * u_new - u (doubling by addition is exact)
-        np.add(u_new, u_new, out=u_bar)
-        np.subtract(u_bar, u, out=u_bar)
+        add(u_new, u_new, out=u_bar)
+        subtract(u_bar, u, out=u_bar)
         u, u_new = u_new, u
         it += 1
         if callback is not None:
             callback(u.copy(), p.copy())
         if it % _GAP_CHECK_EVERY == 0 or it == max_iters:
-            gap = primal_dual_gap(problem, u, p)
+            gap = gap_of(u, p, ktp)
 
     state = PdState(u=u, p=p, iterations=it)
     return PdhgResult(u=u, state=state, gap=gap, iterations=it, converged=gap <= gap_tol)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,67 @@ def test_pdhg_iteration_cap_reports_gap(rng):
     assert not res.converged
     assert res.gap > 1e-14
     assert res.iterations == 5
+
+
+def test_pdhg_rejects_a_bad_tolerance_or_iteration_cap():
+    # with a fractional cap `it == max_iters` never holds, so the solve would
+    # report the gap of an earlier iterate; a NaN tolerance or a negative cap
+    # would return at once, unconverged
+    ds = generate_regression_data(P=4, M=30, mu=2.0, a_max=4.0, b_max=2.5, seed=1)
+    sub = make_subproblem(ds, np.concatenate([np.full(4, 2.0), np.full(4, 1.25)]))
+    for kw in ({"max_iters": 2.5}, {"max_iters": -1}, {"max_iters": 3.0},
+               {"max_iters": "3"}, {"max_iters": None}, {"gap_tol": np.nan},
+               {"gap_tol": -1e-3}, {"gap_tol": None}):
+        with pytest.raises(ValueError):
+            pdhg_solve(sub, **kw)
+    # integer types of numpy count as integers, and a zero cap reports the
+    # gap of the starting point
+    res = pdhg_solve(sub, gap_tol=np.float64(0.0), max_iters=np.int64(3))
+    assert res.iterations == 3 and res.gap == primal_dual_gap(sub, res.u, res.state.p)
+    start = pdhg_solve(sub, gap_tol=0.0, max_iters=0)
+    assert start.iterations == 0 and not start.converged
+    assert start.gap == primal_dual_gap(sub, start.u, start.state.p)
+
+
+def test_pdhg_rejects_a_non_finite_warm_state(rng):
+    sub = random_subproblem(rng, m=6, n=3)
+    good = pdhg_solve(sub, gap_tol=1e-4, max_iters=1000).state
+    for bad in (np.nan, np.inf, -np.inf):
+        u, p = good.u.copy(), good.p.copy()
+        u[1] = bad
+        with pytest.raises(ValueError, match="warm.u"):
+            pdhg_solve(sub, warm=PdState(u=u, p=good.p))
+        p[0] = bad
+        with pytest.raises(ValueError, match="warm.p"):
+            pdhg_solve(sub, warm=PdState(u=good.u, p=p))
+    # a warm state of other dimensions is still ignored, finite or not
+    res = pdhg_solve(sub, warm=PdState(u=np.full(2, np.nan), p=np.zeros(6)),
+                     gap_tol=1e-6, max_iters=100000)
+    assert res.converged and np.all(np.isfinite(res.u))
+
+
+def test_pdhg_loop_memory_does_not_grow_with_iterations():
+    # the loop works in preallocated buffers: the traced peak of a long
+    # solve, above the memory traced before it, is no higher than that of a
+    # short one on the same problem. Each length runs three times and keeps
+    # its lowest peak, as the interpreter makes a few one-off allocations of
+    # its own in the first traced calls.
+    ds = generate_regression_data(P=20, M=200, mu=80.0, seed=0)
+    sub = make_subproblem(ds, np.full(40, 1.0))
+    peaks = {50: [], 2000: []}
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            for iters, seen in peaks.items():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                res = pdhg_solve(sub, gap_tol=0.0, max_iters=iters)
+                seen.append(tracemalloc.get_traced_memory()[1] - before)
+                assert res.iterations == iters
+                del res
+    finally:
+        tracemalloc.stop()
+    assert min(peaks[2000]) <= min(peaks[50]), peaks
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +442,14 @@ def _reference_cases(rng):
     u0 = np.concatenate([np.full(4, 2.0), np.full(4, 1.25)])
     cases.append(("regression", make_subproblem(ds, u0), {"gap_tol": 1e-9}))
     cases.append(("regression_prox", make_subproblem(ds, u0, tau=0.05), {"gap_tol": 1e-9}))
+    # one-signed boxes (lo > 0 on coordinates 0 and 3, lo == 0 on 1 and 2)
+    # take the shifted primal step; the data pull coordinates 1 and 2 below
+    # zero, onto their bound lo == 0
+    lo, hi = np.array([0.25, 0.0, 0.0, 1e-3]), np.array([2.0, 1.5, 3.0, 2.0])
+    pulled = sub.K @ np.array([1.0, -0.1, -0.1, 0.0]) + 0.1 * sub.target
+    signed = box_problem(sub.K, pulled, 1.3, [True, True, False, True], lo, hi)
+    cases.append(("one_signed", signed, {}))
+    cases.append(("one_signed_prox", signed.with_prox(0.4, np.array([0.1, -0.5, 0.3, -1.0])), {}))
     return cases
 
 
@@ -409,6 +480,41 @@ def test_pdhg_matches_reference_loop_bit_for_bit(rng):
     # the cases reach the -0.0 that the sign factor of the soft-threshold
     # produces inside a box around zero, so the byte comparison sees it
     assert signed_zeros > 0
+
+
+def test_pdhg_reported_gap_is_the_gap_of_the_returned_pair(rng):
+    # the loop's gap check reuses its K.T @ p; it must equal the standalone
+    # evaluation at the returned point, bit for bit, cold and warm
+    for name, sub, kw in _reference_cases(rng):
+        kw = {"gap_tol": 1e-10, "max_iters": 3000, **kw}
+        res = pdhg_solve(sub, **kw)
+        warm = pdhg_solve(sub, warm=res.state, **{**kw, "gap_tol": kw["gap_tol"] * 1e-3})
+        for tag, r in (("cold", res), ("warm", warm)):
+            assert r.gap == primal_dual_gap(sub, r.u, r.state.p), (name, tag)
+
+
+def test_pdhg_one_signed_cases_reach_the_zero_tie(rng):
+    # on a one-signed box the shifted step agrees with the soft-threshold at
+    # lo == +0.0 only through np.maximum(-0.0, +0.0) == +0.0: the cases must
+    # reach a negative z within the threshold there, where the soft-threshold
+    # forms -0.0, for the byte comparison above to see that tie
+    cases = {name: sub for name, sub, _ in _reference_cases(rng)}
+    for name in ("one_signed", "one_signed_prox"):
+        sub = cases[name]
+        _, theta = precond_steps(sub.K)
+        blend = 1.0 if sub.prox_tau is None else sub.prox_tau / (sub.prox_tau + theta)
+        level = theta * blend * sub.penalty_weights()
+        prev, ties = [np.clip(np.zeros(sub.n), sub.lo, sub.hi)], []
+
+        def cb(u, p):
+            z = prev[0] - theta * (sub.K.T @ p)
+            if sub.prox_tau is not None:
+                z = blend * z + (1.0 - blend) * sub.prox_center
+            ties.append(np.sum((sub.lo == 0.0) & np.signbit(z) & (-z <= level)))
+            prev[0] = u
+
+        pdhg_solve(sub, gap_tol=1e-10, max_iters=3000, callback=cb)
+        assert sum(ties) > 0, name
 
 
 # ---------------------------------------------------------------------------
