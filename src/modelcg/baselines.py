@@ -8,6 +8,14 @@
   decreases sufficiently, then takes the full step. Only this step rule is
   its own: the outer loop and the certify-and-retry first solve of each
   iteration are the ones ``mcgm_solve`` runs on.
+
+Both start from the proximal weight ``ProxLinearConfig.tau0``. The
+backtracking variant's weight rule is fixed by the module constants: a
+rejected trial multiplies the weight by ``TAU_SHRINK``; a trial is accepted
+when the objective falls by ``ACCEPT_RATIO`` times the regularized model
+improvement (its traces record ``rho = ACCEPT_RATIO``); an accepted step
+multiplies the weight by ``TAU_EXPAND``, capped at ``TAU_MAX_FACTOR * tau0``;
+and a weight below ``TAU_FLOOR`` raises :class:`TauUnderflowError`.
 """
 
 from __future__ import annotations
@@ -35,43 +43,33 @@ __all__ = [
 ]
 
 
+TAU_FLOOR = 1e-12
+TAU_SHRINK = 0.5
+ACCEPT_RATIO = 0.25
+TAU_EXPAND = 2.0
+TAU_MAX_FACTOR = 1e6
+
+
 class TauUnderflowError(RuntimeError):
     """The proximal weight shrank below its floor without an accepted step."""
 
 
 @dataclass(frozen=True)
 class ProxLinearConfig:
-    """Proximal-weight settings shared by both baselines.
+    """The starting proximal weight of both baselines.
 
-    ``tau0`` below ``tau_floor`` is rejected outright: a vanishing weight
+    ``tau0`` below ``TAU_FLOOR`` is rejected outright: a vanishing weight
     pins the subproblem solution to the anchor and stalls the method. An
     infinite one is rejected too: the inner solver's step blends turn NaN.
-    After an accepted backtracking step the weight re-expands by ``expand``
-    (capped at ``tau_max_factor * tau0``, with a finite factor of at least 1).
     """
 
     tau0: float = 1.0
-    tau_floor: float = 1e-12
-    shrink: float = 0.5
-    accept_ratio: float = 0.25
-    expand: float = 2.0
-    tau_max_factor: float = 1e6
 
     def __post_init__(self):
-        if not self.tau_floor > 0:
-            raise ValueError("tau_floor must be positive")
         if not math.isfinite(self.tau0):
             raise ValueError("tau0 must be finite")
-        if not self.tau0 >= self.tau_floor:
+        if not self.tau0 >= TAU_FLOOR:
             raise ValueError("tau0 is below the proximal-weight floor")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 0.0 < self.accept_ratio < 1.0:
-            raise ValueError("accept_ratio must lie in (0, 1)")
-        if not self.expand >= 1.0:
-            raise ValueError("expand must be at least 1")
-        if not (math.isfinite(self.tau_max_factor) and self.tau_max_factor >= 1.0):
-            raise ValueError("tau_max_factor must be finite and at least 1")
 
 
 def prox_linear_ls_solve(
@@ -111,7 +109,7 @@ def prox_linear_bt_solve(
 ):
     """Backtracking variant: shrink the proximal weight, re-solving the
     subproblem per trial, until the full step to the subproblem solution
-    decreases the objective by ``accept_ratio`` times the regularized model
+    decreases the objective by ``ACCEPT_RATIO`` times the regularized model
     improvement. The per-iteration subproblem solve count is the cost
     signature separating this method from the line-search variants.
 
@@ -123,7 +121,7 @@ def prox_linear_bt_solve(
     plcfg = plcfg or ProxLinearConfig()
     cfg = cfg or SolverConfig()
     tau = plcfg.tau0
-    tau_max = plcfg.tau_max_factor * plcfg.tau0
+    tau_max = TAU_MAX_FACTOR * plcfg.tau0
     warm = None
 
     def weight_backtracking_step(k, x, f_x, eps, tol):
@@ -145,9 +143,9 @@ def prox_linear_bt_solve(
         y = res.point
         f_y = float(fun(y))
         shrinks = 0
-        while not (delta > 0 and f_y <= f_x - plcfg.accept_ratio * delta):
-            tau *= plcfg.shrink
-            if tau < plcfg.tau_floor:
+        while not (delta > 0 and f_y <= f_x - ACCEPT_RATIO * delta):
+            tau *= TAU_SHRINK
+            if tau < TAU_FLOOR:
                 raise TauUnderflowError(
                     f"proximal weight underflowed at iteration {k} after "
                     f"{1 + shrinks} subproblem solves (last improvement {delta:.3e})"
@@ -159,10 +157,10 @@ def prox_linear_bt_solve(
             y = res.point
             delta = improvement(y)
             f_y = float(fun(y))
-        tau = min(tau * plcfg.expand, tau_max)
-        return _Step(delta, n_inner, 1 + shrinks, y, f_y, 1.0, shrinks, delta)
+        tau = min(tau * TAU_EXPAND, tau_max)
+        return _Step(delta, n_inner, 1 + shrinks, y, f_y, 1.0, shrinks)
 
     return _outer_loop(
-        fun, constraint, x0, cfg, weight_backtracking_step, plcfg.accept_ratio,
+        fun, constraint, x0, cfg, weight_backtracking_step, ACCEPT_RATIO,
         "proxlin_bt", callback,
     )

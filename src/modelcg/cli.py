@@ -94,7 +94,8 @@ def _build_parser():
 
     k = sub.add_parser("check", parents=[common], help="verify a trace CSV")
     k.add_argument("--trace", required=True)
-    k.add_argument("--rho", type=float, help="line-search ratio used (default 0.25)")
+    k.add_argument("--rho", type=float, help="the trace's sufficient-decrease ratio in "
+                   "(0, 1), as summary.json records it per method (default 0.25)")
     return parser
 
 

@@ -125,18 +125,16 @@ class PdhgResult:
     converged: bool
 
 
-def precond_steps(K, beta=1.0):
+def precond_steps(K):
     """Diagonal dual/primal step sizes from the entries of K.
 
-    sigma_i = 1 / sum_j |K_ij|^(2-beta) and theta_j = 1 / sum_i |K_ij|^beta,
-    with the convention that an all-zero row or column gets step 1. These
-    steps satisfy || diag(sigma)^(1/2) K diag(theta)^(1/2) || <= 1.
+    sigma_i = 1 / sum_j |K_ij| and theta_j = 1 / sum_i |K_ij|, with the
+    convention that an all-zero row or column gets step 1. These steps
+    satisfy || diag(sigma)^(1/2) K diag(theta)^(1/2) || <= 1.
     """
-    if not 0.0 <= beta <= 2.0:
-        raise ValueError("beta must lie in [0, 2]")
     A = np.abs(np.asarray(K, dtype=float))
-    row = (A ** (2.0 - beta)).sum(axis=1)
-    col = (A**beta).sum(axis=0)
+    row = A.sum(axis=1)
+    col = A.sum(axis=0)
     sigma = 1.0 / np.where(row > 0, row, 1.0)
     theta = 1.0 / np.where(col > 0, col, 1.0)
     return sigma, theta

@@ -448,14 +448,13 @@ class L1Loss:
 
 
 class _GaussNewtonModel(ModelInstance):
-    def __init__(self, anchor, loss, penalty, F_value, jac, minimizer):
+    def __init__(self, anchor, loss, penalty, F_value, jac):
         self.loss = loss
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.F_value = _finite_oracle_data(F_value, "residual")
         self.jac = _finite_oracle_data(jac, "Jacobian")
         if self.jac.shape[0] != self.F_value.size:
             raise ValueError("jacobian rows do not match the residual dimension")
-        self.minimizer = minimizer
         anchor = np.asarray(anchor, dtype=float)
         if self.jac.shape[1] != anchor.size:
             raise ValueError("jacobian columns do not match the anchor dimension")
@@ -501,15 +500,11 @@ class _GaussNewtonModel(ModelInstance):
         )
 
     def minimize(self, constraint, eps, warm=None):
-        if self.minimizer is not None:
-            return self.minimizer(self, constraint, eps, warm)
         return self._run(self.subproblem(constraint), eps, warm)
 
     def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
         if mask is not None:
             raise NotImplementedError("the Gauss-Newton model has no masked proximal step")
-        if self.minimizer is not None:
-            raise NotImplementedError("custom minimizers have no proximal variant")
         sub = self.subproblem(constraint).with_prox(tau, self.anchor)
         return self._run(sub, eps, warm)
 
@@ -518,17 +513,17 @@ class GaussNewtonOracle:
     """Model family for objectives loss(F(x)) + penalty(x): the residual map
     F is linearized at the anchor inside the (Lipschitz, convex) outer loss.
 
-    With an :class:`L1Loss` and a weighted-l1 penalty over a box the model
-    minimization is handed to the primal-dual inner solver; any other loss
-    needs a caller-supplied ``minimizer(model, constraint, eps, warm)``.
+    The model is minimized by the primal-dual inner solver, which takes an
+    :class:`L1Loss` with no penalty or a weighted-l1 one over a box; with
+    any other loss, penalty or set the instances still evaluate, but their
+    minimization raises ``NotImplementedError``.
     """
 
-    def __init__(self, residual, jacobian, loss, penalty=None, minimizer=None):
+    def __init__(self, residual, jacobian, loss, penalty=None):
         self.residual = residual
         self.jacobian = jacobian
         self.loss = loss
         self.penalty = penalty
-        self.minimizer = minimizer
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)
@@ -538,7 +533,6 @@ class GaussNewtonOracle:
             self.penalty,
             np.asarray(self.residual(anchor), dtype=float),
             np.asarray(self.jacobian(anchor), dtype=float),
-            self.minimizer,
         )
 
 

@@ -47,7 +47,7 @@ __all__ = [
 METHOD_NAMES = ("mcgm", "proxlin_ls", "proxlin_bt")
 CSV_COLUMNS = ("k", "time_s", "f", "obj_err", "delta", "gamma", "backtracks", "inner_iters")
 FINAL_ROW = "final"  # the k field of the terminal row
-SUMMARY_SCHEMA = "modelcg.summary/1"
+SUMMARY_SCHEMA = "modelcg.summary/2"
 
 
 def run_method(method, dataset, x0, ls=None, cfg=None, plcfg=None):
@@ -138,7 +138,10 @@ def check_trace_file(path, rho):
     sufficient decrease (the last step's against the final objective),
     steps in [0, 1], and the telescoped rate bound against the best
     objective, the final one included, as :func:`rate_certificate` does.
-    Returns a list of failure strings (empty means the trace checks out)."""
+    Returns a list of failure strings (empty means the trace checks out).
+    ``rho`` must lie in (0, 1), as for :class:`LineSearchParams`, else
+    ``ValueError``."""
+    rho = LineSearchParams(rho=rho).rho
     cols, final_f = _read_trace(path)
     f, delta, gamma = cols["f"], cols["delta"], cols["gamma"]
     problems = verify_trace_arrays(f, delta, gamma, rho, final_f=final_f)
@@ -161,7 +164,8 @@ def run_comparison(
     x0=None,
 ):
     """Run each method from the same start (box midpoint by default), write
-    one CSV trace per method plus ``summary.json``."""
+    one CSV trace per method plus ``summary.json``, which records per method
+    the ``rho`` to check its trace against (``SolverTrace.rho``)."""
     methods = tuple(methods)
     if not methods:
         raise ValueError("no methods to compare")
@@ -187,6 +191,7 @@ def run_comparison(
         cert = rate_certificate(t, f_lower=f_lower)
         per_method[m] = {
             "status": t.status,
+            "rho": t.rho,
             "iterations": len(t.records),
             "best_f": t.best_f(),
             "final_delta": t.records[-1].delta if t.records else None,
@@ -199,7 +204,6 @@ def run_comparison(
     summary = {
         "schema": SUMMARY_SCHEMA,
         "f_lower": f_lower,
-        "rho": (ls or LineSearchParams()).rho,
         "methods": per_method,
         "dataset": {
             "P": dataset.P, "M": dataset.M, "mu": dataset.mu, "seed": dataset.seed,

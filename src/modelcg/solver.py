@@ -62,25 +62,22 @@ class LineSearchError(RuntimeError):
         self.delta = delta
 
 
+# the step sizes the line search tries are SHRINK**j for j = 0, ...,
+# MAX_BACKTRACKS, largest first
+SHRINK = 0.5
+MAX_BACKTRACKS = 60
+
+
 @dataclass(frozen=True)
 class LineSearchParams:
-    """Sufficient-decrease parameters: accept gamma = gamma_max * shrink**j
-    for the smallest j >= 0 with f(x + gamma d) <= f(x) - rho gamma delta."""
+    """Sufficient-decrease parameter: accept gamma = SHRINK**j for the
+    smallest j >= 0 with f(x + gamma d) <= f(x) - rho gamma delta."""
 
     rho: float = 0.25
-    shrink: float = 0.5
-    gamma_max: float = 1.0
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 0.0 < self.gamma_max <= 1.0:
-            raise ValueError("gamma_max must lie in (0, 1]")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be positive")
 
 
 @dataclass
@@ -100,12 +97,13 @@ SCREEN_RTOL = 1e-9
 def armijo_search(fun, x, y, delta, params=None, f_x=None, screen=None):
     """Backtracking line search along y - x against the model improvement.
 
-    Returns the first step gamma = gamma_max * shrink**j satisfying the
+    Returns the first step gamma = SHRINK**j satisfying the
     sufficient decrease condition, with the point ``x_new = x + gamma (y - x)``
     at which ``fun`` was evaluated; the step should move to that very array,
     not to a recomputation of it. ``delta`` must be positive (a
     non-positive improvement means the step should not be attempted).
-    Raises :class:`LineSearchError` when the backtrack budget is exhausted.
+    Raises :class:`LineSearchError` when the budget of ``MAX_BACKTRACKS``
+    backtracks is exhausted.
 
     ``screen(gamma)``, if given, predicts ``fun(x + gamma d) - f(x)``. A
     trial whose prediction exceeds the acceptance threshold by more than a
@@ -123,12 +121,10 @@ def armijo_search(fun, x, y, delta, params=None, f_x=None, screen=None):
     d = np.asarray(y, dtype=float) - x
     if f_x is None:
         f_x = float(fun(x))
-    f_new = math.inf
-    gamma = params.gamma_max
-    for j in range(params.max_backtracks + 1):
-        gamma = params.gamma_max * params.shrink**j
+    for j in range(MAX_BACKTRACKS + 1):
+        gamma = SHRINK**j
         threshold = f_x - params.rho * gamma * delta
-        if screen is not None and j < params.max_backtracks:
+        if screen is not None and j < MAX_BACKTRACKS:
             change = float(screen(gamma))
             if f_x + change - threshold > SCREEN_RTOL * (1.0 + abs(f_x) + abs(change)):
                 continue
@@ -136,14 +132,17 @@ def armijo_search(fun, x, y, delta, params=None, f_x=None, screen=None):
         f_new = float(fun(x_new))
         if f_new <= threshold:
             return ArmijoResult(gamma=gamma, backtracks=j, f_new=f_new, x_new=x_new)
-    raise LineSearchError(params.max_backtracks, gamma, f_x, f_new, delta)
+    raise LineSearchError(MAX_BACKTRACKS, gamma, f_x, f_new, delta)
+
+
+# the stationarity tolerance relative to 1 + |f(x0)| when none is given
+DELTA_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 200
-    delta_tol: Optional[float] = None  # None: delta_rtol * (1 + |f(x0)|)
-    delta_rtol: float = 1e-8
+    delta_tol: Optional[float] = None  # None: DELTA_RTOL * (1 + |f(x0)|)
     time_budget_s: Optional[float] = None
     check_feasibility: bool = False
 
@@ -156,7 +155,7 @@ class SolverConfig:
     def resolve_tol(self, f0):
         if self.delta_tol is not None:
             return self.delta_tol
-        return self.delta_rtol * (1.0 + abs(f0))
+        return DELTA_RTOL * (1.0 + abs(f0))
 
 
 @dataclass
@@ -275,7 +274,6 @@ class _Step:
     f: float = math.nan  # objective at x
     gamma: float = 0.0
     backtracks: int = 0
-    solved_delta: float = math.nan  # the last subproblem solve's improvement
 
 
 def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
@@ -314,7 +312,7 @@ def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
         if step.x is None:
             status = "stationary"
             break
-        schedule.observe(step.solved_delta)
+        schedule.observe(step.delta)
         x, f_x = step.x, step.f
         if cfg.time_budget_s is not None and time.perf_counter() - start > cfg.time_budget_s:
             status = "time_budget"
@@ -334,7 +332,6 @@ def mcgm_solve(
     cfg: Optional[SolverConfig] = None,
     callback: Optional[Callable] = None,
     method: str = "mcgm",
-    candidate_hook: Optional[Callable] = None,
 ):
     """Minimize ``fun`` over the set by sequential model minimization.
 
@@ -346,9 +343,6 @@ def mcgm_solve(
         needed.
     ls, cfg : line search parameters and solver configuration.
     callback : called with each IterationRecord as it is appended.
-    candidate_hook : optional ``hook(model, x, y) -> y`` to override the
-        default choice of the approximate model minimizer as the step target
-        (any point with positive improvement is admissible for descent).
 
     When the model instance gives the exact change of ``fun`` along the
     segment to the step target (``segment_change``), the line search uses
@@ -372,39 +366,32 @@ def mcgm_solve(
             eps, warm, tol,
         )
         warm = res.state
-        # stationarity is decided on the certified improvement, before any
-        # candidate hook dampens the step target
         if delta <= tol:
             return _Step(delta, n_inner, 1)
-        solved_delta = delta
         y = res.point
-        if candidate_hook is not None:
-            y = candidate_hook(model, x, y)
-            delta = model.anchor_value - model.value(y)
         # a model outside the ModelInstance hierarchy may lack the method
         segment_change = getattr(model, "segment_change", None)
         screen = segment_change(y) if segment_change is not None else None
         ar = armijo_search(fun, x, y, delta, ls, f_x=f_x, screen=screen)
-        return _Step(
-            delta, n_inner, 1, ar.x_new, ar.f_new, ar.gamma,
-            ar.backtracks, solved_delta,
-        )
+        return _Step(delta, n_inner, 1, ar.x_new, ar.f_new, ar.gamma, ar.backtracks)
 
     return _outer_loop(fun, constraint, x0, cfg, armijo_step, ls.rho, method, callback)
 
 
 def stationarity_measure(oracle, x, constraint, eps=1e-10):
-    """Best available model improvement at x; a value below eps certifies
-    eps-approximate stationarity."""
-    x = np.asarray(x, dtype=float)
-    model = oracle.instantiate(x)
-    res = model.minimize(constraint, eps)
-    retries = 0
-    delta = model.anchor_value - model.value(res.point)
-    while res.gap > eps and retries < 6:
-        res = model.minimize(constraint, eps, warm=res.state)
-        delta = model.anchor_value - model.value(res.point)
-        retries += 1
+    """The model improvement at x, certified by the outer loop's rule with
+    ``eps`` as both the inner and the stationarity tolerance: while the
+    improvement is at most ``eps`` but the duality gap exceeds
+    ``max(eps, EPS_FLOOR)``, the solve continues warm-started at a tenth of
+    its last tolerance (at most ``eps / 2``, at least ``EPS_FLOOR``), up to 6
+    times and only while that tolerance is above ``EPS_FLOOR``. An
+    improvement above ``eps`` is returned as measured."""
+    model = oracle.instantiate(np.asarray(x, dtype=float))
+    _, delta, _, _ = _certified_minimize(
+        lambda e, w: model.minimize(constraint, e, warm=w),
+        lambda y: model.anchor_value - model.value(y),
+        eps, None, eps,
+    )
     return delta
 
 

@@ -41,6 +41,7 @@ from modelcg.regression import (
 )
 from modelcg.runner import CSV_COLUMNS, run_comparison
 from modelcg.solver import (
+    MAX_BACKTRACKS,
     LineSearchParams,
     SolverConfig,
     armijo_search,
@@ -365,7 +366,7 @@ def test_criterion_09_stationarity_detection():
 def test_criterion_10_line_search_finiteness(full_scale_trace, desk_scale_runs):
     fun = lambda z: float(z[0]) ** 2
     res = armijo_search(fun, np.array([1.0]), np.array([0.0]), 2.0,
-                        LineSearchParams(rho=0.9, shrink=0.5, gamma_max=1.0))
+                        LineSearchParams(rho=0.9))
     ok_hand = res.gamma == 0.125 and res.backtracks == 3
 
     # exhaustion raises, so completed solves certify finiteness; additionally
@@ -374,7 +375,7 @@ def test_criterion_10_line_search_finiteness(full_scale_trace, desk_scale_runs):
     for run in desk_scale_runs:
         traces.extend(run.values())
     max_bt = max((r.backtracks for t in traces for r in t.records), default=0)
-    budget = LineSearchParams().max_backtracks
+    budget = MAX_BACKTRACKS
     ok = ok_hand and max_bt < budget
     report(10, "line-search-finiteness", ok,
            f"hand_example_gamma={res.gamma} max_backtracks_seen={max_bt}/{budget}")

@@ -351,26 +351,6 @@ def test_gauss_newton_model_error_bound():
     assert report.passed
 
 
-def test_gauss_newton_custom_minimizer_hook(rng):
-    A = rng.standard_normal((4, 2))
-    targets = rng.standard_normal(4)
-    calls = []
-
-    def minimizer(model, constraint, eps, warm):
-        calls.append(eps)
-        from modelcg.models import ModelMinimum
-
-        return ModelMinimum(point=np.zeros(2), gap=0.0)
-
-    oracle = GaussNewtonOracle(
-        lambda u: A @ u, lambda u: A, L1Loss(targets), minimizer=minimizer
-    )
-    m = oracle.instantiate(np.zeros(2))
-    res = m.minimize(Box(-np.ones(2), np.ones(2)), 1e-3)
-    assert calls == [1e-3]
-    np.testing.assert_allclose(res.point, np.zeros(2))
-
-
 # ---------------------------------------------------------------------------
 # model improvement and shared invariants
 # ---------------------------------------------------------------------------

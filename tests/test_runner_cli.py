@@ -3,14 +3,22 @@ import json
 import numpy as np
 import pytest
 
+from modelcg.baselines import ACCEPT_RATIO
 from modelcg.cli import cli_main
-from modelcg.regression import RegressionDataset, eval_F, generate_regression_data, save_dataset
+from modelcg.regression import (
+    RegressionDataset,
+    eval_F,
+    generate_regression_data,
+    make_constraint_set,
+    save_dataset,
+)
 from modelcg.runner import (
     CSV_COLUMNS,
     METHOD_NAMES,
     check_trace_file,
     read_trace_csv,
     run_comparison,
+    run_method,
     write_trace_csv,
 )
 from modelcg.solver import SolverConfig, rate_certificate, verify_trace_arrays
@@ -47,11 +55,35 @@ def test_run_comparison_outputs(tmp_path):
         assert open(path).readline() == header  # identical schema
         assert np.all(cols["obj_err"] >= -1e-12)
     summary = json.loads(open(res.summary_path).read())
-    assert summary["schema"] == "modelcg.summary/1"
+    assert summary["schema"] == "modelcg.summary/2"
     assert set(summary["methods"]) == set(METHOD_NAMES)
     for info in summary["methods"].values():
         assert info["rate_certificate"] is True
         assert info["best_f"] >= res.f_lower
+
+
+@pytest.mark.parametrize(
+    "method, final_f, inner_iterations, backtracks, inner_solves, status",
+    [
+        ("mcgm", "0x1.7669f6f2d696cp+4", 91075, 113, 30, "max_iterations"),
+        ("proxlin_ls", "0x1.767d076fff302p+4", 2375, 0, 30, "max_iterations"),
+        ("proxlin_bt", "0x1.765e19b7a78f2p+4", 3300, 3, 15, "stationary"),
+    ],
+)
+def test_regression_golden_run(method, final_f, inner_iterations, backtracks,
+                               inner_solves, status):
+    # pins the defaults of the line search, the stationarity tolerance and
+    # the proximal-weight rule (SHRINK, MAX_BACKTRACKS, DELTA_RTOL, TAU_*,
+    # ACCEPT_RATIO), which were config fields when these were recorded; the
+    # instance makes mcgm backtrack and proxlin_bt shrink its weight
+    ds = generate_regression_data(P=5, M=40, mu=3.0, seed=11)
+    x0 = make_constraint_set(ds).midpoint()
+    trace = run_method(method, ds, x0, cfg=SolverConfig(max_iterations=30))
+    assert trace.final_f.hex() == final_f
+    assert sum(r.inner_iterations for r in trace.records) == inner_iterations
+    assert sum(r.backtracks for r in trace.records) == backtracks
+    assert trace.total_inner_solves() == inner_solves
+    assert trace.status == status
 
 
 def test_single_method_lower_bound_is_its_own_best(tmp_path):
@@ -200,6 +232,36 @@ def test_cli_compare_and_check_roundtrip(tmp_path):
         assert (out_dir / f"{m}.csv").exists()
     assert (out_dir / "summary.json").exists()
     assert cli_main(["check", "--trace", str(out_dir / "mcgm.csv"), "--rho", "0.25"]) == 0
+
+
+def test_cli_compare_records_the_rho_each_trace_checks_against(tmp_path):
+    # proxlin_bt accepts at its own ratio, not the line search's: its trace
+    # fails the sufficient-decrease check at rho 0.9 (at k=5 here)
+    out_dir = tmp_path / "results"
+    assert cli_main(["compare", "--P", "8", "--M", "60", "--mu", "2", "--seed", "3",
+                     "--rho", "0.9", "--max-iterations", "10", "--out", str(out_dir)]) == 0
+    methods = json.loads((out_dir / "summary.json").read_text())["methods"]
+    assert {m: info["rho"] for m, info in methods.items()} == {
+        "mcgm": 0.9, "proxlin_ls": 0.9, "proxlin_bt": ACCEPT_RATIO,
+    }
+    for m, info in methods.items():
+        trace = str(out_dir / f"{m}.csv")
+        assert cli_main(["check", "--trace", trace, "--rho", repr(info["rho"])]) == 0, m
+    assert check_trace_file(str(out_dir / "proxlin_bt.csv"), 0.9) == [
+        "sufficient decrease violated at k=5"
+    ]
+
+
+@pytest.mark.parametrize("rho", ["nan", "0", "1"])
+def test_cli_check_rejects_a_rho_outside_the_open_unit_interval(tmp_path, capsys, rho):
+    ds = small_dataset(seed=4)
+    res = run_comparison(ds, str(tmp_path / "r"), methods=("mcgm",),
+                         cfg=SolverConfig(max_iterations=5))
+    path = res.trace_paths["mcgm"]
+    with pytest.raises(ValueError, match="rho"):
+        check_trace_file(path, float(rho))
+    assert cli_main(["check", "--trace", path, "--rho", rho]) == 1
+    assert "configuration error: rho must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_cli_check_fails_on_corrupted_trace(tmp_path, capsys):

@@ -12,6 +12,7 @@ from modelcg.regression import (
     make_oracle,
 )
 from modelcg.solver import (
+    MAX_BACKTRACKS,
     LineSearchError,
     LineSearchParams,
     SolverConfig,
@@ -41,8 +42,7 @@ def test_armijo_hand_computed_backtracking():
     # f(t) = t^2 from x=1 toward y=0 with improvement 2: first accepted step
     # is gamma = 0.125 after three rejections
     fun = lambda z: float(z[0]) ** 2
-    params = LineSearchParams(rho=0.9, shrink=0.5, gamma_max=1.0)
-    res = armijo_search(fun, np.array([1.0]), np.array([0.0]), 2.0, params)
+    res = armijo_search(fun, np.array([1.0]), np.array([0.0]), 2.0, LineSearchParams(rho=0.9))
     assert res.backtracks == 3
     assert res.gamma == pytest.approx(0.125, abs=0)
     assert res.f_new == pytest.approx(0.765625, abs=0)
@@ -59,9 +59,8 @@ def test_armijo_exhaustion_raises_with_diagnostics():
     fun = lambda z: float(z[0]) ** 2
     # claiming a huge improvement makes the condition unsatisfiable
     with pytest.raises(LineSearchError) as err:
-        armijo_search(fun, np.array([1.0]), np.array([0.0]), 1e9,
-                      LineSearchParams(rho=0.9, max_backtracks=10))
-    assert err.value.backtracks == 10
+        armijo_search(fun, np.array([1.0]), np.array([0.0]), 1e9, LineSearchParams(rho=0.9))
+    assert err.value.backtracks == MAX_BACKTRACKS
     assert err.value.delta == 1e9
 
 
@@ -118,15 +117,14 @@ def test_armijo_screen_never_skips_the_last_trial():
     # every trial is predicted to fail: only the last one is evaluated, so
     # the error reports the objective's own last value
     fun, calls, x, y, _, _ = _quartic_segment()
-    params = LineSearchParams(max_backtracks=5)
     with pytest.raises(LineSearchError) as plain:
-        armijo_search(fun, x, y, 1e9, params)
+        armijo_search(fun, x, y, 1e9)
     calls.clear()
     with pytest.raises(LineSearchError) as screened:
-        armijo_search(fun, x, y, 1e9, params, screen=lambda g: 1e6)
+        armijo_search(fun, x, y, 1e9, screen=lambda g: 1e6)
     assert len(calls) == 2  # f(x) and the last trial
     assert screened.value.f_last == plain.value.f_last
-    assert screened.value.backtracks == plain.value.backtracks == 5
+    assert screened.value.backtracks == plain.value.backtracks == MAX_BACKTRACKS
 
 
 def test_armijo_rejects_nonpositive_improvement():
@@ -137,10 +135,6 @@ def test_armijo_rejects_nonpositive_improvement():
 def test_line_search_params_validation():
     with pytest.raises(ValueError):
         LineSearchParams(rho=1.0)
-    with pytest.raises(ValueError):
-        LineSearchParams(shrink=0.0)
-    with pytest.raises(ValueError):
-        LineSearchParams(gamma_max=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +271,13 @@ def test_mcgm_max_iterations_status():
     assert trace.final_f <= trace.records[-1].f_value
 
 
-def test_mcgm_callback_and_candidate_hook():
+def test_mcgm_callback_sees_every_record():
     fun, grad, Q, b, box = quadratic_box_setup(seed=2)
     oracle = LinearModelOracle(fun, grad)
     seen = []
-    # hook: damp the candidate halfway toward the current point; still a
-    # positive-improvement direction, so the method must keep descending
-    hook = lambda model, x, y: 0.5 * (x + y)
     trace = mcgm_solve(oracle, fun, box, np.zeros(3), callback=seen.append,
-                       cfg=SolverConfig(max_iterations=40), candidate_hook=hook)
-    assert len(seen) == len(trace.records)
+                       cfg=SolverConfig(max_iterations=40))
+    assert seen == trace.records
     f, d, g = trace.arrays()
     assert verify_trace_arrays(f, d, g, trace.rho, final_f=trace.final_f) == []
 
@@ -369,6 +360,45 @@ def test_stationarity_on_simplex_vertices():
     fun_tilt = lambda x: float(np.array([2.0, 1.0]) @ x)
     oracle_tilt = LinearModelOracle(fun_tilt, lambda x: np.array([2.0, 1.0]))
     assert stationarity_measure(oracle_tilt, e1, simplex) == pytest.approx(1.0, abs=0)
+
+
+class _GappedModel:
+    """A model whose i-th minimization reports the scripted (improvement,
+    gap) pair, recording the tolerance and the warm state it was given."""
+
+    def __init__(self, script):
+        self.anchor_value = 0.0
+        self.script = script
+        self.calls = []
+
+    def value(self, y):
+        return -self.script[int(y[0])][0]
+
+    def minimize(self, constraint, eps, warm=None):
+        i = len(self.calls)
+        self.calls.append((eps, warm))
+        return ModelMinimum(point=np.array([float(i)]), gap=self.script[i][1], state=i)
+
+
+class _GappedOracle:
+    def __init__(self, script):
+        self.model = _GappedModel(script)
+
+    def instantiate(self, anchor):
+        return self.model
+
+
+def test_stationarity_measure_certifies_as_the_outer_loop_does():
+    # an improvement within eps whose gap exceeds it: the solve continues
+    # warm at a tighter tolerance until the gap certifies the value
+    oracle = _GappedOracle([(1e-11, 1e-9), (2e-11, 5e-10), (3e-11, 0.0)])
+    assert stationarity_measure(oracle, np.zeros(1), None, eps=1e-10) == 3e-11
+    # each continuation at a tenth of the last tolerance, from the last state
+    assert oracle.model.calls == [(1e-10, None), (1e-10 * 0.1, 0), (1e-10 * 0.1 * 0.1, 1)]
+    # an improvement above eps needs no certificate: no further solve
+    oracle = _GappedOracle([(1.0, 1e-3), (2.0, 0.0)])
+    assert stationarity_measure(oracle, np.zeros(1), None, eps=1e-10) == 1.0
+    assert oracle.model.calls == [(1e-10, None)]
 
 
 # ---------------------------------------------------------------------------
