@@ -5,6 +5,12 @@ dataset), ``compare`` (all methods, CSV traces + summary), ``mf-demo``
 (matrix factorization), ``check`` (re-verify a trace CSV). Options come from
 an optional JSON config file with explicit flags taking precedence.
 
+A method-specific flag passed explicitly to a run that selects no method
+reading it is a configuration error: ``--rho`` (read by ``mcgm`` and
+``proxlin_ls``), ``--tau0`` (``proxlin_ls`` and ``proxlin_bt``) and
+``mf-demo --tau`` (the ``hybrid`` model). The same keys in a config file are
+defaults and pass.
+
 Exit codes: 0 success, 1 configuration/usage error, 2 solver or check
 failure. Non-finite values in a dataset file are a configuration error;
 non-finite model data computed during a solve (``NonFiniteModelError``) are
@@ -30,6 +36,12 @@ __all__ = ["cli_main", "main"]
 
 class ConfigError(ValueError):
     pass
+
+
+# the methods that read each method-specific flag, as runner.run_method
+# passes the line search (rho) and the proximal config (tau0)
+_SOLVER_FLAG_READERS = {"rho": ("mcgm", "proxlin_ls"), "tau0": ("proxlin_ls", "proxlin_bt")}
+_MF_FLAG_READERS = {"tau": ("hybrid",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,6 +130,17 @@ def _merged(args, section):
     return merged
 
 
+def _reject_unread_flags(args, selected, readers):
+    """A ConfigError for an explicitly passed flag that none of the
+    ``selected`` methods reads."""
+    for flag, methods in readers.items():
+        if getattr(args, flag, None) is not None and not set(selected) & set(methods):
+            raise ConfigError(
+                f"--{flag} is read only by {', '.join(methods)}, "
+                f"and this run selects {', '.join(selected)}"
+            )
+
+
 def _dataset_params(opts):
     keys = {
         "P": int, "M": int, "mu": float, "a_max": float, "b_max": float,
@@ -157,14 +180,17 @@ def _cmd_solve(args):
     ls, cfg, plcfg = _solver_configs(opts)
     from .regression import make_constraint_set
 
+    method = opts.get("method", "mcgm")
+    _reject_unread_flags(args, (method,), _SOLVER_FLAG_READERS)
     x0 = make_constraint_set(dataset).midpoint()
-    trace = run_method(opts.get("method", "mcgm"), dataset, x0, ls=ls, cfg=cfg, plcfg=plcfg)
+    trace = run_method(method, dataset, x0, ls=ls, cfg=cfg, plcfg=plcfg)
     if opts.get("out"):
         write_trace_csv(trace, opts["out"], trace.best_f())
     last = trace.records[-1]
+    # rho is the ratio to give `modelcg check --rho` for this trace
     print(
         f"method={trace.method} status={trace.status} iterations={len(trace.records)} "
-        f"f={trace.final_f:.9g} delta={last.delta:.3e}"
+        f"f={trace.final_f:.9g} delta={last.delta:.3e} rho={trace.rho!r}"
     )
     return 0
 
@@ -179,6 +205,7 @@ def _cmd_compare(args):
     methods = opts.get("methods", METHOD_NAMES)
     if isinstance(methods, str):
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
+    _reject_unread_flags(args, methods, _SOLVER_FLAG_READERS)
     ls, cfg, plcfg = _solver_configs(opts)
     result = run_comparison(dataset, opts["out"], methods=methods, ls=ls, cfg=cfg, plcfg=plcfg)
     for m, info in result.summary["methods"].items():
@@ -192,6 +219,7 @@ def _cmd_compare(args):
 
 def _cmd_mf_demo(args):
     opts = _merged(args, None)
+    _reject_unread_flags(args, (opts.get("model", "cg"),), _MF_FLAG_READERS)
     rows = int(opts.get("rows", 20))
     cols = int(opts.get("cols", 15))
     rng = np.random.default_rng(int(opts.get("seed", 0)))

@@ -4,8 +4,12 @@ minimization oracles and Euclidean projections, and the PSD matrix projection.
 Each set owns its oracle and its projection as methods; the set parameters
 are checked once, in the constructor, and each call checks only its input.
 All sets live on flat float vectors. Matrix-shaped sets (nuclear norm ball)
-store their shape and reshape internally, row-major; their oracle and
-projection come from the thin SVD.
+store their shape and reshape internally, row-major. The nuclear ball's
+oracle takes the dominant singular pair from the top eigenvector of the
+smaller Gram matrix; its projection returns a point inside the ball
+unchanged, which the singular values alone tell, and thresholds the thin SVD
+of a point outside. A product of equal l2 balls on consecutive blocks is one
+``L2Ball`` with ``count`` blocks, computed on a ``(count, dim)`` view.
 """
 
 from __future__ import annotations
@@ -123,12 +127,16 @@ class ConstraintSet:
         """A feasible point; distribution unspecified but covers the set."""
         raise NotImplementedError
 
-    def _vector(self, x, name):
-        # a call's input: finite floats of shape (dim,)
-        x = require_finite(x, name)
+    def _shaped(self, x, name):
+        # a call's input: floats of shape (dim,)
+        x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"{name} has shape {x.shape}, the set needs ({self.dim},)")
         return x
+
+    def _vector(self, x, name):
+        # an oracle's input: finite floats of shape (dim,)
+        return self._shaped(require_finite(x, name), name)
 
 
 class Box(ConstraintSet):
@@ -144,7 +152,7 @@ class Box(ConstraintSet):
         self.dim = self.lo.size
 
     def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
+        x = self._shaped(x, "x")
         pad = tol * (1.0 + np.maximum(np.abs(self.lo), np.abs(self.hi)))
         return bool(np.all(x >= self.lo - pad) and np.all(x <= self.hi + pad))
 
@@ -176,7 +184,7 @@ class Simplex(ConstraintSet):
         self.dim = int(dim)
 
     def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
+        x = self._shaped(x, "x")
         return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol * self.dim)
 
     def diameter(self):
@@ -211,7 +219,7 @@ class L1Ball(ConstraintSet):
         self.radius = float(radius)
 
     def contains(self, x, tol=1e-9):
-        return float(np.abs(x).sum()) <= self.radius + tol * (1.0 + self.radius)
+        return float(np.abs(self._shaped(x, "x")).sum()) <= self.radius + tol * (1.0 + self.radius)
 
     def diameter(self):
         return 2.0 * self.radius
@@ -240,54 +248,79 @@ class L1Ball(ConstraintSet):
 
 
 class L2Ball(ConstraintSet):
-    """l2 norm ball, optionally intersected with the mean-zero hyperplane."""
+    """l2 norm ball, optionally intersected with the mean-zero hyperplane.
 
-    def __init__(self, dim, radius, mean_zero=False):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
+    With ``count`` > 1 the set is the product of ``count`` equal balls of
+    ``dim`` entries each on consecutive blocks, and ``self.dim`` is the
+    vector length ``count * dim``. Every call works on the ``(count, dim)``
+    view at once; block for block, the results are the bits of ``count``
+    single balls, because a row's mean and squared norm come from the same
+    reductions (pairwise sum, BLAS dot) as those of a lone vector.
+    """
+
+    def __init__(self, dim, radius, mean_zero=False, count=1):
+        if dim < 1 or count < 1:
+            raise ValueError("dimension and count must be positive")
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError("radius must be positive and finite")
-        self.dim = int(dim)
+        self.block_dim = int(dim)
+        self.count = int(count)
+        self.dim = self.block_dim * self.count
         self.radius = float(radius)
         self.mean_zero = bool(mean_zero)
 
+    def _rows(self, x):
+        # one row per block, each made mean-zero if the set is
+        rows = x.reshape(self.count, self.block_dim)
+        if self.mean_zero:
+            rows = rows - np.add.reduce(rows, axis=1, keepdims=True) / self.block_dim
+        return rows
+
+    @staticmethod
+    def _norms(rows):
+        # a (count, 1) column of row norms, each sqrt(row @ row) as for a vector
+        return np.sqrt(np.vecdot(rows, rows, keepdims=True))
+
     def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
+        x = self._shaped(x, "x")
         pad = tol * (1.0 + self.radius)
-        if self.mean_zero and abs(float(x.mean())) > pad:
+        rows = x.reshape(self.count, self.block_dim)
+        if self.mean_zero and np.any(np.abs(np.add.reduce(rows, axis=1) / self.block_dim) > pad):
             return False
-        return float(np.linalg.norm(x)) <= self.radius + pad
+        return bool(np.all(self._norms(rows) <= self.radius + pad))
 
     def diameter(self):
-        return 2.0 * self.radius
+        return 2.0 * self.radius * math.sqrt(self.count)
 
     def lmo(self, c):
-        """-radius * c~ / ||c~|| with c~ the cost (made mean-zero if the set
-        is); the origin if c~ = 0."""
-        c = self._vector(c, "c")
-        ct = c - c.mean() if self.mean_zero else c
-        nrm = float(np.linalg.norm(ct))
-        if nrm == 0.0:
-            return np.zeros_like(c)
-        return (-self.radius / nrm) * ct
+        """Per block, -radius * c~ / ||c~|| with c~ the block's cost (made
+        mean-zero if the set is); the origin where c~ = 0."""
+        ct = self._rows(self._vector(c, "c"))
+        nrm = self._norms(ct)
+        if np.count_nonzero(nrm) == self.count:  # faster than nrm.all() on a few rows
+            return (-self.radius / nrm * ct).ravel()
+        scale = np.divide(-self.radius, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
+        out = scale * ct
+        out[nrm[:, 0] == 0.0] = 0.0  # +0.0, where the cost's zeros may be signed
+        return out.ravel()
 
     def project(self, x):
-        y = self._vector(x, "x")
-        if self.mean_zero:
-            y = y - y.mean()
-        nrm = float(np.linalg.norm(y))
-        if nrm > self.radius:
-            y = y * (self.radius / nrm)
-        return y
+        y = self._rows(self._vector(x, "x"))
+        nrm = self._norms(y)
+        scale = np.divide(self.radius, nrm, out=np.ones_like(nrm), where=nrm > self.radius)
+        return (scale * y).ravel()
 
     def sample(self, rng):
-        g = rng.standard_normal(self.dim)
+        return np.concatenate([self._sample_block(rng) for _ in range(self.count)])
+
+    def _sample_block(self, rng):
+        g = rng.standard_normal(self.block_dim)
         if self.mean_zero:
             g = g - g.mean()
         nrm = float(np.linalg.norm(g))
         if nrm == 0.0:
-            return np.zeros(self.dim)
-        free = self.dim - 1 if self.mean_zero else self.dim
+            return np.zeros(self.block_dim)
+        free = self.block_dim - 1 if self.mean_zero else self.block_dim
         r = self.radius * rng.random() ** (1.0 / max(free, 1))
         return (r / nrm) * g
 
@@ -322,16 +355,34 @@ class NuclearBall(ConstraintSet):
         return 2.0 * self.radius
 
     def lmo(self, c):
+        """The top singular vector on the shorter side is the top eigenvector
+        of the smaller Gram matrix, ``G G^T`` or ``G^T G``; the other is its
+        image under ``G``, normalised. The Gram is formed from ``G`` divided
+        by its largest entry, so squaring neither overflows nor underflows."""
         G = self._mat(require_finite(c, "c"))
-        if float(np.max(np.abs(G))) == 0.0:
+        peak = float(np.max(np.abs(G)))
+        if peak == 0.0:
             return np.zeros(self.dim)
-        U, _, Vt = np.linalg.svd(G, full_matrices=False)
-        return (-self.radius * np.outer(U[:, 0], Vt[0])).ravel()
+        G = G / peak
+        if self.rows <= self.cols:
+            u = np.linalg.eigh(G @ G.T)[1][:, -1]
+            v = u @ G
+            v /= np.linalg.norm(v)
+        else:
+            v = np.linalg.eigh(G.T @ G)[1][:, -1]
+            u = G @ v
+            u /= np.linalg.norm(u)
+        return np.outer(-self.radius * u, v).ravel()
 
     def project(self, x):
-        U, s, Vt = np.linalg.svd(self._mat(x), full_matrices=False)
-        if s.sum() > self.radius:
-            s = np.maximum(s - _simplex_threshold(s, self.radius), 0.0)
+        """A copy of ``x`` when its singular values sum to at most the
+        radius; otherwise the thin SVD with the singular values projected
+        onto the simplex of that sum."""
+        X = self._mat(x)
+        if np.linalg.svd(X, compute_uv=False).sum() <= self.radius:
+            return X.flatten()
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        s = np.maximum(s - _simplex_threshold(s, self.radius), 0.0)
         return ((U * s) @ Vt).ravel()
 
     def sample(self, rng):

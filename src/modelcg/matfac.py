@@ -6,7 +6,9 @@ X and Y constrained to problem-specific compact convex sets.
 The smooth coupling is linearized, which makes the subproblems separate over
 the factors: per-column oracles for X (normalized atoms or simplex columns)
 and either an entrywise-l1 ball or a nuclear norm ball for Y, whose linear
-oracle is the dominant singular pair of the thin SVD. The hybrid mode keeps a
+oracle is the dominant singular pair, taken from the top eigenvector of the
+smaller Gram matrix of the Y-block gradient (k x k when k <= n). The X
+columns after the first form one stacked l2 ball. The hybrid mode keeps a
 quadratic proximal term on the Y block instead (proximal step on Y,
 linear-oracle step on X).
 
@@ -72,10 +74,11 @@ __all__ = [
 def unit_atoms_set(rows, cols):
     """Per-column l2 unit balls; every column after the first is additionally
     mean-zero (the first column keeps a free mean so constant offsets remain
-    representable)."""
-    return ProductSet(
-        [L2Ball(rows, 1.0, mean_zero=(j > 0)) for j in range(cols)]
-    )
+    representable). The mean-zero columns are one stacked ball."""
+    sets = [L2Ball(rows, 1.0)]
+    if cols > 1:
+        sets.append(L2Ball(rows, 1.0, mean_zero=True, count=cols - 1))
+    return ProductSet(sets)
 
 
 def columnwise_simplex_set(rows, cols):

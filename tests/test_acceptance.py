@@ -108,6 +108,7 @@ def test_criterion_01_absolute_curves_substituted():
            "documented substitution")
 
 
+@pytest.mark.slow
 def test_criterion_02_full_scale_descent(full_scale_trace):
     trace, elapsed = full_scale_trace
     recs = trace.records
@@ -127,6 +128,7 @@ def test_criterion_02_full_scale_descent(full_scale_trace):
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_cost_signature_and_ordering(desk_scale_runs):
     mcgm_times, bt_times = [], []
     ok_counts = True
@@ -155,6 +157,7 @@ def test_criterion_03_cost_signature_and_ordering(desk_scale_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_rate_certificates(full_scale_trace, desk_scale_runs):
     traces = [full_scale_trace[0]]
     for run in desk_scale_runs:
@@ -363,6 +366,7 @@ def test_criterion_09_stationarity_detection():
            f"flat={flat_val} tilt={tilt_val} trace_len={len(trace.records)}")
 
 
+@pytest.mark.slow
 def test_criterion_10_line_search_finiteness(full_scale_trace, desk_scale_runs):
     fun = lambda z: float(z[0]) ** 2
     res = armijo_search(fun, np.array([1.0]), np.array([0.0]), 2.0,

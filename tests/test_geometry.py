@@ -5,6 +5,7 @@ import pytest
 
 from modelcg.geometry import (
     Box,
+    ConstraintSet,
     L1Ball,
     L2Ball,
     NuclearBall,
@@ -13,6 +14,7 @@ from modelcg.geometry import (
     Simplex,
     psd_projection,
 )
+from modelcg.matfac import unit_atoms_set
 
 from conftest import box_vertices, l1_vertices, simplex_vertices, sphere_points
 
@@ -98,17 +100,20 @@ def test_lmo_simplex_examples():
 
 @pytest.mark.parametrize(
     "make", [lambda: Simplex(3), lambda: L1Ball(3, 1.0), lambda: L2Ball(3, 1.0),
-             lambda: L2Ball(3, 1.0, mean_zero=True)],
-    ids=["simplex", "l1", "l2", "l2_mean_zero"],
+             lambda: L2Ball(3, 1.0, mean_zero=True), lambda: Box(np.zeros(3), np.ones(3)),
+             lambda: L2Ball(1, 1.0, count=3)],
+    ids=["simplex", "l1", "l2", "l2_mean_zero", "box", "l2_stacked"],
 )
-@pytest.mark.parametrize("op", ["lmo", "project"])
+@pytest.mark.parametrize("op", ["lmo", "project", "contains"])
 @pytest.mark.parametrize("bad", [np.arange(5.0), np.ones(2), np.ones((3, 1)), np.array(1.0)],
                          ids=["longer", "shorter", "column", "scalar"])
 def test_set_oracles_reject_inputs_of_the_wrong_length(make, op, bad):
+    # contains once broadcast a short vector: Box(0, 1).contains([0.5]) held
     s = make()
     with pytest.raises(ValueError, match="shape"):
         getattr(s, op)(bad)
-    assert getattr(s, op)(np.array([0.5, -0.25, 0.125])).shape == (3,)
+    out = getattr(s, op)(np.array([0.5, -0.25, 0.125]))
+    assert np.shape(out) == (() if op == "contains" else (3,))
 
 
 @pytest.mark.parametrize(
@@ -297,6 +302,158 @@ def test_nuclear_ball_lmo_matches_svd(rng):
         G = c.reshape(4, 3)
         sv = np.linalg.svd(G, compute_uv=False)
         assert c @ out == pytest.approx(-1.5 * sv[0], abs=1e-8 * (1 + sv[0]))
+
+
+class _ColumnL2Ball(ConstraintSet):
+    """One l2 ball computed on a lone vector, as every L2Ball was before
+    balls could be stacked: the reference the stacked ball must match bit
+    for bit."""
+
+    def __init__(self, dim, radius, mean_zero):
+        self.dim, self.radius, self.mean_zero = dim, radius, mean_zero
+
+    def contains(self, x, tol=1e-9):
+        pad = tol * (1.0 + self.radius)
+        if self.mean_zero and abs(float(x.mean())) > pad:
+            return False
+        return float(np.linalg.norm(x)) <= self.radius + pad
+
+    def lmo(self, c):
+        ct = c - c.mean() if self.mean_zero else c
+        nrm = float(np.linalg.norm(ct))
+        if nrm == 0.0:
+            return np.zeros_like(c)
+        return (-self.radius / nrm) * ct
+
+    def project(self, x):
+        y = x - x.mean() if self.mean_zero else x
+        nrm = float(np.linalg.norm(y))
+        return y * (self.radius / nrm) if nrm > self.radius else y
+
+    def sample(self, rng):
+        g = rng.standard_normal(self.dim)
+        if self.mean_zero:
+            g = g - g.mean()
+        nrm = float(np.linalg.norm(g))
+        if nrm == 0.0:
+            return np.zeros(self.dim)
+        free = self.dim - 1 if self.mean_zero else self.dim
+        return (self.radius * rng.random() ** (1.0 / max(free, 1)) / nrm) * g
+
+
+def _stacked_cases(seed):
+    """(dim, count, mean_zero, radius, matrix of block columns): scales from
+    1e-8 to 1e8 per column, zero and signed-zero columns, constant columns
+    (zero once made mean-zero) and columns on the sphere."""
+    rng = np.random.default_rng(seed)
+    for dim, count in [(1, 3), (2, 4), (7, 5), (400, 9)]:
+        for mean_zero in (False, True):
+            radius = float(rng.uniform(0.5, 3.0))
+            M = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-8, 9, size=(count, 1))
+            M[0] = 0.0
+            M[-1] = -0.0
+            if count > 3:
+                M[1] = 2.5
+                M[2] *= radius / np.linalg.norm(M[2])
+            yield dim, count, mean_zero, radius, M
+
+
+def test_stacked_l2_ball_matches_a_product_of_single_balls_bit_for_bit():
+    for dim, count, mean_zero, radius, M in _stacked_cases(3):
+        stacked = L2Ball(dim, radius, mean_zero=mean_zero, count=count)
+        columns = ProductSet([_ColumnL2Ball(dim, radius, mean_zero) for _ in range(count)])
+        assert stacked.dim == columns.dim == dim * count
+        for x in (M.ravel(), 1e-3 * M.ravel(), np.concatenate(M[::-1])):
+            for op in ("lmo", "project"):
+                got, want = getattr(stacked, op)(x), getattr(columns, op)(x)
+                assert got.tobytes() == want.tobytes(), (dim, count, mean_zero, op)
+            for tol in (1e-9, 0.0):
+                assert stacked.contains(x, tol) == columns.contains(x, tol)
+            p = columns.project(x)
+            assert stacked.contains(p) == columns.contains(p)
+        mine, ref = np.random.default_rng(count), np.random.default_rng(count)
+        assert stacked.sample(mine).tobytes() == columns.sample(ref).tobytes()
+        assert mine.random() == ref.random()  # the stream continues in step
+
+
+def test_unit_atoms_set_matches_per_column_balls_bit_for_bit(rng):
+    rows, cols = 12, 6
+    s = unit_atoms_set(rows, cols)
+    ref = ProductSet([_ColumnL2Ball(rows, 1.0, j > 0) for j in range(cols)])
+    for scale in (1e-8, 1.0, 1e8):
+        x = scale * rng.standard_normal(s.dim)
+        x[rows : 2 * rows] = 0.0
+        assert s.lmo(x).tobytes() == ref.lmo(x).tobytes()
+        assert s.project(x).tobytes() == ref.project(x).tobytes()
+        assert s.contains(x) == ref.contains(x)
+        p = ref.project(x)
+        assert s.contains(p) and ref.contains(p)
+    assert s.sample(np.random.default_rng(4)).tobytes() == ref.sample(
+        np.random.default_rng(4)).tobytes()
+    assert unit_atoms_set(rows, 1).dim == rows
+
+
+def test_stacked_l2_ball_rejects_an_empty_stack():
+    with pytest.raises(ValueError, match="count must be positive"):
+        L2Ball(3, 1.0, count=0)
+
+
+def _nuclear_cases():
+    rng = np.random.default_rng(8)
+    u, v = rng.standard_normal(6), rng.standard_normal(9)
+    Q1, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    close = Q1[:, :5] @ np.diag([1.0, 1.0 - 1e-13, 0.7, 0.2, 0.0]) @ Q2.T
+    return {
+        "wide": rng.standard_normal((10, 300)),
+        "tall": rng.standard_normal((40, 6)),
+        "square": rng.standard_normal((5, 5)),
+        "row": rng.standard_normal((1, 8)),
+        "column": rng.standard_normal((8, 1)),
+        "rank_one": np.outer(u, v),
+        "rank_deficient": rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9)),
+        "near_degenerate": close,
+        "near_degenerate_wide": close.T,
+        "one_entry": np.eye(4, 6) * np.array([0.0, 0.0, 3.0, 0.0])[:, None],
+    }
+
+
+@pytest.mark.parametrize("case", list(_nuclear_cases()))
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_nuclear_lmo_attains_the_top_singular_value(case, scale):
+    G = scale * _nuclear_cases()[case]
+    s = NuclearBall(*G.shape, 2.5)
+    out = s.lmo(G.ravel())
+    sigma = np.linalg.svd(G, compute_uv=False)[0]
+    assert float(np.vdot(G.ravel(), out)) == pytest.approx(-2.5 * sigma, rel=1e-12)
+    assert s.contains(out, 1e-12)
+    assert np.linalg.matrix_rank(out.reshape(G.shape)) == 1
+
+
+def test_nuclear_lmo_zero_cost_returns_origin():
+    for shape in [(3, 5), (5, 3), (1, 1)]:
+        out = NuclearBall(*shape, 2.0).lmo(-np.zeros(shape[0] * shape[1]))
+        assert out.tobytes() == np.zeros(shape[0] * shape[1]).tobytes()
+
+
+def test_nuclear_project_keeps_inside_points_and_thresholds_outside_ones(rng):
+    s = NuclearBall(4, 7, 3.0)
+    for _ in range(10):
+        G = rng.standard_normal((4, 7))
+        nuc = float(np.linalg.svd(G, compute_uv=False).sum())
+        inside = (2.9 / nuc) * G.ravel()
+        p = s.project(inside)
+        assert p.tobytes() == inside.tobytes() and p is not inside
+        U, sv, Vt = np.linalg.svd(G, full_matrices=False)
+        # the simplex projection of sv at the radius, by bisection on the shift
+        lo, hi = 0.0, float(sv[0])
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.maximum(sv - mid, 0.0).sum() > 3.0 else (lo, mid)
+        want = ((U * np.maximum(sv - lo, 0.0)) @ Vt).ravel()
+        np.testing.assert_allclose(s.project(G.ravel()), want, rtol=0, atol=1e-12)
+        assert np.linalg.svd(s.project(G.ravel()).reshape(4, 7),
+                             compute_uv=False).sum() == pytest.approx(3.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,63 @@ def test_cli_compare_records_the_rho_each_trace_checks_against(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--method", "proxlin_bt", "--rho", "0.9"], "--rho is read only by"),
+    (["solve", "--method", "mcgm", "--tau0", "5"], "--tau0 is read only by"),
+    (["solve", "--tau0", "5"], "--tau0 is read only by"),
+    (["compare", "--methods", "proxlin_bt", "--rho", "0.9"], "--rho is read only by"),
+    (["compare", "--methods", "mcgm", "--tau0", "5"], "--tau0 is read only by"),
+    (["mf-demo", "--model", "cg", "--tau", "2"], "--tau is read only by hybrid"),
+    (["mf-demo", "--tau", "2"], "--tau is read only by hybrid"),
+], ids=["solve-rho-bt", "solve-tau0-mcgm", "solve-tau0-default", "compare-rho-bt",
+        "compare-tau0-mcgm", "mf-tau-cg", "mf-tau-default"])
+def test_cli_rejects_a_flag_no_selected_method_reads(tmp_path, capsys, argv, message):
+    # these flags were once dropped silently: proxlin_bt ran at ACCEPT_RATIO
+    # whatever --rho said, and mcgm ignored --tau0, both with exit 0
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    where = {"solve": ["--dataset", str(path), "--max-iterations", "2"],
+             "compare": ["--dataset", str(path), "--max-iterations", "2",
+                         "--out", str(tmp_path / "out")],
+             "mf-demo": ["--rows", "6", "--cols", "5", "--inner-dim", "2",
+                         "--max-iterations", "2", "--out", str(tmp_path / "out")]}
+    assert cli_main(argv + where[argv[0]]) == 1
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_keeps_config_file_flags_as_defaults(tmp_path):
+    # a config file is shared by several runs: a key one method does not
+    # read is a default, not an error
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rho": 0.5, "tau0": 2.0, "tau": 3.0, "max_iterations": 2}))
+    assert cli_main(["solve", "--dataset", str(path), "--method", "mcgm",
+                     "--config", str(cfg)]) == 0
+    assert cli_main(["compare", "--dataset", str(path), "--methods", "proxlin_bt",
+                     "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert cli_main(["mf-demo", "--rows", "6", "--cols", "5", "--inner-dim", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "mf")]) == 0
+
+
+@pytest.mark.parametrize("method, flags, rho", [
+    ("mcgm", ["--rho", "0.5"], 0.5),
+    ("proxlin_ls", [], 0.25),
+    ("proxlin_bt", ["--tau0", "2"], ACCEPT_RATIO),
+])
+def test_cli_solve_prints_the_rho_its_trace_checks_against(tmp_path, capsys, method, flags, rho):
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(seed=2), path)
+    out = tmp_path / "t.csv"
+    assert cli_main(["solve", "--dataset", str(path), "--method", method, "--out", str(out),
+                     "--max-iterations", "6"] + flags) == 0
+    line = capsys.readouterr().out.strip()
+    printed = line.rsplit(" ", 1)[1]
+    assert printed == f"rho={rho!r}", line
+    assert cli_main(["check", "--trace", str(out), "--rho", printed.split("=")[1]]) == 0
+
+
 @pytest.mark.parametrize("rho", ["nan", "0", "1"])
 def test_cli_check_rejects_a_rho_outside_the_open_unit_interval(tmp_path, capsys, rho):
     ds = small_dataset(seed=4)
