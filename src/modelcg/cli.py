@@ -28,7 +28,14 @@ import numpy as np
 from .baselines import ProxLinearConfig
 from .matfac import MfProblem, mf_demo
 from .regression import generate_regression_data, load_dataset, save_dataset
-from .runner import METHOD_NAMES, check_trace_file, run_comparison, run_method, write_trace_csv
+from .runner import (
+    METHOD_NAMES,
+    check_trace_file,
+    methods_reading,
+    run_comparison,
+    run_method,
+    write_trace_csv,
+)
 from .solver import LineSearchParams, SolverConfig
 
 __all__ = ["cli_main", "main"]
@@ -38,9 +45,9 @@ class ConfigError(ValueError):
     pass
 
 
-# the methods that read each method-specific flag, as runner.run_method
-# passes the line search (rho) and the proximal config (tau0)
-_SOLVER_FLAG_READERS = {"rho": ("mcgm", "proxlin_ls"), "tau0": ("proxlin_ls", "proxlin_bt")}
+# the methods that read each method-specific flag: those whose solver reads
+# the line search (rho) or the proximal config (tau0)
+_SOLVER_FLAG_READERS = {"rho": methods_reading("ls"), "tau0": methods_reading("plcfg")}
 _MF_FLAG_READERS = {"tau": ("hybrid",)}
 
 

@@ -278,8 +278,9 @@ class L2Ball(ConstraintSet):
 
     @staticmethod
     def _norms(rows):
-        # a (count, 1) column of row norms, each sqrt(row @ row) as for a vector
-        return np.sqrt(np.vecdot(rows, rows, keepdims=True))
+        # a (count, 1) column of row norms, each sqrt(row @ row) as for a
+        # vector: a stack of (1, dim) @ (dim, 1) products is a BLAS dot per row
+        return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, :, 0]
 
     def contains(self, x, tol=1e-9):
         x = self._shaped(x, "x")
@@ -297,8 +298,6 @@ class L2Ball(ConstraintSet):
         mean-zero if the set is); the origin where c~ = 0."""
         ct = self._rows(self._vector(c, "c"))
         nrm = self._norms(ct)
-        if np.count_nonzero(nrm) == self.count:  # faster than nrm.all() on a few rows
-            return (-self.radius / nrm * ct).ravel()
         scale = np.divide(-self.radius, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
         out = scale * ct
         out[nrm[:, 0] == 0.0] = 0.0  # +0.0, where the cost's zeros may be signed

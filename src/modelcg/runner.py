@@ -38,6 +38,7 @@ __all__ = [
     "CSV_COLUMNS",
     "ComparisonResult",
     "run_method",
+    "methods_reading",
     "run_comparison",
     "write_trace_csv",
     "read_trace_csv",
@@ -45,6 +46,14 @@ __all__ = [
 ]
 
 METHOD_NAMES = ("mcgm", "proxlin_ls", "proxlin_bt")
+# the solver of each method and the method-specific settings it reads: the
+# line search ``ls`` (which holds rho) and the proximal config ``plcfg``
+# (which holds tau0)
+_SOLVERS = {
+    "mcgm": (mcgm_solve, ("ls",)),
+    "proxlin_ls": (prox_linear_ls_solve, ("plcfg", "ls")),
+    "proxlin_bt": (prox_linear_bt_solve, ("plcfg",)),
+}
 CSV_COLUMNS = ("k", "time_s", "f", "obj_err", "delta", "gamma", "backtracks", "inner_iters")
 FINAL_ROW = "final"  # the k field of the terminal row
 SUMMARY_SCHEMA = "modelcg.summary/2"
@@ -58,14 +67,15 @@ def run_method(method, dataset, x0, ls=None, cfg=None, plcfg=None):
     oracle = make_oracle(dataset)
     fun = make_objective(dataset)
     box = make_constraint_set(dataset)
-    ls = ls or LineSearchParams()
-    cfg = cfg or SolverConfig()
-    plcfg = plcfg or ProxLinearConfig()
-    if method == "mcgm":
-        return mcgm_solve(oracle, fun, box, x0, ls=ls, cfg=cfg)
-    if method == "proxlin_ls":
-        return prox_linear_ls_solve(oracle, fun, box, x0, plcfg=plcfg, ls=ls, cfg=cfg)
-    return prox_linear_bt_solve(oracle, fun, box, x0, plcfg=plcfg, cfg=cfg)
+    solve, reads = _SOLVERS[method]
+    settings = {"ls": ls or LineSearchParams(), "plcfg": plcfg or ProxLinearConfig()}
+    read = {k: settings[k] for k in reads}
+    return solve(oracle, fun, box, x0, cfg=cfg or SolverConfig(), **read)
+
+
+def methods_reading(setting):
+    """The methods whose solver reads ``setting`` (``"ls"`` or ``"plcfg"``)."""
+    return tuple(m for m in METHOD_NAMES if setting in _SOLVERS[m][1])
 
 
 @dataclass

@@ -108,7 +108,6 @@ def test_lmo_simplex_examples():
 @pytest.mark.parametrize("bad", [np.arange(5.0), np.ones(2), np.ones((3, 1)), np.array(1.0)],
                          ids=["longer", "shorter", "column", "scalar"])
 def test_set_oracles_reject_inputs_of_the_wrong_length(make, op, bad):
-    # contains once broadcast a short vector: Box(0, 1).contains([0.5]) held
     s = make()
     with pytest.raises(ValueError, match="shape"):
         getattr(s, op)(bad)
@@ -305,9 +304,8 @@ def test_nuclear_ball_lmo_matches_svd(rng):
 
 
 class _ColumnL2Ball(ConstraintSet):
-    """One l2 ball computed on a lone vector, as every L2Ball was before
-    balls could be stacked: the reference the stacked ball must match bit
-    for bit."""
+    """One l2 ball computed on a lone vector with vector reductions: the
+    reference the stacked ball must match bit for bit."""
 
     def __init__(self, dim, radius, mean_zero):
         self.dim, self.radius, self.mean_zero = dim, radius, mean_zero
@@ -344,7 +342,7 @@ class _ColumnL2Ball(ConstraintSet):
 def _stacked_cases(seed):
     """(dim, count, mean_zero, radius, matrix of block columns): scales from
     1e-8 to 1e8 per column, zero and signed-zero columns, constant columns
-    (zero once made mean-zero) and columns on the sphere."""
+    (zero after the mean is removed) and columns on the sphere."""
     rng = np.random.default_rng(seed)
     for dim, count in [(1, 3), (2, 4), (7, 5), (400, 9)]:
         for mean_zero in (False, True):

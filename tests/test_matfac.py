@@ -116,17 +116,13 @@ def test_mf_evaluations_match_the_reference_bit_for_bit(x_kind, order):
     ("hybrid", "0x1.d0b76fa8035e3p+3", 76, 41),
 ], ids=["cg", "hybrid"])
 def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations):
-    # backtracks recorded with the three-temporary objective; the in-place
-    # evaluation, the line-search screen and the residual reuse must leave
-    # every iterate, and so these numbers, unchanged. final_f was re-recorded
-    # when the nuclear-ball oracle moved from the SVD to the Gram
-    # eigenvector and its projection began returning inside points as they
-    # are: both round differently (before: 0x1.e9fc80a6eb028p+3 cg,
-    # 0x1.d0b76fa8035eep+3 hybrid, within 1e-15 relative). The screen
-    # leaves one line-search evaluation per iteration: 41 = the start + 20
-    # anchors + 20 trials. Each anchor is the accepted trial, so its
-    # objective and gradient reuse the trial's residual: 21 residuals = the
-    # start + 20 trials (61 = 41 objectives + 20 gradients without reuse).
+    # the objective's evaluation, the line-search screen and the residual
+    # reuse must leave every iterate, and so the backtracks and evaluations,
+    # unchanged. The screen leaves one line-search evaluation per iteration:
+    # 41 = the start + 20 anchors + 20 trials. Each anchor is the accepted
+    # trial, so its objective and gradient reuse the trial's residual: 21
+    # residuals = the start + 20 trials (61 = 41 objectives + 20 gradients
+    # without reuse).
     calls, formed = [], []
     plain, form = matfac.mf_objective, matfac._form_residual
 

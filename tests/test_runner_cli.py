@@ -263,8 +263,7 @@ def test_cli_compare_records_the_rho_each_trace_checks_against(tmp_path):
 ], ids=["solve-rho-bt", "solve-tau0-mcgm", "solve-tau0-default", "compare-rho-bt",
         "compare-tau0-mcgm", "mf-tau-cg", "mf-tau-default"])
 def test_cli_rejects_a_flag_no_selected_method_reads(tmp_path, capsys, argv, message):
-    # these flags were once dropped silently: proxlin_bt ran at ACCEPT_RATIO
-    # whatever --rho said, and mcgm ignored --tau0, both with exit 0
+    # a flag that no selected method reads is an error, not silently dropped
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
     where = {"solve": ["--dataset", str(path), "--max-iterations", "2"],
