@@ -77,17 +77,21 @@ def _simplex_threshold(v, radius):
     return css[rho] / (rho + 1.0)
 
 
-def psd_projection(H, sym_tol=1e-10):
+# the asymmetry psd_projection accepts, relative to 1 + the largest entry
+SYM_TOL = 1e-10
+
+
+def psd_projection(H):
     """Frobenius-nearest positive semi-definite matrix to a symmetric H.
 
-    H is symmetrized internally; asymmetry beyond ``sym_tol`` (relative to the
+    H is symmetrized internally; asymmetry beyond ``SYM_TOL`` (relative to the
     largest entry) is rejected. Negative eigenvalues are clipped to zero.
     """
     H = require_finite(H, "H")
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be square")
     scale = 1.0 + float(np.max(np.abs(H))) if H.size else 1.0
-    if float(np.max(np.abs(H - H.T), initial=0.0)) > sym_tol * scale:
+    if float(np.max(np.abs(H - H.T), initial=0.0)) > SYM_TOL * scale:
         raise ValueError("H is not symmetric within tolerance")
     S = 0.5 * (H + H.T)
     w, V = np.linalg.eigh(S)  # LinAlgError surfaces to the caller
@@ -103,17 +107,14 @@ def psd_projection(H, sym_tol=1e-10):
 class ConstraintSet:
     """A non-empty compact convex set on flat vectors.
 
-    Exposes membership, a finite diameter upper bound, a linear minimization
-    oracle, Euclidean projection, and feasible-point sampling. All methods are
-    pure functions of their inputs.
+    Exposes membership, a linear minimization oracle, Euclidean projection,
+    and feasible-point sampling. All methods are pure functions of their
+    inputs.
     """
 
     dim: int
 
     def contains(self, x, tol=1e-9):
-        raise NotImplementedError
-
-    def diameter(self):
         raise NotImplementedError
 
     def lmo(self, c):
@@ -156,9 +157,6 @@ class Box(ConstraintSet):
         pad = tol * (1.0 + np.maximum(np.abs(self.lo), np.abs(self.hi)))
         return bool(np.all(x >= self.lo - pad) and np.all(x <= self.hi + pad))
 
-    def diameter(self):
-        return float(np.linalg.norm(self.hi - self.lo))
-
     def lmo(self, c):
         """Zero coefficients pick lo."""
         c = self._vector(c, "c")
@@ -186,9 +184,6 @@ class Simplex(ConstraintSet):
     def contains(self, x, tol=1e-9):
         x = self._shaped(x, "x")
         return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol * self.dim)
-
-    def diameter(self):
-        return math.sqrt(2.0) if self.dim > 1 else 0.0
 
     def lmo(self, c):
         """The vertex of the smallest coefficient, lowest index on ties."""
@@ -220,9 +215,6 @@ class L1Ball(ConstraintSet):
 
     def contains(self, x, tol=1e-9):
         return float(np.abs(self._shaped(x, "x")).sum()) <= self.radius + tol * (1.0 + self.radius)
-
-    def diameter(self):
-        return 2.0 * self.radius
 
     def lmo(self, c):
         """A signed scaled basis vector at the largest-magnitude coefficient
@@ -277,10 +269,22 @@ class L2Ball(ConstraintSet):
         return rows
 
     @staticmethod
-    def _norms(rows):
-        # a (count, 1) column of row norms, each sqrt(row @ row) as for a
-        # vector: a stack of (1, dim) @ (dim, 1) products is a BLAS dot per row
-        return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, :, 0]
+    def _scaled(rows):
+        # each row divided by 2**e, the power of two of its largest entry, and
+        # the (count, 1) column of the scaled rows' norms, each sqrt(row @ row)
+        # as for a vector (a stack of (1, dim) @ (dim, 1) products is a BLAS
+        # dot per row). A scaled row's squares neither overflow nor underflow;
+        # the scaling is exact and cancels in ratios, so rows whose squares
+        # stay in range give the bits of the unscaled formulas
+        e = np.frexp(np.maximum.reduce(np.abs(rows), axis=1, keepdims=True))[1]
+        s = np.ldexp(rows, -e)
+        return s, np.sqrt(s[:, None, :] @ s[:, :, None])[:, :, 0], e
+
+    @staticmethod
+    def _unscaled(nrm, e):
+        # the row norms 2**e * nrm; past the float range a norm reads inf
+        with np.errstate(over="ignore"):
+            return np.ldexp(nrm, e)
 
     def contains(self, x, tol=1e-9):
         x = self._shaped(x, "x")
@@ -288,16 +292,13 @@ class L2Ball(ConstraintSet):
         rows = x.reshape(self.count, self.block_dim)
         if self.mean_zero and np.any(np.abs(np.add.reduce(rows, axis=1) / self.block_dim) > pad):
             return False
-        return bool(np.all(self._norms(rows) <= self.radius + pad))
-
-    def diameter(self):
-        return 2.0 * self.radius * math.sqrt(self.count)
+        _, nrm, e = self._scaled(rows)
+        return bool(np.all(self._unscaled(nrm, e) <= self.radius + pad))
 
     def lmo(self, c):
         """Per block, -radius * c~ / ||c~|| with c~ the block's cost (made
         mean-zero if the set is); the origin where c~ = 0."""
-        ct = self._rows(self._vector(c, "c"))
-        nrm = self._norms(ct)
+        ct, nrm, _ = self._scaled(self._rows(self._vector(c, "c")))
         scale = np.divide(-self.radius, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
         out = scale * ct
         out[nrm[:, 0] == 0.0] = 0.0  # +0.0, where the cost's zeros may be signed
@@ -305,9 +306,10 @@ class L2Ball(ConstraintSet):
 
     def project(self, x):
         y = self._rows(self._vector(x, "x"))
-        nrm = self._norms(y)
-        scale = np.divide(self.radius, nrm, out=np.ones_like(nrm), where=nrm > self.radius)
-        return (scale * y).ravel()
+        s, nrm, e = self._scaled(y)
+        outside = self._unscaled(nrm, e) > self.radius
+        scale = np.divide(self.radius, nrm, out=np.zeros_like(nrm), where=outside)
+        return np.where(outside, scale * s, y).ravel()
 
     def sample(self, rng):
         return np.concatenate([self._sample_block(rng) for _ in range(self.count)])
@@ -348,10 +350,6 @@ class NuclearBall(ConstraintSet):
     def contains(self, x, tol=1e-9):
         s = np.linalg.svd(self._mat(x), compute_uv=False)
         return float(s.sum()) <= self.radius + tol * (1.0 + self.radius)
-
-    def diameter(self):
-        # nuclear norm dominates Frobenius, so 2r bounds Euclidean distances
-        return 2.0 * self.radius
 
     def lmo(self, c):
         """The top singular vector on the shorter side is the top eigenvector
@@ -408,9 +406,6 @@ class ProductSet(ConstraintSet):
 
     def contains(self, x, tol=1e-9):
         return all(s.contains(b, tol) for s, b in zip(self.sets, self.blocks(x)))
-
-    def diameter(self):
-        return math.sqrt(sum(s.diameter() ** 2 for s in self.sets))
 
     def lmo(self, c):
         return np.concatenate([s.lmo(b) for s, b in zip(self.sets, self.blocks(c))])

@@ -113,7 +113,6 @@ class PdState:
 
     u: np.ndarray
     p: np.ndarray
-    iterations: int = 0
 
 
 @dataclass
@@ -323,5 +322,6 @@ def pdhg_solve(
         if it % _GAP_CHECK_EVERY == 0 or it == max_iters:
             gap = gap_of(u, p, ktp)
 
-    state = PdState(u=u, p=p, iterations=it)
-    return PdhgResult(u=u, state=state, gap=gap, iterations=it, converged=gap <= gap_tol)
+    return PdhgResult(
+        u=u, state=PdState(u=u, p=p), gap=gap, iterations=it, converged=gap <= gap_tol
+    )

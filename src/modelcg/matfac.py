@@ -52,7 +52,7 @@ import numpy as np
 from .geometry import L1Ball, L2Ball, NuclearBall, ProductSet, Simplex, require_finite
 from .models import AdditiveCompositeOracle, ProximalModelOracle
 from .runner import write_trace_csv
-from .solver import LineSearchParams, SolverConfig, mcgm_solve
+from .solver import SolverConfig, mcgm_solve
 
 __all__ = [
     "MfProblem",
@@ -281,7 +281,6 @@ def default_start(problem, seed=0):
 
 def mf_demo(
     problem,
-    ls: Optional[LineSearchParams] = None,
     cfg: Optional[SolverConfig] = None,
     out_dir: Optional[str] = None,
     x0=None,
@@ -297,7 +296,7 @@ def mf_demo(
     oracle = make_mf_oracle(problem)
     if x0 is None:
         x0 = default_start(problem, seed=seed)
-    trace = mcgm_solve(oracle, fun, constraint, x0, ls=ls, cfg=cfg, method=f"mf_{problem.model}")
+    trace = mcgm_solve(oracle, fun, constraint, x0, cfg=cfg, method=f"mf_{problem.model}")
     X, Y = unpack_factors(problem, trace.final_x)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -346,12 +346,8 @@ class _NewtonModel(ModelInstance):
         self.lam_max = float(lam_max)
         super().__init__(anchor, self.h_value + self.penalty.value(anchor))
 
-    def quad_grad(self, x, extra_tau=None):
-        d = np.asarray(x, float) - self.anchor
-        g = self.h_grad + self.curvature @ d
-        if extra_tau is not None:
-            g = g + d / extra_tau
-        return g
+    def quad_grad(self, x):
+        return self.h_grad + self.curvature @ (np.asarray(x, float) - self.anchor)
 
     def value(self, x):
         d = np.asarray(x, float) - self.anchor
@@ -362,14 +358,13 @@ class _NewtonModel(ModelInstance):
             + 0.5 * float(d @ (self.curvature @ d))
         )
 
-    def _fw_gap(self, x, constraint, extra_tau=None):
-        c = self.quad_grad(x, extra_tau)
+    def _fw_gap(self, x, constraint):
+        c = self.quad_grad(x)
         v = linear_composite_min(self.penalty, c, constraint)
-        gap = float(c @ (x - v)) + self.penalty.value(x) - self.penalty.value(v)
-        return gap, v
+        return float(c @ (x - v)) + self.penalty.value(x) - self.penalty.value(v)
 
-    def _solve(self, constraint, eps, warm, extra_tau):
-        lip = self.lam_max + (1.0 / extra_tau if extra_tau is not None else 0.0)
+    def minimize(self, constraint, eps, warm=None):
+        lip = self.lam_max
         if lip <= 0.0:
             # no curvature: the model is additive composite, solve exactly
             y = linear_composite_min(self.penalty, self.h_grad, constraint)
@@ -379,42 +374,37 @@ class _NewtonModel(ModelInstance):
         else:
             x = constraint.project(self.anchor)
         z, t = x, 1.0
-        prox_val = self.value(x) + (
-            0.0
-            if extra_tau is None
-            else float((x - self.anchor) @ (x - self.anchor)) / (2 * extra_tau)
-        )
+        val = self.value(x)
         gap = np.inf
         it = 0
         for it in range(1, _APG_MAX_ITERATIONS + 1):
             x_new = prox_penalized(
-                self.penalty, z - self.quad_grad(z, extra_tau) / lip, 1.0 / lip, constraint
+                self.penalty, z - self.quad_grad(z) / lip, 1.0 / lip, constraint
             )
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-            val_new = self.value(x_new) + (
-                0.0
-                if extra_tau is None
-                else float((x_new - self.anchor) @ (x_new - self.anchor)) / (2 * extra_tau)
-            )
-            if val_new > prox_val:  # monotone restart
+            val_new = self.value(x_new)
+            if val_new > val:  # monotone restart
                 z, t_new = x, 1.0
             else:
-                x, prox_val = x_new, val_new
+                x, val = x_new, val_new
             t = t_new
             if it % 10 == 0 or it == _APG_MAX_ITERATIONS:
-                gap, _ = self._fw_gap(x, constraint, extra_tau)
+                gap = self._fw_gap(x, constraint)
                 if gap <= eps:
                     break
         return ModelMinimum(point=x, gap=float(gap), iterations=it, state=x)
 
-    def minimize(self, constraint, eps, warm=None):
-        return self._solve(constraint, eps, warm, None)
-
     def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
+        """The model plus ||x - anchor||^2 / (2 tau) is the same model with
+        curvature H + I / tau and Lipschitz bound lam_max + 1 / tau."""
         if mask is not None:
             raise NotImplementedError("the Newton model has no masked proximal step")
-        return self._solve(constraint, eps, warm, float(tau))
+        prox = _NewtonModel(
+            self.anchor, self.penalty, self.h_value, self.h_grad,
+            self.curvature + np.eye(self.anchor.size) / tau, self.lam_max + 1.0 / tau,
+        )
+        return prox.minimize(constraint, eps, warm)
 
 
 class NewtonModelOracle:
@@ -541,13 +531,14 @@ class GaussNewtonOracle:
 # ---------------------------------------------------------------------------
 
 
-def model_improvement(model, y, constraint=None, tol=1e-9):
+def model_improvement(model, y, constraint=None):
     """model(anchor) - model(y), the progress measure of one surrogate step.
 
     Non-negative whenever y is a model minimizer (the anchor is feasible).
-    If a constraint set is given, infeasible y is rejected.
+    If a constraint set is given, y outside it (by the set's default
+    ``contains`` tolerance) is rejected.
     """
-    if constraint is not None and not constraint.contains(y, tol):
+    if constraint is not None and not constraint.contains(y):
         raise ValueError("candidate point lies outside the constraint set")
     return model.anchor_value - model.value(y)
 

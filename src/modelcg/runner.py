@@ -114,8 +114,9 @@ def write_trace_csv(trace, path, f_lower):
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_trace(path):
-    """The per-iteration columns and the final objective of a trace CSV."""
+def read_trace_csv(path):
+    """``(columns, final_f)`` of a trace CSV: the per-iteration columns by
+    name (the final row excluded) and the objective on the final row."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -138,11 +139,6 @@ def _read_trace(path):
     return cols, final_f
 
 
-def read_trace_csv(path):
-    """The per-iteration columns of a trace CSV (the final row excluded)."""
-    return _read_trace(path)[0]
-
-
 def check_trace_file(path, rho):
     """Re-run the trace invariants on a CSV file: monotone objective,
     sufficient decrease (the last step's against the final objective),
@@ -152,7 +148,7 @@ def check_trace_file(path, rho):
     ``rho`` must lie in (0, 1), as for :class:`LineSearchParams`, else
     ``ValueError``."""
     rho = LineSearchParams(rho=rho).rho
-    cols, final_f = _read_trace(path)
+    cols, final_f = read_trace_csv(path)
     f, delta, gamma = cols["f"], cols["delta"], cols["gamma"]
     problems = verify_trace_arrays(f, delta, gamma, rho, final_f=final_f)
     f_lower = float(np.min(f, initial=final_f))

@@ -395,15 +395,19 @@ def stationarity_measure(oracle, x, constraint, eps=1e-10):
     return delta
 
 
+# the relative slack of the trace checks, a share of 1 + |f|
+# (verify_trace_arrays) or of the rate bound's right side (rate_certificate)
+TRACE_RTOL = 1e-9
+
+
 @dataclass
 class RateCertificate:
     passed: bool
     worst_ratio: float
     worst_k: int
-    f_lower: float
 
 
-def rate_certificate(trace, f_lower=None, rtol=1e-9):
+def rate_certificate(trace, f_lower=None):
     """Check the telescoped sufficient-decrease bound on a trace, with the
     trace's own ``rho``; see :func:`rate_certificate_arrays`. ``f_lower``
     defaults to the best objective value in the trace (final point
@@ -411,10 +415,10 @@ def rate_certificate(trace, f_lower=None, rtol=1e-9):
     f_vals, deltas, gammas = trace.arrays()
     if f_lower is None:
         f_lower = trace.best_f()
-    return rate_certificate_arrays(f_vals, deltas, gammas, trace.rho, f_lower, rtol)
+    return rate_certificate_arrays(f_vals, deltas, gammas, trace.rho, f_lower)
 
 
-def rate_certificate_arrays(f_values, deltas, gammas, rho, f_lower=None, rtol=1e-9):
+def rate_certificate_arrays(f_values, deltas, gammas, rho, f_lower=None):
     """Check that the running-best improvement obeys the telescoped
     sufficient-decrease bound at every iteration:
 
@@ -438,18 +442,16 @@ def rate_certificate_arrays(f_values, deltas, gammas, rho, f_lower=None, rtol=1e
         if cum_gamma <= 0.0:
             continue
         rhs = (f0 - f_lower) / (rho * cum_gamma)
-        if best > rhs * (1.0 + rtol) + 1e-15:
+        if best > rhs * (1.0 + TRACE_RTOL) + 1e-15:
             passed = False
         ratio = best / rhs if rhs > 0 else (math.inf if best > 0 else 0.0)
         if ratio > worst_ratio:
             worst_ratio = ratio
             worst_k = k
-    return RateCertificate(
-        passed=passed, worst_ratio=worst_ratio, worst_k=worst_k, f_lower=f_lower
-    )
+    return RateCertificate(passed=passed, worst_ratio=worst_ratio, worst_k=worst_k)
 
 
-def verify_trace_arrays(f_values, deltas, gammas, rho, final_f=None, rtol=1e-9):
+def verify_trace_arrays(f_values, deltas, gammas, rho, final_f=None):
     """Machine-check the per-iteration invariants of a trace given as arrays:
     finite values, objective monotonicity, the sufficient-decrease
     inequality between consecutive iterates, non-negative improvements past
@@ -470,12 +472,12 @@ def verify_trace_arrays(f_values, deltas, gammas, rho, final_f=None, rtol=1e-9):
     scale = 1.0 + float(np.max(np.abs(f_values), initial=0.0))
     seq = list(f_values) + ([final_f] if final_f is not None else [])
     for k in range(len(seq) - 1):
-        if seq[k + 1] > seq[k] + rtol * scale:
+        if seq[k + 1] > seq[k] + TRACE_RTOL * scale:
             problems.append(f"objective increased at k={k}")
-        if k < len(deltas) and seq[k + 1] > seq[k] - rho * gammas[k] * deltas[k] + rtol * scale:
+        if k < len(deltas) and seq[k + 1] > seq[k] - rho * gammas[k] * deltas[k] + TRACE_RTOL * scale:
             problems.append(f"sufficient decrease violated at k={k}")
     if np.any(gammas < 0) or np.any(gammas > 1):
         problems.append("step size outside [0, 1]")
-    if np.any(deltas < -rtol * scale):
+    if np.any(deltas < -TRACE_RTOL * scale):
         problems.append("negative model improvement recorded")
     return problems

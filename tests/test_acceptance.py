@@ -165,7 +165,7 @@ def test_criterion_04_rate_certificates(full_scale_trace, desk_scale_runs):
     worst = 0.0
     ok = True
     for t in traces:
-        cert = rate_certificate(t, rtol=1e-9)
+        cert = rate_certificate(t)
         ok &= cert.passed
         worst = max(worst, cert.worst_ratio)
     report(4, "rate-certificate", ok, f"traces={len(traces)} tightest_ratio={worst:.3f}")

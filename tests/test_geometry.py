@@ -253,24 +253,6 @@ def test_project_l1_ball_against_dense_sampling():
     assert np.abs(p).sum() <= 1.0 + 1e-12
 
 
-def test_diameter_bounds_sampled_pairs(rng):
-    sets = [
-        Box(-np.ones(3), np.array([1.0, 2.0, 3.0])),
-        Simplex(4),
-        L1Ball(3, 2.0),
-        L2Ball(3, 1.5),
-        L2Ball(4, 2.0, mean_zero=True),
-        NuclearBall(3, 3, 1.5),
-        ProductSet([Simplex(2), L1Ball(2, 1.0)]),
-    ]
-    for s in sets:
-        d = s.diameter()
-        pts = np.array([s.sample(rng) for _ in range(200)])
-        diffs = pts[None, :, :] - pts[:, None, :]
-        worst = np.sqrt((diffs**2).sum(-1)).max()  # 200^2 pairs = 4e4
-        assert worst <= d + 1e-9, type(s).__name__
-
-
 def test_lmo_membership_and_optimality_over_enumeration(rng):
     cases = [
         (Box(-np.ones(4), np.ones(4)), box_vertices(-np.ones(4), np.ones(4))),
@@ -394,6 +376,54 @@ def test_unit_atoms_set_matches_per_column_balls_bit_for_bit(rng):
 def test_stacked_l2_ball_rejects_an_empty_stack():
     with pytest.raises(ValueError, match="count must be positive"):
         L2Ball(3, 1.0, count=0)
+
+
+def test_l2_ball_oracles_take_costs_whose_squares_leave_the_float_range():
+    ball = L2Ball(3, 1.0)
+    for c in ([1e-170, 0.0, 0.0], [1e200, 0.0, 0.0], [5e-324, 0.0, 0.0], [1.7e308, 0.0, 0.0]):
+        assert ball.lmo(c).tolist() == [-1.0, 0.0, 0.0], c
+    assert ball.project([1e200, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0]
+    assert ball.project([1e-170, 0.0, 0.0]).tolist() == [1e-170, 0.0, 0.0]
+    np.testing.assert_allclose(ball.project([1.7e308, -1.7e308, 0.0]),
+                               [math.sqrt(0.5), -math.sqrt(0.5), 0.0], rtol=1e-15)
+    assert not ball.contains([1e200, 0.0, 0.0]) and ball.contains([1e-170, 0.0, 0.0])
+    assert not ball.contains([1.7e308, 1.7e308, 0.0])
+    stacked = L2Ball(2, 2.0, mean_zero=True, count=3)
+    x = [0.0, 0.0, 3e-170, -3e-170, -3e200, 3e200]
+    r = math.sqrt(2.0)
+    np.testing.assert_allclose(stacked.lmo(x), [0.0, 0.0, -r, r, r, -r], rtol=1e-15)
+    np.testing.assert_allclose(stacked.project(x), [0.0, 0.0, 3e-170, -3e-170, -r, r],
+                               rtol=1e-15)
+
+
+def _unscaled_l2_oracles(dim, count, mean_zero, radius, x):
+    # lmo and project of a stacked l2 ball with norms taken straight from
+    # the squares, without scaling the rows first
+    rows = x.reshape(count, dim)
+    if mean_zero:
+        rows = rows - np.add.reduce(rows, axis=1, keepdims=True) / dim
+    nrm = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, :, 0]
+    out = np.divide(-radius, nrm, out=np.zeros_like(nrm), where=nrm > 0.0) * rows
+    out[nrm[:, 0] == 0.0] = 0.0
+    scale = np.divide(radius, nrm, out=np.ones_like(nrm), where=nrm > radius)
+    return out.ravel(), (scale * rows).ravel()
+
+
+def test_l2_ball_scaling_keeps_the_bits_of_the_unscaled_norms_in_range():
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        dim, count = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        mean_zero = bool(rng.integers(2))
+        radius = float(10.0 ** rng.uniform(-3, 3))
+        M = rng.standard_normal((count, dim)) * 10.0 ** rng.uniform(-100, 100, size=(count, 1))
+        if rng.random() < 0.2:
+            M[int(rng.integers(count))] = 0.0
+        if rng.random() < 0.2:
+            M[:, 0] = -0.0
+        ball, x = L2Ball(dim, radius, mean_zero=mean_zero, count=count), M.ravel()
+        lmo, proj = _unscaled_l2_oracles(dim, count, mean_zero, radius, x)
+        assert ball.lmo(x).tobytes() == lmo.tobytes()
+        assert ball.project(x).tobytes() == proj.tobytes()
 
 
 def _nuclear_cases():

@@ -24,3 +24,16 @@ def test_core_imports_without_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "", f"scipy imported by the core: {proc.stdout}"
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    modules = [modelcg] + [
+        importlib.import_module(m.name)
+        for m in pkgutil.iter_modules(modelcg.__path__, "modelcg.")
+    ]
+    for module in modules:
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == [], f"{module.__name__}.__all__ names {missing}"

@@ -430,6 +430,27 @@ def test_newton_proximal_variant_matches_closed_form(rng):
     np.testing.assert_allclose(res.point, x + d, atol=1e-7)
 
 
+def test_newton_proximal_solve_with_a_penalty_and_an_active_bound():
+    # no closed form: the l1 penalty holds coordinate 2 at zero and the box
+    # holds coordinate 0 at its lower bound
+    f, grad, Q, lmax, _ = quadratic_problem(seed=12)
+    box = Box(np.array([-0.1, -1.0, -1.0, -1.0]), np.ones(4))
+    pen = WeightedL1(0.5)
+    x, tau, eps = np.array([0.3, -0.1, 0.1, -0.4]), 0.8, 1e-6
+    res = NewtonModelOracle(pen, f, grad, lambda z: Q).instantiate(x).minimize_proximal(
+        box, eps, tau)
+    y = res.point
+    assert y[0] == -0.1 and y[2] == 0.0
+    # Frank-Wolfe gap of model + ||y - x||^2 / (2 tau) at y
+    c = grad(x) + Q @ (y - x) + (y - x) / tau
+    v = linear_composite_min(pen, c, box)
+    gap = float(c @ (y - v)) + pen.value(y) - pen.value(v)
+    assert 0.0 <= gap <= eps and res.gap <= eps
+    # the point the solve with a separate proximal term returned
+    want = [-0.1, -0.07927025060509714, 0.0, -0.12479745033797655]
+    np.testing.assert_allclose(y, want, rtol=0, atol=1e-8)
+
+
 def test_gradient_consistency_at_anchor(rng):
     # smooth objective: the model gradient at the anchor must match the
     # finite-difference objective gradient for every penalty-free family

@@ -48,7 +48,7 @@ def test_run_comparison_outputs(tmp_path):
     assert set(res.trace_paths) == set(METHOD_NAMES)
     header = None
     for path in res.trace_paths.values():
-        cols = read_trace_csv(path)
+        cols, _ = read_trace_csv(path)
         assert set(cols) == set(CSV_COLUMNS)
         if header is None:
             header = open(path).readline()
@@ -150,7 +150,9 @@ def test_csv_check_reads_the_final_objective(tmp_path):
     assert rate_certificate(trace).passed
     path = res.trace_paths["mcgm"]
     assert check_trace_file(path, rho=trace.rho) == []
-    np.testing.assert_array_equal(read_trace_csv(path)["f"], f)
+    cols, final_f = read_trace_csv(path)
+    np.testing.assert_array_equal(cols["f"], f)
+    assert final_f == trace.final_f
 
     # a final objective that decreased, but by less than rho * gamma * delta
     bad_f = f[-1] - 0.1 * trace.rho * gamma[-1] * delta[-1]
@@ -213,7 +215,7 @@ def test_cli_solve_stationary_start_gives_single_record(tmp_path, capsys):
     code = cli_main(["solve", "--dataset", str(path), "--method", "mcgm",
                      "--out", str(out)])
     assert code == 0
-    cols = read_trace_csv(str(out))
+    cols, _ = read_trace_csv(str(out))
     assert len(cols["k"]) == 1
     assert cols["gamma"][0] == 0.0
     assert "stationary" in capsys.readouterr().out
@@ -513,8 +515,9 @@ def test_cli_write_and_read_trace_roundtrip(tmp_path):
                        cfg=SolverConfig(max_iterations=10))
     path = tmp_path / "t.csv"
     write_trace_csv(trace, str(path), trace.best_f())
-    cols = read_trace_csv(str(path))
+    cols, final_f = read_trace_csv(str(path))
     # 17 significant digits round-trip float64 exactly
+    assert final_f == trace.final_f
     np.testing.assert_array_equal(cols["f"], [r.f_value for r in trace.records])
     np.testing.assert_array_equal(cols["delta"], [r.delta for r in trace.records])
     np.testing.assert_array_equal(cols["gamma"], [r.gamma for r in trace.records])
