@@ -7,9 +7,12 @@ All sets live on flat float vectors. Matrix-shaped sets (nuclear norm ball)
 store their shape and reshape internally, row-major. The nuclear ball's
 oracle takes the dominant singular pair from the top eigenvector of the
 smaller Gram matrix; its projection returns a point inside the ball
-unchanged, which the singular values alone tell, and thresholds the thin SVD
-of a point outside. A product of equal l2 balls on consecutive blocks is one
-``L2Ball`` with ``count`` blocks, computed on a ``(count, dim)`` view.
+unchanged, with no SVD when a Frobenius-norm bound on the nuclear norm
+already places it there, and otherwise takes one thin SVD, whose singular
+values it thresholds for a point outside. A product of equal l2 balls on
+consecutive blocks is one ``L2Ball`` with ``count`` blocks, computed on a
+``(count, dim)`` view; its blocks are scaled by a power of two before they
+are made mean-zero or squared.
 """
 
 from __future__ import annotations
@@ -261,55 +264,69 @@ class L2Ball(ConstraintSet):
         self.radius = float(radius)
         self.mean_zero = bool(mean_zero)
 
-    def _rows(self, x):
-        # one row per block, each made mean-zero if the set is
+    def _scaled(self, x):
+        # the blocks as rows, each divided by 2**e, the power of two of its
+        # largest magnitude; also the (count, 1) columns of e and of those
+        # magnitudes. A scaled row's sums and squares neither overflow nor
+        # underflow; the scaling is exact and cancels in ratios, so rows
+        # whose squares stay in range give the bits of the unscaled formulas
         rows = x.reshape(self.count, self.block_dim)
+        peak = np.maximum.reduce(np.abs(rows), axis=1, keepdims=True)
+        e = np.frexp(peak)[1]
+        return np.ldexp(rows, -e), e, peak
+
+    def _mean(self, s):
+        return np.add.reduce(s, axis=1, keepdims=True) / self.block_dim
+
+    @staticmethod
+    def _norms(s):
+        # each sqrt(row @ row) as for a vector: a stack of (1, dim) @ (dim, 1)
+        # products is a BLAS dot per row
+        return np.sqrt(s[:, None, :] @ s[:, :, None])[:, :, 0]
+
+    def _centred(self, x, name):
+        # an oracle's input as scaled rows, each made mean-zero if the set
+        # is, their norms and e; a NaN or an inf is its row's largest
+        # magnitude, so the peaks alone tell a non-finite input
+        s, e, peak = self._scaled(x)
+        if not np.isfinite(peak).all():
+            raise ValueError(f"{name} contains non-finite entries")
         if self.mean_zero:
-            rows = rows - np.add.reduce(rows, axis=1, keepdims=True) / self.block_dim
-        return rows
+            s -= self._mean(s)
+        return s, self._norms(s), e
 
     @staticmethod
-    def _scaled(rows):
-        # each row divided by 2**e, the power of two of its largest entry, and
-        # the (count, 1) column of the scaled rows' norms, each sqrt(row @ row)
-        # as for a vector (a stack of (1, dim) @ (dim, 1) products is a BLAS
-        # dot per row). A scaled row's squares neither overflow nor underflow;
-        # the scaling is exact and cancels in ratios, so rows whose squares
-        # stay in range give the bits of the unscaled formulas
-        e = np.frexp(np.maximum.reduce(np.abs(rows), axis=1, keepdims=True))[1]
-        s = np.ldexp(rows, -e)
-        return s, np.sqrt(s[:, None, :] @ s[:, :, None])[:, :, 0], e
-
-    @staticmethod
-    def _unscaled(nrm, e):
-        # the row norms 2**e * nrm; past the float range a norm reads inf
+    def _unscaled(s, e):
+        # 2**e * s; past the float range an entry reads inf
         with np.errstate(over="ignore"):
-            return np.ldexp(nrm, e)
+            return np.ldexp(s, e)
 
     def contains(self, x, tol=1e-9):
-        x = self._shaped(x, "x")
         pad = tol * (1.0 + self.radius)
-        rows = x.reshape(self.count, self.block_dim)
-        if self.mean_zero and np.any(np.abs(np.add.reduce(rows, axis=1) / self.block_dim) > pad):
+        s, e, _ = self._scaled(self._shaped(x, "x"))
+        if self.mean_zero and np.any(self._unscaled(np.abs(self._mean(s)), e) > pad):
             return False
-        _, nrm, e = self._scaled(rows)
-        return bool(np.all(self._unscaled(nrm, e) <= self.radius + pad))
+        return bool(np.all(self._unscaled(self._norms(s), e) <= self.radius + pad))
 
     def lmo(self, c):
         """Per block, -radius * c~ / ||c~|| with c~ the block's cost (made
         mean-zero if the set is); the origin where c~ = 0."""
-        ct, nrm, _ = self._scaled(self._rows(self._vector(c, "c")))
+        ct, nrm, _ = self._centred(self._shaped(c, "c"), "c")
         scale = np.divide(-self.radius, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
-        out = scale * ct
-        out[nrm[:, 0] == 0.0] = 0.0  # +0.0, where the cost's zeros may be signed
-        return out.ravel()
+        np.multiply(ct, scale, out=ct)
+        # scale * 0.0 is -0.0 on a block with a norm, where adding it changes
+        # no bit, and +0.0 on a zero block, which it makes +0.0 where the
+        # cost's zeros may be signed
+        ct += scale * 0.0
+        return ct.ravel()
 
     def project(self, x):
-        y = self._rows(self._vector(x, "x"))
-        s, nrm, e = self._scaled(y)
+        x = self._shaped(x, "x")
+        s, nrm, e = self._centred(x, "x")
         outside = self._unscaled(nrm, e) > self.radius
         scale = np.divide(self.radius, nrm, out=np.zeros_like(nrm), where=outside)
-        return np.where(outside, scale * s, y).ravel()
+        inside = self._unscaled(s, e) if self.mean_zero else x.reshape(s.shape)
+        return np.where(outside, scale * s, inside).ravel()
 
     def sample(self, rng):
         return np.concatenate([self._sample_block(rng) for _ in range(self.count)])
@@ -324,6 +341,12 @@ class L2Ball(ConstraintSet):
         free = self.block_dim - 1 if self.mean_zero else self.block_dim
         r = self.radius * rng.random() ** (1.0 / max(free, 1))
         return (r / nrm) * g
+
+
+# the smallest dot X . X the nuclear ball's Frobenius bound trusts: squares
+# that underflow lose at most dim * 2**-1074 in all, which is below
+# 2**-100 of this floor for any dim that fits in memory
+_FRO_FLOOR = 2.0 ** -900
 
 
 class NuclearBall(ConstraintSet):
@@ -374,11 +397,24 @@ class NuclearBall(ConstraintSet):
     def project(self, x):
         """A copy of ``x`` when its singular values sum to at most the
         radius; otherwise the thin SVD with the singular values projected
-        onto the simplex of that sum."""
+        onto the simplex of that sum.
+
+        No SVD is needed when ``sqrt(min(rows, cols)) * ||X||_F``, enlarged
+        by a rounding margin, is within the radius: by Cauchy-Schwarz on the
+        at most ``min(rows, cols)`` nonzero singular values, it bounds their
+        sum. The margin covers the rounding of the dot ``X . X`` (relative
+        ``dim * 2**-53``) and of the square roots and products, and a dot
+        below ``_FRO_FLOOR`` takes the SVD, so squares that underflow cannot
+        hide mass. Only a point outside the bound pays for one thin SVD."""
         X = self._mat(x)
-        if np.linalg.svd(X, compute_uv=False).sum() <= self.radius:
+        flat = X.ravel()
+        sq = float(flat @ flat)
+        margin = 1.0 + (self.dim + 8) * np.finfo(float).eps
+        if sq >= _FRO_FLOOR and math.sqrt(min(self.rows, self.cols) * sq) * margin <= self.radius:
             return X.flatten()
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        if s.sum() <= self.radius:
+            return X.flatten()
         s = np.maximum(s - _simplex_threshold(s, self.radius), 0.0)
         return ((U * s) @ Vt).ravel()
 

@@ -17,8 +17,11 @@ R = XY - A. Each thread keeps its last residual: an evaluation of the same
 problem at a point bit for bit equal to the last one forms no product. The
 line search's accepted trial is the next anchor, where the model needs the
 objective and the gradient, so an outer iteration forms one residual. A new
-point overwrites two m x n buffers the thread reuses while the shape of A
-stays the same.
+point overwrites the one m x n buffer the thread reuses while the shape of A
+stays the same. The value 0.5 ||R||_F^2 is a sum of per-row BLAS dots, which
+neither squares into a second buffer nor, at row length, runs threaded, so
+its bits do not depend on the BLAS thread count. The gradient's two products
+are written straight into the packed vector.
 
 Along a segment the objective is an exact quartic in the step. With
 d = (dX, dY), R0 = XY - A, B = X dY + dX Y and C = dX dY,
@@ -162,12 +165,12 @@ def unpack_factors(problem, v):
 
 class _LastResidual(threading.local):
     """One thread's last evaluation: the problem, a private copy of the
-    point, the residual and its value, and the buffer of its squares."""
+    point, the residual and its value."""
 
     def __init__(self):
         self.problem = None
         self.v = None
-        self.R = self.S = None
+        self.R = None
         self.value = math.nan
 
 
@@ -189,18 +192,19 @@ def _residual(problem, v):
 
 def _form_residual(problem, v):
     """Fill the thread's slot at ``v``: the same rounded operations as
-    ``A - XY`` squared and summed in fresh arrays. Negating a rounded
-    difference is exact, so the squares are those of ``A - XY`` bit for bit."""
+    ``A - XY`` in a fresh array, and half the sum of its rows' dots with
+    themselves (a stack of (1, n) @ (n, 1) products is a BLAS dot per row).
+    Negating a rounded difference is exact, so the dots are those of
+    ``A - XY`` bit for bit."""
     X, Y = unpack_factors(problem, v)
     last = _last
-    last.problem = None  # the buffers no longer hold the remembered point
+    last.problem = None  # the buffer no longer holds the remembered point
     if last.R is None or last.R.shape != problem.A.shape:
-        last.R, last.S = np.empty(problem.A.shape), np.empty(problem.A.shape)
-    R, S = last.R, last.S
+        last.R = np.empty(problem.A.shape)
+    R = last.R
     np.matmul(X, Y, out=R)
     np.subtract(R, problem.A, out=R)
-    np.multiply(R, R, out=S)
-    last.value = 0.5 * float(S.sum())
+    last.value = 0.5 * float((R[:, None, :] @ R[:, :, None]).sum())
     last.v = v.copy()
     last.problem = problem
 
@@ -218,10 +222,16 @@ def mf_gradient(problem):
     """Gradient of the smooth coupling: d/dX = (XY - A) Y^T and
     d/dY = X^T (XY - A), packed like the variable."""
 
+    m, k, n = problem.shape
+
     def gradient(v):
         R, _ = _residual(problem, v)
         X, Y = unpack_factors(problem, v)
-        return np.concatenate([(R @ Y.T).ravel(order="F"), (X.T @ R).ravel()])
+        g = np.empty(m * k + k * n)
+        # the column-major d/dX is the row-major (d/dX)^T = Y R^T
+        np.matmul(Y, R.T, out=g[: m * k].reshape(k, m))
+        np.matmul(X.T, R, out=g[m * k :].reshape(k, n))
+        return g
 
     return gradient
 

@@ -377,6 +377,7 @@ class _NewtonModel(ModelInstance):
         val = self.value(x)
         gap = np.inf
         it = 0
+        restarted = True  # z is x: this iteration takes the plain step from x
         for it in range(1, _APG_MAX_ITERATIONS + 1):
             x_new = prox_penalized(
                 self.penalty, z - self.quad_grad(z) / lip, 1.0 / lip, constraint
@@ -384,10 +385,15 @@ class _NewtonModel(ModelInstance):
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             z = x_new + ((t - 1.0) / t_new) * (x_new - x)
             val_new = self.value(x_new)
-            if val_new > val:  # monotone restart
-                z, t_new = x, 1.0
+            if val_new > val:
+                if restarted:
+                    # rounding rejects the plain step, which every later
+                    # iteration would repeat: x is as far as the solve gets
+                    gap = self._fw_gap(x, constraint)
+                    break
+                z, t_new, restarted = x, 1.0, True  # monotone restart
             else:
-                x, val = x_new, val_new
+                x, val, restarted = x_new, val_new, False
             t = t_new
             if it % 10 == 0 or it == _APG_MAX_ITERATIONS:
                 gap = self._fw_gap(x, constraint)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,35 @@ def test_l2_ball_oracles_take_costs_whose_squares_leave_the_float_range():
                                rtol=1e-15)
 
 
+def test_mean_zero_l2_ball_takes_entries_whose_sum_leaves_the_float_range():
+    ball, c = L2Ball(2, 1.0, mean_zero=True), [1e308, 1.5e308]
+    r = math.sqrt(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(ball.lmo(c), [r, -r], rtol=1e-15)
+        np.testing.assert_allclose(ball.project(c), [-r, r], rtol=1e-15)
+        assert not ball.contains(c)
+
+
+def test_l2_ball_lmo_keeps_the_signed_zeros_of_a_block_with_a_norm():
+    # -r/||c|| * c as for a vector: a +0.0 cost entry gives -0.0, and the
+    # all-zero block (mean-zero, so constant) gives +0.0 throughout
+    ball = L2Ball(3, 2.0, mean_zero=True, count=2)
+    out = ball.lmo([1.0, -1.0, 0.0, -0.0, -0.0, -0.0])
+    scale = -2.0 / math.sqrt(2.0)
+    assert out.tobytes() == np.array([scale, -scale, -0.0, 0.0, 0.0, 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("op", ["lmo", "project"])
+def test_l2_ball_oracles_reject_non_finite_entries(op, bad):
+    for ball in (L2Ball(3, 1.0), L2Ball(3, 1.0, mean_zero=True, count=2)):
+        x = np.ones(ball.dim)
+        x[-2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            getattr(ball, op)(x)
+
+
 def _unscaled_l2_oracles(dim, count, mean_zero, radius, x):
     # lmo and project of a stacked l2 ball with norms taken straight from
     # the squares, without scaling the rows first
@@ -482,6 +512,50 @@ def test_nuclear_project_keeps_inside_points_and_thresholds_outside_ones(rng):
         np.testing.assert_allclose(s.project(G.ravel()), want, rtol=0, atol=1e-12)
         assert np.linalg.svd(s.project(G.ravel()).reshape(4, 7),
                              compute_uv=False).sum() == pytest.approx(3.0, rel=1e-12)
+
+
+def _svd_calls(monkeypatch, fail=False):
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        if fail:
+            raise AssertionError("the projection took an SVD")
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_nuclear_project_keeps_an_interior_point_without_an_svd(monkeypatch, rng):
+    s = NuclearBall(10, 300, 1.0)
+    G = rng.standard_normal(s.dim)
+    x = (0.99 / (math.sqrt(10) * np.linalg.norm(G))) * G  # within the Frobenius bound
+    _svd_calls(monkeypatch, fail=True)
+    p = s.project(x)
+    assert p.tobytes() == x.tobytes() and not np.shares_memory(p, x)
+
+
+def test_nuclear_project_bound_rejects_squares_that_underflow():
+    # 1e-170 squared is 0.0, but the point lies outside a 1e-175 ball
+    p = NuclearBall(2, 2, 1e-175).project([1e-170, 0.0, 0.0, 0.0])
+    assert p.tolist() == pytest.approx([1e-175, 0.0, 0.0, 0.0], rel=1e-9, abs=0.0)
+
+
+def test_nuclear_project_bound_rejects_its_equality_case(monkeypatch):
+    # equal singular values make sqrt(rank) ||X||_F the nuclear norm, so a
+    # radius just below it leaves the point outside: one thin SVD projects it
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((7, 4)))
+    X = 0.5 * Q.T  # 4 x 7 with four singular values 0.5
+    s = NuclearBall(4, 7, np.nextafter(2.0, 0.0))
+    flat = X.ravel()
+    assert math.sqrt(4 * float(flat @ flat)) <= s.radius  # rounding, which the margin covers
+    calls = _svd_calls(monkeypatch)
+    p = s.project(X.ravel())
+    assert calls == [{"full_matrices": False}]
+    sv = np.linalg.svd(p.reshape(4, 7), compute_uv=False)
+    assert sv.sum() == pytest.approx(s.radius, rel=1e-14)
+    assert p.tobytes() != X.ravel().tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -66,10 +68,11 @@ def test_columnwise_simplex_set(rng):
 
 
 def _reference_objective(problem, v):
-    # the three-temporary evaluation the in-place one must reproduce bit for bit
+    # the row-dot evaluation in fresh temporaries, which the in-place one
+    # must reproduce bit for bit
     X, Y = unpack_factors(problem, v)
     R = problem.A - X @ Y
-    return 0.5 * float((R * R).sum())
+    return 0.5 * float((R[:, None, :] @ R[:, :, None]).sum())
 
 
 def _reference_gradient(problem, v):
@@ -111,9 +114,34 @@ def test_mf_evaluations_match_the_reference_bit_for_bit(x_kind, order):
     assert len(points) >= 100
 
 
+_OBJECTIVE_AT_FULL_SIZE = """
+import numpy as np
+from modelcg.matfac import MfProblem, mf_objective
+rng = np.random.default_rng(5)
+prob = MfProblem(A=rng.standard_normal((400, 300)), inner_dim=10, y_kind="low_rank",
+                 radius=100.0)
+print(mf_objective(prob)(rng.standard_normal(prob.x_size + prob.y_size)).hex())
+"""
+
+
+def test_mf_objective_bits_do_not_depend_on_the_blas_thread_count():
+    # one dot over the whole residual is threaded at this size, and its bits
+    # then move with the thread count; a dot per row is not
+    src = os.path.dirname(os.path.dirname(matfac.__file__))
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _OBJECTIVE_AT_FULL_SIZE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        values.append(proc.stdout.strip())
+    assert values[0] == values[1]
+
+
 @pytest.mark.parametrize("model, final_f, backtracks, evaluations", [
-    ("cg", "0x1.e9fc80a6eb02dp+3", 106, 41),
-    ("hybrid", "0x1.d0b76fa8035e3p+3", 76, 41),
+    ("cg", "0x1.e9fc80a6eb02cp+3", 106, 41),
+    ("hybrid", "0x1.d0b76fa8035e4p+3", 76, 41),
 ], ids=["cg", "hybrid"])
 def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations):
     # the objective's evaluation, the line-search screen and the residual

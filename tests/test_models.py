@@ -17,6 +17,7 @@ from modelcg.models import (
     prox_penalized,
     verify_model_error,
 )
+from modelcg.models import _APG_MAX_ITERATIONS
 from modelcg.regression import generate_regression_data, make_constraint_set, make_objective, make_oracle, make_subproblem, model_error_growth
 
 from conftest import central_difference
@@ -427,6 +428,21 @@ def test_newton_proximal_variant_matches_closed_form(rng):
     res = m.minimize_proximal(box, 1e-12, tau)
     d = np.linalg.solve(Q + np.eye(4) / tau, -grad(x))
     assert box.contains(x + d)
+    np.testing.assert_allclose(res.point, x + d, atol=1e-7)
+
+
+def test_newton_solve_below_the_rounding_floor_stops_early(rng):
+    # at eps 1e-12 rounding rejects the plain step from x before the gap
+    # closes; the solve then stops there and reports the gap it reached
+    f, grad, Q, lmax, box = quadratic_problem(seed=12)
+    x = 0.2 * box.sample(rng)
+    res = NewtonModelOracle(None, f, grad, lambda z: Q).instantiate(x).minimize_proximal(
+        box, 1e-12, 0.8)
+    assert res.iterations < _APG_MAX_ITERATIONS // 100
+    # the Frank-Wolfe gap of model + ||y - x||^2 / (2 tau) at the returned y
+    c = grad(x) + Q @ (res.point - x) + (res.point - x) / 0.8
+    assert 1e-12 < res.gap == pytest.approx(float(c @ (res.point - box.lmo(c))), rel=1e-6)
+    d = np.linalg.solve(Q + np.eye(4) / 0.8, -grad(x))
     np.testing.assert_allclose(res.point, x + d, atol=1e-7)
 
 
