@@ -3,6 +3,7 @@ import pytest
 
 from modelcg.geometry import Box, PowerGrowth, ProductSet
 from modelcg.models import (
+    _APG_MAX_ITERATIONS,
     AdditiveCompositeOracle,
     GaussNewtonOracle,
     L1Loss,
@@ -17,7 +18,6 @@ from modelcg.models import (
     prox_penalized,
     verify_model_error,
 )
-from modelcg.models import _APG_MAX_ITERATIONS
 from modelcg.regression import generate_regression_data, make_constraint_set, make_objective, make_oracle, make_subproblem, model_error_growth
 
 from conftest import central_difference
