@@ -71,13 +71,20 @@ class PowerGrowth:
         return float(value) if value.ndim == 0 else value
 
 
-def _simplex_threshold(v, radius):
-    # Shift for projecting v onto {x >= 0, sum x = radius} by sort-and-threshold.
+def _simplex_projection(v, radius):
+    # Projection of v onto {x >= 0, sum x = radius} by sort-and-threshold.
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - radius
     idx = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u * idx > css)[0][-1])
-    return css[rho] / (rho + 1.0)
+    passing = np.nonzero(u * idx > css)[0]
+    if passing.size == 0:
+        # a radius below the rounding of the largest entry passes no index:
+        # the largest entry alone takes the radius
+        out = np.zeros_like(v)
+        out[int(np.argmax(v))] = radius
+        return out
+    rho = int(passing[-1])
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
 
 
 # the asymmetry psd_projection accepts, relative to 1 + the largest entry
@@ -198,7 +205,7 @@ class Simplex(ConstraintSet):
     def project(self, x):
         """Sort-and-threshold."""
         x = self._vector(x, "x")
-        return np.maximum(x - _simplex_threshold(x, 1.0), 0.0)
+        return _simplex_projection(x, 1.0)
 
     def sample(self, rng):
         e = rng.exponential(size=self.dim)
@@ -234,7 +241,7 @@ class L1Ball(ConstraintSet):
         a = np.abs(x)
         if a.sum() <= self.radius:
             return x.copy()
-        w = np.maximum(a - _simplex_threshold(a, self.radius), 0.0)
+        w = _simplex_projection(a, self.radius)
         return np.sign(x) * w
 
     def sample(self, rng):
@@ -415,7 +422,7 @@ class NuclearBall(ConstraintSet):
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
         if s.sum() <= self.radius:
             return X.flatten()
-        s = np.maximum(s - _simplex_threshold(s, self.radius), 0.0)
+        s = _simplex_projection(s, self.radius)
         return ((U * s) @ Vt).ravel()
 
     def sample(self, rng):

@@ -12,16 +12,57 @@ columns after the first form one stacked l2 ball. The hybrid mode keeps a
 quadratic proximal term on the Y block instead (proximal step on Y,
 linear-oracle step on X).
 
-The objective and the gradient share one evaluator of the residual
-R = XY - A. Each thread keeps its last residual: an evaluation of the same
+The objective and the gradient share one evaluator, which forms only
+k-sized products:
+
+    f(X, Y)   = 0.5 ||A||_F^2 - <X^T A, Y> + 0.5 <X^T X, Y Y^T>
+    d/dY      = (X^T X) Y - X^T A
+    (d/dX)^T  = (Y Y^T) X^T - Y A^T
+
+||A||_F^2 is taken once per problem, as a sum of per-row BLAS dots, which
+at row length run no threads, so its bits do not depend on the BLAS thread
+count. Each thread keeps its last evaluation: the problem, the point, X^T A
+(k x n), X^T X and Y Y^T (k x k) and the value. An evaluation of the same
 problem at a point bit for bit equal to the last one forms no product. The
 line search's accepted trial is the next anchor, where the model needs the
-objective and the gradient, so an outer iteration forms one residual. A new
-point overwrites the one m x n buffer the thread reuses while the shape of A
-stays the same. The value 0.5 ||R||_F^2 is a sum of per-row BLAS dots, which
-neither squares into a second buffer nor, at row length, runs threaded, so
-its bits do not depend on the BLAS thread count. The gradient's two products
-are written straight into the packed vector.
+objective and the gradient, so an outer iteration forms X^T A at the trial,
+Y A^T for the gradient and dX^T A for the segment remainder below: three
+O(mnk) products and, away from a close fit (see Rounding), no m x n array.
+The gradient's products are written straight into the packed vector.
+
+Rounding. Let u = 2**-53, gamma_q = q u / (1 - q u), R = XY - A and
+E = |A| + |X| |Y| (entrywise absolute values). A product entry or dot whose
+terms pass through q roundings is off by at most gamma_q times the sum of
+its terms' magnitudes, in any summation order, with or without fused
+multiply-adds. Barring underflow and overflow, the gradient satisfies,
+entrywise,
+
+    |fl(d/dX) - d/dX| <= gamma_(n + k + 1) E |Y|^T,
+    |fl(d/dY) - d/dY| <= gamma_(m + k + 1) |X|^T E:
+
+(Y Y^T) X^T and Y A^T take n + k and n roundings, (X^T X) Y and X^T A take
+m + k and m, and the subtraction one more. The value's terms pass through
+n + m - 1 (||A||^2), m + kn (<X^T A, Y>) and m + n + k^2 (<X^T X, Y Y^T>)
+roundings, and the two final additions add two; their magnitude sums
+0.5 ||A||^2, <|A|, |X| |Y|> and 0.5 || |X| |Y| ||^2 add up to
+0.5 ||E||^2. So
+
+    |fl(f) - f| <= gamma_p 0.5 ||E||_F^2,    p = m + n + k (n + k) + 2.
+
+The residual form, half the per-row dots of the rounded XY - A, is off by
+at most gamma_q (<|R|, E> + 0.5 ||R||_F^2) + 2 gamma_q^2 ||E||_F^2 with
+q = m + n + k: its error shrinks with R. With <|R|, E> at its largest,
+||R|| ||E||, the Gram bound is ||E|| / (2 ||R||) times the residual form's,
+and ||E||_F <= ||A||_F + ||X||_F ||Y||_F. The evaluator reads the estimate
+(||A||_F + ||X||_F ||Y||_F) / (2 ||R||_F) from its own products: ||R||^2 is
+2 f, and ||X||_F^2 and ||Y||_F^2 are the traces of X^T X and Y Y^T. While
+the estimate is at most 2**_GRAM_LOST_BITS, the value is the Gram value;
+past it, near a close fit, the evaluator also forms XY - A, as one m x n
+temporary, and returns the residual form's value. The line search needs objective differences far
+below u ||A||^2 there: from the Gram value alone, ``modelcg mf-demo`` on its
+exact rank-one data runs out of backtracks before the stationarity test
+passes. Noisy data keep the ratio small: at most 2**4.8 on the benchmark's
+``matfac-noisy`` solves, where ||A|| / ||R|| is about 18.
 
 Along a segment the objective is an exact quartic in the step. With
 d = (dX, dY), R0 = XY - A, B = X dY + dX Y and C = dX dY,
@@ -30,7 +71,8 @@ d = (dX, dY), R0 = XY - A, B = X dY + dX Y and C = dX dY,
         = g^2 (||B||^2/2 + <R0, C>) + g^3 <B, C> + g^4 ||C||^2/2.
 
 ``mf_segment_remainder`` computes these coefficients from k x k Gram
-matrices and the one k x m x n product dX^T A, with no m x n temporary. The
+matrices, X^T X and Y Y^T from the anchor's evaluation, and the one
+k x m x n product dX^T A, with no m x n temporary. The
 oracle hands them to the line search, which then skips the trial steps the
 objective would reject: it usually evaluates the objective once per outer
 iteration, at the accepted step.
@@ -48,6 +90,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -105,8 +148,8 @@ class MfProblem:
     ``y_kind`` in {"sparsity", "low_rank"}, ``model`` in {"cg", "hybrid"}.
 
     ``A`` must not be written in place or replaced after construction:
-    evaluations remember their last residual by the problem and the point
-    alone.
+    evaluations remember their last products by the problem and the point
+    alone, and ``||A||_F^2`` is taken once.
     """
 
     A: np.ndarray
@@ -133,6 +176,12 @@ class MfProblem:
             raise ValueError(f"unknown model {self.model!r}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")
+
+    @cached_property
+    def _a_sq(self):
+        # a sum of per-row dots: at row length BLAS runs no threads, so the
+        # bits do not depend on the BLAS thread count
+        return float((self.A[:, None, :] @ self.A[:, :, None]).sum())
 
     @property
     def shape(self):
@@ -163,48 +212,57 @@ def unpack_factors(problem, v):
     return X, Y
 
 
-class _LastResidual(threading.local):
+class _LastEvaluation(threading.local):
     """One thread's last evaluation: the problem, a private copy of the
-    point, the residual and its value."""
+    point, the k-sized products ``X^T A``, ``X^T X`` and ``Y Y^T``, and the
+    value."""
 
     def __init__(self):
         self.problem = None
         self.v = None
-        self.R = None
+        self.xa = self.xx = self.yy = None
         self.value = math.nan
 
 
-_last = _LastResidual()
+_last = _LastEvaluation()
 
 
-def _residual(problem, v):
-    """``(R, value)`` at the packed point ``v``, with ``R = XY - A`` and
-    ``value = 0.5 ||R||_F^2``. ``R`` is the thread's buffer: the caller may
-    read it until the thread's next evaluation, and must not write it."""
+def _evaluation(problem, v):
+    """The thread's slot filled at the packed point ``v``. The caller may
+    read its arrays until the thread's next evaluation, and must not write
+    them."""
     v = np.asarray(v, dtype=float)
     last = _last
     # bit patterns: a signed zero is told apart, and a NaN point matches itself
     if not (last.problem is problem
             and np.array_equal(last.v.view(np.uint64), v.view(np.uint64))):
-        _form_residual(problem, v)
-    return last.R, last.value
+        _form_evaluation(problem, v)
+    return last
 
 
-def _form_residual(problem, v):
-    """Fill the thread's slot at ``v``: the same rounded operations as
-    ``A - XY`` in a fresh array, and half the sum of its rows' dots with
-    themselves (a stack of (1, n) @ (n, 1) products is a BLAS dot per row).
-    Negating a rounded difference is exact, so the dots are those of
-    ``A - XY`` bit for bit."""
+# the most bits the Gram form of the value may lose to cancellation against
+# the residual form (module docstring)
+_GRAM_LOST_BITS = 8
+
+
+def _form_evaluation(problem, v):
+    """Fill the thread's slot at ``v`` with the Gram products and the value:
+    ``0.5 ||A||^2 - <X^T A, Y> + 0.5 <X^T X, Y Y^T>``, or, once that would
+    lose more than ``_GRAM_LOST_BITS``, half the sum of the per-row dots of
+    ``XY - A``."""
     X, Y = unpack_factors(problem, v)
     last = _last
-    last.problem = None  # the buffer no longer holds the remembered point
-    if last.R is None or last.R.shape != problem.A.shape:
-        last.R = np.empty(problem.A.shape)
-    R = last.R
-    np.matmul(X, Y, out=R)
-    np.subtract(R, problem.A, out=R)
-    last.value = 0.5 * float((R[:, None, :] @ R[:, :, None]).sum())
+    last.problem = None  # the slot no longer holds the remembered point
+    last.xa, last.xx, last.yy = X.T @ problem.A, X.T @ X, Y @ Y.T
+    value = (0.5 * problem._a_sq - float(np.vdot(last.xa, Y))
+             + 0.5 * float(np.vdot(last.xx, last.yy)))
+    # (||A|| + ||X|| ||Y||) / (2 ||XY - A||) <= 2**bits, with ||XY - A||^2 = 2 value
+    scale = math.sqrt(problem._a_sq) + math.sqrt(float(np.trace(last.xx) * np.trace(last.yy)))
+    if not 8.0 * value >= (scale * 2.0**-_GRAM_LOST_BITS) ** 2:
+        R = X @ Y
+        R -= problem.A
+        value = 0.5 * float((R[:, None, :] @ R[:, :, None]).sum())
+    last.value = value
     last.v = v.copy()
     last.problem = problem
 
@@ -213,24 +271,27 @@ def mf_objective(problem):
     """0.5 ||A - XY||_F^2 on the packed variable."""
 
     def objective(v):
-        return _residual(problem, v)[1]
+        return _evaluation(problem, v).value
 
     return objective
 
 
 def mf_gradient(problem):
-    """Gradient of the smooth coupling: d/dX = (XY - A) Y^T and
-    d/dY = X^T (XY - A), packed like the variable."""
+    """Gradient of the smooth coupling: d/dX = X (Y Y^T) - A Y^T and
+    d/dY = (X^T X) Y - X^T A, packed like the variable."""
 
     m, k, n = problem.shape
 
     def gradient(v):
-        R, _ = _residual(problem, v)
+        last = _evaluation(problem, v)
         X, Y = unpack_factors(problem, v)
         g = np.empty(m * k + k * n)
-        # the column-major d/dX is the row-major (d/dX)^T = Y R^T
-        np.matmul(Y, R.T, out=g[: m * k].reshape(k, m))
-        np.matmul(X.T, R, out=g[m * k :].reshape(k, n))
+        # the column-major d/dX is the row-major (d/dX)^T = (Y Y^T) X^T - Y A^T
+        gx, gy = g[: m * k].reshape(k, m), g[m * k :].reshape(k, n)
+        np.matmul(last.yy, X.T, out=gx)
+        gx -= Y @ problem.A.T
+        np.matmul(last.xx, Y, out=gy)
+        gy -= last.xa
         return g
 
     return gradient
@@ -239,12 +300,14 @@ def mf_gradient(problem):
 def mf_segment_remainder(problem):
     """Coefficients ``(c2, c3, c4)`` of the linearization error of the
     objective along ``v + g d``: ``c2 g^2 + c3 g^3 + c4 g^4`` (module
-    docstring). Every factor but ``dX^T A`` is a k x k Gram matrix."""
+    docstring). Every factor but ``dX^T A`` is a k x k Gram matrix; those of
+    ``v`` come from its evaluation."""
 
     def remainder(v, d):
+        last = _evaluation(problem, v)
+        xx, yy = last.xx, last.yy
         X, Y = unpack_factors(problem, v)
         dX, dY = unpack_factors(problem, d)
-        xx, yy = X.T @ X, Y @ Y.T
         dxdx, dydy = dX.T @ dX, dY @ dY.T
         xdx, ydy = X.T @ dX, Y @ dY.T
         # <X dY, dX dY> + <dX Y, dX dY>, and <XY, dX dY> - <A, dX dY>

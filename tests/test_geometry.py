@@ -542,6 +542,21 @@ def test_nuclear_project_bound_rejects_squares_that_underflow():
     assert p.tolist() == pytest.approx([1e-175, 0.0, 0.0, 0.0], rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("s, x, expected", [
+    (NuclearBall(2, 2, 1e-300), [1e-170, 0.0, 0.0, 0.0], [1e-300, 0.0, 0.0, 0.0]),
+    (L1Ball(2, 1e-300), [1e-170, 0.0], [1e-300, 0.0]),
+    (L1Ball(2, 1e-300), [0.0, -1e-170], [0.0, -1e-300]),
+    (Simplex(2), [1e20, 0.0], [1.0, 0.0]),
+], ids=["nuclear", "l1", "l1_negative", "simplex"])
+def test_projections_take_a_radius_below_the_rounding_of_the_largest_entry(s, x, expected):
+    # largest entry - radius rounds back to the largest entry, so the
+    # threshold test passes no index
+    p = s.project(x)
+    assert s.contains(p)
+    assert np.abs(p).tolist() == pytest.approx(np.abs(expected).tolist(), rel=1e-9, abs=0.0)
+    assert np.sign(p).tolist() == np.sign(expected).tolist()
+
+
 def test_nuclear_project_bound_rejects_its_equality_case(monkeypatch):
     # equal singular values make sqrt(rank) ||X||_F the nuclear norm, so a
     # radius just below it leaves the point outside: one thin SVD projects it

@@ -1,9 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,18 +70,31 @@ def test_columnwise_simplex_set(rng):
     assert ((out == 1).sum(axis=0) == 1).all()  # one vertex per column
 
 
-def _reference_objective(problem, v):
-    # the row-dot evaluation in fresh temporaries, which the in-place one
-    # must reproduce bit for bit
+def _reference_value_and_form(problem, v):
+    # the Gram value, or the residual form's past the cancellation limit, in
+    # fresh temporaries; the cached evaluation must reproduce it bit for bit
     X, Y = unpack_factors(problem, v)
-    R = problem.A - X @ Y
-    return 0.5 * float((R[:, None, :] @ R[:, :, None]).sum())
+    A = problem.A
+    a_sq = float((A[:, None, :] @ A[:, :, None]).sum())
+    xx, yy = X.T @ X, Y @ Y.T
+    value = 0.5 * a_sq - float(np.vdot(X.T @ A, Y)) + 0.5 * float(np.vdot(xx, yy))
+    scale = math.sqrt(a_sq) + math.sqrt(float(np.trace(xx) * np.trace(yy)))
+    if 8.0 * value >= (scale * 2.0**-matfac._GRAM_LOST_BITS) ** 2:
+        return value, "gram"
+    R = X @ Y - A
+    return 0.5 * float((R[:, None, :] @ R[:, :, None]).sum()), "residual"
+
+
+def _reference_objective(problem, v):
+    return _reference_value_and_form(problem, v)[0]
 
 
 def _reference_gradient(problem, v):
     X, Y = unpack_factors(problem, v)
-    R = X @ Y - problem.A
-    return np.concatenate([(R @ Y.T).ravel(order="F"), (X.T @ R).ravel()])
+    A = problem.A
+    gx = (Y @ Y.T) @ X.T - Y @ A.T
+    gy = (X.T @ X) @ Y - X.T @ A
+    return np.concatenate([gx.ravel(), gy.ravel()])
 
 
 def _evaluation_points(problem, rng, count):
@@ -114,6 +130,111 @@ def test_mf_evaluations_match_the_reference_bit_for_bit(x_kind, order):
     assert len(points) >= 100
 
 
+_U = Fraction(1, 2**53)
+
+
+def _gamma(q):
+    return q * _U / (1 - q * _U)
+
+
+def _exact(M):
+    return [[Fraction(float(x)) for x in row] for row in np.asarray(M)]
+
+
+def _exact_product(P, Q):
+    return [[sum(P[i][j] * Q[j][l] for j in range(len(Q))) for l in range(len(Q[0]))]
+            for i in range(len(P))]
+
+
+def _transposed(P):
+    return [list(col) for col in zip(*P)]
+
+
+def _absolute(P):
+    return [[abs(x) for x in row] for row in P]
+
+
+def _inner(P, Q):
+    return sum(x * y for p, q in zip(P, Q) for x, y in zip(p, q))
+
+
+@pytest.mark.parametrize("case", ["generic", "close_fit"])
+def test_mf_evaluations_are_within_the_rounding_bounds(case):
+    # the bounds of the module docstring, checked against exact rational
+    # arithmetic: the Gram value's gamma_p 0.5 ||E||^2 away from a fit, the
+    # residual form's gamma_q (<|R|, E> + 0.5 ||R||^2) + 2 gamma_q^2 ||E||^2
+    # near one, and the entrywise gradient bounds at every point
+    rng = np.random.default_rng(43)
+    m, k, n = 6, 3, 5
+    X0, Y0 = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    A = rng.standard_normal((m, n)) if case == "generic" else X0 @ Y0
+    prob = MfProblem(A=A, inner_dim=k, y_kind="low_rank", radius=10.0)
+    fun, grad = mf_objective(prob), mf_gradient(prob)
+    fit = pack_factors(prob, X0, Y0)
+    if case == "generic":
+        points = [10.0 ** rng.uniform(-2, 2) * rng.standard_normal(fit.size)
+                  for _ in range(10)]
+    else:
+        points = [fit] + [fit + 10.0 ** -e * rng.standard_normal(fit.size)
+                          for e in (4, 6, 8, 10, 12, 14)]
+    p, q = m + n + k * (n + k) + 2, m + n + k
+    Ae = _exact(A)
+    for v in points:
+        value, form = _reference_value_and_form(prob, v)
+        assert form == ("gram" if case == "generic" else "residual")
+        assert fun(v).hex() == value.hex()
+        X, Y = (_exact(F) for F in unpack_factors(prob, v))
+        XY = _exact_product(X, Y)
+        R = [[xy - a for xy, a in zip(r, s)] for r, s in zip(XY, Ae)]
+        E = [[abs(a) + b for a, b in zip(r, s)]
+             for r, s in zip(Ae, _exact_product(_absolute(X), _absolute(Y)))]
+        f = _inner(R, R) / 2
+        if form == "gram":
+            bound = _gamma(p) * _inner(E, E) / 2
+        else:
+            bound = (_gamma(q) * (_inner(_absolute(R), E) + _inner(R, R) / 2)
+                     + 2 * _gamma(q) ** 2 * _inner(E, E))
+        assert abs(Fraction(fun(v)) - f) <= bound
+        GX, GY = (_exact(F) for F in unpack_factors(prob, grad(v)))
+        bounds = [(GX, _exact_product(R, _transposed(Y)),
+                   _exact_product(E, _transposed(_absolute(Y))), _gamma(n + k + 1)),
+                  (GY, _exact_product(_transposed(X), R),
+                   _exact_product(_transposed(_absolute(X)), E), _gamma(m + k + 1))]
+        for got, exact, scale, gamma in bounds:
+            for row, exact_row, scale_row in zip(got, exact, scale):
+                for g, e, c in zip(row, exact_row, scale_row):
+                    assert abs(g - e) <= gamma * c
+
+
+def test_mf_evaluation_allocates_less_than_one_m_by_n_array():
+    rng = np.random.default_rng(41)
+    prob = MfProblem(A=rng.standard_normal((400, 300)), inner_dim=10, y_kind="low_rank",
+                     radius=100.0)
+    fun, grad = mf_objective(prob), mf_gradient(prob)
+    points = [rng.standard_normal(prob.x_size + prob.y_size) for _ in range(3)]
+    fun(points[0])  # ||A||^2 is taken once per problem
+    peaks = []
+
+    def evaluate():
+        # a new thread starts from an empty slot, so what the slot keeps counts
+        for v in points[1:]:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fun(v)
+            grad(v)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    tracemalloc.start()
+    try:
+        worker = threading.Thread(target=evaluate)
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        tracemalloc.stop()
+    assert not worker.is_alive()
+    assert len(peaks) == 2 and max(peaks) < prob.A.nbytes, peaks
+
+
 _OBJECTIVE_AT_FULL_SIZE = """
 import numpy as np
 from modelcg.matfac import MfProblem, mf_objective
@@ -140,19 +261,19 @@ def test_mf_objective_bits_do_not_depend_on_the_blas_thread_count():
 
 
 @pytest.mark.parametrize("model, final_f, backtracks, evaluations", [
-    ("cg", "0x1.e9fc80a6eb02cp+3", 106, 41),
-    ("hybrid", "0x1.d0b76fa8035e4p+3", 76, 41),
+    ("cg", "0x1.e9fc80a6eb140p+3", 106, 41),
+    ("hybrid", "0x1.d0b76fa803640p+3", 76, 41),
 ], ids=["cg", "hybrid"])
 def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations):
-    # the objective's evaluation, the line-search screen and the residual
-    # reuse must leave every iterate, and so the backtracks and evaluations,
-    # unchanged. The screen leaves one line-search evaluation per iteration:
-    # 41 = the start + 20 anchors + 20 trials. Each anchor is the accepted
-    # trial, so its objective and gradient reuse the trial's residual: 21
-    # residuals = the start + 20 trials (61 = 41 objectives + 20 gradients
-    # without reuse).
+    # the objective's evaluation, the line-search screen and the reuse of
+    # the last evaluation must leave every iterate, and so the backtracks and
+    # evaluations, unchanged. The screen leaves one line-search evaluation
+    # per iteration: 41 = the start + 20 anchors + 20 trials. Each anchor is
+    # the accepted trial, so its objective, gradient and segment remainder
+    # reuse the trial's products: 21 formed = the start + 20 trials (61 =
+    # 41 objectives + 20 gradients without reuse).
     calls, formed = [], []
-    plain, form = matfac.mf_objective, matfac._form_residual
+    plain, form = matfac.mf_objective, matfac._form_evaluation
 
     def counted(problem):
         fun = plain(problem)
@@ -168,7 +289,7 @@ def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations
         form(problem, v)
 
     monkeypatch.setattr(matfac, "mf_objective", counted)
-    monkeypatch.setattr(matfac, "_form_residual", counted_form)
+    monkeypatch.setattr(matfac, "_form_evaluation", counted_form)
     rng = np.random.default_rng(11)
     A = (rng.standard_normal((40, 2)) @ rng.standard_normal((2, 30))
          + 0.1 * rng.standard_normal((40, 30)))
