@@ -11,7 +11,6 @@ from .geometry import (
     PowerGrowth,
     ProductSet,
     Simplex,
-    psd_projection,
 )
 from .inner import PiecewiseLinearSubproblem, pdhg_solve, primal_dual_gap
 from .models import (
@@ -19,7 +18,6 @@ from .models import (
     GaussNewtonOracle,
     L1Loss,
     LinearModelOracle,
-    NewtonModelOracle,
     ProximalModelOracle,
     WeightedL1,
     ZeroPenalty,
@@ -48,7 +46,6 @@ __all__ = [
     "PowerGrowth",
     "ProductSet",
     "Simplex",
-    "psd_projection",
     "PiecewiseLinearSubproblem",
     "pdhg_solve",
     "primal_dual_gap",
@@ -56,7 +53,6 @@ __all__ = [
     "GaussNewtonOracle",
     "L1Loss",
     "LinearModelOracle",
-    "NewtonModelOracle",
     "ProximalModelOracle",
     "WeightedL1",
     "ZeroPenalty",

@@ -1,5 +1,5 @@
 """Convex geometry layer: growth functions, compact constraint sets with linear
-minimization oracles and Euclidean projections, and the PSD matrix projection.
+minimization oracles and Euclidean projections.
 
 Each set owns its oracle and its projection as methods; the set parameters
 are checked once, in the constructor, and each call checks only its input.
@@ -31,7 +31,6 @@ __all__ = [
     "L2Ball",
     "NuclearBall",
     "ProductSet",
-    "psd_projection",
     "require_finite",
 ]
 
@@ -85,28 +84,6 @@ def _simplex_projection(v, radius):
         return out
     rho = int(passing[-1])
     return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
-
-
-# the asymmetry psd_projection accepts, relative to 1 + the largest entry
-SYM_TOL = 1e-10
-
-
-def psd_projection(H):
-    """Frobenius-nearest positive semi-definite matrix to a symmetric H.
-
-    H is symmetrized internally; asymmetry beyond ``SYM_TOL`` (relative to the
-    largest entry) is rejected. Negative eigenvalues are clipped to zero.
-    """
-    H = require_finite(H, "H")
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be square")
-    scale = 1.0 + float(np.max(np.abs(H))) if H.size else 1.0
-    if float(np.max(np.abs(H - H.T), initial=0.0)) > SYM_TOL * scale:
-        raise ValueError("H is not symmetric within tolerance")
-    S = 0.5 * (H + H.T)
-    w, V = np.linalg.eigh(S)  # LinAlgError surfaces to the caller
-    P = (V * np.clip(w, 0.0, None)) @ V.T
-    return 0.5 * (P + P.T)
 
 
 # ---------------------------------------------------------------------------

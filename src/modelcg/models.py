@@ -15,8 +15,6 @@ the work horse of the conditional-gradient outer loop:
                                   mask makes the hybrid: the masked blocks of
                                   a product set take a proximal step, the
                                   others a linear-oracle step.
-* ``NewtonModelOracle``        -- adds the PSD-projected Hessian quadratic;
-                                  minimized by accelerated projected gradient.
 * ``GaussNewtonOracle``        -- linearizes an inner residual map inside a
                                   convex outer loss; the l1 case is handed to
                                   the primal-dual inner solver.
@@ -30,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Box, ProductSet, psd_projection, require_finite
+from .geometry import Box, ProductSet, require_finite
 from .inner import PiecewiseLinearSubproblem, pdhg_solve
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "LinearModelOracle",
     "AdditiveCompositeOracle",
     "ProximalModelOracle",
-    "NewtonModelOracle",
     "GaussNewtonOracle",
     "model_improvement",
     "verify_model_error",
@@ -330,107 +327,6 @@ class ProximalModelOracle:
         if self.mask is not None and self.mask.shape != base.anchor.shape:
             raise ValueError("proximal mask does not match the anchor")
         return _ProxRegularizedModel(base, self.tau, self.mask)
-
-
-# iteration cap of one accelerated projected gradient solve, which
-# normally stops earlier on its Frank-Wolfe gap
-_APG_MAX_ITERATIONS = 20000
-
-
-class _NewtonModel(ModelInstance):
-    def __init__(self, anchor, penalty, h_value, h_grad, curvature, lam_max):
-        self.penalty = penalty if penalty is not None else ZeroPenalty()
-        self.h_value = float(h_value)
-        self.h_grad = _finite_oracle_data(h_grad, "gradient")
-        self.curvature = curvature  # PSD-projected Hessian
-        self.lam_max = float(lam_max)
-        super().__init__(anchor, self.h_value + self.penalty.value(anchor))
-
-    def quad_grad(self, x):
-        return self.h_grad + self.curvature @ (np.asarray(x, float) - self.anchor)
-
-    def value(self, x):
-        d = np.asarray(x, float) - self.anchor
-        return (
-            self.penalty.value(x)
-            + self.h_value
-            + float(self.h_grad @ d)
-            + 0.5 * float(d @ (self.curvature @ d))
-        )
-
-    def _fw_gap(self, x, constraint):
-        c = self.quad_grad(x)
-        v = linear_composite_min(self.penalty, c, constraint)
-        return float(c @ (x - v)) + self.penalty.value(x) - self.penalty.value(v)
-
-    def minimize(self, constraint, eps, warm=None):
-        lip = self.lam_max
-        if lip <= 0.0:
-            # no curvature: the model is additive composite, solve exactly
-            y = linear_composite_min(self.penalty, self.h_grad, constraint)
-            return ModelMinimum(point=y, gap=0.0)
-        if warm is not None and np.shape(warm) == self.anchor.shape:
-            x = constraint.project(np.asarray(warm, float))
-        else:
-            x = constraint.project(self.anchor)
-        z, t = x, 1.0
-        val = self.value(x)
-        gap = np.inf
-        it = 0
-        restarted = True  # z is x: this iteration takes the plain step from x
-        for it in range(1, _APG_MAX_ITERATIONS + 1):
-            x_new = prox_penalized(
-                self.penalty, z - self.quad_grad(z) / lip, 1.0 / lip, constraint
-            )
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-            val_new = self.value(x_new)
-            if val_new > val:
-                if restarted:
-                    # rounding rejects the plain step, which every later
-                    # iteration would repeat: x is as far as the solve gets
-                    gap = self._fw_gap(x, constraint)
-                    break
-                z, t_new, restarted = x, 1.0, True  # monotone restart
-            else:
-                x, val, restarted = x_new, val_new, False
-            t = t_new
-            if it % 10 == 0 or it == _APG_MAX_ITERATIONS:
-                gap = self._fw_gap(x, constraint)
-                if gap <= eps:
-                    break
-        return ModelMinimum(point=x, gap=float(gap), iterations=it, state=x)
-
-    def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
-        """The model plus ||x - anchor||^2 / (2 tau) is the same model with
-        curvature H + I / tau and Lipschitz bound lam_max + 1 / tau."""
-        if mask is not None:
-            raise NotImplementedError("the Newton model has no masked proximal step")
-        prox = _NewtonModel(
-            self.anchor, self.penalty, self.h_value, self.h_grad,
-            self.curvature + np.eye(self.anchor.size) / tau, self.lam_max + 1.0 / tau,
-        )
-        return prox.minimize(constraint, eps, warm)
-
-
-class NewtonModelOracle:
-    """Second-order model: the Hessian of the smooth part is projected onto
-    the PSD cone to keep the surrogate convex. Minimization runs accelerated
-    projected gradient with a linear-oracle duality gap as stopping rule."""
-
-    def __init__(self, penalty, h, grad_h, hess_h):
-        self.penalty = penalty
-        self.h = h
-        self.grad_h = grad_h
-        self.hess_h = hess_h
-
-    def instantiate(self, anchor):
-        anchor = np.asarray(anchor, dtype=float)
-        H = psd_projection(np.asarray(self.hess_h(anchor), dtype=float))
-        lam_max = float(np.linalg.eigvalsh(H)[-1]) if H.size else 0.0
-        return _NewtonModel(
-            anchor, self.penalty, float(self.h(anchor)), self.grad_h(anchor), H, lam_max
-        )
 
 
 class L1Loss:

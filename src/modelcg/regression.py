@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, PowerGrowth, require_finite
+from .inner import aligned
 from .models import GaussNewtonOracle, L1Loss, WeightedL1
 
 __all__ = [
@@ -76,13 +77,25 @@ def eval_F(a, b, x_points):
 def eval_jacobian(a, b, x_points):
     """M x 2P Jacobian of ``eval_F``: columns [d/da_j, d/db_j].
 
-    d/da_j = exp(-b_j x_i) and d/db_j = -a_j x_i exp(-b_j x_i).
+    d/da_j = exp(-b_j x_i) and d/db_j = -a_j x_i exp(-b_j x_i). The result
+    is C-contiguous and starts on a 64-byte boundary (``inner.aligned``), so
+    the inner subproblem takes it as its matrix without a copy.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x_points, dtype=float)
+    P = b.size
+    # E is formed contiguous, as np.hstack's input was, so np.exp runs the
+    # same loop; the right block, -(x * E) * a, takes only correctly rounded
+    # products, which give the same bits wherever they are written
     E = np.exp(-np.outer(x, b))
-    return np.hstack([E, -(x[:, None] * E) * a[None, :]])
+    J = aligned((x.size, 2 * P))
+    J[:, :P] = E
+    R = J[:, P:]
+    np.multiply(x[:, None], E, out=R)
+    np.negative(R, out=R)
+    np.multiply(R, a[None, :], out=R)
+    return J
 
 
 def _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale):

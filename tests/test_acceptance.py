@@ -25,7 +25,6 @@ from modelcg.matfac import make_mf_sets, mf_gradient, mf_objective
 from modelcg.models import (
     AdditiveCompositeOracle,
     LinearModelOracle,
-    NewtonModelOracle,
     ProximalModelOracle,
     WeightedL1,
 )
@@ -270,8 +269,6 @@ def _quadratic_family_setups():
         ("hybrid", ProximalModelOracle(AdditiveCompositeOracle(pen, h, grad), tau,
                                        np.arange(4) < 2), f_hybrid, prod,
          PowerGrowth(lmax + 1.0 / tau, 1.0)),
-        ("newton", NewtonModelOracle(pen, h, grad, lambda x: Q), f_pen, box,
-         PowerGrowth(1e-7, 1.0)),  # exact quadratic model: zero error
     ]
 
 

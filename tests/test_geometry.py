@@ -13,7 +13,6 @@ from modelcg.geometry import (
     PowerGrowth,
     ProductSet,
     Simplex,
-    psd_projection,
 )
 from modelcg.matfac import unit_atoms_set
 
@@ -571,40 +570,3 @@ def test_nuclear_project_bound_rejects_its_equality_case(monkeypatch):
     sv = np.linalg.svd(p.reshape(4, 7), compute_uv=False)
     assert sv.sum() == pytest.approx(s.radius, rel=1e-14)
     assert p.tobytes() != X.ravel().tobytes()
-
-
-# ---------------------------------------------------------------------------
-# PSD projection
-# ---------------------------------------------------------------------------
-
-
-def test_psd_projection_examples():
-    np.testing.assert_allclose(
-        psd_projection(np.diag([2.0, -3.0])), np.diag([2.0, 0.0]), atol=1e-12
-    )
-    H = np.array([[2.0, 0.3], [0.3, 1.0]])  # already PSD
-    np.testing.assert_allclose(psd_projection(H), H, atol=1e-12)
-    np.testing.assert_allclose(
-        psd_projection(np.array([[0.0, 1.0], [1.0, 0.0]])),
-        [[0.5, 0.5], [0.5, 0.5]],
-        atol=1e-12,
-    )
-
-
-def test_psd_projection_is_frobenius_nearest_2x2():
-    H = np.array([[1.0, -2.0], [-2.0, -1.0]])
-    P = psd_projection(H)
-    assert np.linalg.eigvalsh(P).min() >= -1e-10
-    dist = np.linalg.norm(P - H)
-    # dense search over 2x2 PSD matrices [[a, b], [b, c]]
-    a = np.linspace(0, 4, 61)
-    b = np.linspace(-4, 4, 121)
-    A, B, C = np.meshgrid(a, b, a, indexing="ij")
-    ok = A * C >= B**2
-    d = np.sqrt((A - 1) ** 2 + 2 * (B + 2) ** 2 + (C + 1) ** 2)
-    assert dist <= d[ok].min() + 1e-6
-
-
-def test_psd_projection_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        psd_projection(np.array([[0.0, 1.0], [0.0, 0.0]]))

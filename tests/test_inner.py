@@ -1,16 +1,18 @@
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from modelcg.inner import (
+    ALIGNMENT,
     PdState,
     PiecewiseLinearSubproblem,
     pdhg_solve,
     precond_steps,
     primal_dual_gap,
 )
-from modelcg.regression import generate_regression_data, make_subproblem
+from modelcg.regression import generate_regression_data, make_constraint_set, make_subproblem
 
 from oracle import brute_force_subproblem
 
@@ -364,6 +366,68 @@ def test_subproblem_validation():
     for tau in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             sub.with_prox(tau, np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# the aligned subproblem matrix
+# ---------------------------------------------------------------------------
+
+
+def _is_aligned(K):
+    return K.flags.c_contiguous and K.ctypes.data % ALIGNMENT == 0
+
+
+def _at_offset(K, offset):
+    """A C-contiguous copy of K whose data starts ``offset`` bytes past a
+    64-byte boundary."""
+    buf = np.empty(K.size + 16)
+    start = (-buf.ctypes.data % ALIGNMENT + offset) // 8
+    out = buf[start : start + K.size].reshape(K.shape)
+    out[...] = K
+    assert out.ctypes.data % ALIGNMENT == offset
+    return out
+
+
+@pytest.mark.parametrize("P, M", [(100, 1000), (20, 200)])
+def test_regression_subproblem_matrix_is_aligned_without_a_copy(P, M):
+    ds = generate_regression_data(P=P, M=M, mu=80.0, seed=0)
+    u = make_constraint_set(ds).midpoint()
+    sub = make_subproblem(ds, u)
+    assert _is_aligned(sub.K)
+    # the proximal variant shares the matrix instead of copying it
+    assert sub.with_prox(0.5, u).K is sub.K
+    assert _is_aligned(make_subproblem(ds, u, tau=0.5).K)
+
+
+def test_subproblem_copies_an_unaligned_matrix_to_an_aligned_one(rng):
+    K = rng.standard_normal((7, 5))
+    kw = dict(target=np.zeros(7), mu=0.5, mask=np.ones(5, bool), lo=np.zeros(5), hi=np.ones(5))
+    # offset views (the last starts one 40-byte row into a larger matrix,
+    # so 8 bytes off any 16-byte boundary) and a Fortran-order copy
+    row_view = np.vstack([np.zeros((1, 5)), K])[1:]
+    for given in (_at_offset(K, 16), _at_offset(K, 48), row_view, np.asfortranarray(K)):
+        assert not _is_aligned(given)
+        sub = box_problem(given, **kw)
+        assert sub.K is not given and _is_aligned(sub.K)
+        assert sub.K.tobytes() == K.tobytes()
+    fitted = _at_offset(K, 0)
+    assert box_problem(fitted, **kw).K is fitted
+
+
+@pytest.mark.parametrize("P, M, tau", [(100, 1000, None), (20, 200, None), (20, 200, 0.5)])
+def test_pdhg_iterates_do_not_depend_on_where_the_matrix_starts(P, M, tau):
+    # the solver reads K wherever it sits: the same matrix at each 16-byte
+    # offset from a cache line gives the same bits
+    ds = generate_regression_data(P=P, M=M, mu=80.0, seed=0)
+    sub = make_subproblem(ds, make_constraint_set(ds).midpoint(), tau=tau)
+    runs = []
+    for offset in (0, 16, 32, 48):
+        # set past __post_init__, which would align the matrix again
+        placed = copy.copy(sub)
+        object.__setattr__(placed, "K", _at_offset(sub.K, offset))
+        res = pdhg_solve(placed, gap_tol=1e-6, max_iters=500)
+        runs.append((res.u.tobytes(), res.state.p.tobytes(), res.gap, res.iterations))
+    assert all(run == runs[0] for run in runs[1:])
 
 
 # ---------------------------------------------------------------------------

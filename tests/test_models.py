@@ -3,13 +3,11 @@ import pytest
 
 from modelcg.geometry import Box, PowerGrowth, ProductSet
 from modelcg.models import (
-    _APG_MAX_ITERATIONS,
     AdditiveCompositeOracle,
     GaussNewtonOracle,
     L1Loss,
     LinearModelOracle,
     ModelInstance,
-    NewtonModelOracle,
     ProximalModelOracle,
     WeightedL1,
     ZeroPenalty,
@@ -56,7 +54,6 @@ def all_oracles(dim=4, seed=0, mu=0.3):
         ("additive", AdditiveCompositeOracle(pen, f, grad), f_pen, box),
         ("hybrid", ProximalModelOracle(AdditiveCompositeOracle(pen, f, grad), 0.7,
                                        np.arange(dim) < 2), f_pen, hybrid_box),
-        ("newton", NewtonModelOracle(pen, f, grad, lambda x: Q), f_pen, box),
     ]
 
 
@@ -139,7 +136,6 @@ def test_segment_change_only_from_a_zero_penalty_with_a_remainder(rng):
     without = (
         AdditiveCompositeOracle(WeightedL1(0.3), f, grad, remainder),
         LinearModelOracle(f, grad),
-        NewtonModelOracle(None, f, grad, lambda z: Q),
         GaussNewtonOracle(lambda z: z, lambda z: np.eye(4), L1Loss(np.zeros(4))),
     )
     for oracle in without:
@@ -248,60 +244,13 @@ def test_proximal_mask_contract(rng):
     for tau in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             ProximalModelOracle(base, tau)
-    # the curvature families have no masked proximal step
+    # the Gauss-Newton family has no masked proximal step
     ds = generate_regression_data(P=3, M=15, mu=1.0, seed=21)
     gn_box = make_constraint_set(ds)
-    families = [
-        (NewtonModelOracle(None, f, grad, lambda x: Q), box, x),
-        (make_oracle(ds), gn_box, gn_box.midpoint()),
-    ]
-    for oracle, constraint, anchor in families:
-        m = oracle.instantiate(anchor)
-        with pytest.raises(NotImplementedError):
-            m.minimize_proximal(constraint, 1e-6, 0.5, mask=np.ones(anchor.size, dtype=bool))
-
-
-# ---------------------------------------------------------------------------
-# curvature (Newton-type) models
-# ---------------------------------------------------------------------------
-
-
-def test_newton_model_projected_step_on_quadratic():
-    # interior unconstrained minimizer: the model minimizer is the full
-    # curvature step from the anchor
-    Q = np.array([[2.0, 0.0], [0.0, 1.0]])
-    b = np.array([0.2, -0.1])
-
-    def f(x):
-        return 0.5 * float(x @ (Q @ x)) + float(b @ x)
-
-    def grad(x):
-        return Q @ x + b
-
-    box = Box(-np.ones(2), np.ones(2))
-    oracle = NewtonModelOracle(None, f, grad, lambda x: Q)
-    x = np.array([0.3, 0.4])
-    res = oracle.instantiate(x).minimize(box, 1e-12)
-    expected = x - np.linalg.solve(Q, grad(x))
-    np.testing.assert_allclose(res.point, expected, atol=1e-8)
-
-
-def test_newton_model_clips_indefinite_curvature():
-    H = np.diag([1.0, -1.0])
-    oracle = NewtonModelOracle(None, lambda x: 0.0, lambda x: np.zeros(2), lambda x: H)
-    m = oracle.instantiate(np.zeros(2))
-    np.testing.assert_allclose(m.curvature, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_newton_model_midpoint_convexity(rng):
-    f, grad, Q, lmax, box = quadratic_problem(seed=4)
-    oracle = NewtonModelOracle(WeightedL1(0.2), f, grad, lambda x: Q)
-    m = oracle.instantiate(box.sample(rng))
-    for _ in range(1000):
-        x, y = box.sample(rng), box.sample(rng)
-        lam = rng.random()
-        mid = lam * x + (1 - lam) * y
-        assert m.value(mid) <= lam * m.value(x) + (1 - lam) * m.value(y) + 1e-10
+    anchor = gn_box.midpoint()
+    m = make_oracle(ds).instantiate(anchor)
+    with pytest.raises(NotImplementedError):
+        m.minimize_proximal(gn_box, 1e-6, 0.5, mask=np.ones(anchor.size, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -417,56 +366,6 @@ def test_exact_minimizer_dominance_gauss_newton(rng):
         assert d_hat >= (m.anchor_value - m.value(y)) - slack - 1e-12
 
 
-def test_newton_proximal_variant_matches_closed_form(rng):
-    # with an interior solution, minimizing the quadratic model plus the
-    # proximal term solves (Q + I/tau) d = -grad
-    f, grad, Q, lmax, box = quadratic_problem(seed=12)
-    oracle = NewtonModelOracle(None, f, grad, lambda x: Q)
-    x = 0.2 * box.sample(rng)
-    tau = 0.8
-    m = oracle.instantiate(x)
-    res = m.minimize_proximal(box, 1e-12, tau)
-    d = np.linalg.solve(Q + np.eye(4) / tau, -grad(x))
-    assert box.contains(x + d)
-    np.testing.assert_allclose(res.point, x + d, atol=1e-7)
-
-
-def test_newton_solve_below_the_rounding_floor_stops_early(rng):
-    # at eps 1e-12 rounding rejects the plain step from x before the gap
-    # closes; the solve then stops there and reports the gap it reached
-    f, grad, Q, lmax, box = quadratic_problem(seed=12)
-    x = 0.2 * box.sample(rng)
-    res = NewtonModelOracle(None, f, grad, lambda z: Q).instantiate(x).minimize_proximal(
-        box, 1e-12, 0.8)
-    assert res.iterations < _APG_MAX_ITERATIONS // 100
-    # the Frank-Wolfe gap of model + ||y - x||^2 / (2 tau) at the returned y
-    c = grad(x) + Q @ (res.point - x) + (res.point - x) / 0.8
-    assert 1e-12 < res.gap == pytest.approx(float(c @ (res.point - box.lmo(c))), rel=1e-6)
-    d = np.linalg.solve(Q + np.eye(4) / 0.8, -grad(x))
-    np.testing.assert_allclose(res.point, x + d, atol=1e-7)
-
-
-def test_newton_proximal_solve_with_a_penalty_and_an_active_bound():
-    # no closed form: the l1 penalty holds coordinate 2 at zero and the box
-    # holds coordinate 0 at its lower bound
-    f, grad, Q, lmax, _ = quadratic_problem(seed=12)
-    box = Box(np.array([-0.1, -1.0, -1.0, -1.0]), np.ones(4))
-    pen = WeightedL1(0.5)
-    x, tau, eps = np.array([0.3, -0.1, 0.1, -0.4]), 0.8, 1e-6
-    res = NewtonModelOracle(pen, f, grad, lambda z: Q).instantiate(x).minimize_proximal(
-        box, eps, tau)
-    y = res.point
-    assert y[0] == -0.1 and y[2] == 0.0
-    # Frank-Wolfe gap of model + ||y - x||^2 / (2 tau) at y
-    c = grad(x) + Q @ (y - x) + (y - x) / tau
-    v = linear_composite_min(pen, c, box)
-    gap = float(c @ (y - v)) + pen.value(y) - pen.value(v)
-    assert 0.0 <= gap <= eps and res.gap <= eps
-    # the point the solve with a separate proximal term returned
-    want = [-0.1, -0.07927025060509714, 0.0, -0.12479745033797655]
-    np.testing.assert_allclose(y, want, rtol=0, atol=1e-8)
-
-
 def test_gradient_consistency_at_anchor(rng):
     # smooth objective: the model gradient at the anchor must match the
     # finite-difference objective gradient for every penalty-free family
@@ -475,7 +374,6 @@ def test_gradient_consistency_at_anchor(rng):
         LinearModelOracle(f, grad),
         AdditiveCompositeOracle(None, f, grad),
         ProximalModelOracle(AdditiveCompositeOracle(None, f, grad), 0.5, FIRST_BLOCK),
-        NewtonModelOracle(None, f, grad, lambda x: Q),
     ]
     x = 0.5 * box.sample(rng)
     g_true = grad(x)
