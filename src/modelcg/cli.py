@@ -2,8 +2,9 @@
 
 Subcommands: ``gen`` (write a dataset file), ``solve`` (one method on a
 dataset), ``compare`` (all methods, CSV traces + summary), ``mf-demo``
-(matrix factorization), ``check`` (re-verify a trace CSV). Options come from
-an optional JSON config file with explicit flags taking precedence.
+(matrix factorization), ``check`` (re-verify a trace CSV at the ``rho`` it
+records). Options come from an optional JSON config file with explicit flags
+taking precedence.
 
 A method-specific flag passed explicitly to a run that selects no method
 reading it is a configuration error: ``--rho`` (read by ``mcgm`` and
@@ -113,8 +114,6 @@ def _build_parser():
 
     k = sub.add_parser("check", parents=[common], help="verify a trace CSV")
     k.add_argument("--trace", required=True)
-    k.add_argument("--rho", type=float, help="the trace's sufficient-decrease ratio in "
-                   "(0, 1), as summary.json records it per method (default 0.25)")
     return parser
 
 
@@ -193,11 +192,9 @@ def _cmd_solve(args):
     trace = run_method(method, dataset, x0, ls=ls, cfg=cfg, plcfg=plcfg)
     if opts.get("out"):
         write_trace_csv(trace, opts["out"], trace.best_f())
-    last = trace.records[-1]
-    # rho is the ratio to give `modelcg check --rho` for this trace
     print(
         f"method={trace.method} status={trace.status} iterations={len(trace.records)} "
-        f"f={trace.final_f:.9g} delta={last.delta:.3e} rho={trace.rho!r}"
+        f"f={trace.final_f:.9g} delta={trace.records[-1].delta:.3e}"
     )
     return 0
 
@@ -251,8 +248,7 @@ def _cmd_mf_demo(args):
 
 
 def _cmd_check(args):
-    opts = _merged(args, None)
-    problems = check_trace_file(opts["trace"], float(opts.get("rho", 0.25)))
+    problems = check_trace_file(_merged(args, None)["trace"])
     if problems:
         for p in problems:
             print(f"FAIL {p}")

@@ -104,8 +104,6 @@ __all__ = [
     "MfProblem",
     "unit_atoms_set",
     "columnwise_simplex_set",
-    "sparsity_ball_set",
-    "low_rank_ball_set",
     "pack_factors",
     "unpack_factors",
     "mf_objective",
@@ -130,16 +128,6 @@ def unit_atoms_set(rows, cols):
 def columnwise_simplex_set(rows, cols):
     """Each column on the unit simplex: non-negative entries summing to one."""
     return ProductSet([Simplex(rows) for _ in range(cols)])
-
-
-def sparsity_ball_set(rows, cols, radius):
-    """Entrywise l1 ball over the whole matrix, promoting sparse factors."""
-    return L1Ball(rows * cols, radius)
-
-
-def low_rank_ball_set(rows, cols, radius):
-    """Nuclear norm ball, the convex relaxation of a rank constraint."""
-    return NuclearBall(rows, cols, radius)
 
 
 @dataclass
@@ -327,9 +315,9 @@ def make_mf_sets(problem):
     else:
         x_set = columnwise_simplex_set(m, k)
     if problem.y_kind == "sparsity":
-        y_set = sparsity_ball_set(k, n, problem.radius)
+        y_set = L1Ball(k * n, problem.radius)  # entrywise, promoting sparse factors
     else:
-        y_set = low_rank_ball_set(k, n, problem.radius)
+        y_set = NuclearBall(k, n, problem.radius)  # the convex relaxation of a rank bound
     return ProductSet([x_set, y_set]), x_set, y_set
 
 

@@ -3,14 +3,16 @@ common start, write per-method CSV traces plus a JSON summary.
 
 CSV schema (one row per outer iteration, then a terminal row):
 
-    k,time_s,f,obj_err,delta,gamma,backtracks,inner_iters
-    final,,<f>,<obj_err>,,,,
+    k,time_s,f,obj_err,delta,gamma,backtracks,inner_iters,rho
+    final,,<f>,<obj_err>,,,,,<rho>
 
 The terminal row holds the objective at the returned point, which the last
 step's sufficient decrease is checked against. ``obj_err`` is the objective
 value minus the smallest value found by any of the methods in the run.
-Floats carry 17 significant digits, so numeric content is bit-stable across
-reruns; only the timing column varies.
+``rho`` is the trace's sufficient-decrease ratio (``SolverTrace.rho``), the
+same on every row, so a trace file can be checked by itself. Floats carry 17
+significant digits, so numeric content is bit-stable across reruns; only
+the timing column varies.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ import numpy as np
 
 from .baselines import ProxLinearConfig, prox_linear_bt_solve, prox_linear_ls_solve
 from .regression import make_constraint_set, make_objective, make_oracle
-from .solver import (
-    LineSearchParams,
-    SolverConfig,
-    mcgm_solve,
-    rate_certificate,
-    rate_certificate_arrays,
-    verify_trace_arrays,
-)
+from .solver import LineSearchParams, SolverConfig, mcgm_solve, verify_trace_arrays
 
 __all__ = [
     "METHOD_NAMES",
@@ -54,9 +49,10 @@ _SOLVERS = {
     "proxlin_ls": (prox_linear_ls_solve, ("plcfg", "ls")),
     "proxlin_bt": (prox_linear_bt_solve, ("plcfg",)),
 }
-CSV_COLUMNS = ("k", "time_s", "f", "obj_err", "delta", "gamma", "backtracks", "inner_iters")
+CSV_COLUMNS = ("k", "time_s", "f", "obj_err", "delta", "gamma", "backtracks", "inner_iters",
+               "rho")
 FINAL_ROW = "final"  # the k field of the terminal row
-SUMMARY_SCHEMA = "modelcg.summary/2"
+SUMMARY_SCHEMA = "modelcg.summary/3"
 
 
 def run_method(method, dataset, x0, ls=None, cfg=None, plcfg=None):
@@ -92,6 +88,7 @@ def _fmt(v):
 
 
 def write_trace_csv(trace, path, f_lower):
+    rho = _fmt(trace.rho)
     lines = [",".join(CSV_COLUMNS)]
     for r in trace.records:
         lines.append(
@@ -105,18 +102,22 @@ def write_trace_csv(trace, path, f_lower):
                     _fmt(r.gamma),
                     str(r.backtracks),
                     str(r.inner_iterations),
+                    rho,
                 ]
             )
         )
     final_f = trace.final_f
-    lines.append(",".join([FINAL_ROW, "", _fmt(final_f), _fmt(final_f - f_lower)] + [""] * 4))
+    lines.append(",".join([FINAL_ROW, "", _fmt(final_f), _fmt(final_f - f_lower)] + [""] * 4
+                          + [rho]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path):
     """``(columns, final_f)`` of a trace CSV: the per-iteration columns by
-    name (the final row excluded) and the objective on the final row."""
+    name (the final row excluded) and the objective on the final row. A
+    ``rho`` column that holds more than one value, or a value
+    :class:`LineSearchParams` refuses, is a ``ValueError``."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -133,31 +134,22 @@ def read_trace_csv(path):
             rows.append(row)
     if len(rows) < 2 or rows[-1][0] != FINAL_ROW:
         raise ValueError(f"{path} needs iteration rows and a final row last")
+    rho = np.array([row[CSV_COLUMNS.index("rho")] for row in rows], dtype=float)
+    LineSearchParams(rho=float(rho[0]))
+    if np.any(rho != rho[0]):
+        raise ValueError(f"{path} records more than one rho")
     final_f = float(rows[-1][CSV_COLUMNS.index("f")])
     cols = {name: np.array([row[i] for row in rows[:-1]], dtype=float)
             for i, name in enumerate(CSV_COLUMNS)}
     return cols, final_f
 
 
-def check_trace_file(path, rho):
-    """Re-run the trace invariants on a CSV file: monotone objective,
-    sufficient decrease (the last step's against the final objective),
-    steps in [0, 1], and the telescoped rate bound against the best
-    objective, the final one included, as :func:`rate_certificate` does.
-    Returns a list of failure strings (empty means the trace checks out).
-    ``rho`` must lie in (0, 1), as for :class:`LineSearchParams`, else
-    ``ValueError``."""
-    rho = LineSearchParams(rho=rho).rho
+def check_trace_file(path):
+    """:func:`verify_trace_arrays` of a trace CSV, at the ``rho`` it
+    records: a list of failure strings, empty when the trace checks out."""
     cols, final_f = read_trace_csv(path)
-    f, delta, gamma = cols["f"], cols["delta"], cols["gamma"]
-    problems = verify_trace_arrays(f, delta, gamma, rho, final_f=final_f)
-    f_lower = float(np.min(f, initial=final_f))
-    cert = rate_certificate_arrays(f, delta, gamma, rho, f_lower)
-    if not cert.passed:
-        problems.append(
-            f"rate bound violated at k={cert.worst_k} (ratio {cert.worst_ratio:.3e})"
-        )
-    return problems
+    return verify_trace_arrays(cols["f"], cols["delta"], cols["gamma"], cols["rho"][0],
+                               final_f=final_f)
 
 
 def run_comparison(
@@ -171,7 +163,8 @@ def run_comparison(
 ):
     """Run each method from the same start (box midpoint by default), write
     one CSV trace per method plus ``summary.json``, which records per method
-    the ``rho`` to check its trace against (``SolverTrace.rho``)."""
+    the failures :func:`verify_trace_arrays` finds in its trace (``checks``,
+    empty when it checks out)."""
     methods = tuple(methods)
     if not methods:
         raise ValueError("no methods to compare")
@@ -194,17 +187,15 @@ def run_comparison(
         path = os.path.join(out_dir, f"{m}.csv")
         write_trace_csv(t, path, f_lower)
         trace_paths[m] = path
-        cert = rate_certificate(t, f_lower=f_lower)
         per_method[m] = {
             "status": t.status,
-            "rho": t.rho,
             "iterations": len(t.records),
             "best_f": t.best_f(),
             "final_delta": t.records[-1].delta if t.records else None,
             "total_inner_solves": t.total_inner_solves(),
             "total_inner_iterations": sum(r.inner_iterations for r in t.records),
             "wall_time_s": t.records[-1].elapsed_s if t.records else 0.0,
-            "rate_certificate": cert.passed,
+            "checks": verify_trace_arrays(*t.arrays(), t.rho, final_f=t.final_f),
         }
 
     summary = {

@@ -36,7 +36,6 @@ __all__ = [
     "mcgm_solve",
     "stationarity_measure",
     "rate_certificate",
-    "rate_certificate_arrays",
     "RateCertificate",
     "verify_trace_arrays",
 ]
@@ -143,14 +142,16 @@ DELTA_RTOL = 1e-8
 class SolverConfig:
     max_iterations: int = 200
     delta_tol: Optional[float] = None  # None: DELTA_RTOL * (1 + |f(x0)|)
-    time_budget_s: Optional[float] = None
-    check_feasibility: bool = False
+    time_budget_s: Optional[float] = None  # 0 stops after one step, inf never
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.delta_tol is not None and not self.delta_tol > 0:
             raise ValueError("delta_tol must be positive")
+        # NaN would never stop the loop: every comparison with it is false
+        if self.time_budget_s is not None and not self.time_budget_s >= 0:
+            raise ValueError("time_budget_s must be non-negative")
 
     def resolve_tol(self, f0):
         if self.delta_tol is not None:
@@ -298,8 +299,6 @@ def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
     start = time.perf_counter()
 
     for k in range(cfg.max_iterations):
-        if cfg.check_feasibility and not constraint.contains(x, 1e-7):
-            raise RuntimeError(f"iterate left the constraint set at k={k}")
         step = rule(k, x, f_x, schedule.eps(k), tol)
         records.append(
             IterationRecord(
@@ -395,8 +394,8 @@ def stationarity_measure(oracle, x, constraint, eps=1e-10):
     return delta
 
 
-# the relative slack of the trace checks, a share of 1 + |f|
-# (verify_trace_arrays) or of the rate bound's right side (rate_certificate)
+# the relative slack of the trace checks, a share of 1 + |f| for the
+# per-iteration inequalities and of the right side for the rate bound
 TRACE_RTOL = 1e-9
 
 
@@ -407,30 +406,14 @@ class RateCertificate:
     worst_k: int
 
 
-def rate_certificate(trace, f_lower=None):
-    """Check the telescoped sufficient-decrease bound on a trace, with the
-    trace's own ``rho``; see :func:`rate_certificate_arrays`. ``f_lower``
-    defaults to the best objective value in the trace (final point
-    included), which makes the check conservative."""
-    f_vals, deltas, gammas = trace.arrays()
-    if f_lower is None:
-        f_lower = trace.best_f()
-    return rate_certificate_arrays(f_vals, deltas, gammas, trace.rho, f_lower)
-
-
-def rate_certificate_arrays(f_values, deltas, gammas, rho, f_lower=None):
+def _rate_bound(f0, f_lower, deltas, gammas, rho):
     """Check that the running-best improvement obeys the telescoped
     sufficient-decrease bound at every iteration:
 
         min_{i<=k} delta_i <= (f(x0) - f_lower) / (rho * sum_{i<=k} gamma_i).
 
-    ``f_lower`` defaults to the smallest of ``f_values``. Returns the
-    verdict and the tightest observed ratio of the two sides.
+    Returns the verdict and the tightest observed ratio of the two sides.
     """
-    f_values = np.asarray(f_values, dtype=float)
-    if f_lower is None:
-        f_lower = float(f_values.min())
-    f0 = float(f_values[0])
     best = math.inf
     cum_gamma = 0.0
     worst_ratio = 0.0
@@ -451,12 +434,24 @@ def rate_certificate_arrays(f_values, deltas, gammas, rho, f_lower=None):
     return RateCertificate(passed=passed, worst_ratio=worst_ratio, worst_k=worst_k)
 
 
+def rate_certificate(trace, f_lower=None):
+    """The telescoped rate bound of :func:`verify_trace_arrays` on a trace,
+    with the trace's own ``rho``. ``f_lower`` defaults to the best objective
+    value in the trace (final point included), which makes the check
+    conservative."""
+    _, deltas, gammas = trace.arrays()
+    if f_lower is None:
+        f_lower = trace.best_f()
+    return _rate_bound(trace.f0, f_lower, deltas, gammas, trace.rho)
+
+
 def verify_trace_arrays(f_values, deltas, gammas, rho, final_f=None):
-    """Machine-check the per-iteration invariants of a trace given as arrays:
-    finite values, objective monotonicity, the sufficient-decrease
-    inequality between consecutive iterates, non-negative improvements past
-    the tolerance, and steps within [0, 1]. Returns a list of human-readable
-    failures."""
+    """Machine-check a trace given as arrays: finite values, objective
+    monotonicity, the sufficient-decrease inequality between consecutive
+    iterates (the last one against ``final_f`` when given), non-negative
+    improvements past the tolerance, steps within [0, 1], and, on a finite
+    trace, the telescoped rate bound against the smallest objective value
+    (``final_f`` included). Returns a list of human-readable failures."""
     f_values = np.asarray(f_values, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
@@ -469,6 +464,7 @@ def verify_trace_arrays(f_values, deltas, gammas, rho, final_f=None):
     ]
     if final_f is not None and not math.isfinite(final_f):
         problems.append("non-finite final objective")
+    finite = not problems
     scale = 1.0 + float(np.max(np.abs(f_values), initial=0.0))
     seq = list(f_values) + ([final_f] if final_f is not None else [])
     for k in range(len(seq) - 1):
@@ -480,4 +476,10 @@ def verify_trace_arrays(f_values, deltas, gammas, rho, final_f=None):
         problems.append("step size outside [0, 1]")
     if np.any(deltas < -TRACE_RTOL * scale):
         problems.append("negative model improvement recorded")
+    if finite and f_values.size:
+        cert = _rate_bound(float(f_values[0]), float(min(seq)), deltas, gammas, rho)
+        if not cert.passed:
+            problems.append(
+                f"rate bound violated at k={cert.worst_k} (ratio {cert.worst_ratio:.3e})"
+            )
     return problems

@@ -42,3 +42,15 @@ def central_difference(fun, x, h=1e-6):
         e[i] = h
         g[i] = (fun(x + e) - fun(x - e)) / (2 * h)
     return g
+
+
+def feasible_only(fun, constraint, tol=1e-7):
+    """``fun``, asserting that every point it is evaluated at lies in
+    ``constraint`` (within ``tol``): passed to a solver as its objective,
+    it checks the start, every iterate and every line-search trial."""
+
+    def checked(x):
+        assert constraint.contains(x, tol), f"objective evaluated outside the set at {x}"
+        return fun(x)
+
+    return checked

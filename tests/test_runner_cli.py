@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from modelcg.runner import (
     run_method,
     write_trace_csv,
 )
-from modelcg.solver import SolverConfig, rate_certificate, verify_trace_arrays
+from modelcg.solver import LineSearchParams, SolverConfig, rate_certificate, verify_trace_arrays
 
 
 def small_dataset(seed=0):
@@ -55,10 +56,10 @@ def test_run_comparison_outputs(tmp_path):
         assert open(path).readline() == header  # identical schema
         assert np.all(cols["obj_err"] >= -1e-12)
     summary = json.loads(open(res.summary_path).read())
-    assert summary["schema"] == "modelcg.summary/2"
+    assert summary["schema"] == "modelcg.summary/3"
     assert set(summary["methods"]) == set(METHOD_NAMES)
     for info in summary["methods"].values():
-        assert info["rate_certificate"] is True
+        assert info["checks"] == []
         assert info["best_f"] >= res.f_lower
 
 
@@ -107,14 +108,14 @@ def test_check_trace_file_detects_corruption(tmp_path):
     res = run_comparison(ds, str(tmp_path / "c"), methods=("mcgm",),
                          cfg=SolverConfig(max_iterations=20))
     path = res.trace_paths["mcgm"]
-    assert check_trace_file(path, rho=0.25) == []
+    assert check_trace_file(path) == []
     lines = open(path).read().splitlines()
     parts = lines[1].split(",")
     parts[CSV_COLUMNS.index("delta")] = "1e12"  # inflate one improvement
     lines[1] = ",".join(parts)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    assert check_trace_file(str(bad), rho=0.25) != []
+    assert check_trace_file(str(bad)) != []
 
 
 def test_csv_check_and_in_memory_certificate_agree(tmp_path):
@@ -126,7 +127,7 @@ def test_csv_check_and_in_memory_certificate_agree(tmp_path):
     trace = res.traces["mcgm"]
 
     def csv_rate_passed(path):
-        problems = check_trace_file(str(path), rho=trace.rho)
+        problems = check_trace_file(str(path))
         return not any(p.startswith("rate bound violated at k=") for p in problems)
 
     assert csv_rate_passed(res.trace_paths["mcgm"])
@@ -149,7 +150,7 @@ def test_csv_check_reads_the_final_objective(tmp_path):
     assert verify_trace_arrays(f, delta, gamma, trace.rho, final_f=trace.final_f) == []
     assert rate_certificate(trace).passed
     path = res.trace_paths["mcgm"]
-    assert check_trace_file(path, rho=trace.rho) == []
+    assert check_trace_file(path) == []
     cols, final_f = read_trace_csv(path)
     np.testing.assert_array_equal(cols["f"], f)
     assert final_f == trace.final_f
@@ -164,9 +165,9 @@ def test_csv_check_reads_the_final_objective(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     trace.final_f = bad_f
-    problems = check_trace_file(str(bad), rho=trace.rho)
+    problems = check_trace_file(str(bad))
     assert problems[0] == "sufficient decrease violated at k=0"
-    assert problems[:1] == verify_trace_arrays(f, delta, gamma, trace.rho, final_f=bad_f)
+    assert problems == verify_trace_arrays(f, delta, gamma, trace.rho, final_f=bad_f)
     # the raised lower bound also breaks the rate bound, in memory and in the CSV
     assert not rate_certificate(trace).passed
     assert problems[1].startswith("rate bound violated at k=0")
@@ -176,7 +177,7 @@ def test_csv_check_reads_the_final_objective(tmp_path):
     cut = tmp_path / "cut.csv"
     cut.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError):
-        check_trace_file(str(cut), rho=trace.rho)
+        check_trace_file(str(cut))
 
 
 def test_unknown_method_rejected(tmp_path):
@@ -233,25 +234,58 @@ def test_cli_compare_and_check_roundtrip(tmp_path):
     for m in METHOD_NAMES:
         assert (out_dir / f"{m}.csv").exists()
     assert (out_dir / "summary.json").exists()
-    assert cli_main(["check", "--trace", str(out_dir / "mcgm.csv"), "--rho", "0.25"]) == 0
+    assert cli_main(["check", "--trace", str(out_dir / "mcgm.csv")]) == 0
 
 
-def test_cli_compare_records_the_rho_each_trace_checks_against(tmp_path):
-    # proxlin_bt accepts at its own ratio, not the line search's: its trace
-    # fails the sufficient-decrease check at rho 0.9 (at k=5 here)
+def _with_rho_column(path, values, out):
+    """A copy of the trace CSV at ``path`` whose rho field on row i (the
+    header excluded) is ``values[i]``, the last value repeated."""
+    lines = open(path).read().splitlines()
+    idx = CSV_COLUMNS.index("rho")
+    for i in range(1, len(lines)):
+        parts = lines[i].split(",")
+        parts[idx] = values[min(i - 1, len(values) - 1)]
+        lines[i] = ",".join(parts)
+    out.write_text("\n".join(lines) + "\n")
+    return str(out)
+
+
+def test_cli_check_reads_the_rho_each_compare_trace_records(tmp_path):
+    # proxlin_bt accepts at its own ratio, not the line search's, and its
+    # trace records that ratio: checked at rho 0.9 it would fail the
+    # sufficient decrease at k=5
     out_dir = tmp_path / "results"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rho": 0.9}))
     assert cli_main(["compare", "--P", "8", "--M", "60", "--mu", "2", "--seed", "3",
                      "--rho", "0.9", "--max-iterations", "10", "--out", str(out_dir)]) == 0
-    methods = json.loads((out_dir / "summary.json").read_text())["methods"]
-    assert {m: info["rho"] for m, info in methods.items()} == {
-        "mcgm": 0.9, "proxlin_ls": 0.9, "proxlin_bt": ACCEPT_RATIO,
+    rhos = {m: read_trace_csv(str(out_dir / f"{m}.csv"))[0]["rho"] for m in METHOD_NAMES}
+    assert {m: set(r) for m, r in rhos.items()} == {
+        "mcgm": {0.9}, "proxlin_ls": {0.9}, "proxlin_bt": {ACCEPT_RATIO},
     }
-    for m, info in methods.items():
+    for m in METHOD_NAMES:
         trace = str(out_dir / f"{m}.csv")
-        assert cli_main(["check", "--trace", trace, "--rho", repr(info["rho"])]) == 0, m
-    assert check_trace_file(str(out_dir / "proxlin_bt.csv"), 0.9) == [
-        "sufficient decrease violated at k=5"
-    ]
+        assert cli_main(["check", "--trace", trace]) == 0, m
+        assert cli_main(["check", "--config", str(cfg), "--trace", trace]) == 0, m
+    at_09 = _with_rho_column(out_dir / "proxlin_bt.csv", ["0.9"], tmp_path / "bt09.csv")
+    assert check_trace_file(at_09) == ["sufficient decrease violated at k=5"]
+
+
+def test_summary_checks_are_those_of_the_trace_file_and_of_the_trace(tmp_path):
+    res = run_comparison(small_dataset(seed=3), str(tmp_path / "r"),
+                         ls=LineSearchParams(rho=0.9), cfg=SolverConfig(max_iterations=10))
+    summary = json.loads(open(res.summary_path).read())
+    for m, trace in res.traces.items():
+        in_memory = verify_trace_arrays(*trace.arrays(), trace.rho, final_f=trace.final_f)
+        assert summary["methods"][m]["checks"] == check_trace_file(res.trace_paths[m]), m
+        assert summary["methods"][m]["checks"] == in_memory, m
+    # a failing check is recorded the same way by all three
+    trace = res.traces["mcgm"]
+    trace.records[0].delta = 1e12
+    write_trace_csv(trace, str(tmp_path / "bad.csv"), res.f_lower)
+    problems = check_trace_file(str(tmp_path / "bad.csv"))
+    assert problems == verify_trace_arrays(*trace.arrays(), trace.rho, final_f=trace.final_f)
+    assert any(p.startswith("rate bound violated at k=") for p in problems)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -298,28 +332,45 @@ def test_cli_keeps_config_file_flags_as_defaults(tmp_path):
     ("proxlin_ls", [], 0.25),
     ("proxlin_bt", ["--tau0", "2"], ACCEPT_RATIO),
 ])
-def test_cli_solve_prints_the_rho_its_trace_checks_against(tmp_path, capsys, method, flags, rho):
+def test_cli_solve_writes_the_rho_its_trace_checks_against(tmp_path, capsys, method, flags, rho):
     path = tmp_path / "d.json"
     save_dataset(small_dataset(seed=2), path)
     out = tmp_path / "t.csv"
     assert cli_main(["solve", "--dataset", str(path), "--method", method, "--out", str(out),
                      "--max-iterations", "6"] + flags) == 0
-    line = capsys.readouterr().out.strip()
-    printed = line.rsplit(" ", 1)[1]
-    assert printed == f"rho={rho!r}", line
-    assert cli_main(["check", "--trace", str(out), "--rho", printed.split("=")[1]]) == 0
+    assert "rho" not in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert {line.split(",")[CSV_COLUMNS.index("rho")] for line in lines[1:]} == {repr(rho)}
+    assert cli_main(["check", "--trace", str(out)]) == 0
 
 
-@pytest.mark.parametrize("rho", ["nan", "0", "1"])
-def test_cli_check_rejects_a_rho_outside_the_open_unit_interval(tmp_path, capsys, rho):
+@pytest.mark.parametrize("values, message", [
+    (["nan"], "rho must lie in (0, 1)"),
+    (["0"], "rho must lie in (0, 1)"),
+    (["1"], "rho must lie in (0, 1)"),
+    (["1.5"], "rho must lie in (0, 1)"),
+    (["0.25", "0.5"], "records more than one rho"),
+    (["0.25", "nan"], "records more than one rho"),
+], ids=["nan", "0", "1", "1.5", "two-values", "then-nan"])
+def test_cli_check_rejects_a_trace_whose_rho_column_is_bad(tmp_path, capsys, values, message):
     ds = small_dataset(seed=4)
     res = run_comparison(ds, str(tmp_path / "r"), methods=("mcgm",),
                          cfg=SolverConfig(max_iterations=5))
-    path = res.trace_paths["mcgm"]
-    with pytest.raises(ValueError, match="rho"):
-        check_trace_file(path, float(rho))
-    assert cli_main(["check", "--trace", path, "--rho", rho]) == 1
-    assert "configuration error: rho must lie in (0, 1)" in capsys.readouterr().err
+    assert len(res.traces["mcgm"].records) >= 2
+    path = _with_rho_column(res.trace_paths["mcgm"], values, tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_trace_file(path)
+    assert cli_main(["check", "--trace", path]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: " in err and message in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "-5"])
+def test_cli_solve_rejects_a_nan_or_negative_time_budget(tmp_path, capsys, budget):
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    assert cli_main(["solve", "--dataset", str(path), "--time-budget", budget]) == 1
+    assert "configuration error: time_budget_s must be non-negative" in capsys.readouterr().err
 
 
 def test_cli_check_fails_on_corrupted_trace(tmp_path, capsys):
@@ -422,11 +473,11 @@ def test_cli_check_fails_on_nan_objectives(tmp_path, capsys):
     bad = tmp_path / "nan.csv"
     bad.write_text(
         ",".join(CSV_COLUMNS) + "\n"
-        "0,0.01,nan,nan,1.0,0.5,0,10\n"
-        "1,0.02,nan,nan,0.5,0,0,10\n"
-        "final,,nan,,,,,\n"
+        "0,0.01,nan,nan,1.0,0.5,0,10,0.25\n"
+        "1,0.02,nan,nan,0.5,0,0,10,0.25\n"
+        "final,,nan,,,,,,0.25\n"
     )
-    assert check_trace_file(str(bad), rho=0.25) == [
+    assert check_trace_file(str(bad)) == [
         "non-finite objective recorded", "non-finite final objective"
     ]
     assert cli_main(["check", "--trace", str(bad)]) == 2
@@ -461,6 +512,7 @@ def test_cli_mf_demo(tmp_path):
     assert code == 0
     assert (out / "factors.json").exists()
     assert (out / "mf_trace.csv").exists()
+    assert cli_main(["check", "--trace", str(out / "mf_trace.csv")]) == 0
 
 
 def test_cli_rejects_an_infinite_proximal_weight(tmp_path, capsys):
@@ -521,3 +573,4 @@ def test_cli_write_and_read_trace_roundtrip(tmp_path):
     np.testing.assert_array_equal(cols["f"], [r.f_value for r in trace.records])
     np.testing.assert_array_equal(cols["delta"], [r.delta for r in trace.records])
     np.testing.assert_array_equal(cols["gamma"], [r.gamma for r in trace.records])
+    np.testing.assert_array_equal(cols["rho"], trace.rho)

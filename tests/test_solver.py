@@ -24,6 +24,8 @@ from modelcg.solver import (
 )
 from modelcg.solver import _certified_minimize
 
+from conftest import feasible_only
+
 
 # ---------------------------------------------------------------------------
 # line search
@@ -209,8 +211,8 @@ def test_mcgm_trace_invariants_on_regression_problem():
     fun = make_objective(ds)
     box = make_constraint_set(ds)
     trace = mcgm_solve(
-        make_oracle(ds), fun, box, box.midpoint(),
-        cfg=SolverConfig(max_iterations=60, check_feasibility=True),
+        make_oracle(ds), feasible_only(fun, box), box, box.midpoint(),
+        cfg=SolverConfig(max_iterations=60),
     )
     assert trace.status == "stationary"
     f, d, g = trace.arrays()
@@ -225,6 +227,22 @@ def test_mcgm_trace_invariants_on_regression_problem():
     tol = SolverConfig().resolve_tol(f[0])
     assert all(r.delta > tol for r in trace.records[:-1])
     assert trace.records[-1].delta <= tol
+
+
+@pytest.mark.parametrize("budget", [math.nan, -5.0, -math.inf])
+def test_solver_config_rejects_a_nan_or_negative_time_budget(budget):
+    # a NaN budget was never reached and a negative one stopped after a step
+    with pytest.raises(ValueError, match="time_budget_s must be non-negative"):
+        SolverConfig(time_budget_s=budget)
+
+
+def test_zero_and_infinite_time_budgets_stay_valid():
+    fun, grad, Q, b, box = quadratic_box_setup(seed=2)
+    oracle = LinearModelOracle(fun, grad)
+    for budget, status in ((0.0, "time_budget"), (math.inf, "max_iterations")):
+        trace = mcgm_solve(oracle, fun, box, np.zeros(3),
+                           cfg=SolverConfig(max_iterations=3, time_budget_s=budget))
+        assert (trace.status, len(trace.records)) == (status, 1 if budget == 0 else 3)
 
 
 def test_mcgm_time_budget_status():
@@ -473,3 +491,13 @@ def test_verify_trace_arrays_reports_non_finite_values():
         ([5.0, 4.0], [3.9, 0.1], [nan, 0.0], "step size"),
     ):
         assert verify_trace_arrays(f, delta, gamma, 0.25) == [f"non-finite {name} recorded"]
+
+
+def test_verify_trace_arrays_checks_the_rate_bound_on_finite_traces():
+    # one full step at the bound's equality passes; an inflated improvement
+    # fails the per-step inequality and, after it, the rate bound
+    rho, f0, f1 = 0.5, 10.0, 6.0
+    assert verify_trace_arrays([f0], [(f0 - f1) / rho], [1.0], rho, final_f=f1) == []
+    problems = verify_trace_arrays([f0], [1e3], [1.0], rho, final_f=f1)
+    assert problems[0] == "sufficient decrease violated at k=0"
+    assert problems[1:] == ["rate bound violated at k=0 (ratio 1.250e+02)"]
