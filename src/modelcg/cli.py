@@ -147,12 +147,25 @@ def _reject_unread_flags(args, selected, readers):
             )
 
 
+def _int_option(opts, key, default=None):
+    """``opts[key]`` (or ``default``) as an int. A config file can hold any
+    JSON value, and ``int()`` would truncate 6.9 to 6: an integral float
+    such as 6.0 reads as 6, and a bool, a non-integral number or any other
+    value is a ConfigError."""
+    value = opts.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _dataset_params(opts):
-    keys = {
-        "P": int, "M": int, "mu": float, "a_max": float, "b_max": float,
-        "sparsity": float, "noise_scale": float, "seed": int,
-    }
-    return {k: cast(opts[k]) for k, cast in keys.items() if k in opts}
+    params = {k: _int_option(opts, k) for k in ("P", "M", "seed") if k in opts}
+    for k in ("mu", "a_max", "b_max", "sparsity", "noise_scale"):
+        if k in opts:
+            params[k] = float(opts[k])
+    return params
 
 
 def _solver_configs(opts):
@@ -161,7 +174,7 @@ def _solver_configs(opts):
         ls_kwargs["rho"] = float(opts["rho"])
     cfg_kwargs = {}
     if "max_iterations" in opts:
-        cfg_kwargs["max_iterations"] = int(opts["max_iterations"])
+        cfg_kwargs["max_iterations"] = _int_option(opts, "max_iterations")
     if "delta_tol" in opts:
         cfg_kwargs["delta_tol"] = float(opts["delta_tol"])
     if "time_budget" in opts:
@@ -224,21 +237,22 @@ def _cmd_compare(args):
 def _cmd_mf_demo(args):
     opts = _merged(args, None)
     _reject_unread_flags(args, (opts.get("model", "cg"),), _MF_FLAG_READERS)
-    rows = int(opts.get("rows", 20))
-    cols = int(opts.get("cols", 15))
-    rng = np.random.default_rng(int(opts.get("seed", 0)))
+    rows = _int_option(opts, "rows", 20)
+    cols = _int_option(opts, "cols", 15)
+    seed = _int_option(opts, "seed", 0)
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((rows, 1)) @ rng.standard_normal((1, cols))
     problem = MfProblem(
         A=A,
-        inner_dim=int(opts.get("inner_dim", 4)),
+        inner_dim=_int_option(opts, "inner_dim", 4),
         x_kind=opts.get("x_set", "unit_atoms"),
         y_kind=opts.get("y_set", "low_rank"),
         radius=float(opts.get("radius", 1.5 * np.linalg.norm(A, "nuc"))),
         model=opts.get("model", "cg"),
         tau=float(opts.get("tau", 1.0)),
     )
-    cfg = SolverConfig(max_iterations=int(opts.get("max_iterations", 150)))
-    trace, X, Y = mf_demo(problem, cfg=cfg, out_dir=opts["out"], seed=int(opts.get("seed", 0)))
+    cfg = SolverConfig(max_iterations=_int_option(opts, "max_iterations", 150))
+    trace, X, Y = mf_demo(problem, cfg=cfg, out_dir=opts["out"], seed=seed)
     rel = float(np.linalg.norm(A - X @ Y) / np.linalg.norm(A))
     print(
         f"mf-demo status={trace.status} iterations={len(trace.records)} "

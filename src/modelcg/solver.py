@@ -17,6 +17,7 @@ rule that turns a model minimization at the iterate into the next iterate.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -145,8 +146,10 @@ class SolverConfig:
     time_budget_s: Optional[float] = None  # 0 stops after one step, inf never
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        # range() needs an integer; a bool would pass for one iteration
+        n = self.max_iterations
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
         if self.delta_tol is not None and not self.delta_tol > 0:
             raise ValueError("delta_tol must be positive")
         # NaN would never stop the loop: every comparison with it is false

@@ -544,6 +544,23 @@ def test_pdhg_matches_reference_loop_bit_for_bit(rng):
     assert signed_zeros > 0
 
 
+@pytest.mark.parametrize("P, M, tau, iters", [
+    (20, 200, None, 2000), (20, 200, 0.5, 2000), (100, 1000, None, 300), (100, 1000, 0.5, 300),
+])
+def test_pdhg_matches_reference_loop_bit_for_bit_at_the_bench_shapes(P, M, tau, iters):
+    # the reference cases stop at 30 x 8; the products must also agree with
+    # the reference's @ where the bench runs (200 x 40 and 1000 x 200), where
+    # BLAS takes other kernels and blockings. gap_tol 0 runs the full count.
+    ds = generate_regression_data(P=P, M=M, mu=80.0, seed=0)
+    sub = make_subproblem(ds, make_constraint_set(ds).midpoint(), tau=tau)
+    kw = {"gap_tol": 0.0, "max_iters": iters}
+    res = pdhg_solve(sub, **kw)
+    _assert_same_run(res, _reference_pdhg(sub, **kw), "cold")
+    assert res.iterations == iters
+    _assert_same_run(pdhg_solve(sub, warm=res.state, **kw),
+                     _reference_pdhg(sub, warm=res.state, **kw), "warm")
+
+
 def test_pdhg_reported_gap_is_the_gap_of_the_returned_pair(rng):
     # the loop's gap check reuses its K.T @ p; it must equal the standalone
     # evaluation at the returned point, bit for bit, cold and warm

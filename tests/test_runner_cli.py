@@ -10,6 +10,7 @@ from modelcg.regression import (
     RegressionDataset,
     eval_F,
     generate_regression_data,
+    load_dataset,
     make_constraint_set,
     save_dataset,
 )
@@ -371,6 +372,58 @@ def test_cli_solve_rejects_a_nan_or_negative_time_budget(tmp_path, capsys, budge
     save_dataset(small_dataset(), path)
     assert cli_main(["solve", "--dataset", str(path), "--time-budget", budget]) == 1
     assert "configuration error: time_budget_s must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("gen", {"P": 6.9, "M": 40, "seed": 1}, "P"),
+    ("gen", {"P": 6, "M": 40.5, "seed": 1}, "M"),
+    ("gen", {"P": 6, "M": 40, "seed": 1.7}, "seed"),
+    ("gen", {"P": 6, "M": 40, "seed": True}, "seed"),
+    ("solve", {"max_iterations": 3.9}, "max_iterations"),
+    ("solve", {"max_iterations": True}, "max_iterations"),
+    ("compare", {"dataset": {"P": 4, "M": 30.5}, "max_iterations": 2}, "M"),
+    ("compare", {"max_iterations": 2.5}, "max_iterations"),
+    ("compare", {"max_iterations": "2"}, "max_iterations"),
+    ("mf-demo", {"rows": 6.5}, "rows"),
+    ("mf-demo", {"cols": 5.5}, "cols"),
+    ("mf-demo", {"inner_dim": True}, "inner_dim"),
+    ("mf-demo", {"seed": 0.5}, "seed"),
+    ("mf-demo", {"max_iterations": 3.9}, "max_iterations"),
+], ids=["gen-P", "gen-M", "gen-seed", "gen-seed-bool", "solve-iters", "solve-iters-bool",
+        "compare-dataset-M", "compare-iters", "compare-iters-string", "mf-rows", "mf-cols",
+        "mf-inner-dim-bool", "mf-seed", "mf-iters"])
+def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
+    tmp_path, capsys, command, config, key
+):
+    # int() truncated these: P=6.9 wrote P=6 and max_iterations 3.9 ran 3 iterations
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    where = {"gen": [], "mf-demo": [],
+             "solve": ["--dataset", str(path)],
+             "compare": [] if "dataset" in config else ["--dataset", str(path)]}
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)] + where[command]) == 1
+    value = config["dataset"][key] if key in config.get("dataset", {}) else config[key]
+    assert (f"configuration error: {key} must be an integer, got {value!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_reads_integral_config_values_for_integer_settings(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"P": 6.0, "M": 40, "seed": 1.0}))
+    assert cli_main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d.json")]) == 0
+    assert "(P=6, M=40, seed=1)" in capsys.readouterr().out
+    ds = load_dataset(tmp_path / "d.json")
+    assert (ds.P, ds.M, ds.seed) == (6, 40, 1)
+    cfg.write_text(json.dumps({"max_iterations": 2.0, "mu": 80.0}))
+    assert cli_main(["solve", "--dataset", str(tmp_path / "d.json"), "--config", str(cfg),
+                     "--out", str(tmp_path / "t.csv")]) == 0
+    cols, _ = read_trace_csv(tmp_path / "t.csv")
+    assert len(cols["k"]) == 2
+    assert "iterations=2 " in capsys.readouterr().out
 
 
 def test_cli_check_fails_on_corrupted_trace(tmp_path, capsys):

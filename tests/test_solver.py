@@ -236,6 +236,14 @@ def test_solver_config_rejects_a_nan_or_negative_time_budget(budget):
         SolverConfig(time_budget_s=budget)
 
 
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, True, 0, -1])
+def test_solver_config_rejects_a_max_iterations_that_is_no_integer_above_zero(n):
+    # 2.5 and NaN raised TypeError from range() mid-solve, True ran one step
+    with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+        SolverConfig(max_iterations=n)
+    assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
+
+
 def test_zero_and_infinite_time_budgets_stay_valid():
     fun, grad, Q, b, box = quadratic_box_setup(seed=2)
     oracle = LinearModelOracle(fun, grad)
