@@ -160,28 +160,38 @@ def _int_option(opts, key, default=None):
     return value
 
 
+def _float_option(opts, key, default=None):
+    """``opts[key]`` (or ``default``) as a float. ``float()`` would read a
+    JSON ``true`` as 1.0 and a string such as "2" as 2.0: an int or a float
+    reads as a float, and a bool or any other value is a ConfigError."""
+    value = opts.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _dataset_params(opts):
     params = {k: _int_option(opts, k) for k in ("P", "M", "seed") if k in opts}
     for k in ("mu", "a_max", "b_max", "sparsity", "noise_scale"):
         if k in opts:
-            params[k] = float(opts[k])
+            params[k] = _float_option(opts, k)
     return params
 
 
 def _solver_configs(opts):
     ls_kwargs = {}
     if "rho" in opts:
-        ls_kwargs["rho"] = float(opts["rho"])
+        ls_kwargs["rho"] = _float_option(opts, "rho")
     cfg_kwargs = {}
     if "max_iterations" in opts:
         cfg_kwargs["max_iterations"] = _int_option(opts, "max_iterations")
     if "delta_tol" in opts:
-        cfg_kwargs["delta_tol"] = float(opts["delta_tol"])
+        cfg_kwargs["delta_tol"] = _float_option(opts, "delta_tol")
     if "time_budget" in opts:
-        cfg_kwargs["time_budget_s"] = float(opts["time_budget"])
+        cfg_kwargs["time_budget_s"] = _float_option(opts, "time_budget")
     pl_kwargs = {}
     if "tau0" in opts:
-        pl_kwargs["tau0"] = float(opts["tau0"])
+        pl_kwargs["tau0"] = _float_option(opts, "tau0")
     return LineSearchParams(**ls_kwargs), SolverConfig(**cfg_kwargs), ProxLinearConfig(**pl_kwargs)
 
 
@@ -247,9 +257,9 @@ def _cmd_mf_demo(args):
         inner_dim=_int_option(opts, "inner_dim", 4),
         x_kind=opts.get("x_set", "unit_atoms"),
         y_kind=opts.get("y_set", "low_rank"),
-        radius=float(opts.get("radius", 1.5 * np.linalg.norm(A, "nuc"))),
+        radius=_float_option(opts, "radius", 1.5 * np.linalg.norm(A, "nuc")),
         model=opts.get("model", "cg"),
-        tau=float(opts.get("tau", 1.0)),
+        tau=_float_option(opts, "tau", 1.0),
     )
     cfg = SolverConfig(max_iterations=_int_option(opts, "max_iterations", 150))
     trace, X, Y = mf_demo(problem, cfg=cfg, out_dir=opts["out"], seed=seed)

@@ -250,7 +250,6 @@ def pdhg_solve(
     warm=None,
     gap_tol=1e-8,
     max_iters=20000,
-    callback=None,
 ):
     """Solve one subproblem by preconditioned primal-dual iterations.
 
@@ -262,34 +261,28 @@ def pdhg_solve(
     (checked every ``_GAP_CHECK_EVERY`` iterations and after the last) or at
     the iteration cap, in which case the achieved gap is reported and
     ``converged`` is False. ``gap_tol`` must be a number >= 0 and
-    ``max_iters`` an integer >= 0, else ``ValueError``.
+    ``max_iters`` an integer >= 0, neither a bool, else ``ValueError``.
 
-    A dimensionally consistent ``warm`` state seeds the primal and dual
-    points; anything else is ignored. A consistent warm state with NaN or
-    Inf entries raises ``ValueError``. The warm state is only read.
-
-    ``callback(u, p)`` is called after every iteration with snapshots of the
-    primal and dual iterates: copies that later iterations leave alone, so
-    a callback may keep them.
+    ``warm`` is None (start at the box projection of the origin and a zero
+    dual) or a :class:`PdState` whose ``u`` has one entry per column of K
+    and ``p`` one per row, all finite: it seeds the primal and dual points
+    and is only read. Any other ``warm`` raises ``ValueError``.
     """
-    if not (isinstance(gap_tol, numbers.Real) and gap_tol >= 0):
+    if isinstance(gap_tol, bool) or not (isinstance(gap_tol, numbers.Real) and gap_tol >= 0):
         raise ValueError(f"gap_tol must be a number >= 0, got {gap_tol!r}")
-    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
     m, n = K.shape
     sigma, theta = precond_steps(K)
-    if (
-        warm is not None
-        and getattr(warm, "u", None) is not None
-        and np.shape(warm.u) == (n,)
-        and np.shape(warm.p) == (m,)
-    ):
-        u = np.clip(require_finite(warm.u, "warm.u"), lo, hi)
-        p = np.clip(require_finite(warm.p, "warm.p"), -1.0, 1.0)
-    else:
+    if warm is None:
         u = np.clip(np.zeros(n), lo, hi)
         p = np.zeros(m)
+    elif not (isinstance(warm, PdState) and np.shape(warm.u) == (n,) and np.shape(warm.p) == (m,)):
+        raise ValueError(f"warm must be None or a PdState with u of shape ({n},), p of ({m},)")
+    else:
+        u = np.clip(require_finite(warm.u, "warm.u"), lo, hi)
+        p = np.clip(require_finite(warm.p, "warm.p"), -1.0, 1.0)
     if problem.prox_tau is not None:
         tau = problem.prox_tau
         blend = tau / (tau + theta)  # effective step theta*blend, center mix 1-blend
@@ -365,8 +358,6 @@ def pdhg_solve(
         subtract(u_bar, u, out=u_bar)
         u, u_new = u_new, u
         it += 1
-        if callback is not None:
-            callback(u.copy(), p.copy())
         if it % _GAP_CHECK_EVERY == 0 or it == max_iters:
             gap = gap_of(u, p, ktp)
 

@@ -344,10 +344,10 @@ def mf_demo(
     problem,
     cfg: Optional[SolverConfig] = None,
     out_dir: Optional[str] = None,
-    x0=None,
     seed=0,
 ):
-    """Run the factorization and optionally write the factors and the trace.
+    """Run the factorization from ``default_start(problem, seed)`` and
+    optionally write the factors and the trace.
 
     Returns ``(trace, X, Y)``; with ``out_dir`` set, also writes
     ``factors.json`` and ``mf_trace.csv`` there.
@@ -355,8 +355,7 @@ def mf_demo(
     constraint, _, _ = make_mf_sets(problem)
     fun = mf_objective(problem)
     oracle = make_mf_oracle(problem)
-    if x0 is None:
-        x0 = default_start(problem, seed=seed)
+    x0 = default_start(problem, seed=seed)
     trace = mcgm_solve(oracle, fun, constraint, x0, cfg=cfg, method=f"mf_{problem.model}")
     X, Y = unpack_factors(problem, trace.final_x)
     if out_dir is not None:

@@ -159,9 +159,8 @@ def run_comparison(
     ls: Optional[LineSearchParams] = None,
     cfg: Optional[SolverConfig] = None,
     plcfg: Optional[ProxLinearConfig] = None,
-    x0=None,
 ):
-    """Run each method from the same start (box midpoint by default), write
+    """Run each method from the same start, the box midpoint, write
     one CSV trace per method plus ``summary.json``, which records per method
     the failures :func:`verify_trace_arrays` finds in its trace (``checks``,
     empty when it checks out)."""
@@ -172,9 +171,7 @@ def run_comparison(
         if m not in METHOD_NAMES:
             raise ValueError(f"unknown method {m!r}")
     os.makedirs(out_dir, exist_ok=True)
-    box = make_constraint_set(dataset)
-    if x0 is None:
-        x0 = box.midpoint()
+    x0 = make_constraint_set(dataset).midpoint()
 
     traces = {}
     for m in methods:

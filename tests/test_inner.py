@@ -115,15 +115,17 @@ def test_pdhg_matches_oracle_small_instance(rng):
 
 
 def test_pdhg_feasibility_every_iteration(rng):
-    sub = random_subproblem(rng, m=6, n=3)
-    seen = []
+    # the iterates of the reference loop, which pdhg_solve matches bit for
+    # bit on these cases (test_pdhg_matches_reference_loop_bit_for_bit)
+    for name, sub, kw in _reference_cases(rng):
+        seen = []
 
-    def cb(u, p):
-        seen.append((np.all(u >= sub.lo - 1e-12) and np.all(u <= sub.hi + 1e-12),
-                     np.all(np.abs(p) <= 1.0 + 1e-12)))
+        def observe(u, p, z):
+            seen.append(bool(np.all(u >= sub.lo) and np.all(u <= sub.hi)
+                             and np.all(np.abs(p) <= 1.0)))
 
-    pdhg_solve(sub, gap_tol=1e-10, max_iters=500, callback=cb)
-    assert seen and all(u_ok and p_ok for u_ok, p_ok in seen)
+        _reference_pdhg(sub, **{"gap_tol": 1e-10, "max_iters": 3000, **kw}, observe=observe)
+        assert seen and all(seen), name
 
 
 def test_pdhg_warm_start_resumes(rng):
@@ -133,10 +135,20 @@ def test_pdhg_warm_start_resumes(rng):
     assert res2.iterations == 0  # already below the tolerance
     res3 = pdhg_solve(sub, warm=res1.state, gap_tol=1e-10, max_iters=100000)
     assert res3.converged
-    # inconsistent warm state is ignored, not an error
-    res4 = pdhg_solve(sub, warm=res1.state.__class__(u=np.zeros(2), p=np.zeros(3)),
-                      gap_tol=1e-6, max_iters=100000)
-    assert res4.converged
+
+
+def test_pdhg_rejects_a_warm_state_that_does_not_fit(rng):
+    # warm is None or a PdState of the problem's shapes: a state of another
+    # problem is an error, not a silent cold start
+    sub = random_subproblem(rng, m=7, n=4)
+    good = pdhg_solve(sub, gap_tol=1e-4, max_iters=1000).state
+    for bad in (PdState(u=np.zeros(3), p=good.p), PdState(u=good.u, p=np.zeros(8)),
+                PdState(u=good.u[None, :], p=good.p), (good.u, good.p),
+                {"u": good.u, "p": good.p}, good.u):
+        with pytest.raises(ValueError, match="warm"):
+            pdhg_solve(sub, warm=bad)
+        with pytest.raises(ValueError, match="warm"):
+            _reference_pdhg(sub, warm=bad)
 
 
 def test_pdhg_iteration_cap_reports_gap(rng):
@@ -153,9 +165,12 @@ def test_pdhg_rejects_a_bad_tolerance_or_iteration_cap():
     # would return at once, unconverged
     ds = generate_regression_data(P=4, M=30, mu=2.0, a_max=4.0, b_max=2.5, seed=1)
     sub = make_subproblem(ds, np.concatenate([np.full(4, 2.0), np.full(4, 1.25)]))
+    # a bool is a numbers.Integral: max_iters=True would run one iteration
+    # and gap_tol=True solve to a gap of 1.0
     for kw in ({"max_iters": 2.5}, {"max_iters": -1}, {"max_iters": 3.0},
-               {"max_iters": "3"}, {"max_iters": None}, {"gap_tol": np.nan},
-               {"gap_tol": -1e-3}, {"gap_tol": None}):
+               {"max_iters": "3"}, {"max_iters": None}, {"max_iters": True},
+               {"gap_tol": np.nan}, {"gap_tol": -1e-3}, {"gap_tol": None},
+               {"gap_tol": True}):
         with pytest.raises(ValueError):
             pdhg_solve(sub, **kw)
     # integer types of numpy count as integers, and a zero cap reports the
@@ -178,10 +193,9 @@ def test_pdhg_rejects_a_non_finite_warm_state(rng):
         p[0] = bad
         with pytest.raises(ValueError, match="warm.p"):
             pdhg_solve(sub, warm=PdState(u=good.u, p=p))
-    # a warm state of other dimensions is still ignored, finite or not
-    res = pdhg_solve(sub, warm=PdState(u=np.full(2, np.nan), p=np.zeros(6)),
-                     gap_tol=1e-6, max_iters=100000)
-    assert res.converged and np.all(np.isfinite(res.u))
+    # a non-finite state of other dimensions is rejected for its shape
+    with pytest.raises(ValueError, match="warm must be None or a PdState"):
+        pdhg_solve(sub, warm=PdState(u=np.full(2, np.nan), p=np.zeros(6)))
 
 
 def test_pdhg_loop_memory_does_not_grow_with_iterations():
@@ -231,16 +245,19 @@ def test_gap_nonnegative_at_random_pairs(rng):
 
 
 def test_gap_running_minimum_decreases_along_iterates(rng):
-    sub = random_subproblem(rng, m=6, n=4)
-    gaps = []
+    # the gap at every iterate of the reference loop (bit for bit that of
+    # pdhg_solve) is non-negative, and its running minimum falls by eight
+    # orders from the first iterate's on every case not capped at 37
+    for name, sub, kw in _reference_cases(rng):
+        gaps = []
 
-    def cb(u, p):
-        gaps.append(primal_dual_gap(sub, u, p))
+        def observe(u, p, z):
+            gaps.append(primal_dual_gap(sub, u, p))
 
-    pdhg_solve(sub, gap_tol=1e-10, max_iters=3000, callback=cb)
-    running = np.minimum.accumulate(gaps)
-    assert running[-1] <= 1e-9
-    assert np.all(np.diff(running) <= 1e-15)
+        _reference_pdhg(sub, **{"gap_tol": 1e-10, "max_iters": 3000, **kw}, observe=observe)
+        assert min(gaps) >= -1e-12, name
+        if name != "max_iters":
+            assert min(gaps) <= 1e-8 * gaps[0], name
 
 
 def test_gap_bounds_suboptimality(rng):
@@ -435,24 +452,23 @@ def test_pdhg_iterates_do_not_depend_on_where_the_matrix_starts(P, M, tau):
 # ---------------------------------------------------------------------------
 
 
-def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000):
+def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000, observe=None):
     """The PDHG loop written with a fresh array per operation: the reference
     that ``pdhg_solve`` must match bit for bit. Returns (u, p, gap,
-    iterations, converged)."""
+    iterations, converged). ``observe(u, p, z)``, if given, sees every
+    iterate and the point z the primal step thresholds; the arrays are fresh
+    each iteration, so it may keep them."""
     K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
     m, n = K.shape
     sigma, theta = precond_steps(K)
-    if (
-        warm is not None
-        and getattr(warm, "u", None) is not None
-        and np.shape(warm.u) == (n,)
-        and np.shape(warm.p) == (m,)
-    ):
+    if warm is None:
+        u = np.clip(np.zeros(n), lo, hi)
+        p = np.zeros(m)
+    elif isinstance(warm, PdState) and np.shape(warm.u) == (n,) and np.shape(warm.p) == (m,):
         u = np.clip(np.asarray(warm.u, float), lo, hi)
         p = np.clip(np.asarray(warm.p, float), -1.0, 1.0)
     else:
-        u = np.clip(np.zeros(n), lo, hi)
-        p = np.zeros(m)
+        raise ValueError("warm must be None or a PdState of the problem's shapes")
     u_bar = u.copy()
     if problem.prox_tau is not None:
         tau = problem.prox_tau
@@ -478,6 +494,8 @@ def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000):
         u_bar = 2.0 * u_new - u
         u = u_new
         it += 1
+        if observe is not None:
+            observe(u, p, z)
         if it % 25 == 0 or it == max_iters:
             gap = primal_dual_gap(problem, u, p)
     return u, p, gap, it, gap <= gap_tol
@@ -583,38 +601,18 @@ def test_pdhg_one_signed_cases_reach_the_zero_tie(rng):
         _, theta = precond_steps(sub.K)
         blend = 1.0 if sub.prox_tau is None else sub.prox_tau / (sub.prox_tau + theta)
         level = theta * blend * sub.penalty_weights()
-        prev, ties = [np.clip(np.zeros(sub.n), sub.lo, sub.hi)], []
+        ties = []
 
-        def cb(u, p):
-            z = prev[0] - theta * (sub.K.T @ p)
-            if sub.prox_tau is not None:
-                z = blend * z + (1.0 - blend) * sub.prox_center
+        def observe(u, p, z):
             ties.append(np.sum((sub.lo == 0.0) & np.signbit(z) & (-z <= level)))
-            prev[0] = u
 
-        pdhg_solve(sub, gap_tol=1e-10, max_iters=3000, callback=cb)
+        _reference_pdhg(sub, gap_tol=1e-10, max_iters=3000, observe=observe)
         assert sum(ties) > 0, name
 
 
 # ---------------------------------------------------------------------------
 # nothing handed out is overwritten by the in-place updates
 # ---------------------------------------------------------------------------
-
-
-def test_pdhg_callback_arrays_are_snapshots(rng):
-    sub = random_subproblem(rng, m=6, n=3)
-    kept, copies = [], []
-
-    def cb(u, p):
-        kept.append((u, p))
-        copies.append((u.copy(), p.copy()))
-
-    res = pdhg_solve(sub, gap_tol=1e-10, max_iters=200, callback=cb)
-    assert len(kept) == res.iterations > 2
-    for (u, p), (u0, p0) in zip(kept, copies):
-        assert u.tobytes() == u0.tobytes() and p.tobytes() == p0.tobytes()
-    assert kept[-1][0].tobytes() == res.u.tobytes()
-    assert kept[-1][0] is not res.u
 
 
 def test_pdhg_warm_state_and_result_not_overwritten(rng):

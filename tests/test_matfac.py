@@ -16,7 +16,6 @@ from modelcg.geometry import NuclearBall
 from modelcg.matfac import (
     MfProblem,
     columnwise_simplex_set,
-    default_start,
     make_mf_oracle,
     make_mf_sets,
     mf_demo,
@@ -458,8 +457,8 @@ def test_y_step_matches_full_svd(rng):
 
 def test_zero_target_is_immediately_stationary():
     prob = MfProblem(A=np.zeros((6, 5)), inner_dim=2, radius=1.0)
-    x0 = default_start(prob, seed=1)  # zero Y block: every gradient vanishes
-    trace, X, Y = mf_demo(prob, cfg=SolverConfig(max_iterations=20), x0=x0)
+    # the default start has a zero Y block: every gradient vanishes
+    trace, X, Y = mf_demo(prob, cfg=SolverConfig(max_iterations=20), seed=1)
     assert trace.status == "stationary"
     assert len(trace.records) == 1
     np.testing.assert_allclose(Y, np.zeros_like(Y))

@@ -411,6 +411,44 @@ def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("gen", {"P": 4, "M": 30, "mu": True, "seed": 1}, "mu"),
+    ("gen", {"P": 4, "M": 30, "a_max": True, "seed": 1}, "a_max"),
+    ("gen", {"P": 4, "M": 30, "b_max": False, "seed": 1}, "b_max"),
+    ("gen", {"P": 4, "M": 30, "sparsity": True, "seed": 1}, "sparsity"),
+    ("gen", {"P": 4, "M": 30, "noise_scale": True, "seed": 1}, "noise_scale"),
+    ("solve", {"rho": True}, "rho"),
+    ("solve", {"tau0": True}, "tau0"),
+    ("solve", {"delta_tol": True}, "delta_tol"),
+    ("solve", {"time_budget": True}, "time_budget"),
+    ("compare", {"dataset": {"P": 4, "M": 30, "mu": True}, "max_iterations": 2}, "mu"),
+    ("compare", {"delta_tol": "0.5"}, "delta_tol"),
+    ("mf-demo", {"radius": True}, "radius"),
+    ("mf-demo", {"model": "hybrid", "tau": True}, "tau"),
+    ("mf-demo", {"tau": [1.0]}, "tau"),
+], ids=["gen-mu", "gen-a-max", "gen-b-max", "gen-sparsity", "gen-noise-scale", "solve-rho",
+        "solve-tau0", "solve-delta-tol", "solve-time-budget", "compare-dataset-mu",
+        "compare-delta-tol-string", "mf-radius", "mf-tau", "mf-tau-list"])
+def test_cli_rejects_a_non_number_config_value_for_a_float_setting(
+    tmp_path, capsys, command, config, key
+):
+    # float() read these: "mu": true wrote mu = 1.0, and "delta_tol": true
+    # stopped a solve stationary at a tolerance of 1.0
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    where = {"gen": [], "mf-demo": [],
+             "solve": ["--dataset", str(path)],
+             "compare": [] if "dataset" in config else ["--dataset", str(path)]}
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)] + where[command]) == 1
+    value = config["dataset"][key] if key in config.get("dataset", {}) else config[key]
+    assert (f"configuration error: {key} must be a number, got {value!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_reads_integral_config_values_for_integer_settings(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"P": 6.0, "M": 40, "seed": 1.0}))
