@@ -6,8 +6,8 @@
 * ``prox_linear_bt_solve`` -- backtracks on the proximal weight itself,
   re-solving the subproblem for every trial weight until the objective
   decreases sufficiently, then takes the full step. Only this step rule is
-  its own: the outer loop and the certify-and-retry first solve of each
-  iteration are the ones ``mcgm_solve`` runs on.
+  its own: the outer loop, and the stop rule that classifies the first solve
+  of each iteration, are the ones ``mcgm_solve`` runs on.
 
 Both start from the proximal weight ``ProxLinearConfig.tau0``. The
 backtracking variant's weight rule is fixed by the module constants: a
@@ -29,9 +29,9 @@ from .models import ProximalModelOracle
 from .solver import (
     LineSearchParams,
     SolverConfig,
-    _certified_minimize,
     _outer_loop,
     _Step,
+    _unmoved,
     mcgm_solve,
 )
 
@@ -113,10 +113,11 @@ def prox_linear_bt_solve(
     improvement. The per-iteration subproblem solve count is the cost
     signature separating this method from the line-search variants.
 
-    Stationarity is probed on the first trial of each iteration only (with
-    the certificate tightened as needed), so a string of rejected trials
-    ends in a :class:`TauUnderflowError` rather than a spurious converged
-    status.
+    Stationarity is probed on the first trial of each iteration only, so a
+    string of rejected trials ends in a :class:`TauUnderflowError` rather
+    than a spurious converged status. A first trial that gives no direction
+    (an uncertified non-positive improvement) is a zero step, and the weight
+    stays.
     """
     plcfg = plcfg or ProxLinearConfig()
     cfg = cfg or SolverConfig()
@@ -124,22 +125,22 @@ def prox_linear_bt_solve(
     tau_max = TAU_MAX_FACTOR * plcfg.tau0
     warm = None
 
-    def weight_backtracking_step(k, x, f_x, eps, tol):
+    def weight_backtracking_step(k, x, f_x, tol):
         nonlocal tau, warm
         base = oracle.instantiate(x)
 
-        def solve(e, w):
-            return base.minimize_proximal(constraint, e, tau, warm=w)
+        def solve():
+            nonlocal warm
+            res = base.minimize_proximal(constraint, tol, tau, warm=warm)
+            warm = res.state
+            return res, _prox_improvement(base, res.point, tau)
 
-        def improvement(y):
-            return _prox_improvement(base, y, tau)
+        res, delta = solve()
+        unmoved = _unmoved(res, delta, tol, x, f_x)
+        if unmoved is not None:
+            return unmoved
 
-        res, delta, eps, n_inner = _certified_minimize(solve, improvement, eps, warm, tol)
-        warm = res.state
-        if delta <= tol:
-            return _Step(delta, n_inner, 1)
-
-        # trials re-solve at the tolerance the certificate was tightened to
+        n_inner = res.iterations
         y = res.point
         f_y = float(fun(y))
         shrinks = 0
@@ -150,12 +151,10 @@ def prox_linear_bt_solve(
                     f"proximal weight underflowed at iteration {k} after "
                     f"{1 + shrinks} subproblem solves (last improvement {delta:.3e})"
                 )
-            res = solve(eps, warm)
-            warm = res.state
+            res, delta = solve()
             n_inner += res.iterations
             shrinks += 1
             y = res.point
-            delta = improvement(y)
             f_y = float(fun(y))
         tau = min(tau * TAU_EXPAND, tau_max)
         return _Step(delta, n_inner, 1 + shrinks, y, f_y, 1.0, shrinks)

@@ -89,7 +89,7 @@ def _build_parser():
 
     s = sub.add_parser("solve", parents=[common, solver_flags], help="run one method")
     s.add_argument("--dataset", required=True)
-    s.add_argument("--method", choices=METHOD_NAMES, default="mcgm")
+    s.add_argument("--method", choices=METHOD_NAMES, help="default: mcgm")
     s.add_argument("--out", help="trace CSV path")
 
     c = sub.add_parser(
@@ -210,6 +210,8 @@ def _cmd_solve(args):
     from .regression import make_constraint_set
 
     method = opts.get("method", "mcgm")
+    if method not in METHOD_NAMES:
+        raise ConfigError(f"method must be one of {', '.join(METHOD_NAMES)}, got {method!r}")
     _reject_unread_flags(args, (method,), _SOLVER_FLAG_READERS)
     x0 = make_constraint_set(dataset).midpoint()
     trace = run_method(method, dataset, x0, ls=ls, cfg=cfg, plcfg=plcfg)
@@ -232,6 +234,10 @@ def _cmd_compare(args):
     methods = opts.get("methods", METHOD_NAMES)
     if isinstance(methods, str):
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
+    elif not (isinstance(methods, (list, tuple)) and all(isinstance(m, str) for m in methods)):
+        raise ConfigError(
+            f"methods must be a comma-separated string or a list of strings, got {methods!r}"
+        )
     _reject_unread_flags(args, methods, _SOLVER_FLAG_READERS)
     ls, cfg, plcfg = _solver_configs(opts)
     result = run_comparison(dataset, opts["out"], methods=methods, ls=ls, cfg=cfg, plcfg=plcfg)

@@ -8,6 +8,10 @@ The diagonal step sizes are computed from the entries of K, the dual of the
 l1 data term is kept in [-1, 1] by clipping, and a Fenchel duality gap serves
 as the stopping certificate.
 
+A solve given the model value at its anchor (``anchor_value``) stops by the
+outer loop's rule (``modelcg.solver``): the gap check's primal value gives
+the model improvement without a further product.
+
 On a one-signed box (no lo_j below +0.0, which holds for every regression
 subproblem) the penalty is linear, w|u| = w u, so the primal step is the
 clamp of z - level instead of a soft-threshold then a clamp, with the same
@@ -186,8 +190,9 @@ def precond_steps(K):
 
 
 def _gap_function(problem):
-    """The Fenchel duality gap of ``problem`` as a function gap(u, p, ktp) of a
-    primal point u in the box, a dual point p in [-1, 1] and ktp = K.T @ p.
+    """The primal value and the Fenchel duality gap of ``problem`` as a
+    function (primal, gap) = gap(u, p, ktp) of a primal point u in the box,
+    a dual point p in [-1, 1] and ktp = K.T @ p.
 
     The dual value needs the box conjugate
     sup_{lo<=u<=hi} <v, u> - w|u| [- (u-center)^2/(2 tau)], coordinate-wise,
@@ -226,7 +231,7 @@ def _gap_function(problem):
     def gap(u, p, ktp):
         primal = problem.objective(u)
         dual = -float(p @ target) - conjugate(-ktp)
-        return primal - dual
+        return primal, primal - dual
 
     return gap
 
@@ -237,8 +242,11 @@ def primal_dual_gap(problem, u, p):
     Non-negative up to rounding and an upper bound on the suboptimality of u,
     hence a sound certificate for approximate subproblem solves.
     """
-    return _gap_function(problem)(u, p, problem.K.T @ p)
+    return _gap_function(problem)(u, p, problem.K.T @ p)[1]
 
+
+# theta of the stop rule gap <= theta * delta of a solve given an anchor value
+GAP_RATIO = 0.5
 
 # iterations between duality-gap evaluations (each forms one matvec, K @ u;
 # the loop's check reuses the iteration's K.T @ p)
@@ -250,6 +258,7 @@ def pdhg_solve(
     warm=None,
     gap_tol=1e-8,
     max_iters=20000,
+    anchor_value=None,
 ):
     """Solve one subproblem by preconditioned primal-dual iterations.
 
@@ -257,11 +266,15 @@ def pdhg_solve(
     the penalized coordinates and clamping to the box (exact coordinate-wise
     proximal step, since the 1-D objective is convex; on a one-signed box the
     threshold is a shift, see the module docstring); primal extrapolation
-    by a factor of two. Stops when the duality gap drops below ``gap_tol``
-    (checked every ``_GAP_CHECK_EVERY`` iterations and after the last) or at
-    the iteration cap, in which case the achieved gap is reported and
-    ``converged`` is False. ``gap_tol`` must be a number >= 0 and
-    ``max_iters`` an integer >= 0, neither a bool, else ``ValueError``.
+    by a factor of two. The duality gap is checked every
+    ``_GAP_CHECK_EVERY`` iterations and after the last. Without
+    ``anchor_value`` the solve stops once the gap is at most ``gap_tol``.
+    With it, let delta = anchor_value - primal value at the check: the solve
+    stops once gap <= max(GAP_RATIO * delta, gap_tol - max(delta, 0)). At
+    the iteration cap the achieved gap is reported and ``converged`` is
+    False. ``gap_tol`` must be a number >= 0, ``max_iters`` an integer >= 0
+    and ``anchor_value`` None or a finite number, none of them a bool, else
+    ``ValueError``.
 
     ``warm`` is None (start at the box projection of the origin and a zero
     dual) or a :class:`PdState` whose ``u`` has one entry per column of K
@@ -272,6 +285,11 @@ def pdhg_solve(
         raise ValueError(f"gap_tol must be a number >= 0, got {gap_tol!r}")
     if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    if anchor_value is not None and (
+        isinstance(anchor_value, bool)
+        or not (isinstance(anchor_value, numbers.Real) and math.isfinite(anchor_value))
+    ):
+        raise ValueError(f"anchor_value must be None or a finite number, got {anchor_value!r}")
     K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
     m, n = K.shape
     sigma, theta = precond_steps(K)
@@ -300,6 +318,13 @@ def pdhg_solve(
     one_signed = not np.signbit(lo).any()
     gap_of = _gap_function(problem)
 
+    def limit(primal):
+        # the largest gap the solve may stop at
+        if anchor_value is None:
+            return gap_tol
+        delta = anchor_value - primal
+        return max(GAP_RATIO * delta, gap_tol - max(delta, 0.0))
+
     # Work buffers: the loop allocates nothing. Each update is the same
     # sequence of rounded operations as the expression in its comment, so
     # the iterates do not depend on the buffering, and np.clip is spelled
@@ -323,9 +348,10 @@ def pdhg_solve(
     maximum, minimum, absolute, sign = np.maximum, np.minimum, np.absolute, np.sign
 
     dot(KT, p, out=ktp)
-    gap = gap_of(u, p, ktp)
+    primal, gap = gap_of(u, p, ktp)
+    stop_at = limit(primal)
     it = 0
-    while gap > gap_tol and it < max_iters:
+    while gap > stop_at and it < max_iters:
         # p = clip(p + sigma * (K @ u_bar - target), -1, 1)
         dot(K, u_bar, out=r)
         subtract(r, target, out=r)
@@ -359,8 +385,9 @@ def pdhg_solve(
         u, u_new = u_new, u
         it += 1
         if it % _GAP_CHECK_EVERY == 0 or it == max_iters:
-            gap = gap_of(u, p, ktp)
+            primal, gap = gap_of(u, p, ktp)
+            stop_at = limit(primal)
 
     return PdhgResult(
-        u=u, state=PdState(u=u, p=p), gap=gap, iterations=it, converged=gap <= gap_tol
+        u=u, state=PdState(u=u, p=p), gap=gap, iterations=it, converged=gap <= stop_at
     )

@@ -183,11 +183,12 @@ class ModelInstance:
     def value(self, x):
         raise NotImplementedError
 
-    def minimize(self, constraint, eps, warm=None):
-        """An eps-approximate minimizer of the model over the set."""
+    def minimize(self, constraint, tol, warm=None):
+        """A minimizer of the model over the set, inexact ones stopped by the
+        outer loop's rule at its stationarity tolerance ``tol`` (solver)."""
         raise NotImplementedError
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
+    def minimize_proximal(self, constraint, tol, tau, warm=None, mask=None):
         """Same, for the model plus ||x - anchor||^2 / (2 tau), the quadratic
         taken over the coordinates set in ``mask`` (all if None)."""
         raise NotImplementedError
@@ -223,11 +224,11 @@ class _AdditiveCompositeModel(ModelInstance):
     def value(self, x):
         return self.penalty.value(x) + self.smooth_part(x)
 
-    def minimize(self, constraint, eps, warm=None):
+    def minimize(self, constraint, tol, warm=None):
         y = linear_composite_min(self.penalty, self.h_grad, constraint)
         return ModelMinimum(point=y, gap=0.0)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
+    def minimize_proximal(self, constraint, tol, tau, warm=None, mask=None):
         """With a mask, each block of a product set is either fully masked
         (proximal step) or fully unmasked (linear-oracle step)."""
         if mask is None:
@@ -302,8 +303,8 @@ class _ProxRegularizedModel(ModelInstance):
             d = d[self.mask]
         return self.base.value(x) + float(d @ d) / (2.0 * self.tau)
 
-    def minimize(self, constraint, eps, warm=None):
-        return self.base.minimize_proximal(constraint, eps, self.tau, warm=warm, mask=self.mask)
+    def minimize(self, constraint, tol, warm=None):
+        return self.base.minimize_proximal(constraint, tol, self.tau, warm=warm, mask=self.mask)
 
     def segment_change(self, y):
         # the quadratic is part of the model, not of the objective
@@ -385,20 +386,21 @@ class _GaussNewtonModel(ModelInstance):
             hi=constraint.hi,
         )
 
-    def _run(self, sub, eps, warm):
-        res = pdhg_solve(sub, warm=warm, gap_tol=eps)
+    def _run(self, sub, tol, warm):
+        # the subproblem's objective is the model (with the proximal term)
+        res = pdhg_solve(sub, warm=warm, gap_tol=tol, anchor_value=self.anchor_value)
         return ModelMinimum(
             point=res.u, gap=res.gap, iterations=res.iterations, state=res.state
         )
 
-    def minimize(self, constraint, eps, warm=None):
-        return self._run(self.subproblem(constraint), eps, warm)
+    def minimize(self, constraint, tol, warm=None):
+        return self._run(self.subproblem(constraint), tol, warm)
 
-    def minimize_proximal(self, constraint, eps, tau, warm=None, mask=None):
+    def minimize_proximal(self, constraint, tol, tau, warm=None, mask=None):
         if mask is not None:
             raise NotImplementedError("the Gauss-Newton model has no masked proximal step")
         sub = self.subproblem(constraint).with_prox(tau, self.anchor)
-        return self._run(sub, eps, warm)
+        return self._run(sub, tol, warm)
 
 
 class GaussNewtonOracle:

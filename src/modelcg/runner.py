@@ -7,12 +7,15 @@ CSV schema (one row per outer iteration, then a terminal row):
     final,,<f>,<obj_err>,,,,,<rho>
 
 The terminal row holds the objective at the returned point, which the last
-step's sufficient decrease is checked against. ``obj_err`` is the objective
-value minus the smallest value found by any of the methods in the run.
-``rho`` is the trace's sufficient-decrease ratio (``SolverTrace.rho``), the
-same on every row, so a trace file can be checked by itself. Floats carry 17
-significant digits, so numeric content is bit-stable across reruns; only
-the timing column varies.
+step's sufficient decrease is checked against. ``delta`` is the improvement
+a step was accepted against; on a row with ``gamma`` 0 (a zero step, or the
+last row of a stationary trace) it is the certified bound
+max(improvement, 0) + gap on the best model improvement. ``obj_err`` is the
+objective value minus the smallest value found by any of the methods in the
+run. ``rho`` is the trace's sufficient-decrease ratio (``SolverTrace.rho``),
+the same on every row, so a trace file can be checked by itself. Floats
+carry 17 significant digits, so numeric content is bit-stable across
+reruns; only the timing column varies.
 """
 
 from __future__ import annotations

@@ -2,16 +2,25 @@
 decrease (Armijo) backtracking line search.
 
 Each iteration instantiates the model at the current point, minimizes it
-approximately over the constraint set (with a vanishing tolerance schedule),
-and moves along the segment toward the minimizer by the largest backtracked
-step that decreases the objective by at least ``rho * gamma * improvement``.
-A non-positive best model improvement certifies approximate stationarity and
-stops the loop.
+over the constraint set once, and moves along the segment toward the
+minimizer by the largest backtracked step that decreases the objective by at
+least ``rho * gamma * improvement``.
 
-The loop itself (``_outer_loop``) and the certify-and-retry model
-minimization (``_certified_minimize``) are shared with the proximal
-backtracking baseline, which supplies a different step rule: a solver is the
-rule that turns a model minimization at the iterate into the next iterate.
+One rule stops both the inner solve and the loop. A solve returns a point
+with model improvement delta and a duality gap, and the best improvement
+delta* satisfies delta <= delta* <= delta + gap, as the dual value bounds
+the model minimum from below. An inexact solve stops once
+gap <= theta * delta (``inner.GAP_RATIO``), so delta* <= (1 + theta) delta
+and delta -> 0 forces delta* -> 0, or once max(delta, 0) + gap <= tol. The
+latter certifies the iterate stationary: the loop stops, and its last row
+records that bound. A solve that reaches its iteration cap with delta <= 0
+is not certified and gives no direction; the iteration records a zero step
+with the bound, and the next one continues the solve from its state.
+
+The loop itself (``_outer_loop``) and that classification of a solve
+(``_unmoved``) are shared with the proximal backtracking baseline, which
+supplies a different step rule: a solver is the rule that turns a model
+minimization at the iterate into the next iterate.
 """
 
 from __future__ import annotations
@@ -165,8 +174,9 @@ class SolverConfig:
 @dataclass
 class IterationRecord:
     """One outer iteration: the objective at the iterate, the model
-    improvement measured there, and the step taken from it (gamma = 0 for
-    the terminal stationarity probe)."""
+    improvement measured there, and the step taken from it. A row with
+    gamma = 0 (the terminal stationarity probe, or a zero step) records the
+    certified bound max(delta, 0) + gap on the best improvement instead."""
 
     k: int
     f_value: float
@@ -206,72 +216,13 @@ class SolverTrace:
         )
 
 
-# The vanishing tolerance schedule of the model minimization: iteration k
-# solves its model to duality gap
-#     eps_k = max(EPS_FLOOR, min(eps0 (k+1)^-EPS_POWER,
-#                                EPS_ADAPT * previous improvement, eps_{k-1}))
-# with eps0 a tenth of the first improvement, and 1e-2 (1 + |f(x0)|) until
-# that improvement is known. EPS_FLOOR is also the tightest tolerance a
-# certification retry asks for.
-EPS_POWER = 1.5
-EPS_ADAPT = 0.1
-EPS_FLOOR = 1e-12
-
-
-class _EpsSchedule:
-    def __init__(self, f0):
-        self.bootstrap = 1e-2 * (1.0 + abs(f0))
-        self.eps0 = None
-        self.prev = math.inf
-        self.prev_delta = math.inf
-
-    def eps(self, k):
-        if self.eps0 is None:
-            base = self.bootstrap
-        else:
-            base = self.eps0 * (k + 1.0) ** (-EPS_POWER)
-        base = min(base, EPS_ADAPT * self.prev_delta)
-        eps = max(EPS_FLOOR, min(base, self.prev))
-        self.prev = eps
-        return eps
-
-    def observe(self, delta):
-        if self.eps0 is None and delta > 0:
-            self.eps0 = max(0.1 * delta, EPS_FLOOR)
-        self.prev_delta = max(delta, EPS_FLOOR)
-
-
-def _certified_minimize(minimize, improvement, eps, warm, tol):
-    """Minimize a model through ``minimize(eps, warm)``; if the measured
-    ``improvement(point)`` is below the stationarity tolerance but the
-    certificate is looser than it, continue the same solve with a tighter
-    tolerance so that termination is sound. The continuations are
-    warm-started from the solve's own state and do not count as additional
-    subproblem solves.
-
-    Returns the last result, its improvement, the tolerance it was solved
-    to, and the inner iterations of all the continuations together.
-    """
-    res = minimize(eps, warm)
-    iterations = res.iterations
-    delta = improvement(res.point)
-    retries = 0
-    while delta <= tol and res.gap > max(tol, EPS_FLOOR) and eps > EPS_FLOOR and retries < 6:
-        eps = max(min(0.1 * eps, 0.5 * tol), EPS_FLOOR)
-        res = minimize(eps, res.state)
-        iterations += res.iterations
-        delta = improvement(res.point)
-        retries += 1
-    return res, delta, eps, iterations
-
-
 @dataclass
 class _Step:
     """One outer iteration as a step rule reports it. ``x`` is None when
     the certified improvement is within the tolerance: the iterate is
     stationary and no step is taken."""
 
-    delta: float  # the improvement the step was accepted against
+    delta: float  # the improvement the step was accepted against, or the bound
     inner_iterations: int
     inner_solves: int
     x: Optional[np.ndarray] = None
@@ -280,14 +231,34 @@ class _Step:
     backtracks: int = 0
 
 
+def _certified_bound(delta, gap):
+    """max(delta, 0) + gap, an upper bound on the best model improvement of
+    a solve with improvement ``delta`` and duality gap ``gap`` (a computed
+    gap below 0 is rounding)."""
+    return max(delta, 0.0) + max(gap, 0.0)
+
+
+def _unmoved(res, delta, tol, x, f_x):
+    """The :class:`_Step` of an iteration whose solve ``res`` at the iterate
+    ``x`` (model improvement ``delta``) allows no step, else None. Such a
+    step records the certified bound: within ``tol`` it makes ``x``
+    stationary; otherwise a non-positive ``delta`` gives a zero step, which
+    keeps ``x``."""
+    bound = _certified_bound(delta, res.gap)
+    if bound <= tol:
+        return _Step(bound, res.iterations, 1)
+    if delta <= 0.0:
+        return _Step(bound, res.iterations, 1, x, f_x)
+    return None
+
+
 def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
     """The bookkeeping every outer loop shares; ``rule`` supplies the step.
 
-    ``rule(k, x, f_x, eps, tol)`` minimizes a model at the iterate ``x``
-    to the scheduled inner tolerance ``eps`` and returns a :class:`_Step`.
-    The loop projects ``x0``, resolves the stationarity tolerance, runs the
-    tolerance schedule, records each iteration, and decides the status of
-    the returned trace.
+    ``rule(k, x, f_x, tol)`` minimizes a model at the iterate ``x`` with
+    the stationarity tolerance ``tol`` and returns a :class:`_Step`. The
+    loop projects ``x0``, resolves the tolerance, records each iteration,
+    and decides the status of the returned trace.
     """
     x = require_finite(x0, "x0")
     if not constraint.contains(x):
@@ -296,13 +267,12 @@ def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
     if not math.isfinite(f_x):
         raise ValueError(f"the objective at the start is not finite: f(x0) = {f_x!r}")
     tol = cfg.resolve_tol(f_x)
-    schedule = _EpsSchedule(f_x)
     records: List[IterationRecord] = []
     status = "max_iterations"
     start = time.perf_counter()
 
     for k in range(cfg.max_iterations):
-        step = rule(k, x, f_x, schedule.eps(k), tol)
+        step = rule(k, x, f_x, tol)
         records.append(
             IterationRecord(
                 k, f_x, step.delta, step.gamma, step.backtracks,
@@ -314,7 +284,6 @@ def _outer_loop(fun, constraint, x0, cfg, rule, rho, method, callback):
         if step.x is None:
             status = "stationary"
             break
-        schedule.observe(step.delta)
         x, f_x = step.x, step.f
         if cfg.time_budget_s is not None and time.perf_counter() - start > cfg.time_budget_s:
             status = "time_budget"
@@ -352,49 +321,40 @@ def mcgm_solve(
     rule out; the iterates are those of the plain rule.
 
     Returns a :class:`SolverTrace`; the terminal record of a ``stationary``
-    trace carries the certified improvement (at most the tolerance) and a
-    zero step.
+    trace carries the certified bound on the improvement (at most the
+    tolerance) and a zero step.
     """
     ls = ls or LineSearchParams()
     cfg = cfg or SolverConfig()
     warm = None
 
-    def armijo_step(k, x, f_x, eps, tol):
+    def armijo_step(k, x, f_x, tol):
         nonlocal warm
         model = oracle.instantiate(x)
-        res, delta, _, n_inner = _certified_minimize(
-            lambda e, w: model.minimize(constraint, e, warm=w),
-            lambda y: model.anchor_value - model.value(y),
-            eps, warm, tol,
-        )
+        res = model.minimize(constraint, tol, warm=warm)
         warm = res.state
-        if delta <= tol:
-            return _Step(delta, n_inner, 1)
+        delta = model.anchor_value - model.value(res.point)
+        unmoved = _unmoved(res, delta, tol, x, f_x)
+        if unmoved is not None:
+            return unmoved
         y = res.point
         # a model outside the ModelInstance hierarchy may lack the method
         segment_change = getattr(model, "segment_change", None)
         screen = segment_change(y) if segment_change is not None else None
         ar = armijo_search(fun, x, y, delta, ls, f_x=f_x, screen=screen)
-        return _Step(delta, n_inner, 1, ar.x_new, ar.f_new, ar.gamma, ar.backtracks)
+        return _Step(delta, res.iterations, 1, ar.x_new, ar.f_new, ar.gamma, ar.backtracks)
 
     return _outer_loop(fun, constraint, x0, cfg, armijo_step, ls.rho, method, callback)
 
 
 def stationarity_measure(oracle, x, constraint, eps=1e-10):
-    """The model improvement at x, certified by the outer loop's rule with
-    ``eps`` as both the inner and the stationarity tolerance: while the
-    improvement is at most ``eps`` but the duality gap exceeds
-    ``max(eps, EPS_FLOOR)``, the solve continues warm-started at a tenth of
-    its last tolerance (at most ``eps / 2``, at least ``EPS_FLOOR``), up to 6
-    times and only while that tolerance is above ``EPS_FLOOR``. An
-    improvement above ``eps`` is returned as measured."""
+    """The certified bound max(delta, 0) + gap on the best model improvement
+    at x, from one model solve with stationarity tolerance ``eps``: the
+    solve stops by the outer loop's rule, so the bound is at most ``eps``
+    where the loop would stop at x."""
     model = oracle.instantiate(np.asarray(x, dtype=float))
-    _, delta, _, _ = _certified_minimize(
-        lambda e, w: model.minimize(constraint, e, warm=w),
-        lambda y: model.anchor_value - model.value(y),
-        eps, None, eps,
-    )
-    return delta
+    res = model.minimize(constraint, eps)
+    return _certified_bound(model.anchor_value - model.value(res.point), res.gap)
 
 
 # the relative slack of the trace checks, a share of 1 + |f| for the

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import modelcg.models as models
 from modelcg.baselines import prox_linear_bt_solve, prox_linear_ls_solve
 from modelcg.geometry import (
     Box,
@@ -38,7 +39,7 @@ from modelcg.regression import (
     model_error_growth,
     save_dataset,
 )
-from modelcg.runner import CSV_COLUMNS, run_comparison
+from modelcg.runner import CSV_COLUMNS, METHOD_NAMES, run_comparison, run_method
 from modelcg.solver import (
     MAX_BACKTRACKS,
     LineSearchParams,
@@ -60,6 +61,29 @@ def report(num, name, passed, detail=""):
     assert passed, f"criterion {num} ({name}) failed: {detail}"
 
 
+def observed_solve(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` with the models module's PDHG solver
+    observed: the returned trace carries ``last_solve``, the (improvement,
+    gap) of the last PDHG call, which a ``stationary`` trace stops on. Only
+    references are kept during the solve, so its timing is unchanged."""
+    inner = models.pdhg_solve
+    last = []
+
+    def observed(problem, **kwargs):
+        res = inner(problem, **kwargs)
+        last[:] = [problem, kwargs["anchor_value"], res]
+        return res
+
+    models.pdhg_solve = observed
+    try:
+        trace = solve(*args, **kwargs)
+    finally:
+        models.pdhg_solve = inner
+    problem, anchor_value, res = last
+    trace.last_solve = (anchor_value - problem.objective(res.u), res.gap)
+    return trace
+
+
 @pytest.fixture(scope="module")
 def full_scale_trace():
     ds = generate_regression_data(P=100, M=1000, mu=80.0, a_max=20.0, b_max=5.0,
@@ -67,8 +91,8 @@ def full_scale_trace():
     fun = make_objective(ds)
     box = make_constraint_set(ds)
     start = time.perf_counter()
-    trace = mcgm_solve(
-        make_oracle(ds), fun, box, box.midpoint(),
+    trace = observed_solve(
+        mcgm_solve, make_oracle(ds), fun, box, box.midpoint(),
         ls=LineSearchParams(rho=RHO),
         cfg=SolverConfig(max_iterations=400, time_budget_s=55.0),
     )
@@ -89,9 +113,11 @@ def desk_scale_runs():
         ls = LineSearchParams(rho=RHO)
         oracle = make_oracle(ds)
         traces = {
-            "mcgm": mcgm_solve(oracle, fun, box, x0, ls=ls, cfg=cfg),
-            "proxlin_ls": prox_linear_ls_solve(make_oracle(ds), fun, box, x0, ls=ls, cfg=cfg),
-            "proxlin_bt": prox_linear_bt_solve(make_oracle(ds), fun, box, x0, cfg=cfg),
+            "mcgm": observed_solve(mcgm_solve, oracle, fun, box, x0, ls=ls, cfg=cfg),
+            "proxlin_ls": observed_solve(prox_linear_ls_solve, make_oracle(ds), fun, box, x0,
+                                         ls=ls, cfg=cfg),
+            "proxlin_bt": observed_solve(prox_linear_bt_solve, make_oracle(ds), fun, box, x0,
+                                         cfg=cfg),
         }
         runs.append(traces)
     return runs
@@ -137,9 +163,11 @@ def test_criterion_03_cost_signature_and_ordering(desk_scale_runs):
         thresh = f_lower + 1e-3 * (f0 - f_lower)
 
         def hit_time(t):
-            for r in t.records:
+            # record k's f_value is the point iteration k starts from, which
+            # iteration k - 1 reached when it ended
+            for k, r in enumerate(t.records):
                 if r.f_value <= thresh:
-                    return r.elapsed_s
+                    return t.records[k - 1].elapsed_s if k > 0 else 0.0
             return t.records[-1].elapsed_s if t.final_f <= thresh else math.inf
 
         mcgm_times.append(hit_time(traces["mcgm"]))
@@ -168,6 +196,31 @@ def test_criterion_04_rate_certificates(full_scale_trace, desk_scale_runs):
         ok &= cert.passed
         worst = max(worst, cert.worst_ratio)
     report(4, "rate-certificate", ok, f"traces={len(traces)} tightest_ratio={worst:.3f}")
+
+
+@pytest.mark.slow
+def test_stationary_traces_are_certified(full_scale_trace, desk_scale_runs):
+    # a stationary trace stops on a solve with max(delta, 0) + gap <= tol,
+    # delta and gap those of its last inner solve, and no row of any trace
+    # records a negative improvement; the golden runs are those of
+    # test_runner_cli.test_regression_golden_run
+    traces = [("full-scale mcgm", full_scale_trace[0])]
+    for i, run in enumerate(desk_scale_runs):
+        traces.extend((f"desk data{i} {m}", t) for m, t in run.items())
+    ds = generate_regression_data(P=5, M=40, mu=3.0, seed=11)
+    x0 = make_constraint_set(ds).midpoint()
+    for m in METHOD_NAMES:
+        trace = observed_solve(run_method, m, ds, x0, cfg=SolverConfig(max_iterations=30))
+        traces.append((f"golden {m}", trace))
+    problems = []
+    for name, t in traces:
+        tol = SolverConfig().resolve_tol(t.f0)
+        problems += [f"{name} k={r.k}: improvement {r.delta:.3e}" for r in t.records if r.delta < 0]
+        delta, gap = t.last_solve
+        if t.status == "stationary" and max(delta, 0.0) + gap > tol:
+            problems.append(f"{name}: stationary at delta {delta:.3e}, gap {gap:.3e} > {tol:.3e}")
+    assert any(t.status == "stationary" for _, t in traces)
+    assert problems == []
 
 
 def test_criterion_05_lmo_oracle_equivalence():

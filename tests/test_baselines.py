@@ -162,6 +162,47 @@ def test_bt_feasibility_check_catches_iterate_leaving_the_set():
                              plcfg=plcfg, cfg=SolverConfig(max_iterations=2))
 
 
+class _ScriptedProxOracle:
+    """Linear models of f(x) = 1000 - x whose i-th proximal solve returns
+    the point anchor + script[i][0] with gap script[i][1], recording the
+    weight and the warm state it was given."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def instantiate(self, anchor):
+        oracle = self
+
+        class Model(ModelInstance):
+            def value(self, x):
+                return self.anchor_value - float(x[0] - self.anchor[0])
+
+            def minimize_proximal(self, constraint, tol, tau, warm=None):
+                step, gap = oracle.script[len(oracle.calls)]
+                oracle.calls.append((tau, warm))
+                return ModelMinimum(point=self.anchor + step, gap=gap, state=len(oracle.calls))
+
+        return Model(anchor, 1000.0 - float(anchor[0]))
+
+
+def test_bt_zero_step_keeps_the_weight():
+    # the first solve ends uncertified with the improvement 1*(-1) - 1/2 < 0:
+    # the iterate and the weight stay, and the next iteration continues the
+    # solve from its state; the second step is accepted in full
+    fun = lambda x: 1000.0 - float(x[0])
+    box = Box(np.zeros(1), np.full(1, 100.0))
+    oracle = _ScriptedProxOracle([(-1.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    trace = prox_linear_bt_solve(oracle, fun, box, np.zeros(1),
+                                 cfg=SolverConfig(delta_tol=1e-6))
+    assert trace.status == "stationary"
+    assert oracle.calls == [(1.0, None), (1.0, 1), (2.0, 2)]
+    assert [r.f_value for r in trace.records] == [1000.0, 1000.0, 999.0]
+    assert [(r.delta, r.gamma, r.inner_solves) for r in trace.records] == [
+        (1.0, 0.0, 1), (0.5, 1.0, 1), (0.0, 0.0, 1),
+    ]
+
+
 def test_both_baselines_monotone_and_certified():
     ds = generate_regression_data(P=5, M=40, mu=2.0, seed=9)
     fun = make_objective(ds)

@@ -6,6 +6,7 @@ import pytest
 
 from modelcg.inner import (
     ALIGNMENT,
+    GAP_RATIO,
     PdState,
     PiecewiseLinearSubproblem,
     pdhg_solve,
@@ -196,6 +197,40 @@ def test_pdhg_rejects_a_non_finite_warm_state(rng):
     # a non-finite state of other dimensions is rejected for its shape
     with pytest.raises(ValueError, match="warm must be None or a PdState"):
         pdhg_solve(sub, warm=PdState(u=np.full(2, np.nan), p=np.zeros(6)))
+
+
+def test_pdhg_with_an_anchor_value_stops_at_the_first_check_the_rule_allows():
+    # with delta = anchor_value - primal value, the solve stops at the first
+    # gap check where gap <= max(GAP_RATIO * delta, gap_tol - max(delta, 0));
+    # the iterates are those of the plain solve
+    ds = generate_regression_data(P=4, M=30, mu=2.0, a_max=4.0, b_max=2.5, seed=1)
+    x = np.concatenate([np.full(4, 2.0), np.full(4, 1.25)])
+    sub = make_subproblem(ds, x)
+    anchor = sub.objective(x)
+    best = pdhg_solve(sub, gap_tol=1e-9, max_iters=200000)
+    minimum = sub.objective(best.u)  # within 1e-9 of the minimum
+
+    def allowed(res, anchor_value, gap_tol):
+        delta = anchor_value - sub.objective(res.u)
+        return res.gap <= max(GAP_RATIO * delta, gap_tol - max(delta, 0.0))
+
+    # an anchor far above the minimum (the ratio stop), one within the
+    # tolerance of it (the certified stop), and one below it (delta < 0
+    # throughout), which stops at gap_tol as the plain solve does
+    for anchor_value, gap_tol in ((anchor, 1e-8), (minimum + 1e-4, 1e-3),
+                                  (minimum - 1.0, 1e-6)):
+        res = pdhg_solve(sub, gap_tol=gap_tol, anchor_value=anchor_value)
+        assert res.converged and allowed(res, anchor_value, gap_tol)
+        assert res.iterations % 25 == 0
+        plain = pdhg_solve(sub, gap_tol=0.0, max_iters=res.iterations)
+        assert np.array_equal(plain.u, res.u) and plain.gap == res.gap
+        if res.iterations:
+            earlier = pdhg_solve(sub, gap_tol=0.0, max_iters=res.iterations - 25)
+            assert not allowed(earlier, anchor_value, gap_tol)
+    assert res.iterations == pdhg_solve(sub, gap_tol=1e-6).iterations
+    for bad in (np.nan, np.inf, True, "1"):
+        with pytest.raises(ValueError, match="anchor_value"):
+            pdhg_solve(sub, anchor_value=bad)
 
 
 def test_pdhg_loop_memory_does_not_grow_with_iterations():

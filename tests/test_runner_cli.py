@@ -67,17 +67,18 @@ def test_run_comparison_outputs(tmp_path):
 @pytest.mark.parametrize(
     "method, final_f, inner_iterations, backtracks, inner_solves, status",
     [
-        ("mcgm", "0x1.7669f6f2d696cp+4", 91075, 113, 30, "max_iterations"),
-        ("proxlin_ls", "0x1.767d076fff302p+4", 2375, 0, 30, "max_iterations"),
-        ("proxlin_bt", "0x1.765e19b7a78f2p+4", 3300, 3, 15, "stationary"),
+        ("mcgm", "0x1.76666010efc38p+4", 26575, 106, 30, "max_iterations"),
+        ("proxlin_ls", "0x1.767cfb830d238p+4", 850, 0, 30, "max_iterations"),
+        ("proxlin_bt", "0x1.765e19eb7a4dfp+4", 2600, 24, 38, "stationary"),
     ],
+    ids=["mcgm", "proxlin_ls", "proxlin_bt"],
 )
 def test_regression_golden_run(method, final_f, inner_iterations, backtracks,
                                inner_solves, status):
-    # pins the defaults of the line search, the stationarity tolerance and
-    # the proximal-weight rule (SHRINK, MAX_BACKTRACKS, DELTA_RTOL, TAU_*,
-    # ACCEPT_RATIO), which were config fields when these were recorded; the
-    # instance makes mcgm backtrack and proxlin_bt shrink its weight
+    # pins the defaults of the line search, the stationarity tolerance, the
+    # inner stop rule and the proximal-weight rule (SHRINK, MAX_BACKTRACKS,
+    # DELTA_RTOL, inner.GAP_RATIO, TAU_*, ACCEPT_RATIO); the instance makes
+    # mcgm backtrack and proxlin_bt shrink its weight
     ds = generate_regression_data(P=5, M=40, mu=3.0, seed=11)
     x0 = make_constraint_set(ds).midpoint()
     trace = run_method(method, ds, x0, cfg=SolverConfig(max_iterations=30))
@@ -254,7 +255,7 @@ def _with_rho_column(path, values, out):
 def test_cli_check_reads_the_rho_each_compare_trace_records(tmp_path):
     # proxlin_bt accepts at its own ratio, not the line search's, and its
     # trace records that ratio: checked at rho 0.9 it would fail the
-    # sufficient decrease at k=5
+    # sufficient decrease at k=4 to 8
     out_dir = tmp_path / "results"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rho": 0.9}))
@@ -269,7 +270,9 @@ def test_cli_check_reads_the_rho_each_compare_trace_records(tmp_path):
         assert cli_main(["check", "--trace", trace]) == 0, m
         assert cli_main(["check", "--config", str(cfg), "--trace", trace]) == 0, m
     at_09 = _with_rho_column(out_dir / "proxlin_bt.csv", ["0.9"], tmp_path / "bt09.csv")
-    assert check_trace_file(at_09) == ["sufficient decrease violated at k=5"]
+    assert check_trace_file(at_09) == [
+        f"sufficient decrease violated at k={k}" for k in range(4, 9)
+    ]
 
 
 def test_summary_checks_are_those_of_the_trace_file_and_of_the_trace(tmp_path):
@@ -593,6 +596,49 @@ def test_cli_compare_rejects_an_empty_method_list(tmp_path, capsys):
     assert cli_main(["compare", "--dataset", str(path), "--methods", ",",
                      "--out", str(out)]) == 1
     assert "no methods to compare" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_solve_runs_the_method_of_a_config_file(tmp_path, capsys):
+    # a --method default used to override the config file's method
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "proxlin_bt", "max_iterations": 3}))
+    assert cli_main(["solve", "--dataset", str(path), "--config", str(cfg)]) == 0
+    assert "method=proxlin_bt " in capsys.readouterr().out
+    # an explicit flag still takes precedence
+    assert cli_main(["solve", "--dataset", str(path), "--config", str(cfg),
+                     "--method", "proxlin_ls"]) == 0
+    assert "method=proxlin_ls " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["nope", 5, ["mcgm"]])
+def test_cli_solve_rejects_an_unknown_config_method(tmp_path, capsys, method):
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": method, "max_iterations": 3}))
+    out = tmp_path / "t.csv"
+    assert cli_main(["solve", "--dataset", str(path), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    assert (f"configuration error: method must be one of {', '.join(METHOD_NAMES)}, "
+            f"got {method!r}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", [5, ["mcgm", 3], {"mcgm": 1}, None])
+def test_cli_compare_rejects_methods_that_are_not_names(tmp_path, capsys, methods):
+    # {"methods": 5} exited 2 with a TypeError
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"methods": methods, "max_iterations": 2}))
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--dataset", str(path), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    assert ("configuration error: methods must be a comma-separated string or a list of "
+            f"strings, got {methods!r}" in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -11,7 +11,9 @@ from modelcg.regression import (
     make_objective,
     make_oracle,
 )
+from modelcg.inner import GAP_RATIO
 from modelcg.solver import (
+    DELTA_RTOL,
     MAX_BACKTRACKS,
     LineSearchError,
     LineSearchParams,
@@ -22,8 +24,6 @@ from modelcg.solver import (
     stationarity_measure,
     verify_trace_arrays,
 )
-from modelcg.solver import _certified_minimize
-
 from conftest import feasible_only
 
 
@@ -265,27 +265,6 @@ def test_mcgm_time_budget_status():
     assert len(trace.records) >= 1
 
 
-def test_certified_minimize_tightens_until_the_gap_certifies():
-    # a solve whose gap is ten times its tolerance, at an improvement below
-    # the stationarity tolerance: continue from the solve's own state with
-    # a tighter tolerance until the gap is within the tolerance
-    calls = []
-
-    def minimize(eps, warm):
-        calls.append((eps, warm))
-        return ModelMinimum(point=np.zeros(1), gap=10.0 * eps, iterations=3, state=len(calls))
-
-    res, delta, eps, iterations = _certified_minimize(
-        minimize, lambda y: 0.0, 1e-2, "w", tol=1e-6
-    )
-    assert calls == [(1e-2, "w"), (5e-7, 1), (5e-8, 2)]
-    assert (res.gap, delta, eps, iterations) == (5e-7, 0.0, 5e-8, 9)
-    # an improvement above the tolerance needs no certificate
-    calls.clear()
-    _certified_minimize(minimize, lambda y: 1.0, 1e-2, None, tol=1e-6)
-    assert len(calls) == 1
-
-
 def test_mcgm_max_iterations_status():
     ds = generate_regression_data(P=4, M=30, mu=2.0, seed=5)
     fun = make_objective(ds)
@@ -337,27 +316,102 @@ class _ScriptedOracle:
         return _ScriptedModel(anchor, self.script, self.requested)
 
 
-def test_mcgm_requests_the_vanishing_tolerance_schedule():
+def test_mcgm_passes_the_stationarity_tolerance_to_every_solve():
     # f(x) = 1000 - x on [0, 100]: the unit step to each model minimizer is
-    # accepted in full, so the k-th solve's improvement is script[k]
+    # accepted in full, so the k-th solve's improvement is script[k]; every
+    # solve is asked for the one stationarity tolerance
     fun = lambda x: 1000.0 - float(x[0])
     box = Box(np.zeros(1), np.full(1, 100.0))
     script = [2.0, 3.0, 0.05, 4.0, 1e-13, 4.0, 0.0]
-    oracle = _ScriptedOracle(script)
-    trace = mcgm_solve(oracle, fun, box, np.zeros(1), cfg=SolverConfig(delta_tol=1e-14))
+    for delta_tol, tol in ((1e-14, 1e-14), (None, DELTA_RTOL * (1.0 + 1000.0))):
+        oracle = _ScriptedOracle(script)
+        trace = mcgm_solve(oracle, fun, box, np.zeros(1), cfg=SolverConfig(delta_tol=delta_tol))
+        assert trace.status == "stationary"
+        stop = 5 if delta_tol is None else 7  # 1e-13 is within the default tolerance
+        assert [r.delta for r in trace.records] == script[:stop]
+        assert [r.gamma for r in trace.records] == [1.0] * (stop - 1) + [0.0]
+        assert oracle.requested == [tol] * stop
+
+
+def test_gauss_newton_solves_stop_by_the_outer_rule(monkeypatch):
+    # each PDHG solve gets the stationarity tolerance and the model value at
+    # the iterate, and returns a point the outer loop may step to
+    import modelcg.models as models
+
+    calls = []
+    inner = models.pdhg_solve
+
+    def recorded(problem, **kwargs):
+        res = inner(problem, **kwargs)
+        calls.append((kwargs, problem.objective(res.u), res))
+        return res
+
+    monkeypatch.setattr(models, "pdhg_solve", recorded)
+    ds = generate_regression_data(P=4, M=30, mu=2.0, seed=5)
+    fun = make_objective(ds)
+    box = make_constraint_set(ds)
+    trace = mcgm_solve(make_oracle(ds), fun, box, box.midpoint(),
+                       cfg=SolverConfig(max_iterations=15))
+    tol = SolverConfig().resolve_tol(trace.f0)
+    assert len(calls) == len(trace.records)
+    for r, (kwargs, primal, res) in zip(trace.records, calls):
+        assert kwargs["gap_tol"] == tol
+        assert kwargs["anchor_value"] == pytest.approx(r.f_value, rel=1e-12)
+        delta = kwargs["anchor_value"] - primal
+        if res.converged:
+            assert res.gap <= max(GAP_RATIO * delta, tol - max(delta, 0.0))
+        if r.gamma > 0:
+            assert r.delta == pytest.approx(delta, rel=1e-9)
+
+
+class _GappedModel:
+    """A model whose i-th minimization reports the scripted (improvement,
+    gap) pair, recording the tolerance and the warm state it was given."""
+
+    def __init__(self, script):
+        self.anchor_value = 0.0
+        self.script = script
+        self.calls = []
+
+    def value(self, y):
+        return self.anchor_value - self.script[int(y[0])][0]
+
+    def minimize(self, constraint, tol, warm=None):
+        i = len(self.calls)
+        self.calls.append((tol, warm))
+        return ModelMinimum(point=np.array([float(i)]), gap=self.script[i][1], state=i)
+
+
+class _GappedOracle:
+    """One scripted model for every anchor, anchored at ``fun``'s value."""
+
+    def __init__(self, script, fun=lambda x: 0.0):
+        self.model = _GappedModel(script)
+        self.fun = fun
+
+    def instantiate(self, anchor):
+        self.model.anchor_value = self.fun(anchor)
+        return self.model
+
+
+def test_mcgm_takes_a_zero_step_on_an_uncertified_non_positive_improvement():
+    # f(x) = 1000 - x on [0, 100] and a model whose value at the point [i]
+    # is the anchor value minus script[i][0]. The first solve ends at its
+    # cap with a negative improvement and a gap above the tolerance: the
+    # iterate stays, the row records the bound, and the next iteration
+    # continues the solve from its state
+    fun = lambda x: 1000.0 - float(x[0])
+    box = Box(np.zeros(1), np.full(1, 100.0))
+    oracle = _GappedOracle([(-1e-3, 1.0), (2.0, 0.0), (-1e-9, 1e-7)], fun)
+    trace = mcgm_solve(oracle, fun, box, np.zeros(1), cfg=SolverConfig(delta_tol=1e-6))
     assert trace.status == "stationary"
-    assert [r.delta for r in trace.records] == script
-    assert [r.gamma for r in trace.records] == [1.0] * 6 + [0.0]
-    eps0 = 0.1 * 2.0  # a tenth of the first improvement
-    assert oracle.requested == [
-        1e-2 * (1.0 + 1000.0),  # bootstrap: 1e-2 (1 + |f(x0)|)
-        eps0 * 2.0 ** -1.5,  # decay (k+1)^-1.5
-        eps0 * 3.0 ** -1.5,
-        0.1 * 0.05,  # adapt: a tenth of the previous improvement
-        0.1 * 0.05,  # non-increasing: the decay and adapt values are larger
-        1e-12,  # floor: a tenth of an improvement of 1e-13
-        1e-12,  # non-increasing at the floor
-    ]
+    assert [r.f_value for r in trace.records] == [1000.0, 1000.0, 999.0]
+    assert [r.gamma for r in trace.records] == [0.0, 1.0, 0.0]
+    # the bound max(delta, 0) + gap on the zero step and the stationary row
+    assert [r.delta for r in trace.records] == [1.0, 2.0, 1e-7]
+    assert oracle.model.calls == [(1e-6, None), (1e-6, 0), (1e-6, 1)]
+    f, d, g = trace.arrays()
+    assert verify_trace_arrays(f, d, g, trace.rho, final_f=trace.final_f) == []
 
 
 # ---------------------------------------------------------------------------
@@ -388,43 +442,14 @@ def test_stationarity_on_simplex_vertices():
     assert stationarity_measure(oracle_tilt, e1, simplex) == pytest.approx(1.0, abs=0)
 
 
-class _GappedModel:
-    """A model whose i-th minimization reports the scripted (improvement,
-    gap) pair, recording the tolerance and the warm state it was given."""
-
-    def __init__(self, script):
-        self.anchor_value = 0.0
-        self.script = script
-        self.calls = []
-
-    def value(self, y):
-        return -self.script[int(y[0])][0]
-
-    def minimize(self, constraint, eps, warm=None):
-        i = len(self.calls)
-        self.calls.append((eps, warm))
-        return ModelMinimum(point=np.array([float(i)]), gap=self.script[i][1], state=i)
-
-
-class _GappedOracle:
-    def __init__(self, script):
-        self.model = _GappedModel(script)
-
-    def instantiate(self, anchor):
-        return self.model
-
-
 def test_stationarity_measure_certifies_as_the_outer_loop_does():
-    # an improvement within eps whose gap exceeds it: the solve continues
-    # warm at a tighter tolerance until the gap certifies the value
-    oracle = _GappedOracle([(1e-11, 1e-9), (2e-11, 5e-10), (3e-11, 0.0)])
-    assert stationarity_measure(oracle, np.zeros(1), None, eps=1e-10) == 3e-11
-    # each continuation at a tenth of the last tolerance, from the last state
-    assert oracle.model.calls == [(1e-10, None), (1e-10 * 0.1, 0), (1e-10 * 0.1 * 0.1, 1)]
-    # an improvement above eps needs no certificate: no further solve
-    oracle = _GappedOracle([(1.0, 1e-3), (2.0, 0.0)])
-    assert stationarity_measure(oracle, np.zeros(1), None, eps=1e-10) == 1.0
-    assert oracle.model.calls == [(1e-10, None)]
+    # one solve, returning the bound max(delta, 0) + gap that a stationary
+    # row records (a computed gap below 0 counts as 0)
+    for script, bound in (((1e-11, 1e-9), 1e-11 + 1e-9), ((-1.0, 2e-10), 2e-10),
+                          ((1.0, 1e-3), 1.0 + 1e-3), ((0.5, -1e-17), 0.5)):
+        oracle = _GappedOracle([script])
+        assert stationarity_measure(oracle, np.zeros(1), None, eps=1e-10) == bound
+        assert oracle.model.calls == [(1e-10, None)]
 
 
 # ---------------------------------------------------------------------------
