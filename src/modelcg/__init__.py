@@ -21,7 +21,6 @@ from .models import (
     ProximalModelOracle,
     WeightedL1,
     ZeroPenalty,
-    model_improvement,
     verify_model_error,
 )
 from .baselines import ProxLinearConfig, prox_linear_bt_solve, prox_linear_ls_solve
@@ -32,7 +31,6 @@ from .solver import (
     armijo_search,
     mcgm_solve,
     rate_certificate,
-    stationarity_measure,
 )
 from .regression import generate_regression_data, load_dataset, save_dataset
 from .runner import run_comparison
@@ -56,7 +54,6 @@ __all__ = [
     "ProximalModelOracle",
     "WeightedL1",
     "ZeroPenalty",
-    "model_improvement",
     "verify_model_error",
     "ProxLinearConfig",
     "prox_linear_bt_solve",
@@ -67,7 +64,6 @@ __all__ = [
     "armijo_search",
     "mcgm_solve",
     "rate_certificate",
-    "stationarity_measure",
     "generate_regression_data",
     "load_dataset",
     "save_dataset",

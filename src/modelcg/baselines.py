@@ -7,7 +7,8 @@
   re-solving the subproblem for every trial weight until the objective
   decreases sufficiently, then takes the full step. Only this step rule is
   its own: the outer loop, and the stop rule that classifies the first solve
-  of each iteration, are the ones ``mcgm_solve`` runs on.
+  of each iteration, are the ones ``mcgm_solve`` runs on. Each trial's
+  improvement is the one its proximal solve reports, quadratic included.
 
 Both start from the proximal weight ``ProxLinearConfig.tau0``. The
 backtracking variant's weight rule is fixed by the module constants: a
@@ -93,11 +94,6 @@ def prox_linear_ls_solve(
     )
 
 
-def _prox_improvement(base, y, tau):
-    d = y - base.anchor
-    return base.anchor_value - base.value(y) - float(d @ d) / (2.0 * tau)
-
-
 def prox_linear_bt_solve(
     oracle,
     fun,
@@ -133,15 +129,15 @@ def prox_linear_bt_solve(
             nonlocal warm
             res = base.minimize_proximal(constraint, tol, tau, warm=warm)
             warm = res.state
-            return res, _prox_improvement(base, res.point, tau)
+            return res
 
-        res, delta = solve()
-        unmoved = _unmoved(res, delta, tol, x, f_x)
+        res = solve()
+        unmoved = _unmoved(res, tol, x, f_x)
         if unmoved is not None:
             return unmoved
 
         n_inner = res.iterations
-        y = res.point
+        delta, y = res.improvement, res.point
         f_y = float(fun(y))
         shrinks = 0
         while not (delta > 0 and f_y <= f_x - ACCEPT_RATIO * delta):
@@ -151,10 +147,10 @@ def prox_linear_bt_solve(
                     f"proximal weight underflowed at iteration {k} after "
                     f"{1 + shrinks} subproblem solves (last improvement {delta:.3e})"
                 )
-            res, delta = solve()
+            res = solve()
             n_inner += res.iterations
             shrinks += 1
-            y = res.point
+            delta, y = res.improvement, res.point
             f_y = float(fun(y))
         tau = min(tau * TAU_EXPAND, tau_max)
         return _Step(delta, n_inner, 1 + shrinks, y, f_y, 1.0, shrinks)

@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from .baselines import ProxLinearConfig
+from .geometry import require_integer, require_number
 from .matfac import MfProblem, mf_demo
 from .regression import generate_regression_data, load_dataset, save_dataset
 from .runner import (
@@ -148,26 +149,12 @@ def _reject_unread_flags(args, selected, readers):
 
 
 def _int_option(opts, key, default=None):
-    """``opts[key]`` (or ``default``) as an int. A config file can hold any
-    JSON value, and ``int()`` would truncate 6.9 to 6: an integral float
-    such as 6.0 reads as 6, and a bool, a non-integral number or any other
-    value is a ConfigError."""
-    value = opts.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+    # a config file can hold any JSON value (geometry.require_integer)
+    return require_integer(opts.get(key, default), key)
 
 
 def _float_option(opts, key, default=None):
-    """``opts[key]`` (or ``default``) as a float. ``float()`` would read a
-    JSON ``true`` as 1.0 and a string such as "2" as 2.0: an int or a float
-    reads as a float, and a bool or any other value is a ConfigError."""
-    value = opts.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return require_number(opts.get(key, default), key)
 
 
 def _dataset_params(opts):

@@ -32,6 +32,8 @@ __all__ = [
     "NuclearBall",
     "ProductSet",
     "require_finite",
+    "require_integer",
+    "require_number",
 ]
 
 
@@ -41,6 +43,26 @@ def require_finite(arr, name="array"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def require_integer(value, name):
+    """``value`` as an int, for a setting read from JSON: ``int()`` would
+    truncate 6.9 to 6, so an integral float such as 6.0 reads as 6, and a
+    bool, a non-integral number or any other value raises ``ValueError``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_number(value, name):
+    """``value`` as a float, for a setting read from JSON: ``float()`` would
+    read ``true`` as 1.0 and the string "2" as 2.0, so only an int or a
+    float is accepted, and a bool or any other value raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

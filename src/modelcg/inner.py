@@ -10,7 +10,8 @@ as the stopping certificate.
 
 A solve given the model value at its anchor (``anchor_value``) stops by the
 outer loop's rule (``modelcg.solver``): the gap check's primal value gives
-the model improvement without a further product.
+the model improvement without a further product, and the result returns
+that value, so the caller reports the improvement the rule stopped on.
 
 On a one-signed box (no lo_j below +0.0, which holds for every regression
 subproblem) the penalty is linear, w|u| = w u, so the primal step is the
@@ -169,6 +170,7 @@ class PdState:
 class PdhgResult:
     u: np.ndarray
     state: PdState
+    primal: float  # the objective at u, as the last gap check computed it
     gap: float
     iterations: int
     converged: bool
@@ -272,9 +274,9 @@ def pdhg_solve(
     With it, let delta = anchor_value - primal value at the check: the solve
     stops once gap <= max(GAP_RATIO * delta, gap_tol - max(delta, 0)). At
     the iteration cap the achieved gap is reported and ``converged`` is
-    False. ``gap_tol`` must be a number >= 0, ``max_iters`` an integer >= 0
-    and ``anchor_value`` None or a finite number, none of them a bool, else
-    ``ValueError``.
+    False; ``primal`` is the value the last check read. ``gap_tol`` must be
+    a number >= 0, ``max_iters`` an integer >= 0 and ``anchor_value`` None
+    or a finite number, none of them a bool, else ``ValueError``.
 
     ``warm`` is None (start at the box projection of the origin and a zero
     dual) or a :class:`PdState` whose ``u`` has one entry per column of K
@@ -389,5 +391,6 @@ def pdhg_solve(
             stop_at = limit(primal)
 
     return PdhgResult(
-        u=u, state=PdState(u=u, p=p), gap=gap, iterations=it, converged=gap <= stop_at
+        u=u, state=PdState(u=u, p=p), primal=primal, gap=gap, iterations=it,
+        converged=gap <= stop_at,
     )

@@ -18,6 +18,12 @@ the work horse of the conditional-gradient outer loop:
 * ``GaussNewtonOracle``        -- linearizes an inner residual map inside a
                                   convex outer loss; the l1 case is handed to
                                   the primal-dual inner solver.
+
+A minimization returns a :class:`ModelMinimum` that carries the model
+improvement of its point, computed by the solve itself: the exact solves
+evaluate the model at the point, the Gauss-Newton solve takes the primal
+value its stop rule read. Callers read that number and never evaluate the
+model again, so a custom family must report it too.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ __all__ = [
     "AdditiveCompositeOracle",
     "ProximalModelOracle",
     "GaussNewtonOracle",
-    "model_improvement",
     "verify_model_error",
     "ModelErrorReport",
     "NonFiniteModelError",
@@ -158,15 +163,25 @@ def linear_composite_min(penalty, c, constraint):
 class ModelMinimum:
     """Result of (approximately) minimizing a model over the constraint set.
 
-    ``gap`` is a certified upper bound on the model suboptimality of
-    ``point`` (0 for closed-form solves); ``state`` is warm-start data for
-    the next solve of the same family.
+    ``improvement`` is the model value at the anchor minus the model value
+    at ``point``, as the solve computed it: the number an inexact solve
+    stopped on, and the only one the solver reads. ``gap`` is a certified
+    upper bound on the model suboptimality of ``point`` (0 for closed-form
+    solves); ``state`` is warm-start data for the next solve of the same
+    family.
     """
 
     point: np.ndarray
+    improvement: float
     gap: float
     iterations: int = 0
     state: object = None
+
+    @property
+    def bound(self):
+        """max(improvement, 0) + max(gap, 0), an upper bound on the best model
+        improvement (a computed gap below 0 is rounding)."""
+        return max(self.improvement, 0.0) + max(self.gap, 0.0)
 
 
 class ModelInstance:
@@ -184,7 +199,7 @@ class ModelInstance:
         raise NotImplementedError
 
     def minimize(self, constraint, tol, warm=None):
-        """A minimizer of the model over the set, inexact ones stopped by the
+        """A :class:`ModelMinimum` over the set, inexact ones stopped by the
         outer loop's rule at its stationarity tolerance ``tol`` (solver)."""
         raise NotImplementedError
 
@@ -226,28 +241,30 @@ class _AdditiveCompositeModel(ModelInstance):
 
     def minimize(self, constraint, tol, warm=None):
         y = linear_composite_min(self.penalty, self.h_grad, constraint)
-        return ModelMinimum(point=y, gap=0.0)
+        return ModelMinimum(point=y, improvement=self.anchor_value - self.value(y), gap=0.0)
 
     def minimize_proximal(self, constraint, tol, tau, warm=None, mask=None):
         """With a mask, each block of a product set is either fully masked
         (proximal step) or fully unmasked (linear-oracle step)."""
         if mask is None:
             y = prox_penalized(self.penalty, self.anchor - tau * self.h_grad, tau, constraint)
-            return ModelMinimum(point=y, gap=0.0)
-        if not isinstance(constraint, ProductSet):
+        elif not isinstance(constraint, ProductSet):
             raise ValueError("a proximal mask needs a product set to split into blocks")
-        parts = []
-        for b, set_b in enumerate(constraint.sets):
-            s = slice(constraint.offsets[b], constraint.offsets[b + 1])
-            g_b, mask_b = self.h_grad[s], mask[s]
-            if mask_b.all():
-                z = self.anchor[s] - tau * g_b
-                parts.append(prox_penalized(self.penalty, z, tau, set_b))
-            elif not mask_b.any():
-                parts.append(linear_composite_min(self.penalty, g_b, set_b))
-            else:
-                raise ValueError(f"the proximal mask splits block {b} of the product set")
-        return ModelMinimum(point=np.concatenate(parts), gap=0.0)
+        else:
+            parts = []
+            for b, set_b in enumerate(constraint.sets):
+                s = slice(constraint.offsets[b], constraint.offsets[b + 1])
+                g_b, mask_b = self.h_grad[s], mask[s]
+                if mask_b.all():
+                    z = self.anchor[s] - tau * g_b
+                    parts.append(prox_penalized(self.penalty, z, tau, set_b))
+                elif not mask_b.any():
+                    parts.append(linear_composite_min(self.penalty, g_b, set_b))
+                else:
+                    raise ValueError(f"the proximal mask splits block {b} of the product set")
+            y = np.concatenate(parts)
+        value = self.value(y) + _prox_term(y, self.anchor, tau, mask)
+        return ModelMinimum(point=y, improvement=self.anchor_value - value, gap=0.0)
 
 
 class AdditiveCompositeOracle:
@@ -286,6 +303,15 @@ class LinearModelOracle(AdditiveCompositeOracle):
         super().__init__(None, fun, grad)
 
 
+def _prox_term(x, anchor, tau, mask):
+    """||x - anchor||^2 / (2 tau) over the coordinates set in ``mask`` (all
+    if None)."""
+    d = np.asarray(x, dtype=float) - anchor
+    if mask is not None:
+        d = d[mask]
+    return float(d @ d) / (2.0 * tau)
+
+
 class _ProxRegularizedModel(ModelInstance):
     """A model instance plus ||x - anchor||^2 / (2 tau) over the masked
     coordinates; still a valid model (the quadratic vanishes at the anchor
@@ -298,10 +324,7 @@ class _ProxRegularizedModel(ModelInstance):
         super().__init__(base.anchor, base.anchor_value)
 
     def value(self, x):
-        d = np.asarray(x, dtype=float) - self.anchor
-        if self.mask is not None:
-            d = d[self.mask]
-        return self.base.value(x) + float(d @ d) / (2.0 * self.tau)
+        return self.base.value(x) + _prox_term(x, self.anchor, self.tau, self.mask)
 
     def minimize(self, constraint, tol, warm=None):
         return self.base.minimize_proximal(constraint, tol, self.tau, warm=warm, mask=self.mask)
@@ -387,10 +410,12 @@ class _GaussNewtonModel(ModelInstance):
         )
 
     def _run(self, sub, tol, warm):
-        # the subproblem's objective is the model (with the proximal term)
+        # the subproblem's objective is the model (with the proximal term),
+        # and the improvement is the one PDHG's stop rule read
         res = pdhg_solve(sub, warm=warm, gap_tol=tol, anchor_value=self.anchor_value)
         return ModelMinimum(
-            point=res.u, gap=res.gap, iterations=res.iterations, state=res.state
+            point=res.u, improvement=self.anchor_value - res.primal, gap=res.gap,
+            iterations=res.iterations, state=res.state,
         )
 
     def minimize(self, constraint, tol, warm=None):
@@ -431,20 +456,8 @@ class GaussNewtonOracle:
 
 
 # ---------------------------------------------------------------------------
-# model improvement and verification
+# verification
 # ---------------------------------------------------------------------------
-
-
-def model_improvement(model, y, constraint=None):
-    """model(anchor) - model(y), the progress measure of one surrogate step.
-
-    Non-negative whenever y is a model minimizer (the anchor is feasible).
-    If a constraint set is given, y outside it (by the set's default
-    ``contains`` tolerance) is rejected.
-    """
-    if constraint is not None and not constraint.contains(y):
-        raise ValueError("candidate point lies outside the constraint set")
-    return model.anchor_value - model.value(y)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, PowerGrowth, require_finite
+from .geometry import Box, PowerGrowth, require_finite, require_integer, require_number
 from .inner import aligned
 from .models import GaussNewtonOracle, L1Loss, WeightedL1
 
@@ -233,8 +233,9 @@ def save_dataset(dataset, path):
 
 def load_dataset(path):
     """Read a dataset file, rejecting with ``ValueError`` any file whose
-    sizes disagree or whose values ``generate_regression_data`` would not
-    accept."""
+    sizes disagree, whose integer or number fields hold other JSON values
+    (``geometry.require_integer``, ``require_number``), or whose values
+    ``generate_regression_data`` would not accept."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     schema = payload.get("schema") if isinstance(payload, dict) else None
@@ -245,14 +246,9 @@ def load_dataset(path):
         observations=require_finite(payload["observations"], "observations"),
         a_true=require_finite(payload["a_true"], "a_true"),
         b_true=require_finite(payload["b_true"], "b_true"),
-        P=int(payload["P"]),
-        M=int(payload["M"]),
-        mu=float(payload["mu"]),
-        a_max=float(payload["a_max"]),
-        b_max=float(payload["b_max"]),
-        sparsity=float(payload["sparsity"]),
-        noise_scale=float(payload["noise_scale"]),
-        seed=int(payload["seed"]),
+        **{k: require_integer(payload[k], k) for k in ("P", "M", "seed")},
+        **{k: require_number(payload[k], k)
+           for k in ("mu", "a_max", "b_max", "sparsity", "noise_scale")},
     )
     _check_parameters(ds.P, ds.M, ds.mu, ds.a_max, ds.b_max, ds.sparsity, ds.noise_scale)
     for name, size in (("covariates", ds.M), ("observations", ds.M),

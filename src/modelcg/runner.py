@@ -8,9 +8,11 @@ CSV schema (one row per outer iteration, then a terminal row):
 
 The terminal row holds the objective at the returned point, which the last
 step's sufficient decrease is checked against. ``delta`` is the improvement
-a step was accepted against; on a row with ``gamma`` 0 (a zero step, or the
-last row of a stationary trace) it is the certified bound
-max(improvement, 0) + gap on the best model improvement. ``obj_err`` is the
+a step was accepted against, as the model solve reported it; on a row with
+``gamma`` 0 (a zero step, or the last row of a stationary trace) it is that
+solve's certified bound max(improvement, 0) + gap on the best model
+improvement (``ModelMinimum.bound``), so no row's ``delta`` is negative.
+``obj_err`` is the
 objective value minus the smallest value found by any of the methods in the
 run. ``rho`` is the trace's sufficient-decrease ratio (``SolverTrace.rho``),
 the same on every row, so a trace file can be checked by itself. Floats

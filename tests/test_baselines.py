@@ -15,7 +15,7 @@ from modelcg.regression import (
     make_objective,
     make_oracle,
 )
-from modelcg.solver import SolverConfig, mcgm_solve, rate_certificate, stationarity_measure, verify_trace_arrays
+from modelcg.solver import SolverConfig, mcgm_solve, rate_certificate, verify_trace_arrays
 
 from conftest import feasible_only
 
@@ -136,11 +136,10 @@ class _UnprojectedLinearModel(ModelInstance):
         super().__init__(anchor, float(np.sum(anchor)))
         self.grad = grad
 
-    def value(self, x):
-        return self.anchor_value + float(self.grad @ (np.asarray(x) - self.anchor))
-
     def minimize_proximal(self, constraint, eps, tau, warm=None):
-        return ModelMinimum(point=self.anchor - tau * self.grad, gap=0.0)
+        # the unconstrained step improves the regularized model by tau |g|^2 / 2
+        improvement = 0.5 * tau * float(self.grad @ self.grad)
+        return ModelMinimum(point=self.anchor - tau * self.grad, improvement=improvement, gap=0.0)
 
 
 class _UnprojectedOracle:
@@ -164,8 +163,8 @@ def test_bt_feasibility_check_catches_iterate_leaving_the_set():
 
 class _ScriptedProxOracle:
     """Linear models of f(x) = 1000 - x whose i-th proximal solve returns
-    the point anchor + script[i][0] with gap script[i][1], recording the
-    weight and the warm state it was given."""
+    the point anchor + script[i][0], its regularized improvement and gap
+    script[i][1], recording the weight and the warm state it was given."""
 
     def __init__(self, script):
         self.script = script
@@ -175,13 +174,11 @@ class _ScriptedProxOracle:
         oracle = self
 
         class Model(ModelInstance):
-            def value(self, x):
-                return self.anchor_value - float(x[0] - self.anchor[0])
-
             def minimize_proximal(self, constraint, tol, tau, warm=None):
                 step, gap = oracle.script[len(oracle.calls)]
                 oracle.calls.append((tau, warm))
-                return ModelMinimum(point=self.anchor + step, gap=gap, state=len(oracle.calls))
+                return ModelMinimum(point=self.anchor + step, improvement=step - step**2 / (2 * tau),
+                                    gap=gap, state=len(oracle.calls))
 
         return Model(anchor, 1000.0 - float(anchor[0]))
 
@@ -229,7 +226,7 @@ def test_all_three_methods_reach_small_stationarity():
     finals["ls"] = prox_linear_ls_solve(make_oracle(ds), fun, box, x0, cfg=cfg).final_x
     finals["bt"] = prox_linear_bt_solve(make_oracle(ds), fun, box, x0, cfg=cfg).final_x
     for name, x in finals.items():
-        meas = stationarity_measure(make_oracle(ds), x, box, eps=1e-7)
+        meas = make_oracle(ds).instantiate(x).minimize(box, 1e-7).bound
         assert meas <= 1e-5, (name, meas)
 
 

@@ -13,7 +13,6 @@ from modelcg.models import (
     WeightedL1,
     ZeroPenalty,
     linear_composite_min,
-    model_improvement,
     prox_penalized,
     verify_model_error,
 )
@@ -80,7 +79,8 @@ def test_linear_model_constant_objective():
     box = Box(-np.ones(2), np.ones(2))
     m = oracle.instantiate(np.array([0.2, -0.3]))
     for y in (np.zeros(2), np.ones(2), np.array([-1.0, 0.5])):
-        assert model_improvement(m, y, box) == pytest.approx(0.0, abs=1e-15)
+        assert m.anchor_value - m.value(y) == pytest.approx(0.0, abs=1e-15)
+    assert m.minimize(box, 0.0).improvement == pytest.approx(0.0, abs=1e-15)
 
 
 def test_linear_model_error_within_curvature_bound(rng):
@@ -310,17 +310,26 @@ def test_gauss_newton_model_error_bound():
 
 
 def test_model_improvement_examples(rng):
+    # a solve reports anchor_value - value(point), a proximal one with the
+    # quadratic in the model's own order of operations, so bit for bit;
+    # the Gauss-Newton solve reports the subproblem's primal value
     f, grad, Q, lmax, box = quadratic_problem()
-    oracle = LinearModelOracle(f, grad)
+    oracles = all_oracles() + [("prox", ProximalModelOracle(LinearModelOracle(f, grad), 0.7), f, box)]
+    for name, oracle, fun, set_ in oracles:
+        m = oracle.instantiate(set_.sample(rng))
+        res = m.minimize(set_, 0.0)
+        assert res.improvement == m.anchor_value - m.value(res.point), name
+        assert res.improvement >= -1e-12, name
+        assert res.bound == max(res.improvement, 0.0), name
     x = box.sample(rng)
-    m = oracle.instantiate(x)
-    assert model_improvement(m, x, box) == pytest.approx(0.0, abs=1e-12)
-    y = box.sample(rng)
-    assert model_improvement(m, y, box) == pytest.approx(float(grad(x) @ (x - y)), rel=1e-10)
-    y_hat = m.minimize(box, 0.0).point
-    assert model_improvement(m, y_hat, box) >= -1e-12
-    with pytest.raises(ValueError):
-        model_improvement(m, 10 * np.ones(4), box)
+    res = LinearModelOracle(f, grad).instantiate(x).minimize(box, 0.0)
+    assert res.improvement == pytest.approx(float(grad(x) @ (x - res.point)), rel=1e-10)
+    ds = generate_regression_data(P=3, M=15, mu=1.0, seed=21)
+    box = make_constraint_set(ds)
+    m = make_oracle(ds).instantiate(box.sample(rng))
+    res = m.minimize(box, 1e-8)
+    assert res.improvement == m.anchor_value - m.subproblem(box).objective(res.point)
+    assert res.improvement == pytest.approx(m.anchor_value - m.value(res.point), rel=1e-9)
 
 
 def test_anchor_identity_all_families(rng):
@@ -349,10 +358,10 @@ def test_exact_minimizer_dominance(rng):
         x = box.sample(rng)
         m = oracle.instantiate(x)
         res = m.minimize(box, eps)
-        d_hat = model_improvement(m, res.point)
         for _ in range(50):
             y = box.sample(rng)
-            assert d_hat >= model_improvement(m, y) - max(eps, res.gap) - 1e-12, name
+            d_y = m.anchor_value - m.value(y)
+            assert res.improvement >= d_y - max(eps, res.gap) - 1e-12, name
 
 
 def test_exact_minimizer_dominance_gauss_newton(rng):
@@ -362,11 +371,10 @@ def test_exact_minimizer_dominance_gauss_newton(rng):
     x = box.sample(rng)
     m = oracle.instantiate(x)
     res = m.minimize(box, 1e-8)
-    d_hat = m.anchor_value - m.value(res.point)
     slack = max(res.gap, 1e-8)
     for _ in range(50):
         y = box.sample(rng)
-        assert d_hat >= (m.anchor_value - m.value(y)) - slack - 1e-12
+        assert res.improvement >= (m.anchor_value - m.value(y)) - slack - 1e-12
 
 
 def test_gradient_consistency_at_anchor(rng):
@@ -398,7 +406,8 @@ def test_weighted_l1_mask_validation():
 
 def test_custom_model_family_plugs_into_the_solver(rng):
     # the oracle contract is open: any family producing anchored convex
-    # surrogates with a minimize method drives the outer loop. This one
+    # surrogates with a minimize method that reports the improvement of its
+    # point drives the outer loop, which never evaluates the model. This one
     # linearizes but keeps an exact quadratic on the first coordinate.
     f, grad, Q, lmax, box = quadratic_problem(seed=9)
 
@@ -409,10 +418,6 @@ def test_custom_model_family_plugs_into_the_solver(rng):
             self.grad = grad(anchor)
             self.q11 = Q[0, 0]
 
-        def value(self, x):
-            d = np.asarray(x, float) - self.anchor
-            return self.anchor_value + float(self.grad @ d) + 0.5 * self.q11 * d[0] ** 2
-
         def minimize(self, constraint, eps, warm=None):
             from modelcg.models import ModelMinimum
 
@@ -421,7 +426,9 @@ def test_custom_model_family_plugs_into_the_solver(rng):
             y = constraint.lmo(self.grad)
             t = self.anchor[0] - self.grad[0] / self.q11
             y[0] = min(max(t, constraint.lo[0]), constraint.hi[0])
-            return ModelMinimum(point=y, gap=0.0)
+            d = y - self.anchor
+            improvement = -(float(self.grad @ d) + 0.5 * self.q11 * d[0] ** 2)
+            return ModelMinimum(point=y, improvement=improvement, gap=0.0)
 
     class PartialQuadraticOracle:
         def instantiate(self, anchor):

@@ -166,3 +166,28 @@ def test_dataset_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("key, value, loaded", [
+    ("P", 5.0, 5), ("seed", 7.0, 7), ("mu", 3, 3.0),
+    ("mu", True, None), ("seed", 1.5, None), ("sparsity", "0.5", None),
+    ("M", "20", None), ("P", False, None), ("noise_scale", None, None),
+])
+def test_load_dataset_reads_only_the_values_the_file_states(tmp_path, key, value, loaded):
+    # an integral float reads as an integer and an int as a float; a bool, a
+    # string or a non-integral number is rejected, and the CLI exits 1
+    from modelcg.cli import cli_main
+
+    path = tmp_path / "ds.json"
+    save_dataset(generate_regression_data(P=5, M=20, mu=3.0, seed=7), path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    if loaded is not None:
+        back = getattr(load_dataset(path), key)
+        assert back == loaded and type(back) is type(loaded)
+        return
+    with pytest.raises(ValueError, match=key):
+        load_dataset(path)
+    assert cli_main(["solve", "--dataset", str(path), "--max-iterations", "1",
+                     "--out", str(tmp_path / "t.csv")]) == 1

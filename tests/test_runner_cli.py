@@ -121,29 +121,27 @@ def test_check_trace_file_detects_corruption(tmp_path):
 
 
 def test_csv_check_and_in_memory_certificate_agree(tmp_path):
-    # one rate check: the CSV path and the trace path give the same verdict
-    # on the same trace, clean and with one improvement inflated
+    # the CSV path and the trace path give the same verdict on the same
+    # trace, clean and with one improvement inflated; the per-step check
+    # rejects the inflated trace the telescoped rate bound rejects
     ds = small_dataset(seed=3)
     res = run_comparison(ds, str(tmp_path / "c"), methods=("mcgm",),
                          cfg=SolverConfig(max_iterations=20))
     trace = res.traces["mcgm"]
-
-    def csv_rate_passed(path):
-        problems = check_trace_file(str(path))
-        return not any(p.startswith("rate bound violated at k=") for p in problems)
-
-    assert csv_rate_passed(res.trace_paths["mcgm"])
+    assert check_trace_file(res.trace_paths["mcgm"]) == []
     assert rate_certificate(trace).passed
     trace.records[0].delta = 1e12
     bad = tmp_path / "bad.csv"
     write_trace_csv(trace, str(bad), res.f_lower)
-    assert not csv_rate_passed(bad)
+    problems = check_trace_file(str(bad))
+    assert problems == verify_trace_arrays(*trace.arrays(), trace.rho, final_f=trace.final_f)
+    assert "sufficient decrease violated at k=0" in problems
     assert not rate_certificate(trace).passed
 
 
 def test_csv_check_reads_the_final_objective(tmp_path):
-    # one iteration: the only step ends at the returned point, so both its
-    # sufficient decrease and the rate bound's lower bound need final_f
+    # one iteration: the only step ends at the returned point, so its
+    # sufficient decrease needs final_f
     res = run_comparison(small_dataset(seed=0), str(tmp_path / "one"), methods=("mcgm",),
                          cfg=SolverConfig(max_iterations=1))
     trace = res.traces["mcgm"]
@@ -170,10 +168,10 @@ def test_csv_check_reads_the_final_objective(tmp_path):
     problems = check_trace_file(str(bad))
     assert problems[0] == "sufficient decrease violated at k=0"
     assert problems == verify_trace_arrays(f, delta, gamma, trace.rho, final_f=bad_f)
-    # the raised lower bound also breaks the rate bound, in memory and in the CSV
+    # the raised lower bound also breaks the telescoped rate bound, which
+    # adds nothing to the per-step check
     assert not rate_certificate(trace).passed
-    assert problems[1].startswith("rate bound violated at k=0")
-    assert len(problems) == 2
+    assert problems == ["sufficient decrease violated at k=0"]
 
     # a trace without its final row is malformed, not silently shorter
     cut = tmp_path / "cut.csv"
@@ -289,7 +287,7 @@ def test_summary_checks_are_those_of_the_trace_file_and_of_the_trace(tmp_path):
     write_trace_csv(trace, str(tmp_path / "bad.csv"), res.f_lower)
     problems = check_trace_file(str(tmp_path / "bad.csv"))
     assert problems == verify_trace_arrays(*trace.arrays(), trace.rho, final_f=trace.final_f)
-    assert any(p.startswith("rate bound violated at k=") for p in problems)
+    assert "sufficient decrease violated at k=0" in problems
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -478,7 +476,7 @@ def test_cli_check_fails_on_corrupted_trace(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert cli_main(["check", "--trace", str(bad)]) == 2
-    assert "FAIL rate bound violated at k=" in capsys.readouterr().out
+    assert "FAIL sufficient decrease violated at k=0" in capsys.readouterr().out
 
 
 def test_cli_usage_errors_exit_one(tmp_path, capsys):

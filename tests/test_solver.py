@@ -21,7 +21,6 @@ from modelcg.solver import (
     armijo_search,
     mcgm_solve,
     rate_certificate,
-    stationarity_measure,
     verify_trace_arrays,
 )
 from conftest import feasible_only
@@ -289,8 +288,8 @@ def test_mcgm_callback_sees_every_record():
 
 class _ScriptedModel:
     """A model whose minimization records the tolerance it is asked for and
-    reports the next scripted improvement, exactly: the anchor value is 0
-    and every point the model returns has value -delta."""
+    reports the next scripted improvement. It has no ``value``: the solver
+    reads the improvement the solve reports."""
 
     def __init__(self, anchor, script, requested):
         self.anchor = anchor
@@ -298,13 +297,10 @@ class _ScriptedModel:
         self.script = script
         self.requested = requested
 
-    def value(self, y):
-        return -self.delta
-
     def minimize(self, constraint, eps, warm=None):
         self.requested.append(eps)
-        self.delta = self.script[len(self.requested) - 1]
-        return ModelMinimum(point=self.anchor + 1.0, gap=0.0)
+        delta = self.script[len(self.requested) - 1]
+        return ModelMinimum(point=self.anchor + 1.0, improvement=delta, gap=0.0)
 
 
 class _ScriptedOracle:
@@ -335,8 +331,12 @@ def test_mcgm_passes_the_stationarity_tolerance_to_every_solve():
 
 def test_gauss_newton_solves_stop_by_the_outer_rule(monkeypatch):
     # each PDHG solve gets the stationarity tolerance and the model value at
-    # the iterate, and returns a point the outer loop may step to
+    # the iterate, and returns a point the outer loop may step to; each row
+    # records the improvement of its last solve (the accepted trial of
+    # proxlin_bt) bit for bit as PDHG's primal value gives it, or on a row
+    # with gamma = 0 that solve's bound
     import modelcg.models as models
+    from modelcg.baselines import prox_linear_bt_solve
 
     calls = []
     inner = models.pdhg_solve
@@ -350,18 +350,28 @@ def test_gauss_newton_solves_stop_by_the_outer_rule(monkeypatch):
     ds = generate_regression_data(P=4, M=30, mu=2.0, seed=5)
     fun = make_objective(ds)
     box = make_constraint_set(ds)
-    trace = mcgm_solve(make_oracle(ds), fun, box, box.midpoint(),
-                       cfg=SolverConfig(max_iterations=15))
-    tol = SolverConfig().resolve_tol(trace.f0)
-    assert len(calls) == len(trace.records)
-    for r, (kwargs, primal, res) in zip(trace.records, calls):
-        assert kwargs["gap_tol"] == tol
-        assert kwargs["anchor_value"] == pytest.approx(r.f_value, rel=1e-12)
-        delta = kwargs["anchor_value"] - primal
-        if res.converged:
-            assert res.gap <= max(GAP_RATIO * delta, tol - max(delta, 0.0))
-        if r.gamma > 0:
-            assert r.delta == pytest.approx(delta, rel=1e-9)
+    for solve in (mcgm_solve, prox_linear_bt_solve):
+        calls.clear()
+        trace = solve(make_oracle(ds), fun, box, box.midpoint(),
+                      cfg=SolverConfig(max_iterations=15))
+        tol = SolverConfig().resolve_tol(trace.f0)
+        assert len(calls) == trace.total_inner_solves()
+        assert any(r.gamma > 0 for r in trace.records)
+        for kwargs, primal, res in calls:
+            assert kwargs["gap_tol"] == tol
+            delta = kwargs["anchor_value"] - primal
+            if res.converged:
+                assert res.gap <= max(GAP_RATIO * delta, tol - max(delta, 0.0))
+        end = 0
+        for r in trace.records:
+            end += r.inner_solves
+            kwargs, primal, res = calls[end - 1]
+            assert kwargs["anchor_value"] == pytest.approx(r.f_value, rel=1e-12)
+            delta = kwargs["anchor_value"] - primal
+            if r.gamma > 0:
+                assert r.delta == delta
+            else:
+                assert r.delta == max(delta, 0.0) + max(res.gap, 0.0)
 
 
 class _GappedModel:
@@ -373,13 +383,11 @@ class _GappedModel:
         self.script = script
         self.calls = []
 
-    def value(self, y):
-        return self.anchor_value - self.script[int(y[0])][0]
-
     def minimize(self, constraint, tol, warm=None):
         i = len(self.calls)
         self.calls.append((tol, warm))
-        return ModelMinimum(point=np.array([float(i)]), gap=self.script[i][1], state=i)
+        delta, gap = self.script[i]
+        return ModelMinimum(point=np.array([float(i)]), improvement=delta, gap=gap, state=i)
 
 
 class _GappedOracle:
@@ -395,8 +403,8 @@ class _GappedOracle:
 
 
 def test_mcgm_takes_a_zero_step_on_an_uncertified_non_positive_improvement():
-    # f(x) = 1000 - x on [0, 100] and a model whose value at the point [i]
-    # is the anchor value minus script[i][0]. The first solve ends at its
+    # f(x) = 1000 - x on [0, 100] and a model whose i-th solve reports the
+    # point [i] with improvement script[i][0]. The first solve ends at its
     # cap with a negative improvement and a gap above the tolerance: the
     # iterate stays, the row records the bound, and the next iteration
     # continues the solve from its state
@@ -424,7 +432,7 @@ def test_stationarity_zero_at_interior_minimizer():
     fun = lambda x: 0.5 * float(np.asarray(x) @ (Q @ np.asarray(x)))
     oracle = LinearModelOracle(fun, lambda x: Q @ np.asarray(x, float))
     box = Box(-np.ones(2), np.ones(2))
-    assert stationarity_measure(oracle, np.zeros(2), box, eps=1e-12) == pytest.approx(
+    assert oracle.instantiate(np.zeros(2)).minimize(box, 1e-12).bound == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -435,20 +443,20 @@ def test_stationarity_on_simplex_vertices():
 
     fun_flat = lambda x: float(np.array([1.0, 1.0]) @ x)
     oracle_flat = LinearModelOracle(fun_flat, lambda x: np.array([1.0, 1.0]))
-    assert stationarity_measure(oracle_flat, e1, simplex) == pytest.approx(0.0, abs=0)
+    assert oracle_flat.instantiate(e1).minimize(simplex, 1e-10).bound == 0.0
 
     fun_tilt = lambda x: float(np.array([2.0, 1.0]) @ x)
     oracle_tilt = LinearModelOracle(fun_tilt, lambda x: np.array([2.0, 1.0]))
-    assert stationarity_measure(oracle_tilt, e1, simplex) == pytest.approx(1.0, abs=0)
+    assert oracle_tilt.instantiate(e1).minimize(simplex, 1e-10).bound == 1.0
 
 
 def test_stationarity_measure_certifies_as_the_outer_loop_does():
-    # one solve, returning the bound max(delta, 0) + gap that a stationary
-    # row records (a computed gap below 0 counts as 0)
+    # one solve's bound max(delta, 0) + gap, which a stationary row records
+    # (a computed gap below 0 counts as 0)
     for script, bound in (((1e-11, 1e-9), 1e-11 + 1e-9), ((-1.0, 2e-10), 2e-10),
                           ((1.0, 1e-3), 1.0 + 1e-3), ((0.5, -1e-17), 0.5)):
         oracle = _GappedOracle([script])
-        assert stationarity_measure(oracle, np.zeros(1), None, eps=1e-10) == bound
+        assert oracle.instantiate(np.zeros(1)).minimize(None, 1e-10).bound == bound
         assert oracle.model.calls == [(1e-10, None)]
 
 
@@ -526,11 +534,29 @@ def test_verify_trace_arrays_reports_non_finite_values():
         assert verify_trace_arrays(f, delta, gamma, 0.25) == [f"non-finite {name} recorded"]
 
 
-def test_verify_trace_arrays_checks_the_rate_bound_on_finite_traces():
-    # one full step at the bound's equality passes; an inflated improvement
-    # fails the per-step inequality and, after it, the rate bound
+def test_verify_trace_arrays_rejects_inflated_improvements_step_by_step():
+    # one full step at the sufficient-decrease equality passes; an inflated
+    # improvement, which the telescoped rate bound also rejects, fails the
+    # per-step inequality, and so does one on a produced trace
     rho, f0, f1 = 0.5, 10.0, 6.0
     assert verify_trace_arrays([f0], [(f0 - f1) / rho], [1.0], rho, final_f=f1) == []
-    problems = verify_trace_arrays([f0], [1e3], [1.0], rho, final_f=f1)
-    assert problems[0] == "sufficient decrease violated at k=0"
-    assert problems[1:] == ["rate bound violated at k=0 (ratio 1.250e+02)"]
+    assert verify_trace_arrays([f0], [1e3], [1.0], rho, final_f=f1) == [
+        "sufficient decrease violated at k=0"
+    ]
+    assert not rate_certificate(_toy_trace([f0], [1e3], [1.0], rho=rho)).passed
+    ds = generate_regression_data(P=4, M=40, mu=2.0, seed=8)
+    box = make_constraint_set(ds)
+    trace = mcgm_solve(make_oracle(ds), make_objective(ds), box, box.midpoint(),
+                       cfg=SolverConfig(max_iterations=50))
+    f, d, g = trace.arrays()
+    assert verify_trace_arrays(f, d, g, trace.rho, final_f=trace.final_f) == []
+    problems = verify_trace_arrays(f, 1e3 * d, g, trace.rho, final_f=trace.final_f)
+    assert problems and all(p.startswith("sufficient decrease violated") for p in problems)
+
+
+def test_verify_trace_arrays_allows_no_negative_improvement():
+    # a recorded improvement is a step's positive one or a bound >= 0, so
+    # the check has no slack, however large |f| is
+    problems = verify_trace_arrays([364426.0, 364000.0], [1000.0, -1e-5], [0.25, 0.0], 0.25)
+    assert problems == ["negative model improvement recorded"]
+    assert verify_trace_arrays([364426.0, 364000.0], [1000.0, 0.0], [0.25, 0.0], 0.25) == []
