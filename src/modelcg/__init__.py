@@ -8,7 +8,6 @@ from .geometry import (
     L1Ball,
     L2Ball,
     NuclearBall,
-    PowerGrowth,
     ProductSet,
     Simplex,
 )
@@ -21,7 +20,6 @@ from .models import (
     ProximalModelOracle,
     WeightedL1,
     ZeroPenalty,
-    verify_model_error,
 )
 from .baselines import ProxLinearConfig, prox_linear_bt_solve, prox_linear_ls_solve
 from .solver import (
@@ -41,7 +39,6 @@ __all__ = [
     "L1Ball",
     "L2Ball",
     "NuclearBall",
-    "PowerGrowth",
     "ProductSet",
     "Simplex",
     "PiecewiseLinearSubproblem",
@@ -54,7 +51,6 @@ __all__ = [
     "ProximalModelOracle",
     "WeightedL1",
     "ZeroPenalty",
-    "verify_model_error",
     "ProxLinearConfig",
     "prox_linear_bt_solve",
     "prox_linear_ls_solve",

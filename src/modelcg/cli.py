@@ -2,9 +2,10 @@
 
 Subcommands: ``gen`` (write a dataset file), ``solve`` (one method on a
 dataset), ``compare`` (all methods, CSV traces + summary), ``mf-demo``
-(matrix factorization), ``check`` (re-verify a trace CSV at the ``rho`` it
-records). Options come from an optional JSON config file with explicit flags
-taking precedence.
+(matrix factorization: a comparison of ``mcgm`` alone on the problem's
+model, plus ``factors.json``), ``check`` (re-verify a trace CSV at the
+``rho`` it records). Options come from an optional JSON config file with
+explicit flags taking precedence.
 
 A method-specific flag passed explicitly to a run that selects no method
 reading it is a configuration error: ``--rho`` (read by ``mcgm`` and
@@ -22,14 +23,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
+from . import matfac, regression
 from .baselines import ProxLinearConfig
 from .geometry import require_integer, require_number
-from .matfac import MfProblem, mf_demo
-from .regression import generate_regression_data, load_dataset, save_dataset
 from .runner import (
     METHOD_NAMES,
     check_trace_file,
@@ -118,7 +119,13 @@ def _build_parser():
     return parser
 
 
-def _merged(args, section):
+def _explicit(args):
+    """The flags set on the command line."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "config") and v is not None}
+
+
+def _merged(args):
     """Config-file values overlaid by explicitly set flags."""
     merged = {}
     if getattr(args, "config", None):
@@ -129,11 +136,8 @@ def _merged(args, section):
             raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        merged.update(data.get(section, data) if section else data)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
+        merged.update(data)
+    merged.update(_explicit(args))
     return merged
 
 
@@ -165,6 +169,23 @@ def _dataset_params(opts):
     return params
 
 
+def _dataset_source(args, opts):
+    """A run's dataset as a file path, or as generation parameters. The
+    ``dataset`` value is a path string or an object of parameters, which the
+    explicit dataset flags override; without it, the parameters are read
+    from ``opts`` itself."""
+    source = opts.get("dataset")
+    if source is None:
+        return _dataset_params(opts)
+    if isinstance(source, str):
+        return source
+    if not isinstance(source, dict):
+        raise ConfigError(
+            f"dataset must be a file path or an object of dataset parameters, got {source!r}"
+        )
+    return _dataset_params({**source, **_explicit(args)})
+
+
 def _solver_configs(opts):
     ls_kwargs = {}
     if "rho" in opts:
@@ -183,25 +204,25 @@ def _solver_configs(opts):
 
 
 def _cmd_gen(args):
-    opts = _merged(args, "dataset")
-    dataset = generate_regression_data(**_dataset_params(opts))
-    save_dataset(dataset, opts["out"])
+    opts = _merged(args)
+    params = _dataset_source(args, opts)
+    if isinstance(params, str):
+        raise ConfigError(f"gen needs dataset parameters, and the dataset is a file: {params!r}")
+    dataset = regression.generate_regression_data(**params)
+    regression.save_dataset(dataset, opts["out"])
     print(f"wrote {opts['out']} (P={dataset.P}, M={dataset.M}, seed={dataset.seed})")
     return 0
 
 
 def _cmd_solve(args):
-    opts = _merged(args, None)
-    dataset = load_dataset(opts["dataset"])
+    opts = _merged(args)
+    dataset = regression.load_dataset(opts["dataset"])
     ls, cfg, plcfg = _solver_configs(opts)
-    from .regression import make_constraint_set
-
     method = opts.get("method", "mcgm")
     if method not in METHOD_NAMES:
         raise ConfigError(f"method must be one of {', '.join(METHOD_NAMES)}, got {method!r}")
     _reject_unread_flags(args, (method,), _SOLVER_FLAG_READERS)
-    x0 = make_constraint_set(dataset).midpoint()
-    trace = run_method(method, dataset, x0, ls=ls, cfg=cfg, plcfg=plcfg)
+    trace = run_method(method, regression.solver_inputs(dataset), ls=ls, cfg=cfg, plcfg=plcfg)
     if opts.get("out"):
         write_trace_csv(trace, opts["out"], trace.best_f())
     print(
@@ -212,12 +233,10 @@ def _cmd_solve(args):
 
 
 def _cmd_compare(args):
-    opts = _merged(args, None)
-    if "dataset" in opts and isinstance(opts["dataset"], str):
-        dataset = load_dataset(opts["dataset"])
-    else:
-        params = opts.get("dataset") if isinstance(opts.get("dataset"), dict) else opts
-        dataset = generate_regression_data(**_dataset_params(params))
+    opts = _merged(args)
+    source = _dataset_source(args, opts)
+    dataset = (regression.load_dataset(source) if isinstance(source, str)
+               else regression.generate_regression_data(**source))
     methods = opts.get("methods", METHOD_NAMES)
     if isinstance(methods, str):
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
@@ -227,7 +246,9 @@ def _cmd_compare(args):
         )
     _reject_unread_flags(args, methods, _SOLVER_FLAG_READERS)
     ls, cfg, plcfg = _solver_configs(opts)
-    result = run_comparison(dataset, opts["out"], methods=methods, ls=ls, cfg=cfg, plcfg=plcfg)
+    problem = {"P": dataset.P, "M": dataset.M, "mu": dataset.mu, "seed": dataset.seed}
+    result = run_comparison(lambda: regression.solver_inputs(dataset), problem, opts["out"],
+                            methods=methods, ls=ls, cfg=cfg, plcfg=plcfg)
     for m, info in result.summary["methods"].items():
         print(
             f"{m}: status={info['status']} best_f={info['best_f']:.9g} "
@@ -238,14 +259,14 @@ def _cmd_compare(args):
 
 
 def _cmd_mf_demo(args):
-    opts = _merged(args, None)
+    opts = _merged(args)
     _reject_unread_flags(args, (opts.get("model", "cg"),), _MF_FLAG_READERS)
     rows = _int_option(opts, "rows", 20)
     cols = _int_option(opts, "cols", 15)
     seed = _int_option(opts, "seed", 0)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((rows, 1)) @ rng.standard_normal((1, cols))
-    problem = MfProblem(
+    problem = matfac.MfProblem(
         A=A,
         inner_dim=_int_option(opts, "inner_dim", 4),
         x_kind=opts.get("x_set", "unit_atoms"),
@@ -254,8 +275,16 @@ def _cmd_mf_demo(args):
         model=opts.get("model", "cg"),
         tau=_float_option(opts, "tau", 1.0),
     )
+    described = {"rows": rows, "cols": cols, "inner_dim": problem.inner_dim,
+                 "x_set": problem.x_kind, "y_set": problem.y_kind,
+                 "radius": problem.radius, "model": problem.model,
+                 "tau": problem.tau, "seed": seed}
     cfg = SolverConfig(max_iterations=_int_option(opts, "max_iterations", 150))
-    trace, X, Y = mf_demo(problem, cfg=cfg, out_dir=opts["out"], seed=seed)
+    result = run_comparison(lambda: matfac.solver_inputs(problem, seed), described, opts["out"],
+                            methods=("mcgm",), cfg=cfg)
+    trace = result.traces["mcgm"]
+    matfac.write_factors(problem, trace.final_x, os.path.join(opts["out"], "factors.json"))
+    X, Y = matfac.unpack_factors(problem, trace.final_x)
     rel = float(np.linalg.norm(A - X @ Y) / np.linalg.norm(A))
     print(
         f"mf-demo status={trace.status} iterations={len(trace.records)} "
@@ -265,7 +294,7 @@ def _cmd_mf_demo(args):
 
 
 def _cmd_check(args):
-    problems = check_trace_file(_merged(args, None)["trace"])
+    problems = check_trace_file(_merged(args)["trace"])
     if problems:
         for p in problems:
             print(f"FAIL {p}")

@@ -1,5 +1,5 @@
-"""Convex geometry layer: growth functions, compact constraint sets with linear
-minimization oracles and Euclidean projections.
+"""Convex geometry layer: compact constraint sets with linear minimization
+oracles and Euclidean projections.
 
 Each set owns its oracle and its projection as methods; the set parameters
 are checked once, in the constructor, and each call checks only its input.
@@ -18,12 +18,10 @@ are made mean-zero or squared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "PowerGrowth",
     "ConstraintSet",
     "Box",
     "Simplex",
@@ -63,33 +61,6 @@ def require_number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
-
-
-@dataclass(frozen=True)
-class PowerGrowth:
-    """Power-type error growth w(t) = c/(1+alpha) * t**(1+alpha).
-
-    Continuous, w(0) = 0, and w(t)/t -> 0 as t -> 0, which is what makes it a
-    valid bound on the first-order approximation error of a model. ``alpha``
-    is restricted to (0, 1] (alpha = 1 is the Lipschitz-gradient case with
-    c the gradient's Lipschitz constant).
-    """
-
-    coefficient: float
-    exponent: float = 1.0
-
-    def __post_init__(self):
-        if not self.coefficient > 0:
-            raise ValueError("coefficient must be positive")
-        if not 0.0 < self.exponent <= 1.0:
-            raise ValueError("exponent must lie in (0, 1]")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("growth functions are defined on t >= 0")
-        value = self.coefficient / (1.0 + self.exponent) * t ** (1.0 + self.exponent)
-        return float(value) if value.ndim == 0 else value
 
 
 def _simplex_projection(v, radius):

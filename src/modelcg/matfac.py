@@ -1,5 +1,5 @@
-"""Structured matrix factorization demo: approximate A by a product X Y with
-X and Y constrained to problem-specific compact convex sets.
+"""Structured matrix factorization: approximate A by a product X Y with X
+and Y constrained to problem-specific compact convex sets.
 
     min over X in XSet, Y in YSet of  0.5 ||A - X Y||_F^2
 
@@ -80,6 +80,11 @@ iteration, at the accepted step.
 Flattening conventions: X column-major (its sets act per column), Y row-major
 (the nuclear ball reshapes row-major); the solver variable is
 ``[vec(X), vec(Y)]`` in that order.
+
+The module builds a problem and runs no solver: ``solver_inputs`` hands
+``(objective, oracle, constraint, x0)`` to ``runner.run_method``, which
+solves it with ``mcgm`` on the problem's model, and ``write_factors`` saves
+the factors of a solution.
 """
 
 from __future__ import annotations
@@ -87,18 +92,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .geometry import L1Ball, L2Ball, NuclearBall, ProductSet, Simplex, require_finite
 from .models import AdditiveCompositeOracle, ProximalModelOracle
-from .runner import write_trace_csv
-from .solver import SolverConfig, mcgm_solve
 
 __all__ = [
     "MfProblem",
@@ -111,7 +112,9 @@ __all__ = [
     "mf_segment_remainder",
     "make_mf_sets",
     "make_mf_oracle",
-    "mf_demo",
+    "default_start",
+    "solver_inputs",
+    "write_factors",
 ]
 
 
@@ -340,38 +343,27 @@ def default_start(problem, seed=0):
     return np.concatenate([x0, np.zeros(problem.y_size)])
 
 
-def mf_demo(
-    problem,
-    cfg: Optional[SolverConfig] = None,
-    out_dir: Optional[str] = None,
-    seed=0,
-):
-    """Run the factorization from ``default_start(problem, seed)`` and
-    optionally write the factors and the trace.
-
-    Returns ``(trace, X, Y)``; with ``out_dir`` set, also writes
-    ``factors.json`` and ``mf_trace.csv`` there.
-    """
+def solver_inputs(problem, seed=0):
+    """The solver inputs ``(objective, oracle, constraint, x0)``, starting
+    from ``default_start(problem, seed)``."""
     constraint, _, _ = make_mf_sets(problem)
-    fun = mf_objective(problem)
-    oracle = make_mf_oracle(problem)
-    x0 = default_start(problem, seed=seed)
-    trace = mcgm_solve(oracle, fun, constraint, x0, cfg=cfg, method=f"mf_{problem.model}")
-    X, Y = unpack_factors(problem, trace.final_x)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        payload = {
-            "schema": "modelcg.mf-factors/1",
-            "x_kind": problem.x_kind,
-            "y_kind": problem.y_kind,
-            "model": problem.model,
-            "radius": problem.radius,
-            "residual_fro": float(np.linalg.norm(problem.A - X @ Y)),
-            "X": X.tolist(),
-            "Y": Y.tolist(),
-        }
-        with open(os.path.join(out_dir, "factors.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        write_trace_csv(trace, os.path.join(out_dir, "mf_trace.csv"), trace.best_f())
-    return trace, X, Y
+    return (mf_objective(problem), make_mf_oracle(problem), constraint,
+            default_start(problem, seed=seed))
+
+
+def write_factors(problem, v, path):
+    """Write the factors of the packed point ``v`` to ``path`` as JSON."""
+    X, Y = unpack_factors(problem, v)
+    payload = {
+        "schema": "modelcg.mf-factors/1",
+        "x_kind": problem.x_kind,
+        "y_kind": problem.y_kind,
+        "model": problem.model,
+        "radius": problem.radius,
+        "residual_fro": float(np.linalg.norm(problem.A - X @ Y)),
+        "X": X.tolist(),
+        "Y": Y.tolist(),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")

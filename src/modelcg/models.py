@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,8 +46,6 @@ __all__ = [
     "AdditiveCompositeOracle",
     "ProximalModelOracle",
     "GaussNewtonOracle",
-    "verify_model_error",
-    "ModelErrorReport",
     "NonFiniteModelError",
     "prox_penalized",
     "linear_composite_min",
@@ -453,54 +450,3 @@ class GaussNewtonOracle:
             np.asarray(self.residual(anchor), dtype=float),
             np.asarray(self.jacobian(anchor), dtype=float),
         )
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ModelErrorReport:
-    max_violation: float
-    n_violations: int
-    n_samples: int
-    passed: bool
-    worst_anchor: Optional[np.ndarray] = None
-    worst_point: Optional[np.ndarray] = None
-
-
-def verify_model_error(oracle, fun, constraint, omega, n_samples=300, seed=0):
-    """Sample anchor/point pairs in the set and check
-    |f(x) - model(x)| <= omega(||x - anchor||).
-
-    Passes when the worst violation is at most 1e-8 * (1 + |f|); a models
-    family paired with an invalid growth function is expected to fail, which
-    makes this usable as a negative test as well.
-    """
-    rng = np.random.default_rng(seed)
-    max_violation = -np.inf
-    worst = (None, None)
-    n_bad = 0
-    scale = 1.0
-    for _ in range(n_samples):
-        anchor = constraint.sample(rng)
-        model = oracle.instantiate(anchor)
-        x = constraint.sample(rng)
-        fx = float(fun(x))
-        scale = max(scale, 1.0 + abs(fx))
-        err = abs(fx - model.value(x))
-        violation = err - float(omega(float(np.linalg.norm(x - anchor))))
-        if violation > max_violation:
-            max_violation = violation
-            worst = (anchor, x)
-        if violation > 1e-8 * (1.0 + abs(fx)):
-            n_bad += 1
-    return ModelErrorReport(
-        max_violation=float(max_violation),
-        n_violations=n_bad,
-        n_samples=n_samples,
-        passed=n_bad == 0,
-        worst_anchor=worst[0],
-        worst_point=worst[1],
-    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, PowerGrowth, require_finite, require_integer, require_number
+from .geometry import Box, require_finite, require_integer, require_number
 from .inner import aligned
 from .models import GaussNewtonOracle, L1Loss, WeightedL1
 
@@ -32,7 +32,7 @@ __all__ = [
     "make_constraint_set",
     "make_oracle",
     "make_subproblem",
-    "model_error_growth",
+    "solver_inputs",
     "save_dataset",
     "load_dataset",
 ]
@@ -186,16 +186,11 @@ def make_oracle(dataset):
     )
 
 
-def model_error_growth(dataset):
-    """Valid quadratic growth bound for the linearization error.
-
-    Each response's Hessian decomposes into independent 2x2 blocks per
-    component j with entries bounded using exp(-b x) <= 1, x <= 1, a <= a_max,
-    so its spectral norm is at most sqrt(2 + a_max^2); summing the M rows of
-    the l1 loss gives |f - model| <= M sqrt(2 + a_max^2) / 2 * t^2.
-    """
-    c = dataset.M * math.sqrt(2.0 + dataset.a_max**2)
-    return PowerGrowth(coefficient=c, exponent=1.0)
+def solver_inputs(dataset):
+    """The solver inputs ``(objective, oracle, constraint, x0)`` of the
+    benchmark, starting from the box midpoint."""
+    box = make_constraint_set(dataset)
+    return make_objective(dataset), make_oracle(dataset), box, box.midpoint()
 
 
 def make_subproblem(dataset, u, tau=None):

@@ -1,5 +1,11 @@
-"""Benchmark runner: solve one dataset with each requested method from a
-common start, write per-method CSV traces plus a JSON summary.
+"""Benchmark runner: solve one problem with each requested method, write
+per-method CSV traces plus a JSON summary.
+
+A problem is handed over as its solver inputs ``(objective, oracle,
+constraint, x0)``, which the problem modules build
+(``regression.solver_inputs``, ``matfac.solver_inputs``); the runner knows
+no problem. ``run_comparison`` takes a function that builds them, so each
+method gets fresh objects and warm starts never leak across methods.
 
 CSV schema (one row per outer iteration, then a terminal row):
 
@@ -30,7 +36,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from .baselines import ProxLinearConfig, prox_linear_bt_solve, prox_linear_ls_solve
-from .regression import make_constraint_set, make_objective, make_oracle
 from .solver import LineSearchParams, SolverConfig, mcgm_solve, verify_trace_arrays
 
 __all__ = [
@@ -57,21 +62,19 @@ _SOLVERS = {
 CSV_COLUMNS = ("k", "time_s", "f", "obj_err", "delta", "gamma", "backtracks", "inner_iters",
                "rho")
 FINAL_ROW = "final"  # the k field of the terminal row
-SUMMARY_SCHEMA = "modelcg.summary/3"
+SUMMARY_SCHEMA = "modelcg.summary/4"
 
 
-def run_method(method, dataset, x0, ls=None, cfg=None, plcfg=None):
-    """Solve the dataset with one method; a fresh oracle per call so warm
-    starts never leak across methods."""
+def run_method(method, inputs, ls=None, cfg=None, plcfg=None):
+    """Solve the problem given by its solver inputs ``(objective, oracle,
+    constraint, x0)`` with one method."""
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r}")
-    oracle = make_oracle(dataset)
-    fun = make_objective(dataset)
-    box = make_constraint_set(dataset)
+    fun, oracle, constraint, x0 = inputs
     solve, reads = _SOLVERS[method]
     settings = {"ls": ls or LineSearchParams(), "plcfg": plcfg or ProxLinearConfig()}
     read = {k: settings[k] for k in reads}
-    return solve(oracle, fun, box, x0, cfg=cfg or SolverConfig(), **read)
+    return solve(oracle, fun, constraint, x0, cfg=cfg or SolverConfig(), **read)
 
 
 def methods_reading(setting):
@@ -158,29 +161,29 @@ def check_trace_file(path):
 
 
 def run_comparison(
-    dataset,
+    make_inputs,
+    problem,
     out_dir,
     methods=METHOD_NAMES,
     ls: Optional[LineSearchParams] = None,
     cfg: Optional[SolverConfig] = None,
     plcfg: Optional[ProxLinearConfig] = None,
 ):
-    """Run each method from the same start, the box midpoint, write
-    one CSV trace per method plus ``summary.json``, which records per method
-    the failures :func:`verify_trace_arrays` finds in its trace (``checks``,
-    empty when it checks out)."""
+    """Run each method on fresh inputs from ``make_inputs()``, write one CSV
+    trace per method plus ``summary.json``, which records ``problem`` (a JSON
+    object describing the problem) and per method the failures
+    :func:`verify_trace_arrays` finds in its trace (``checks``, empty when it
+    checks out)."""
     methods = tuple(methods)
     if not methods:
         raise ValueError("no methods to compare")
     for m in methods:
         if m not in METHOD_NAMES:
             raise ValueError(f"unknown method {m!r}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"a method is named twice in {', '.join(methods)}")
+    traces = {m: run_method(m, make_inputs(), ls=ls, cfg=cfg, plcfg=plcfg) for m in methods}
     os.makedirs(out_dir, exist_ok=True)
-    x0 = make_constraint_set(dataset).midpoint()
-
-    traces = {}
-    for m in methods:
-        traces[m] = run_method(m, dataset, x0, ls=ls, cfg=cfg, plcfg=plcfg)
 
     f_lower = min(t.best_f() for t in traces.values())
     trace_paths = {}
@@ -204,9 +207,7 @@ def run_comparison(
         "schema": SUMMARY_SCHEMA,
         "f_lower": f_lower,
         "methods": per_method,
-        "dataset": {
-            "P": dataset.P, "M": dataset.M, "mu": dataset.mu, "seed": dataset.seed,
-        },
+        "problem": problem,
     }
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:

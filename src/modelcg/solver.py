@@ -351,14 +351,21 @@ class RateCertificate:
     worst_k: int
 
 
-def _rate_bound(f0, f_lower, deltas, gammas, rho):
-    """Check that the running-best improvement obeys the telescoped
-    sufficient-decrease bound at every iteration:
+def rate_certificate(trace, f_lower=None):
+    """Check that the trace's running-best improvement obeys the telescoped
+    sufficient-decrease bound at every iteration, with the trace's own
+    ``rho``:
 
         min_{i<=k} delta_i <= (f(x0) - f_lower) / (rho * sum_{i<=k} gamma_i).
 
-    Returns the verdict and the tightest observed ratio of the two sides.
-    """
+    ``f_lower`` defaults to the best objective value in the trace (final
+    point included), which makes the check conservative. Returns the verdict
+    and the tightest observed ratio of the two sides. Summing the per-step
+    sufficient-decrease inequalities of :func:`verify_trace_arrays` gives
+    this bound up to their slack, so it adds nothing to them."""
+    _, deltas, gammas = trace.arrays()
+    if f_lower is None:
+        f_lower = trace.best_f()
     best = math.inf
     cum_gamma = 0.0
     worst_ratio = 0.0
@@ -369,7 +376,7 @@ def _rate_bound(f0, f_lower, deltas, gammas, rho):
         cum_gamma += float(gammas[k])
         if cum_gamma <= 0.0:
             continue
-        rhs = (f0 - f_lower) / (rho * cum_gamma)
+        rhs = (trace.f0 - f_lower) / (trace.rho * cum_gamma)
         if best > rhs * (1.0 + TRACE_RTOL) + 1e-15:
             passed = False
         ratio = best / rhs if rhs > 0 else (math.inf if best > 0 else 0.0)
@@ -377,18 +384,6 @@ def _rate_bound(f0, f_lower, deltas, gammas, rho):
             worst_ratio = ratio
             worst_k = k
     return RateCertificate(passed=passed, worst_ratio=worst_ratio, worst_k=worst_k)
-
-
-def rate_certificate(trace, f_lower=None):
-    """The telescoped rate bound on a trace, with the trace's own ``rho``.
-    ``f_lower`` defaults to the best objective value in the trace (final
-    point included), which makes the check conservative. Summing the
-    per-step sufficient-decrease inequalities of :func:`verify_trace_arrays`
-    gives this bound up to their slack, so it adds nothing to them."""
-    _, deltas, gammas = trace.arrays()
-    if f_lower is None:
-        f_lower = trace.best_f()
-    return _rate_bound(trace.f0, f_lower, deltas, gammas, trace.rho)
 
 
 def verify_trace_arrays(f_values, deltas, gammas, rho, final_f=None):

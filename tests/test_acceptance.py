@@ -36,8 +36,8 @@ from modelcg.regression import (
     make_constraint_set,
     make_objective,
     make_oracle,
-    model_error_growth,
     save_dataset,
+    solver_inputs,
 )
 from modelcg.runner import CSV_COLUMNS, METHOD_NAMES, run_comparison, run_method
 from modelcg.solver import (
@@ -50,6 +50,7 @@ from modelcg.solver import (
 )
 
 from conftest import box_vertices, central_difference, l1_vertices, simplex_vertices, sphere_points
+from model_error import PowerGrowth, model_error_growth
 from oracle import brute_force_subproblem
 
 RHO = 0.25
@@ -207,9 +208,9 @@ def test_stationary_traces_are_certified(full_scale_trace, desk_scale_runs):
     for i, run in enumerate(desk_scale_runs):
         traces.extend((f"desk data{i} {m}", t) for m, t in run.items())
     ds = generate_regression_data(P=5, M=40, mu=3.0, seed=11)
-    x0 = make_constraint_set(ds).midpoint()
     for m in METHOD_NAMES:
-        trace = observed_solve(run_method, m, ds, x0, cfg=SolverConfig(max_iterations=30))
+        trace = observed_solve(run_method, m, solver_inputs(ds),
+                               cfg=SolverConfig(max_iterations=30))
         traces.append((f"golden {m}", trace))
     problems = []
     for name, t in traces:
@@ -311,8 +312,6 @@ def _quadratic_family_setups():
     def f_hybrid(x):
         x = np.asarray(x, float)
         return h(x) + pen.value(x[:2]) + pen.value(x[2:])
-
-    from modelcg.geometry import PowerGrowth
 
     return [
         ("linear", LinearModelOracle(h, grad), f_plain, box, PowerGrowth(lmax, 1.0)),
@@ -443,8 +442,8 @@ def test_criterion_11_determinism(tmp_path):
     ok_gen = p1.read_bytes() == p2.read_bytes()
 
     cfg = SolverConfig(max_iterations=15)
-    res1 = run_comparison(ds1, str(tmp_path / "r1"), cfg=cfg)
-    res2 = run_comparison(ds2, str(tmp_path / "r2"), cfg=cfg)
+    res1 = run_comparison(lambda: solver_inputs(ds1), {}, str(tmp_path / "r1"), cfg=cfg)
+    res2 = run_comparison(lambda: solver_inputs(ds2), {}, str(tmp_path / "r2"), cfg=cfg)
     idx = CSV_COLUMNS.index("time_s")
     ok_csv = True
     for m in res1.trace_paths:

@@ -10,13 +10,13 @@ from modelcg.geometry import (
     L1Ball,
     L2Ball,
     NuclearBall,
-    PowerGrowth,
     ProductSet,
     Simplex,
 )
 from modelcg.matfac import unit_atoms_set
 
 from conftest import box_vertices, l1_vertices, simplex_vertices, sphere_points
+from model_error import PowerGrowth
 
 
 # ---------------------------------------------------------------------------

@@ -37,3 +37,28 @@ def test_every_exported_name_resolves():
     for module in modules:
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert missing == [], f"{module.__name__}.__all__ names {missing}"
+
+
+def _relative_imports(module):
+    """The package modules ``module`` imports, by name."""
+    import ast
+
+    path = os.path.join(os.path.dirname(modelcg.__file__), f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_problem_modules_build_inputs_and_the_runner_runs_them():
+    # a problem module builds solver inputs and runs no solver; the runner
+    # runs any problem and builds none
+    for problem in ("matfac", "regression"):
+        assert _relative_imports(problem) <= {"geometry", "inner", "models"}, problem
+    assert not _relative_imports("runner") & {"matfac", "regression"}

@@ -18,17 +18,26 @@ from modelcg.matfac import (
     columnwise_simplex_set,
     make_mf_oracle,
     make_mf_sets,
-    mf_demo,
     mf_gradient,
     mf_objective,
     mf_segment_remainder,
     pack_factors,
+    solver_inputs,
     unit_atoms_set,
     unpack_factors,
+    write_factors,
 )
+from modelcg.runner import run_method
 from modelcg.solver import SolverConfig, armijo_search
 
 from conftest import central_difference
+
+
+def solve_mf(prob, cfg, seed=0):
+    """``mcgm`` on the problem's model from ``default_start(prob, seed)``:
+    the trace and the factors it ends on."""
+    trace = run_method("mcgm", solver_inputs(prob, seed), cfg=cfg)
+    return (trace, *unpack_factors(prob, trace.final_x))
 
 
 def rank_one_problem(seed=0, model="cg", y_kind="low_rank"):
@@ -294,7 +303,7 @@ def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations
          + 0.1 * rng.standard_normal((40, 30)))
     prob = MfProblem(A=A, inner_dim=4, y_kind="low_rank",
                      radius=1.5 * float(np.linalg.norm(A, "nuc")), model=model)
-    trace, _, _ = mf_demo(prob, cfg=SolverConfig(max_iterations=20), seed=3)
+    trace, _, _ = solve_mf(prob, SolverConfig(max_iterations=20), seed=3)
     assert trace.status == "max_iterations"
     assert trace.final_f.hex() == final_f
     assert sum(r.backtracks for r in trace.records) == backtracks
@@ -420,9 +429,9 @@ def _trace_bits(trace):
 def test_mf_demo_trace_is_unchanged_by_the_remainder(monkeypatch, model, y_kind):
     prob = _noisy_problem(7, y_kind=y_kind, model=model)
     cfg = SolverConfig(max_iterations=60)
-    screened, _, _ = mf_demo(prob, cfg=cfg, seed=2)
+    screened, _, _ = solve_mf(prob, cfg, seed=2)
     monkeypatch.setattr(matfac, "mf_segment_remainder", lambda problem: None)
-    plain, _, _ = mf_demo(prob, cfg=cfg, seed=2)
+    plain, _, _ = solve_mf(prob, cfg, seed=2)
     assert _trace_bits(screened) == _trace_bits(plain)
     assert sum(r.backtracks for r in plain.records) > 0
 
@@ -458,7 +467,7 @@ def test_y_step_matches_full_svd(rng):
 def test_zero_target_is_immediately_stationary():
     prob = MfProblem(A=np.zeros((6, 5)), inner_dim=2, radius=1.0)
     # the default start has a zero Y block: every gradient vanishes
-    trace, X, Y = mf_demo(prob, cfg=SolverConfig(max_iterations=20), seed=1)
+    trace, X, Y = solve_mf(prob, SolverConfig(max_iterations=20), seed=1)
     assert trace.status == "stationary"
     assert len(trace.records) == 1
     np.testing.assert_allclose(Y, np.zeros_like(Y))
@@ -466,7 +475,7 @@ def test_zero_target_is_immediately_stationary():
 
 def test_rank_one_recovery_and_monotone_residual():
     prob = rank_one_problem(seed=0)
-    trace, X, Y = mf_demo(prob, cfg=SolverConfig(max_iterations=300))
+    trace, X, Y = solve_mf(prob, SolverConfig(max_iterations=300))
     A = prob.A
     f_vals = [r.f_value for r in trace.records]
     assert np.all(np.diff(f_vals) <= 1e-9)
@@ -477,7 +486,7 @@ def test_rank_one_recovery_and_monotone_residual():
 
 def test_hybrid_mode_runs_and_descends():
     prob = rank_one_problem(seed=2, model="hybrid")
-    trace, X, Y = mf_demo(prob, cfg=SolverConfig(max_iterations=200))
+    trace, X, Y = solve_mf(prob, SolverConfig(max_iterations=200))
     assert np.linalg.norm(prob.A - X @ Y) < 0.1 * np.linalg.norm(prob.A)
     oracle = make_mf_oracle(prob)
     # proximal step on the Y block
@@ -489,7 +498,7 @@ def test_simplex_and_sparsity_variants_run():
     A = np.abs(rng.standard_normal((8, 6)))
     prob = MfProblem(A=A, inner_dim=3, x_kind="simplex", y_kind="sparsity",
                      radius=float(np.abs(A).sum()))
-    trace, X, Y = mf_demo(prob, cfg=SolverConfig(max_iterations=120))
+    trace, X, Y = solve_mf(prob, SolverConfig(max_iterations=120))
     f_vals = [r.f_value for r in trace.records]
     assert np.all(np.diff(f_vals) <= 1e-9)
     assert f_vals[0] > trace.final_f  # made progress
@@ -498,13 +507,12 @@ def test_simplex_and_sparsity_variants_run():
 
 def test_mf_demo_writes_files(tmp_path):
     prob = rank_one_problem(seed=6)
-    out = tmp_path / "mf"
-    mf_demo(prob, cfg=SolverConfig(max_iterations=30), out_dir=str(out))
-    payload = json.loads((out / "factors.json").read_text())
+    trace, X, Y = solve_mf(prob, SolverConfig(max_iterations=30))
+    write_factors(prob, trace.final_x, tmp_path / "factors.json")
+    payload = json.loads((tmp_path / "factors.json").read_text())
     assert payload["schema"] == "modelcg.mf-factors/1"
-    X = np.asarray(payload["X"])
-    assert X.shape == (20, 4)
-    assert (out / "mf_trace.csv").exists()
+    assert np.array_equal(payload["X"], X) and np.array_equal(payload["Y"], Y)
+    assert payload["residual_fro"] == float(np.linalg.norm(prob.A - X @ Y))
 
 
 def test_problem_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modelcg.geometry import Box, PowerGrowth, ProductSet
+from modelcg.geometry import Box, ProductSet
 from modelcg.inner import pdhg_solve
 from modelcg.models import (
     AdditiveCompositeOracle,
@@ -14,11 +14,11 @@ from modelcg.models import (
     ZeroPenalty,
     linear_composite_min,
     prox_penalized,
-    verify_model_error,
 )
-from modelcg.regression import generate_regression_data, make_constraint_set, make_objective, make_oracle, make_subproblem, model_error_growth
+from modelcg.regression import generate_regression_data, make_constraint_set, make_objective, make_oracle, make_subproblem
 
 from conftest import central_difference
+from model_error import PowerGrowth, model_error_growth, verify_model_error
 from oracle import brute_force_subproblem
 
 

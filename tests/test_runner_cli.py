@@ -11,8 +11,8 @@ from modelcg.regression import (
     eval_F,
     generate_regression_data,
     load_dataset,
-    make_constraint_set,
     save_dataset,
+    solver_inputs,
 )
 from modelcg.runner import (
     CSV_COLUMNS,
@@ -28,6 +28,11 @@ from modelcg.solver import LineSearchParams, SolverConfig, rate_certificate, ver
 
 def small_dataset(seed=0):
     return generate_regression_data(P=4, M=30, mu=2.0, a_max=4.0, b_max=2.5, seed=seed)
+
+
+def compare(ds, out_dir, **kwargs):
+    """``run_comparison`` on a regression dataset."""
+    return run_comparison(lambda: solver_inputs(ds), {"seed": ds.seed}, out_dir, **kwargs)
 
 
 def strip_time_column(path):
@@ -46,7 +51,8 @@ def strip_time_column(path):
 
 def test_run_comparison_outputs(tmp_path):
     ds = small_dataset()
-    res = run_comparison(ds, str(tmp_path / "out"), cfg=SolverConfig(max_iterations=25))
+    res = run_comparison(lambda: solver_inputs(ds), {"name": "small"}, str(tmp_path / "out"),
+                         cfg=SolverConfig(max_iterations=25))
     assert set(res.trace_paths) == set(METHOD_NAMES)
     header = None
     for path in res.trace_paths.values():
@@ -57,7 +63,8 @@ def test_run_comparison_outputs(tmp_path):
         assert open(path).readline() == header  # identical schema
         assert np.all(cols["obj_err"] >= -1e-12)
     summary = json.loads(open(res.summary_path).read())
-    assert summary["schema"] == "modelcg.summary/3"
+    assert summary["schema"] == "modelcg.summary/4"
+    assert summary["problem"] == {"name": "small"}
     assert set(summary["methods"]) == set(METHOD_NAMES)
     for info in summary["methods"].values():
         assert info["checks"] == []
@@ -80,8 +87,7 @@ def test_regression_golden_run(method, final_f, inner_iterations, backtracks,
     # DELTA_RTOL, inner.GAP_RATIO, TAU_*, ACCEPT_RATIO); the instance makes
     # mcgm backtrack and proxlin_bt shrink its weight
     ds = generate_regression_data(P=5, M=40, mu=3.0, seed=11)
-    x0 = make_constraint_set(ds).midpoint()
-    trace = run_method(method, ds, x0, cfg=SolverConfig(max_iterations=30))
+    trace = run_method(method, solver_inputs(ds), cfg=SolverConfig(max_iterations=30))
     assert trace.final_f.hex() == final_f
     assert sum(r.inner_iterations for r in trace.records) == inner_iterations
     assert sum(r.backtracks for r in trace.records) == backtracks
@@ -91,24 +97,24 @@ def test_regression_golden_run(method, final_f, inner_iterations, backtracks,
 
 def test_single_method_lower_bound_is_its_own_best(tmp_path):
     ds = small_dataset(seed=1)
-    res = run_comparison(ds, str(tmp_path / "solo"), methods=("mcgm",),
-                         cfg=SolverConfig(max_iterations=25))
+    res = compare(ds, str(tmp_path / "solo"), methods=("mcgm",),
+                  cfg=SolverConfig(max_iterations=25))
     assert res.f_lower == res.traces["mcgm"].best_f()
 
 
 def test_rerun_is_bit_identical_outside_timing(tmp_path):
     ds = small_dataset(seed=2)
     cfg = SolverConfig(max_iterations=20)
-    res1 = run_comparison(ds, str(tmp_path / "a"), cfg=cfg)
-    res2 = run_comparison(ds, str(tmp_path / "b"), cfg=cfg)
+    res1 = compare(ds, str(tmp_path / "a"), cfg=cfg)
+    res2 = compare(ds, str(tmp_path / "b"), cfg=cfg)
     for m in METHOD_NAMES:
         assert strip_time_column(res1.trace_paths[m]) == strip_time_column(res2.trace_paths[m])
 
 
 def test_check_trace_file_detects_corruption(tmp_path):
     ds = small_dataset(seed=3)
-    res = run_comparison(ds, str(tmp_path / "c"), methods=("mcgm",),
-                         cfg=SolverConfig(max_iterations=20))
+    res = compare(ds, str(tmp_path / "c"), methods=("mcgm",),
+                  cfg=SolverConfig(max_iterations=20))
     path = res.trace_paths["mcgm"]
     assert check_trace_file(path) == []
     lines = open(path).read().splitlines()
@@ -125,8 +131,8 @@ def test_csv_check_and_in_memory_certificate_agree(tmp_path):
     # trace, clean and with one improvement inflated; the per-step check
     # rejects the inflated trace the telescoped rate bound rejects
     ds = small_dataset(seed=3)
-    res = run_comparison(ds, str(tmp_path / "c"), methods=("mcgm",),
-                         cfg=SolverConfig(max_iterations=20))
+    res = compare(ds, str(tmp_path / "c"), methods=("mcgm",),
+                  cfg=SolverConfig(max_iterations=20))
     trace = res.traces["mcgm"]
     assert check_trace_file(res.trace_paths["mcgm"]) == []
     assert rate_certificate(trace).passed
@@ -142,8 +148,8 @@ def test_csv_check_and_in_memory_certificate_agree(tmp_path):
 def test_csv_check_reads_the_final_objective(tmp_path):
     # one iteration: the only step ends at the returned point, so its
     # sufficient decrease needs final_f
-    res = run_comparison(small_dataset(seed=0), str(tmp_path / "one"), methods=("mcgm",),
-                         cfg=SolverConfig(max_iterations=1))
+    res = compare(small_dataset(seed=0), str(tmp_path / "one"), methods=("mcgm",),
+                  cfg=SolverConfig(max_iterations=1))
     trace = res.traces["mcgm"]
     f, delta, gamma = trace.arrays()
     assert trace.final_f < f[-1]
@@ -182,7 +188,7 @@ def test_csv_check_reads_the_final_objective(tmp_path):
 
 def test_unknown_method_rejected(tmp_path):
     with pytest.raises(ValueError):
-        run_comparison(small_dataset(), str(tmp_path), methods=("nope",))
+        compare(small_dataset(), str(tmp_path), methods=("nope",))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +280,8 @@ def test_cli_check_reads_the_rho_each_compare_trace_records(tmp_path):
 
 
 def test_summary_checks_are_those_of_the_trace_file_and_of_the_trace(tmp_path):
-    res = run_comparison(small_dataset(seed=3), str(tmp_path / "r"),
-                         ls=LineSearchParams(rho=0.9), cfg=SolverConfig(max_iterations=10))
+    res = compare(small_dataset(seed=3), str(tmp_path / "r"),
+                  ls=LineSearchParams(rho=0.9), cfg=SolverConfig(max_iterations=10))
     summary = json.loads(open(res.summary_path).read())
     for m, trace in res.traces.items():
         in_memory = verify_trace_arrays(*trace.arrays(), trace.rho, final_f=trace.final_f)
@@ -356,8 +362,8 @@ def test_cli_solve_writes_the_rho_its_trace_checks_against(tmp_path, capsys, met
 ], ids=["nan", "0", "1", "1.5", "two-values", "then-nan"])
 def test_cli_check_rejects_a_trace_whose_rho_column_is_bad(tmp_path, capsys, values, message):
     ds = small_dataset(seed=4)
-    res = run_comparison(ds, str(tmp_path / "r"), methods=("mcgm",),
-                         cfg=SolverConfig(max_iterations=5))
+    res = compare(ds, str(tmp_path / "r"), methods=("mcgm",),
+                  cfg=SolverConfig(max_iterations=5))
     assert len(res.traces["mcgm"].records) >= 2
     path = _with_rho_column(res.trace_paths["mcgm"], values, tmp_path / "bad.csv")
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -467,8 +473,8 @@ def test_cli_reads_integral_config_values_for_integer_settings(tmp_path, capsys)
 
 def test_cli_check_fails_on_corrupted_trace(tmp_path, capsys):
     ds = small_dataset(seed=4)
-    res = run_comparison(ds, str(tmp_path / "r"), methods=("mcgm",),
-                         cfg=SolverConfig(max_iterations=15))
+    res = compare(ds, str(tmp_path / "r"), methods=("mcgm",),
+                  cfg=SolverConfig(max_iterations=15))
     lines = open(res.trace_paths["mcgm"]).read().splitlines()
     parts = lines[1].split(",")
     parts[CSV_COLUMNS.index("delta")] = "1e12"
@@ -548,8 +554,8 @@ def test_cli_rejects_inconsistent_dataset_file(tmp_path, capsys, field, value, m
 
 
 def test_cli_check_rejects_rows_with_wrong_field_count(tmp_path, capsys):
-    res = run_comparison(small_dataset(seed=2), str(tmp_path / "r"), methods=("mcgm",),
-                         cfg=SolverConfig(max_iterations=3))
+    res = compare(small_dataset(seed=2), str(tmp_path / "r"), methods=("mcgm",),
+                  cfg=SolverConfig(max_iterations=3))
     lines = open(res.trace_paths["mcgm"]).read().splitlines()
     short_iteration = lines[:1] + [",".join(lines[1].split(",")[:5])] + lines[2:]
     short_final = lines[:-1] + ["final,,4.0"]
@@ -581,10 +587,66 @@ def test_cli_compare_generates_a_dataset_from_the_dataset_flags(tmp_path):
     code = cli_main(["compare", "--P", "4", "--M", "30", "--max-iterations", "2",
                      "--out", str(out)])
     assert code == 0
-    dataset = json.loads((out / "summary.json").read_text())["dataset"]
+    dataset = json.loads((out / "summary.json").read_text())["problem"]
     assert (dataset["P"], dataset["M"]) == (4, 30)
     for m in METHOD_NAMES:
         assert (out / f"{m}.csv").exists()
+
+
+def test_cli_compare_flags_override_a_config_dataset_object(tmp_path):
+    # the config's dataset object used to win over the explicit flags
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": {"P": 4, "M": 30, "mu": 2.0, "seed": 5},
+                               "max_iterations": 2}))
+    out = tmp_path / "results"
+    assert cli_main(["compare", "--config", str(cfg), "--P", "6", "--seed", "9",
+                     "--out", str(out)]) == 0
+    problem = json.loads((out / "summary.json").read_text())["problem"]
+    assert problem == {"P": 6, "M": 30, "mu": 2.0, "seed": 9}
+
+
+@pytest.mark.parametrize("command", ["gen", "compare"])
+@pytest.mark.parametrize("dataset", [5, ["d.json"], True])
+def test_cli_rejects_a_config_dataset_of_another_type(tmp_path, capsys, command, dataset):
+    # compare used to fall back to the full-scale default dataset
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": dataset, "max_iterations": 2}))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("configuration error: dataset must be a file path or an object of dataset "
+            f"parameters, got {dataset!r}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_gen_rejects_a_config_dataset_file(tmp_path, capsys):
+    # gen used to fail with "dictionary update sequence element #0 has length 1"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": "d.json"}))
+    out = tmp_path / "out.json"
+    assert cli_main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("configuration error: gen needs dataset parameters, and the dataset is a file: "
+            "'d.json'" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_gen_reads_a_config_dataset_object_under_the_flags(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": {"P": 4, "M": 30, "seed": 5}, "P": 8}))
+    out = tmp_path / "d.json"
+    assert cli_main(["gen", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
+    ds = load_dataset(out)
+    assert (ds.P, ds.M, ds.seed) == (4, 30, 9)
+
+
+def test_duplicate_methods_are_rejected(tmp_path, capsys):
+    # a repeated method used to be solved twice, with one trace kept
+    with pytest.raises(ValueError, match="a method is named twice"):
+        compare(small_dataset(), str(tmp_path / "r"), methods=("mcgm", "proxlin_bt", "mcgm"))
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--P", "4", "--M", "30", "--max-iterations", "2",
+                     "--methods", "mcgm,mcgm", "--out", str(out)]) == 1
+    assert "configuration error: a method is named twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_compare_rejects_an_empty_method_list(tmp_path, capsys):
@@ -646,8 +708,10 @@ def test_cli_mf_demo(tmp_path):
                      "--max-iterations", "40", "--out", str(out)])
     assert code == 0
     assert (out / "factors.json").exists()
-    assert (out / "mf_trace.csv").exists()
-    assert cli_main(["check", "--trace", str(out / "mf_trace.csv")]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary["methods"]) == ["mcgm"]
+    assert summary["problem"]["rows"] == 10 and summary["problem"]["model"] == "cg"
+    assert cli_main(["check", "--trace", str(out / "mcgm.csv")]) == 0
 
 
 def test_cli_rejects_an_infinite_proximal_weight(tmp_path, capsys):
@@ -675,17 +739,13 @@ def test_cli_mf_demo_rejects_an_infinite_radius(tmp_path, capsys, y_kind):
 
 
 def test_dataset_file_roundtrip_preserves_solver_behaviour(tmp_path):
-    from modelcg.regression import load_dataset, make_constraint_set
-    from modelcg.runner import run_method
-
     ds = small_dataset(seed=8)
     path = tmp_path / "ds.json"
     save_dataset(ds, path)
     loaded = load_dataset(str(path))
     cfg = SolverConfig(max_iterations=8)
-    x0 = make_constraint_set(ds).midpoint()
-    t_mem = run_method("mcgm", ds, x0, cfg=cfg)
-    t_file = run_method("mcgm", loaded, x0, cfg=cfg)
+    t_mem = run_method("mcgm", solver_inputs(ds), cfg=cfg)
+    t_file = run_method("mcgm", solver_inputs(loaded), cfg=cfg)
     assert [r.f_value for r in t_mem.records] == [r.f_value for r in t_file.records]
     assert [r.delta for r in t_mem.records] == [r.delta for r in t_file.records]
     assert [r.inner_iterations for r in t_mem.records] == [
@@ -695,11 +755,7 @@ def test_dataset_file_roundtrip_preserves_solver_behaviour(tmp_path):
 
 def test_cli_write_and_read_trace_roundtrip(tmp_path):
     ds = small_dataset(seed=6)
-    from modelcg.runner import run_method
-    from modelcg.regression import make_constraint_set
-
-    trace = run_method("mcgm", ds, make_constraint_set(ds).midpoint(),
-                       cfg=SolverConfig(max_iterations=10))
+    trace = run_method("mcgm", solver_inputs(ds), cfg=SolverConfig(max_iterations=10))
     path = tmp_path / "t.csv"
     write_trace_csv(trace, str(path), trace.best_f())
     cols, final_f = read_trace_csv(str(path))
