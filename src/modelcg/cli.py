@@ -4,14 +4,15 @@ Subcommands: ``gen`` (write a dataset file), ``solve`` (one method on a
 dataset), ``compare`` (all methods, CSV traces + summary), ``mf-demo``
 (matrix factorization: a comparison of ``mcgm`` alone on the problem's
 model, plus ``factors.json``), ``check`` (re-verify a trace CSV at the
-``rho`` it records). Options come from an optional JSON config file with
-explicit flags taking precedence.
+``rho`` it records).
 
-A method-specific flag passed explicitly to a run that selects no method
-reading it is a configuration error: ``--rho`` (read by ``mcgm`` and
-``proxlin_ls``), ``--tau0`` (``proxlin_ls`` and ``proxlin_bt``) and
-``mf-demo --tau`` (the ``hybrid`` model). The same keys in a config file are
-defaults and pass.
+A JSON config file (``--config``) gives defaults for any flag, required
+ones included, and explicit flags win. A config key is its flag's name
+(``max_iterations`` for ``--max-iterations``), and a config value must be
+what its flag accepts (``_config_value``). A flag passed explicitly that
+the run does not read is a configuration error: ``--rho``, ``--tau0`` or
+``mf-demo --tau`` when no selected method reads it, and a dataset flag
+given with a dataset file. The same keys in a config file are defaults.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 solver or check
 failure. Non-finite values in a dataset file are a configuration error;
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -55,6 +57,20 @@ _MF_FLAG_READERS = {"tau": ("hybrid",)}
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser whose namespace holds only the flags given. A flag's
+    ``default`` and ``required`` apply once the config file is merged
+    (``_settings``), so a config file can give either."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
+
+    def add_argument(self, *args, default=None, required=False, **kwargs):
+        if default is not None:
+            kwargs.setdefault("help", f"default: {default}")
+        action = super().add_argument(*args, **kwargs)
+        action.setting_default, action.setting_required = default, required
+        return action
+
     # usage problems (unknown flags, bad values) exit 1 rather than argparse's 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -63,26 +79,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """The ``modelcg`` parser, and the parser of each subcommand by name."""
     parser = _Parser(prog="modelcg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON file with defaults for the flags")
 
-    dataset_flags = argparse.ArgumentParser(add_help=False)
-    dataset_flags.add_argument("--P", type=int)
-    dataset_flags.add_argument("--M", type=int)
-    dataset_flags.add_argument("--mu", type=float)
-    dataset_flags.add_argument("--a-max", type=float)
-    dataset_flags.add_argument("--b-max", type=float)
-    dataset_flags.add_argument("--sparsity", type=float)
-    dataset_flags.add_argument("--noise-scale", type=float)
-    dataset_flags.add_argument("--seed", type=int)
+    dataset_flags = _Parser(add_help=False)
+    for name, kind in regression.GENERATION_PARAMETERS.items():
+        dataset_flags.add_argument("--" + name.replace("_", "-"), type=kind)
 
     g = sub.add_parser("gen", parents=[common, dataset_flags], help="generate a dataset file")
+    g.set_defaults(run=_cmd_gen)
     g.add_argument("--out", required=True)
 
-    solver_flags = argparse.ArgumentParser(add_help=False)
+    solver_flags = _Parser(add_help=False)
     solver_flags.add_argument("--max-iterations", type=int)
     solver_flags.add_argument("--delta-tol", type=float)
     solver_flags.add_argument("--time-budget", type=float)
@@ -90,141 +102,142 @@ def _build_parser():
     solver_flags.add_argument("--tau0", type=float)
 
     s = sub.add_parser("solve", parents=[common, solver_flags], help="run one method")
+    s.set_defaults(run=_cmd_solve)
     s.add_argument("--dataset", required=True)
-    s.add_argument("--method", choices=METHOD_NAMES, help="default: mcgm")
+    s.add_argument("--method", choices=METHOD_NAMES, default="mcgm")
     s.add_argument("--out", help="trace CSV path")
 
     c = sub.add_parser(
         "compare", parents=[common, solver_flags, dataset_flags], help="run all methods"
     )
+    c.set_defaults(run=_cmd_compare)
     c.add_argument("--dataset", help="dataset file (default: generate one from the dataset flags)")
     c.add_argument("--methods", help="comma separated subset of " + ",".join(METHOD_NAMES))
     c.add_argument("--out", required=True, help="output directory")
 
     m = sub.add_parser("mf-demo", parents=[common], help="matrix factorization demo")
-    m.add_argument("--rows", type=int)
-    m.add_argument("--cols", type=int)
-    m.add_argument("--inner-dim", type=int)
-    m.add_argument("--x-set", choices=("unit_atoms", "simplex"))
-    m.add_argument("--y-set", choices=("sparsity", "low_rank"))
-    m.add_argument("--radius", type=float)
-    m.add_argument("--model", choices=("cg", "hybrid"))
-    m.add_argument("--tau", type=float)
-    m.add_argument("--seed", type=int)
-    m.add_argument("--max-iterations", type=int)
+    m.set_defaults(run=_cmd_mf_demo)
+    m.add_argument("--rows", type=int, default=20)
+    m.add_argument("--cols", type=int, default=15)
+    m.add_argument("--inner-dim", type=int, default=4)
+    m.add_argument("--x-set", choices=("unit_atoms", "simplex"), default="unit_atoms")
+    m.add_argument("--y-set", choices=("sparsity", "low_rank"), default="low_rank")
+    m.add_argument("--radius", type=float, help="default: 1.5 times the target's nuclear norm")
+    m.add_argument("--model", choices=("cg", "hybrid"), default="cg")
+    m.add_argument("--tau", type=float, default=1.0)
+    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--max-iterations", type=int, default=150)
     m.add_argument("--out", required=True, help="output directory")
 
     k = sub.add_parser("check", parents=[common], help="verify a trace CSV")
+    k.set_defaults(run=_cmd_check)
     k.add_argument("--trace", required=True)
-    return parser
+    return parser, sub.choices
 
 
-def _explicit(args):
-    """The flags set on the command line."""
-    return {k: v for k, v in vars(args).items()
-            if k not in ("command", "config") and v is not None}
+def _config_value(flags, key, value):
+    """A config file's ``value`` for ``key``, read through the flag of that
+    name in ``flags``: an integer for an ``int`` flag (``6.0`` reads as 6), a
+    number for a ``float`` flag, one of the choices of a flag with choices,
+    and a string for any other. ``methods`` may also be a list of names, and
+    ``dataset``, beside the dataset flags, an object of dataset parameters."""
+    if key == "dataset" and regression.GENERATION_PARAMETERS.keys() <= flags.keys():
+        if isinstance(value, str):
+            return value
+        if not isinstance(value, dict):
+            raise ConfigError(
+                f"dataset must be a file path or an object of dataset parameters, got {value!r}"
+            )
+        dataset_flags = {k: flags[k] for k in regression.GENERATION_PARAMETERS}
+        return {k: _config_value(dataset_flags, k, v) for k, v in value.items()}
+    if key not in flags:
+        raise ConfigError(f"the config key {key!r} is none of {', '.join(flags)}")
+    action = flags[key]
+    if action.type is int:
+        return require_integer(value, key)
+    if action.type is float:
+        return require_number(value, key)
+    if action.choices is not None:
+        if value not in action.choices:
+            raise ConfigError(f"{key} must be one of {', '.join(action.choices)}, got {value!r}")
+    elif not isinstance(value, str) and key != "methods":
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
 
-def _merged(args):
-    """Config-file values overlaid by explicitly set flags."""
-    merged = {}
-    if getattr(args, "config", None):
+def _settings(parser, args):
+    """The run's settings by name: the flags of ``parser`` given, over the
+    config file's values, over the flags' defaults."""
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    config = {}
+    if "config" in args:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
-        merged.update(data)
-    merged.update(_explicit(args))
-    return merged
+    settings = {k: a.setting_default for k, a in flags.items() if a.setting_default is not None}
+    settings.update((key, _config_value(flags, key, value)) for key, value in config.items())
+    settings.update((k, v) for k, v in vars(args).items() if k in flags)
+    for k, a in flags.items():
+        if a.setting_required and k not in settings:
+            raise ConfigError(f"{a.option_strings[0]} is required, as a flag or in the config")
+    return settings
 
 
 def _reject_unread_flags(args, selected, readers):
     """A ConfigError for an explicitly passed flag that none of the
     ``selected`` methods reads."""
     for flag, methods in readers.items():
-        if getattr(args, flag, None) is not None and not set(selected) & set(methods):
+        if flag in args and not set(selected) & set(methods):
             raise ConfigError(
                 f"--{flag} is read only by {', '.join(methods)}, "
                 f"and this run selects {', '.join(selected)}"
             )
 
 
-def _int_option(opts, key, default=None):
-    # a config file can hold any JSON value (geometry.require_integer)
-    return require_integer(opts.get(key, default), key)
-
-
-def _float_option(opts, key, default=None):
-    return require_number(opts.get(key, default), key)
-
-
-def _dataset_params(opts):
-    params = {k: _int_option(opts, k) for k in ("P", "M", "seed") if k in opts}
-    for k in ("mu", "a_max", "b_max", "sparsity", "noise_scale"):
-        if k in opts:
-            params[k] = _float_option(opts, k)
-    return params
-
-
-def _dataset_source(args, opts):
-    """A run's dataset as a file path, or as generation parameters. The
-    ``dataset`` value is a path string or an object of parameters, which the
-    explicit dataset flags override; without it, the parameters are read
-    from ``opts`` itself."""
-    source = opts.get("dataset")
+def _dataset_source(args, settings):
+    """A run's dataset as a file path, which no explicit dataset flag may
+    come with, or as generation parameters: the ``dataset`` object under the
+    explicit dataset flags, or else the dataset settings."""
+    source = settings.get("dataset")
     if source is None:
-        return _dataset_params(opts)
-    if isinstance(source, str):
-        return source
-    if not isinstance(source, dict):
-        raise ConfigError(
-            f"dataset must be a file path or an object of dataset parameters, got {source!r}"
-        )
-    return _dataset_params({**source, **_explicit(args)})
+        return {k: v for k, v in settings.items() if k in regression.GENERATION_PARAMETERS}
+    given = {k: v for k, v in vars(args).items() if k in regression.GENERATION_PARAMETERS}
+    if isinstance(source, str) and given:
+        raise ConfigError(f"the dataset flags {', '.join(given)} cannot be given with the "
+                          f"dataset file {source!r}")
+    return source if isinstance(source, str) else {**source, **given}
 
 
-def _solver_configs(opts):
-    ls_kwargs = {}
-    if "rho" in opts:
-        ls_kwargs["rho"] = _float_option(opts, "rho")
-    cfg_kwargs = {}
-    if "max_iterations" in opts:
-        cfg_kwargs["max_iterations"] = _int_option(opts, "max_iterations")
-    if "delta_tol" in opts:
-        cfg_kwargs["delta_tol"] = _float_option(opts, "delta_tol")
-    if "time_budget" in opts:
-        cfg_kwargs["time_budget_s"] = _float_option(opts, "time_budget")
-    pl_kwargs = {}
-    if "tau0" in opts:
-        pl_kwargs["tau0"] = _float_option(opts, "tau0")
-    return LineSearchParams(**ls_kwargs), SolverConfig(**cfg_kwargs), ProxLinearConfig(**pl_kwargs)
+def _solver_configs(settings):
+    """The solver configs, each given the settings named as its fields
+    (``time_budget`` is ``SolverConfig.time_budget_s``)."""
+    given = {"time_budget_s" if k == "time_budget" else k: v for k, v in settings.items()}
+    return [cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+            for cls in (LineSearchParams, SolverConfig, ProxLinearConfig)]
 
 
-def _cmd_gen(args):
-    opts = _merged(args)
-    params = _dataset_source(args, opts)
+def _cmd_gen(args, settings):
+    params = _dataset_source(args, settings)
     if isinstance(params, str):
         raise ConfigError(f"gen needs dataset parameters, and the dataset is a file: {params!r}")
     dataset = regression.generate_regression_data(**params)
-    regression.save_dataset(dataset, opts["out"])
-    print(f"wrote {opts['out']} (P={dataset.P}, M={dataset.M}, seed={dataset.seed})")
+    regression.save_dataset(dataset, settings["out"])
+    print(f"wrote {settings['out']} (P={dataset.P}, M={dataset.M}, seed={dataset.seed})")
     return 0
 
 
-def _cmd_solve(args):
-    opts = _merged(args)
-    dataset = regression.load_dataset(opts["dataset"])
-    ls, cfg, plcfg = _solver_configs(opts)
-    method = opts.get("method", "mcgm")
-    if method not in METHOD_NAMES:
-        raise ConfigError(f"method must be one of {', '.join(METHOD_NAMES)}, got {method!r}")
-    _reject_unread_flags(args, (method,), _SOLVER_FLAG_READERS)
-    trace = run_method(method, regression.solver_inputs(dataset), ls=ls, cfg=cfg, plcfg=plcfg)
-    if opts.get("out"):
-        write_trace_csv(trace, opts["out"], trace.best_f())
+def _cmd_solve(args, settings):
+    dataset = regression.load_dataset(settings["dataset"])
+    ls, cfg, plcfg = _solver_configs(settings)
+    _reject_unread_flags(args, (settings["method"],), _SOLVER_FLAG_READERS)
+    trace = run_method(settings["method"], regression.solver_inputs(dataset),
+                       ls=ls, cfg=cfg, plcfg=plcfg)
+    if "out" in settings:
+        write_trace_csv(trace, settings["out"], trace.best_f())
     print(
         f"method={trace.method} status={trace.status} iterations={len(trace.records)} "
         f"f={trace.final_f:.9g} delta={trace.records[-1].delta:.3e}"
@@ -232,12 +245,15 @@ def _cmd_solve(args):
     return 0
 
 
-def _cmd_compare(args):
-    opts = _merged(args)
-    source = _dataset_source(args, opts)
-    dataset = (regression.load_dataset(source) if isinstance(source, str)
-               else regression.generate_regression_data(**source))
-    methods = opts.get("methods", METHOD_NAMES)
+def _cmd_compare(args, settings):
+    source = _dataset_source(args, settings)
+    if isinstance(source, str):
+        dataset = regression.load_dataset(source)
+        problem = {**dataset.generation_parameters, "dataset": source}
+    else:
+        dataset = regression.generate_regression_data(**source)
+        problem = dataset.generation_parameters
+    methods = settings.get("methods", METHOD_NAMES)
     if isinstance(methods, str):
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
     elif not (isinstance(methods, (list, tuple)) and all(isinstance(m, str) for m in methods)):
@@ -245,9 +261,8 @@ def _cmd_compare(args):
             f"methods must be a comma-separated string or a list of strings, got {methods!r}"
         )
     _reject_unread_flags(args, methods, _SOLVER_FLAG_READERS)
-    ls, cfg, plcfg = _solver_configs(opts)
-    problem = {"P": dataset.P, "M": dataset.M, "mu": dataset.mu, "seed": dataset.seed}
-    result = run_comparison(lambda: regression.solver_inputs(dataset), problem, opts["out"],
+    ls, cfg, plcfg = _solver_configs(settings)
+    result = run_comparison(lambda: regression.solver_inputs(dataset), problem, settings["out"],
                             methods=methods, ls=ls, cfg=cfg, plcfg=plcfg)
     for m, info in result.summary["methods"].items():
         print(
@@ -258,33 +273,21 @@ def _cmd_compare(args):
     return 0
 
 
-def _cmd_mf_demo(args):
-    opts = _merged(args)
-    _reject_unread_flags(args, (opts.get("model", "cg"),), _MF_FLAG_READERS)
-    rows = _int_option(opts, "rows", 20)
-    cols = _int_option(opts, "cols", 15)
-    seed = _int_option(opts, "seed", 0)
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((rows, 1)) @ rng.standard_normal((1, cols))
-    problem = matfac.MfProblem(
-        A=A,
-        inner_dim=_int_option(opts, "inner_dim", 4),
-        x_kind=opts.get("x_set", "unit_atoms"),
-        y_kind=opts.get("y_set", "low_rank"),
-        radius=_float_option(opts, "radius", 1.5 * np.linalg.norm(A, "nuc")),
-        model=opts.get("model", "cg"),
-        tau=_float_option(opts, "tau", 1.0),
-    )
-    described = {"rows": rows, "cols": cols, "inner_dim": problem.inner_dim,
-                 "x_set": problem.x_kind, "y_set": problem.y_kind,
-                 "radius": problem.radius, "model": problem.model,
-                 "tau": problem.tau, "seed": seed}
-    cfg = SolverConfig(max_iterations=_int_option(opts, "max_iterations", 150))
-    result = run_comparison(lambda: matfac.solver_inputs(problem, seed), described, opts["out"],
-                            methods=("mcgm",), cfg=cfg)
+def _cmd_mf_demo(args, settings):
+    _reject_unread_flags(args, (settings["model"],), _MF_FLAG_READERS)
+    problem = {k: v for k, v in settings.items() if k not in ("max_iterations", "out")}
+    rng = np.random.default_rng(problem["seed"])
+    A = rng.standard_normal((problem["rows"], 1)) @ rng.standard_normal((1, problem["cols"]))
+    problem.setdefault("radius", float(1.5 * np.linalg.norm(A, "nuc")))
+    mf = matfac.MfProblem(A=A, inner_dim=problem["inner_dim"], x_kind=problem["x_set"],
+                          y_kind=problem["y_set"], radius=problem["radius"],
+                          model=problem["model"], tau=problem["tau"])
+    cfg = SolverConfig(max_iterations=settings["max_iterations"])
+    result = run_comparison(lambda: matfac.solver_inputs(mf, problem["seed"]), problem,
+                            settings["out"], methods=("mcgm",), cfg=cfg)
     trace = result.traces["mcgm"]
-    matfac.write_factors(problem, trace.final_x, os.path.join(opts["out"], "factors.json"))
-    X, Y = matfac.unpack_factors(problem, trace.final_x)
+    matfac.write_factors(mf, trace.final_x, os.path.join(settings["out"], "factors.json"))
+    X, Y = matfac.unpack_factors(mf, trace.final_x)
     rel = float(np.linalg.norm(A - X @ Y) / np.linalg.norm(A))
     print(
         f"mf-demo status={trace.status} iterations={len(trace.records)} "
@@ -293,8 +296,8 @@ def _cmd_mf_demo(args):
     return 0
 
 
-def _cmd_check(args):
-    problems = check_trace_file(_merged(args)["trace"])
+def _cmd_check(args, settings):
+    problems = check_trace_file(settings["trace"])
     if problems:
         for p in problems:
             print(f"FAIL {p}")
@@ -303,23 +306,14 @@ def _cmd_check(args):
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "compare": _cmd_compare,
-    "mf-demo": _cmd_mf_demo,
-    "check": _cmd_check,
-}
-
-
 def cli_main(argv=None):
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args, _settings(subparsers[args.command], args))
     except (ConfigError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ from .models import GaussNewtonOracle, L1Loss, WeightedL1
 
 __all__ = [
     "RegressionDataset",
+    "GENERATION_PARAMETERS",
     "generate_regression_data",
     "eval_F",
     "eval_jacobian",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 DATASET_SCHEMA = "modelcg.regression-dataset/1"
+# the parameters a dataset is generated from, with their types
+GENERATION_PARAMETERS = {"P": int, "M": int, "mu": float, "a_max": float, "b_max": float,
+                         "sparsity": float, "noise_scale": float, "seed": int}
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,11 @@ class RegressionDataset:
     sparsity: float
     noise_scale: float
     seed: int
+
+    @property
+    def generation_parameters(self):
+        """The parameters the dataset was generated from, by name."""
+        return {name: getattr(self, name) for name in GENERATION_PARAMETERS}
 
     @property
     def dim(self):
@@ -98,9 +107,11 @@ def eval_jacobian(a, b, x_points):
     return J
 
 
-def _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale):
+def _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale, seed):
     if P < 1 or M < 1:
         raise ValueError("P and M must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if not 0.0 <= sparsity < 1.0:
         raise ValueError("sparsity must lie in [0, 1)")
     if not all(math.isfinite(v) for v in (mu, a_max, b_max, noise_scale)):
@@ -118,7 +129,7 @@ def generate_regression_data(
     Laplacian noise by inverse-CDF sampling. Regeneration from the same
     parameters and seed is bit-identical.
     """
-    _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale)
+    _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale, seed)
     x = np.linspace(0.0, 1.0, M)
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, a_max, P)
@@ -208,14 +219,7 @@ def make_subproblem(dataset, u, tau=None):
 def save_dataset(dataset, path):
     payload = {
         "schema": DATASET_SCHEMA,
-        "P": dataset.P,
-        "M": dataset.M,
-        "mu": dataset.mu,
-        "a_max": dataset.a_max,
-        "b_max": dataset.b_max,
-        "sparsity": dataset.sparsity,
-        "noise_scale": dataset.noise_scale,
-        "seed": dataset.seed,
+        **dataset.generation_parameters,
         "covariates": dataset.covariates.tolist(),
         "observations": dataset.observations.tolist(),
         "a_true": dataset.a_true.tolist(),
@@ -236,16 +240,16 @@ def load_dataset(path):
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != DATASET_SCHEMA:
         raise ValueError(f"unrecognized dataset schema: {schema!r}")
+    params = {k: (require_integer if kind is int else require_number)(payload[k], k)
+              for k, kind in GENERATION_PARAMETERS.items()}
+    _check_parameters(**params)
     ds = RegressionDataset(
         covariates=require_finite(payload["covariates"], "covariates"),
         observations=require_finite(payload["observations"], "observations"),
         a_true=require_finite(payload["a_true"], "a_true"),
         b_true=require_finite(payload["b_true"], "b_true"),
-        **{k: require_integer(payload[k], k) for k in ("P", "M", "seed")},
-        **{k: require_number(payload[k], k)
-           for k in ("mu", "a_max", "b_max", "sparsity", "noise_scale")},
+        **params,
     )
-    _check_parameters(ds.P, ds.M, ds.mu, ds.a_max, ds.b_max, ds.sparsity, ds.noise_scale)
     for name, size in (("covariates", ds.M), ("observations", ds.M),
                        ("a_true", ds.P), ("b_true", ds.P)):
         if getattr(ds, name).shape != (size,):

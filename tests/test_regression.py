@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modelcg.regression import (
+    GENERATION_PARAMETERS,
     RegressionDataset,
     eval_F,
     eval_jacobian,
@@ -150,6 +151,35 @@ def test_nearly_affine_residual_model_is_nearly_exact(rng):
     for _ in range(50):
         z = box.sample(rng)
         assert model.value(z) == pytest.approx(fun(z), rel=1e-9, abs=1e-9)
+
+
+def test_generation_parameters_regenerate_the_dataset_and_name_its_file_fields(tmp_path):
+    ds = generate_regression_data(P=5, M=20, mu=3.0, a_max=4.0, sparsity=0.4, seed=7)
+    params = ds.generation_parameters
+    assert params == {"P": 5, "M": 20, "mu": 3.0, "a_max": 4.0, "b_max": 5.0,
+                      "sparsity": 0.4, "noise_scale": 0.5, "seed": 7}
+    assert {k: type(v) for k, v in params.items()} == GENERATION_PARAMETERS
+    np.testing.assert_array_equal(generate_regression_data(**params).observations,
+                                  ds.observations)
+    path = tmp_path / "ds.json"
+    save_dataset(ds, path)
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"schema", "covariates", "observations", "a_true", "b_true",
+                            *GENERATION_PARAMETERS}
+    assert load_dataset(path).generation_parameters == params
+
+
+def test_a_negative_seed_is_rejected_on_generation_and_on_load(tmp_path):
+    # numpy refused it on generation, while a file stating it loaded
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        generate_regression_data(P=5, M=20, seed=-1)
+    path = tmp_path / "ds.json"
+    save_dataset(generate_regression_data(P=5, M=20, seed=7), path)
+    payload = json.loads(path.read_text())
+    payload["seed"] = -1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        load_dataset(path)
 
 
 def test_dataset_roundtrip(tmp_path):

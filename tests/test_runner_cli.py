@@ -27,7 +27,9 @@ from modelcg.solver import LineSearchParams, SolverConfig, rate_certificate, ver
 
 
 def small_dataset(seed=0):
-    return generate_regression_data(P=4, M=30, mu=2.0, a_max=4.0, b_max=2.5, seed=seed)
+    # sparsity 0.5 keeps 2 of the 4 amplitudes: the default 0.8 zeroes all 4
+    return generate_regression_data(P=4, M=30, mu=2.0, a_max=4.0, b_max=2.5, sparsity=0.5,
+                                    seed=seed)
 
 
 def compare(ds, out_dir, **kwargs):
@@ -230,7 +232,7 @@ def test_cli_solve_stationary_start_gives_single_record(tmp_path, capsys):
 
 def test_cli_compare_and_check_roundtrip(tmp_path):
     cfg = {
-        "dataset": {"P": 4, "M": 30, "mu": 2.0, "seed": 5},
+        "dataset": {"P": 4, "M": 30, "mu": 2.0, "sparsity": 0.5, "seed": 5},
         "max_iterations": 20,
     }
     cfg_path = tmp_path / "cfg.json"
@@ -259,7 +261,8 @@ def _with_rho_column(path, values, out):
 def test_cli_check_reads_the_rho_each_compare_trace_records(tmp_path):
     # proxlin_bt accepts at its own ratio, not the line search's, and its
     # trace records that ratio: checked at rho 0.9 it would fail the
-    # sufficient decrease at k=4 to 8
+    # sufficient decrease at k=4 to 8. check takes no rho, from a flag or
+    # from a config file
     out_dir = tmp_path / "results"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rho": 0.9}))
@@ -272,7 +275,7 @@ def test_cli_check_reads_the_rho_each_compare_trace_records(tmp_path):
     for m in METHOD_NAMES:
         trace = str(out_dir / f"{m}.csv")
         assert cli_main(["check", "--trace", trace]) == 0, m
-        assert cli_main(["check", "--config", str(cfg), "--trace", trace]) == 0, m
+        assert cli_main(["check", "--config", str(cfg), "--trace", trace]) == 1, m
     at_09 = _with_rho_column(out_dir / "proxlin_bt.csv", ["0.9"], tmp_path / "bt09.csv")
     assert check_trace_file(at_09) == [
         f"sufficient decrease violated at k={k}" for k in range(4, 9)
@@ -326,11 +329,12 @@ def test_cli_keeps_config_file_flags_as_defaults(tmp_path):
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rho": 0.5, "tau0": 2.0, "tau": 3.0, "max_iterations": 2}))
+    cfg.write_text(json.dumps({"rho": 0.5, "tau0": 2.0, "max_iterations": 2}))
     assert cli_main(["solve", "--dataset", str(path), "--method", "mcgm",
                      "--config", str(cfg)]) == 0
     assert cli_main(["compare", "--dataset", str(path), "--methods", "proxlin_bt",
                      "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    cfg.write_text(json.dumps({"tau": 3.0, "max_iterations": 2}))
     assert cli_main(["mf-demo", "--rows", "6", "--cols", "5", "--inner-dim", "2",
                      "--config", str(cfg), "--out", str(tmp_path / "mf")]) == 0
 
@@ -463,7 +467,7 @@ def test_cli_reads_integral_config_values_for_integer_settings(tmp_path, capsys)
     assert "(P=6, M=40, seed=1)" in capsys.readouterr().out
     ds = load_dataset(tmp_path / "d.json")
     assert (ds.P, ds.M, ds.seed) == (6, 40, 1)
-    cfg.write_text(json.dumps({"max_iterations": 2.0, "mu": 80.0}))
+    cfg.write_text(json.dumps({"max_iterations": 2.0, "time_budget": 80}))
     assert cli_main(["solve", "--dataset", str(tmp_path / "d.json"), "--config", str(cfg),
                      "--out", str(tmp_path / "t.csv")]) == 0
     cols, _ = read_trace_csv(tmp_path / "t.csv")
@@ -584,8 +588,8 @@ def test_cli_check_fails_on_nan_objectives(tmp_path, capsys):
 
 def test_cli_compare_generates_a_dataset_from_the_dataset_flags(tmp_path):
     out = tmp_path / "results"
-    code = cli_main(["compare", "--P", "4", "--M", "30", "--max-iterations", "2",
-                     "--out", str(out)])
+    code = cli_main(["compare", "--P", "4", "--M", "30", "--sparsity", "0.5",
+                     "--max-iterations", "2", "--out", str(out)])
     assert code == 0
     dataset = json.loads((out / "summary.json").read_text())["problem"]
     assert (dataset["P"], dataset["M"]) == (4, 30)
@@ -596,13 +600,129 @@ def test_cli_compare_generates_a_dataset_from_the_dataset_flags(tmp_path):
 def test_cli_compare_flags_override_a_config_dataset_object(tmp_path):
     # the config's dataset object used to win over the explicit flags
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"dataset": {"P": 4, "M": 30, "mu": 2.0, "seed": 5},
+    cfg.write_text(json.dumps({"dataset": {"P": 4, "M": 30, "mu": 2.0, "sparsity": 0.5,
+                                           "seed": 5},
                                "max_iterations": 2}))
     out = tmp_path / "results"
     assert cli_main(["compare", "--config", str(cfg), "--P", "6", "--seed", "9",
                      "--out", str(out)]) == 0
     problem = json.loads((out / "summary.json").read_text())["problem"]
-    assert problem == {"P": 6, "M": 30, "mu": 2.0, "seed": 9}
+    assert problem == {"P": 6, "M": 30, "mu": 2.0, "a_max": 20.0, "b_max": 5.0,
+                       "sparsity": 0.5, "noise_scale": 0.5, "seed": 9}
+
+
+def test_cli_compare_rejects_a_dataset_flag_given_with_a_dataset_file(tmp_path, capsys):
+    # the file's P=4, seed=0 used to run, and the flags were dropped
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--dataset", str(path), "--P", "6", "--seed", "9",
+                     "--methods", "mcgm", "--max-iterations", "2", "--out", str(out)]) == 1
+    assert (f"configuration error: the dataset flags P, seed cannot be given with the dataset "
+            f"file {str(path)!r}" in capsys.readouterr().err)
+    assert not out.exists()
+    # the same keys in a config file are defaults, and the file is read
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": str(path), "P": 6, "max_iterations": 2}))
+    assert cli_main(["compare", "--config", str(cfg), "--methods", "mcgm",
+                     "--out", str(out)]) == 0
+    problem = json.loads((out / "summary.json").read_text())["problem"]
+    assert (problem["P"], problem["seed"], problem["dataset"]) == (4, 0, str(path))
+
+
+def test_cli_compare_summary_records_every_dataset_parameter(tmp_path):
+    # problem used to hold P, M, mu and seed alone, so --a-max 4 left it as it was
+    base = ["compare", "--P", "4", "--M", "30", "--sparsity", "0.5", "--methods", "mcgm",
+            "--max-iterations", "2"]
+    problems = []
+    for extra, out in (([], "a"), (["--a-max", "4"], "b")):
+        assert cli_main(base + extra + ["--out", str(tmp_path / out)]) == 0
+        problems.append(json.loads((tmp_path / out / "summary.json").read_text())["problem"])
+    assert problems[0] == {"P": 4, "M": 30, "mu": 80.0, "a_max": 20.0, "b_max": 5.0,
+                           "sparsity": 0.5, "noise_scale": 0.5, "seed": 0}
+    assert problems[1] == {**problems[0], "a_max": 4.0}
+    # a run on a dataset file records the file's parameters and its path
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(seed=3), path)
+    assert cli_main(["compare", "--dataset", str(path), "--methods", "mcgm",
+                     "--max-iterations", "2", "--out", str(tmp_path / "c")]) == 0
+    problem = json.loads((tmp_path / "c" / "summary.json").read_text())["problem"]
+    assert problem == {"P": 4, "M": 30, "mu": 2.0, "a_max": 4.0, "b_max": 2.5,
+                       "sparsity": 0.5, "noise_scale": 0.5, "seed": 3, "dataset": str(path)}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("compare", {"rhoo": 0.5, "max_iteratons": 3}, "rhoo"),
+    ("compare", {"dataset": {"P": 4, "M": 30, "seedd": 1}}, "seedd"),
+    ("compare", {"rows": 6}, "rows"),
+    ("gen", {"P": 4, "M": 30, "max_iterations": 3}, "max_iterations"),
+    ("solve", {"P": 4}, "P"),
+    ("mf-demo", {"tau0": 2.0}, "tau0"),
+    ("check", {"config": "other.json"}, "config"),
+], ids=["compare-misspelled", "compare-dataset-object", "compare-mf-key", "gen-solver-key",
+        "solve-dataset-key", "mf-tau0", "check-config"])
+def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, config, key):
+    # such a key used to be ignored: the misspelled config ran at the defaults
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    where = {"gen": ["--out", str(out)], "solve": ["--dataset", str(path)],
+             "compare": ["--P", "4", "--M", "30", "--out", str(out)],
+             "mf-demo": ["--out", str(out)], "check": ["--trace", str(tmp_path / "t.csv")]}
+    if "dataset" in config:
+        where["compare"] = ["--out", str(out)]
+    assert cli_main([command, "--config", str(cfg)] + where[command]) == 1
+    assert f"configuration error: the config key {key!r} is none of " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("solve", {"out": 5}, "out must be a string, got 5"),
+    ("compare", {"dataset": "d.json", "out": ["r"]}, "out must be a string, got ['r']"),
+    ("solve", {"dataset": {"P": 4}}, "dataset must be a string, got {'P': 4}"),
+    ("mf-demo", {"model": "prox"}, "model must be one of cg, hybrid, got 'prox'"),
+    ("mf-demo", {"y_set": ["low_rank"]}, "y_set must be one of sparsity, low_rank"),
+], ids=["solve-out", "compare-out", "solve-dataset-object", "mf-model", "mf-y-set"])
+def test_cli_reads_a_config_value_as_its_flag_reads_it(tmp_path, capsys, monkeypatch,
+                                                         command, config, message):
+    # "out": 5 used to open file descriptor 5, and an mf-demo choice was
+    # checked only once the problem was built
+    monkeypatch.chdir(tmp_path)
+    save_dataset(small_dataset(), "d.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    where = {"solve": ["--dataset", "d.json", "--max-iterations", "2"],
+             "compare": ["--max-iterations", "2"], "mf-demo": ["--out", "mf"]}
+    assert cli_main([command, "--config", str(cfg)] + where[command]) == 1
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.json"]
+
+
+def test_cli_takes_required_settings_from_a_config_file(tmp_path, capsys):
+    # the README's "defaults for any of the flags" held for no required flag
+    path = tmp_path / "d.json"
+    save_dataset(small_dataset(), path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": str(path), "max_iterations": 2,
+                               "out": str(tmp_path / "t.csv")}))
+    assert cli_main(["solve", "--config", str(cfg)]) == 0
+    assert "iterations=2 " in capsys.readouterr().out
+    cfg.write_text(json.dumps({"trace": str(tmp_path / "t.csv")}))
+    assert cli_main(["check", "--config", str(cfg)]) == 0
+    cfg.write_text(json.dumps({"P": 4, "M": 30, "out": str(tmp_path / "g.json")}))
+    assert cli_main(["gen", "--config", str(cfg)]) == 0
+    assert load_dataset(tmp_path / "g.json").P == 4
+    capsys.readouterr()
+    # an explicit flag still wins, and a setting given nowhere is an error
+    assert cli_main(["gen", "--config", str(cfg), "--out", str(tmp_path / "h.json")]) == 0
+    assert (tmp_path / "h.json").exists()
+    for argv, flag in ((["solve"], "--dataset"), (["gen", "--P", "4"], "--out"),
+                       (["check"], "--trace"), (["compare", "--P", "4"], "--out"),
+                       (["mf-demo"], "--out")):
+        assert cli_main(argv) == 1
+        assert f"configuration error: {flag} is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gen", "compare"])
@@ -643,8 +763,8 @@ def test_duplicate_methods_are_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="a method is named twice"):
         compare(small_dataset(), str(tmp_path / "r"), methods=("mcgm", "proxlin_bt", "mcgm"))
     out = tmp_path / "out"
-    assert cli_main(["compare", "--P", "4", "--M", "30", "--max-iterations", "2",
-                     "--methods", "mcgm,mcgm", "--out", str(out)]) == 1
+    assert cli_main(["compare", "--P", "4", "--M", "30", "--sparsity", "0.5",
+                     "--max-iterations", "2", "--methods", "mcgm,mcgm", "--out", str(out)]) == 1
     assert "configuration error: a method is named twice" in capsys.readouterr().err
     assert not out.exists()
 
@@ -718,7 +838,7 @@ def test_cli_rejects_an_infinite_proximal_weight(tmp_path, capsys):
     # an infinite weight used to pass as a NaN inner gap and a false
     # "stationary" status (compare), or fail later inside the SVD (mf-demo)
     out = tmp_path / "out"
-    assert cli_main(["compare", "--P", "4", "--M", "30", "--tau0", "inf",
+    assert cli_main(["compare", "--P", "4", "--M", "30", "--sparsity", "0.5", "--tau0", "inf",
                      "--methods", "proxlin_ls,proxlin_bt", "--max-iterations", "5",
                      "--out", str(out)]) == 1
     assert "configuration error: tau0 must be finite" in capsys.readouterr().err
