@@ -35,6 +35,7 @@ from .baselines import ProxLinearConfig
 from .geometry import require_integer, require_number
 from .runner import (
     METHOD_NAMES,
+    check_methods,
     check_trace_file,
     methods_reading,
     run_comparison,
@@ -260,6 +261,7 @@ def _cmd_compare(args, settings):
         raise ConfigError(
             f"methods must be a comma-separated string or a list of strings, got {methods!r}"
         )
+    methods = check_methods(methods)
     _reject_unread_flags(args, methods, _SOLVER_FLAG_READERS)
     ls, cfg, plcfg = _solver_configs(settings)
     result = run_comparison(lambda: regression.solver_inputs(dataset), problem, settings["out"],

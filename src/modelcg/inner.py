@@ -27,6 +27,26 @@ products of one iteration took 52.8 us with K at byte offset 0 mod 64 and
 thread, 2-vCPU Xeon VM), so where the heap put K decided the cost of a
 solve. The iterates do not depend on the placement.
 
+A K of at least 1 MiB, half a 2 MiB huge page, gets an anonymous mapping of
+its own instead: it starts on a 2 MiB boundary, and the mapping asks the
+kernel for transparent huge pages (``MADV_HUGEPAGE``). The full-scale
+1000 x 200 Jacobian is 1.6 MB against a 2 MB L2 cache per core. On 4 KiB
+pages, where those pages fell in physical memory decided how evenly the
+matrix covered the cache sets, and so how much of it stayed in L2: twelve
+64-byte-aligned heap copies of one Jacobian took 50.0-63.2 us per product
+pair (median 55.9 us), each copy keeping its own time. A huge page is one
+physically contiguous block, which covers every set alike: twelve copies on
+huge pages took 42.3-47.2 us (median 45.2 us; 15 interleaved rounds of 100
+pairs, one BLAS thread, 2-vCPU Xeon VM), and a full-scale solve's time per
+iteration fell from 88.9 to 72.7 us (perfbench ``regression-full`` seed 0,
+medians of 10 alternating runs). The cost is memory: the mapping is
+rounded up to whole 2 MiB pages, 0.4 MB more than a live 1000 x 200 matrix
+needs. The gain needs the kernel's transparent huge pages in ``madvise`` or
+``always`` mode; under ``never``, or when ``madvise`` fails, the mapping
+stays on 4 KiB pages with the old spread, and a platform without
+``MADV_HUGEPAGE`` keeps every K in a 64-byte-aligned heap buffer. The
+200 x 40 desk matrix (64 KB) stays on the heap.
+
 The loop forms its products with np.dot, not the np.matmul gufunc behind
 ``@``: both call the same BLAS gemv and give the same bits, and np.dot skips
 the gufunc's per-call dispatch. At 200 x 40, the desk subproblem, one
@@ -40,6 +60,7 @@ about 3 % of an iteration.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -61,28 +82,57 @@ __all__ = [
 
 # the byte boundary of every subproblem matrix (one cache line)
 ALIGNMENT = 64
+# a transparent huge page: an array of at least half of one gets a mapping
+# of its own that starts on this boundary (see the module docstring)
+HUGE_PAGE = 2 << 20
 
 
 def aligned(shape, data=None):
-    """A C-contiguous float64 array of ``shape`` whose data starts on an
-    ``ALIGNMENT``-byte boundary: uninitialized, or holding ``data``.
+    """A C-contiguous float64 array of ``shape``, uninitialized or holding
+    ``data``, whose data starts on an ``ALIGNMENT``-byte boundary of a heap
+    buffer; or, when it takes at least half a huge page (1 MiB) and the
+    platform has ``MADV_HUGEPAGE``, on a ``HUGE_PAGE`` boundary of an
+    anonymous mapping advised to use huge pages, rounded up to whole ones.
+    Why: the ``inner`` module docstring.
 
     ``data`` itself is returned when it already is such an array, so a
-    matrix built by ``aligned`` passes through again without a copy. The
-    result is a view into a slightly larger buffer, which it keeps alive.
+    matrix built by ``aligned`` passes through again without a copy; a large
+    array passes only from a huge-page boundary, so a heap copy is copied
+    once. The result is a view into a larger buffer or mapping, which it
+    keeps alive.
     """
+    size = math.prod(shape)
+    huge = 8 * size >= HUGE_PAGE // 2 and hasattr(mmap, "MADV_HUGEPAGE")
+    boundary = HUGE_PAGE if huge else ALIGNMENT
     if data is not None:
         data = np.asarray(data, dtype=float)
-        if data.flags.c_contiguous and data.ctypes.data % ALIGNMENT == 0:
+        if data.flags.c_contiguous and data.ctypes.data % boundary == 0:
             return data
-    size = math.prod(shape)
-    pad = ALIGNMENT // 8
-    buf = np.empty(size + pad)
-    skip = (-buf.ctypes.data % ALIGNMENT) // 8
-    out = buf[skip : skip + size].reshape(shape)
+    if huge:
+        out = _on_huge_pages(size).reshape(shape)
+    else:
+        buf = np.empty(size + ALIGNMENT // 8)
+        skip = (-buf.ctypes.data % ALIGNMENT) // 8
+        out = buf[skip : skip + size].reshape(shape)
     if data is not None:
         out[...] = data
     return out
+
+
+def _on_huge_pages(size):
+    """``size`` float64s at the start of a ``HUGE_PAGE``-aligned span of an
+    anonymous private mapping, advised to be backed by huge pages. A kernel
+    that refuses the advice leaves the span on base pages."""
+    span = -(-8 * size // HUGE_PAGE) * HUGE_PAGE
+    # private: mmap's default for fileno -1 is a shared mapping, which is
+    # shmem and gets huge pages only by the kernel's separate shmem setting
+    buf = mmap.mmap(-1, span + HUGE_PAGE, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    start = -np.frombuffer(buf, np.uint8).ctypes.data % HUGE_PAGE
+    try:
+        buf.madvise(mmap.MADV_HUGEPAGE, start, span)
+    except OSError:
+        pass
+    return np.frombuffer(buf, float, size, start)
 
 
 @dataclass(frozen=True)

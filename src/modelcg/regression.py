@@ -87,8 +87,11 @@ def eval_jacobian(a, b, x_points):
     """M x 2P Jacobian of ``eval_F``: columns [d/da_j, d/db_j].
 
     d/da_j = exp(-b_j x_i) and d/db_j = -a_j x_i exp(-b_j x_i). The result
-    is C-contiguous and starts on a 64-byte boundary (``inner.aligned``), so
-    the inner subproblem takes it as its matrix without a copy.
+    is C-contiguous and placed by ``inner.aligned``, so the inner subproblem
+    takes it as its matrix without a copy: on a 64-byte boundary in a heap
+    buffer, or, from 1 MiB up (the 1000 x 200 full-scale Jacobian), at the
+    start of a transparent huge page of its own, whose 2 MiB cover every L2
+    set alike (``inner`` module docstring).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

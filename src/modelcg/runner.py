@@ -44,6 +44,7 @@ __all__ = [
     "ComparisonResult",
     "run_method",
     "methods_reading",
+    "check_methods",
     "run_comparison",
     "write_trace_csv",
     "read_trace_csv",
@@ -160,6 +161,20 @@ def check_trace_file(path):
                                final_f=final_f)
 
 
+def check_methods(methods):
+    """``methods`` as a tuple: a ValueError unless it names at least one
+    method, each of ``METHOD_NAMES`` and none twice."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("no methods to compare")
+    for m in methods:
+        if m not in METHOD_NAMES:
+            raise ValueError(f"unknown method {m!r}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"a method is named twice in {', '.join(methods)}")
+    return methods
+
+
 def run_comparison(
     make_inputs,
     problem,
@@ -174,14 +189,7 @@ def run_comparison(
     object describing the problem) and per method the failures
     :func:`verify_trace_arrays` finds in its trace (``checks``, empty when it
     checks out)."""
-    methods = tuple(methods)
-    if not methods:
-        raise ValueError("no methods to compare")
-    for m in methods:
-        if m not in METHOD_NAMES:
-            raise ValueError(f"unknown method {m!r}")
-    if len(set(methods)) < len(methods):
-        raise ValueError(f"a method is named twice in {', '.join(methods)}")
+    methods = check_methods(methods)
     traces = {m: run_method(m, make_inputs(), ls=ls, cfg=cfg, plcfg=plcfg) for m in methods}
     os.makedirs(out_dir, exist_ok=True)
 

@@ -1,4 +1,6 @@
 import copy
+import gc
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 from modelcg.inner import (
     ALIGNMENT,
     GAP_RATIO,
+    HUGE_PAGE,
     PdState,
     PiecewiseLinearSubproblem,
+    aligned,
     pdhg_solve,
     precond_steps,
     primal_dual_gap,
@@ -425,8 +429,15 @@ def test_subproblem_validation():
 # ---------------------------------------------------------------------------
 
 
-def _is_aligned(K):
-    return K.flags.c_contiguous and K.ctypes.data % ALIGNMENT == 0
+def _is_aligned(K, boundary=ALIGNMENT):
+    return K.flags.c_contiguous and K.ctypes.data % boundary == 0
+
+
+def _mapping(a):
+    """The mmap that holds ``a``'s data, or None for a heap array."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else None
 
 
 def _at_offset(K, offset):
@@ -440,15 +451,103 @@ def _at_offset(K, offset):
     return out
 
 
+has_madv_hugepage = hasattr(mmap, "MADV_HUGEPAGE")
+needs_madv_hugepage = pytest.mark.skipif(not has_madv_hugepage,
+                                         reason="the platform has no MADV_HUGEPAGE")
+# the boundary of an array of at least half a huge page on this platform
+LARGE_BOUNDARY = HUGE_PAGE if has_madv_hugepage else ALIGNMENT
+# 1 MiB of float64s, the smallest array that gets a huge page
+HALF_HUGE_PAGE = (128, 1024)
+
+
 @pytest.mark.parametrize("P, M", [(100, 1000), (20, 200)])
 def test_regression_subproblem_matrix_is_aligned_without_a_copy(P, M):
     ds = generate_regression_data(P=P, M=M, mu=80.0, seed=0)
     u = make_constraint_set(ds).midpoint()
     sub = make_subproblem(ds, u)
-    assert _is_aligned(sub.K)
+    # the 1.6 MB full-scale Jacobian starts a huge page, the 64 KB desk one
+    # a cache line of a heap buffer
+    boundary = LARGE_BOUNDARY if M == 1000 else ALIGNMENT
+    assert _is_aligned(sub.K, boundary)
+    assert (_mapping(sub.K) is not None) == (boundary == HUGE_PAGE)
     # the proximal variant shares the matrix instead of copying it
     assert sub.with_prox(0.5, u).K is sub.K
-    assert _is_aligned(make_subproblem(ds, u, tau=0.5).K)
+    assert _is_aligned(make_subproblem(ds, u, tau=0.5).K, boundary)
+
+
+@needs_madv_hugepage
+@pytest.mark.parametrize("shape", [HALF_HUGE_PAGE, (1000, 200), (3000, 200)],
+                         ids=["half-page", "full-jacobian", "three-pages"])
+def test_a_large_array_starts_a_huge_page_and_holds_its_data(rng, shape):
+    data = rng.standard_normal(shape)
+    out = aligned(shape, data)
+    assert out.dtype == np.float64 and out.shape == shape
+    assert out.flags.writeable and _is_aligned(out, HUGE_PAGE)
+    assert isinstance(_mapping(out), mmap.mmap)
+    assert out.tobytes() == data.tobytes()
+    out[-1, -1] = 7.0
+    assert out[-1, -1] == 7.0
+    # one element less than half a huge page stays on the heap
+    small = aligned((HALF_HUGE_PAGE[0] * HALF_HUGE_PAGE[1] - 1,))
+    assert _is_aligned(small) and _mapping(small) is None
+
+
+def test_a_huge_page_array_outlives_everything_but_itself(rng):
+    data = rng.standard_normal((1000, 200))
+    expected = data.tobytes()
+    out = aligned(data.shape, data)
+    del data
+    gc.collect()
+    # new arrays of the same size would take a freed mapping's place
+    others = [aligned(out.shape, np.full(out.shape, 3.0)) for _ in range(3)]
+    assert out.tobytes() == expected
+    assert all((a == 3.0).all() for a in others)
+
+
+@needs_madv_hugepage
+def test_a_cache_line_aligned_large_matrix_is_copied_once(rng):
+    K = rng.standard_normal((1000, 200))
+    given = _at_offset(K, 0)
+    assert not _is_aligned(given, HUGE_PAGE)
+    first = aligned(K.shape, given)
+    assert first is not given and _is_aligned(first, HUGE_PAGE)
+    assert first.tobytes() == K.tobytes()
+    assert aligned(K.shape, first) is first
+    kw = dict(target=np.zeros(1000), mu=0.5, mask=np.ones(200, bool), lo=np.zeros(200),
+              hi=np.ones(200))
+    sub = box_problem(given, **kw)
+    assert sub.K is not given and _is_aligned(sub.K, HUGE_PAGE)
+    assert box_problem(sub.K, **kw).K is sub.K
+
+
+def test_without_madv_hugepage_a_large_array_stays_on_the_heap(rng, monkeypatch):
+    monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+    data = rng.standard_normal((1000, 200))
+    out = aligned(data.shape, data)
+    assert out.flags.writeable and _is_aligned(out) and _mapping(out) is None
+    assert out.tobytes() == data.tobytes()
+    assert aligned(out.shape, out) is out
+
+
+@needs_madv_hugepage
+def test_a_refused_huge_page_advice_leaves_a_valid_array(rng, monkeypatch):
+    advice = []
+
+    class Refusing(mmap.mmap):
+        def madvise(self, option, start, length):
+            advice.append((option, start, length))
+            raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(mmap, "mmap", Refusing)
+    data = rng.standard_normal((1000, 200))
+    out = aligned(data.shape, data)
+    # the advice covers the whole huge page under the array, from its start
+    mapping = _mapping(out)
+    assert isinstance(mapping, Refusing)
+    start = out.ctypes.data - np.frombuffer(mapping, np.uint8).ctypes.data
+    assert advice == [(mmap.MADV_HUGEPAGE, start, HUGE_PAGE)]
+    assert out.flags.writeable and _is_aligned(out, HUGE_PAGE)
+    assert out.tobytes() == data.tobytes()
 
 
 def test_subproblem_copies_an_unaligned_matrix_to_an_aligned_one(rng):
@@ -469,14 +568,19 @@ def test_subproblem_copies_an_unaligned_matrix_to_an_aligned_one(rng):
 @pytest.mark.parametrize("P, M, tau", [(100, 1000, None), (20, 200, None), (20, 200, 0.5)])
 def test_pdhg_iterates_do_not_depend_on_where_the_matrix_starts(P, M, tau):
     # the solver reads K wherever it sits: the same matrix at each 16-byte
-    # offset from a cache line gives the same bits
+    # offset from a cache line, or on a huge page, gives the same bits
     ds = generate_regression_data(P=P, M=M, mu=80.0, seed=0)
     sub = make_subproblem(ds, make_constraint_set(ds).midpoint(), tau=tau)
+    placements = [_at_offset(sub.K, offset) for offset in (0, 16, 32, 48)]
+    if M == 1000:
+        # and on a huge page of its own
+        placements.append(aligned(sub.K.shape, placements[0]))
+        assert _is_aligned(placements[-1], LARGE_BOUNDARY)
     runs = []
-    for offset in (0, 16, 32, 48):
+    for K in placements:
         # set past __post_init__, which would align the matrix again
         placed = copy.copy(sub)
-        object.__setattr__(placed, "K", _at_offset(sub.K, offset))
+        object.__setattr__(placed, "K", K)
         res = pdhg_solve(placed, gap_tol=1e-6, max_iters=500)
         runs.append((res.u.tobytes(), res.state.p.tobytes(), res.gap, res.iterations))
     assert all(run == runs[0] for run in runs[1:])

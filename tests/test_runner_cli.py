@@ -323,6 +323,18 @@ def test_cli_rejects_a_flag_no_selected_method_reads(tmp_path, capsys, argv, mes
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--rho", "0.9"], ["--tau0", "5"]],
+                         ids=["no-flag", "rho", "tau0"])
+def test_cli_compare_names_an_unknown_method_before_any_unread_flag(tmp_path, capsys, flags):
+    # the method names are checked first: a flag read by no selected method
+    # cannot be judged before the run knows which methods it selects
+    out = tmp_path / "r"
+    assert cli_main(["compare", "--P", "4", "--M", "30", "--methods", "nope",
+                     "--out", str(out)] + flags) == 1
+    assert "configuration error: unknown method 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_keeps_config_file_flags_as_defaults(tmp_path):
     # a config file is shared by several runs: a key one method does not
     # read is a default, not an error
