@@ -21,11 +21,11 @@ and a weight below ``TAU_FLOOR`` raises :class:`TauUnderflowError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-import math
-
+from .geometry import require_number
 from .models import ProximalModelOracle
 from .solver import (
     LineSearchParams,
@@ -57,20 +57,18 @@ class TauUnderflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProxLinearConfig:
-    """The starting proximal weight of both baselines.
-
-    ``tau0`` below ``TAU_FLOOR`` is rejected outright: a vanishing weight
-    pins the subproblem solution to the anchor and stalls the method. An
-    infinite one is rejected too: the inner solver's step blends turn NaN.
+    """The starting proximal weight of both baselines: a number (``geometry``
+    rule), finite and at least ``TAU_FLOOR``. A vanishing weight pins the
+    subproblem solution to the anchor and stalls the method; with an
+    infinite one the inner solver's step blends turn NaN.
     """
 
     tau0: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.tau0):
-            raise ValueError("tau0 must be finite")
-        if not self.tau0 >= TAU_FLOOR:
-            raise ValueError("tau0 is below the proximal-weight floor")
+        if not TAU_FLOOR <= require_number(self.tau0, "tau0") < math.inf:
+            raise ValueError(f"tau0 must be finite and at least TAU_FLOOR = {TAU_FLOOR}, "
+                             f"got {self.tau0!r}")
 
 
 def prox_linear_ls_solve(

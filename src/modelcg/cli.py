@@ -155,6 +155,9 @@ def _config_value(flags, key, value):
         raise ConfigError(f"the config key {key!r} is none of {', '.join(flags)}")
     action = flags[key]
     if action.type is int:
+        # JSON has one number type: an integral float such as 6.0 reads as 6
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
         return require_integer(value, key)
     if action.type is float:
         return require_number(value, key)

@@ -61,13 +61,12 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .geometry import require_finite
+from .geometry import require_finite, require_integer, require_number
 
 __all__ = [
     "aligned",
@@ -139,10 +138,12 @@ def _on_huge_pages(size):
 class PiecewiseLinearSubproblem:
     """Data of one inner subproblem (see module docstring for the objective).
 
-    ``l1_mask`` flags the coordinates carrying the l1 penalty. The optional
-    proximal term (``prox_tau``, ``prox_center``) makes the objective strongly
-    convex; both must be given together. ``K`` is held as an aligned array
-    (see the module docstring): one that is not gets an aligned copy.
+    ``l1_mask`` flags the coordinates carrying the l1 penalty, whose
+    ``l1_weight`` is a finite number >= 0. The optional proximal term
+    (``prox_tau``, a finite number > 0, and ``prox_center``) makes the
+    objective strongly convex; both must be given together. ``K`` is held
+    as an aligned array (see the module docstring): one that is not gets an
+    aligned copy.
     """
 
     K: np.ndarray
@@ -172,13 +173,11 @@ class PiecewiseLinearSubproblem:
             raise ValueError("mask and box bounds must match the columns of K")
         if np.any(self.lo > self.hi):
             raise ValueError("box is empty: lo > hi somewhere")
-        if self.l1_weight < 0:
-            raise ValueError("l1_weight must be non-negative")
+        require_number(self.l1_weight, "l1_weight", "non-negative")
         if (self.prox_tau is None) != (self.prox_center is None):
             raise ValueError("prox_tau and prox_center must be given together")
         if self.prox_tau is not None:
-            if not (math.isfinite(self.prox_tau) and self.prox_tau > 0):
-                raise ValueError("prox_tau must be positive and finite")
+            require_number(self.prox_tau, "prox_tau", "positive")
             center = require_finite(self.prox_center, "prox_center")
             if center.shape != (n,):
                 raise ValueError("prox_center must match the columns of K")
@@ -325,23 +324,18 @@ def pdhg_solve(
     stops once gap <= max(GAP_RATIO * delta, gap_tol - max(delta, 0)). At
     the iteration cap the achieved gap is reported and ``converged`` is
     False; ``primal`` is the value the last check read. ``gap_tol`` must be
-    a number >= 0, ``max_iters`` an integer >= 0 and ``anchor_value`` None
-    or a finite number, none of them a bool, else ``ValueError``.
+    a finite number >= 0, ``max_iters`` an integer >= 0 and ``anchor_value``
+    None or a finite number (the rules of ``geometry``), else ``ValueError``.
 
     ``warm`` is None (start at the box projection of the origin and a zero
     dual) or a :class:`PdState` whose ``u`` has one entry per column of K
     and ``p`` one per row, all finite: it seeds the primal and dual points
     and is only read. Any other ``warm`` raises ``ValueError``.
     """
-    if isinstance(gap_tol, bool) or not (isinstance(gap_tol, numbers.Real) and gap_tol >= 0):
-        raise ValueError(f"gap_tol must be a number >= 0, got {gap_tol!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
-        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-    if anchor_value is not None and (
-        isinstance(anchor_value, bool)
-        or not (isinstance(anchor_value, numbers.Real) and math.isfinite(anchor_value))
-    ):
-        raise ValueError(f"anchor_value must be None or a finite number, got {anchor_value!r}")
+    require_number(gap_tol, "gap_tol", "non-negative")
+    require_integer(max_iters, "max_iters", 0)
+    if anchor_value is not None:
+        require_number(anchor_value, "anchor_value", "finite")
     K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
     m, n = K.shape
     sigma, theta = precond_steps(K)

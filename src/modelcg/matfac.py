@@ -91,14 +91,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import L1Ball, L2Ball, NuclearBall, ProductSet, Simplex, require_finite
+from .geometry import L1Ball, L2Ball, NuclearBall, ProductSet, Simplex
+from .geometry import require_finite, require_integer, require_number
 from .models import AdditiveCompositeOracle, ProximalModelOracle
 
 __all__ = [
@@ -136,7 +136,9 @@ def columnwise_simplex_set(rows, cols):
 @dataclass
 class MfProblem:
     """One factorization instance. ``x_kind`` in {"unit_atoms", "simplex"},
-    ``y_kind`` in {"sparsity", "low_rank"}, ``model`` in {"cg", "hybrid"}.
+    ``y_kind`` in {"sparsity", "low_rank"}, ``model`` in {"cg", "hybrid"};
+    ``inner_dim`` an integer >= 1, and ``radius`` and ``tau`` finite
+    numbers > 0 (the rules of ``geometry``).
 
     ``A`` must not be written in place or replaced after construction:
     evaluations remember their last products by the problem and the point
@@ -155,18 +157,15 @@ class MfProblem:
         self.A = require_finite(self.A, "A")
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")
-        if isinstance(self.inner_dim, bool) or not isinstance(self.inner_dim, numbers.Integral):
-            raise ValueError(f"inner_dim must be an integer, got {self.inner_dim!r}")
-        if self.inner_dim < 1:
-            raise ValueError("inner_dim must be positive")
+        self.inner_dim = require_integer(self.inner_dim, "inner_dim", 1)
+        self.radius = require_number(self.radius, "radius", "positive")
+        self.tau = require_number(self.tau, "tau", "positive")
         if self.x_kind not in ("unit_atoms", "simplex"):
             raise ValueError(f"unknown x_kind {self.x_kind!r}")
         if self.y_kind not in ("sparsity", "low_rank"):
             raise ValueError(f"unknown y_kind {self.y_kind!r}")
         if self.model not in ("cg", "hybrid"):
             raise ValueError(f"unknown model {self.model!r}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be positive and finite")
 
     @cached_property
     def _a_sq(self):

@@ -28,12 +28,11 @@ model again, so a custom family must report it too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, ProductSet, require_finite
+from .geometry import Box, ProductSet, require_finite, require_number
 from .inner import PiecewiseLinearSubproblem, pdhg_solve
 
 __all__ = [
@@ -81,12 +80,10 @@ class ZeroPenalty:
 
 class WeightedL1:
     """weight * sum of |x_j| over a coordinate subset (all coordinates if
-    ``mask`` is None)."""
+    ``mask`` is None); ``weight`` is a finite number >= 0."""
 
     def __init__(self, weight, mask=None):
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
-        self.weight = float(weight)
+        self.weight = require_number(weight, "weight", "non-negative")
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
 
     def weights_vector(self, n):
@@ -334,13 +331,11 @@ class _ProxRegularizedModel(ModelInstance):
 class ProximalModelOracle:
     """Wraps a model oracle so every instance carries the quadratic term
     ||x - anchor||^2 / (2 tau), on the coordinates set in ``mask`` (all if
-    None)."""
+    None); ``tau`` is a finite number > 0."""
 
     def __init__(self, base_oracle, tau, mask=None):
-        if not (math.isfinite(tau) and tau > 0):
-            raise ValueError("tau must be positive and finite")
         self.base_oracle = base_oracle
-        self.tau = float(tau)
+        self.tau = require_number(tau, "tau", "positive")
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
 
     def instantiate(self, anchor):

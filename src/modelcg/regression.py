@@ -111,16 +111,18 @@ def eval_jacobian(a, b, x_points):
 
 
 def _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale, seed):
-    if P < 1 or M < 1:
-        raise ValueError("P and M must be positive")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if not 0.0 <= sparsity < 1.0:
+    """The generation parameters by name, as ints and floats held to their
+    ``geometry`` rules; ``ValueError`` names the first that fails."""
+    params = {"P": require_integer(P, "P", 1), "M": require_integer(M, "M", 1),
+              "mu": require_number(mu, "mu", "non-negative"),
+              "a_max": require_number(a_max, "a_max", "positive"),
+              "b_max": require_number(b_max, "b_max", "positive"),
+              "sparsity": require_number(sparsity, "sparsity"),
+              "noise_scale": require_number(noise_scale, "noise_scale", "non-negative"),
+              "seed": require_integer(seed, "seed", 0)}
+    if not 0.0 <= params["sparsity"] < 1.0:
         raise ValueError("sparsity must lie in [0, 1)")
-    if not all(math.isfinite(v) for v in (mu, a_max, b_max, noise_scale)):
-        raise ValueError("mu/a_max/b_max/noise_scale must be finite")
-    if mu < 0 or a_max <= 0 or b_max <= 0 or noise_scale < 0:
-        raise ValueError("mu/a_max/b_max/noise_scale out of range")
+    return params
 
 
 def generate_regression_data(
@@ -130,9 +132,13 @@ def generate_regression_data(
     """Draw a dataset: covariates equally spaced on [0, 1], amplitudes and
     decay rates uniform on their boxes, ceil(sparsity * P) amplitudes zeroed,
     Laplacian noise by inverse-CDF sampling. Regeneration from the same
-    parameters and seed is bit-identical.
+    parameters and seed is bit-identical. ``P`` and ``M`` are integers >= 1
+    and ``seed`` one >= 0; ``a_max`` and ``b_max`` are finite numbers > 0,
+    ``mu`` and ``noise_scale`` ones >= 0, and ``sparsity`` lies in [0, 1).
     """
-    _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale, seed)
+    params = _check_parameters(P, M, mu, a_max, b_max, sparsity, noise_scale, seed)
+    # the checked values, in the order of the signature
+    P, M, _, a_max, b_max, sparsity, noise_scale, seed = params.values()
     x = np.linspace(0.0, 1.0, M)
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, a_max, P)
@@ -146,11 +152,7 @@ def generate_regression_data(
         # clip keeps the measure-zero endpoint u = 0 out of log1p(-1)
         d = np.minimum(np.abs(u - 0.5), 0.5 * (1.0 - 1e-15))
         y = y - noise_scale * np.sign(u - 0.5) * np.log1p(-2.0 * d)
-    return RegressionDataset(
-        covariates=x, observations=y, a_true=a, b_true=b, P=P, M=M, mu=float(mu),
-        a_max=float(a_max), b_max=float(b_max), sparsity=float(sparsity),
-        noise_scale=float(noise_scale), seed=int(seed),
-    )
+    return RegressionDataset(covariates=x, observations=y, a_true=a, b_true=b, **params)
 
 
 def make_constraint_set(dataset):
@@ -235,17 +237,19 @@ def save_dataset(dataset, path):
 
 def load_dataset(path):
     """Read a dataset file, rejecting with ``ValueError`` any file whose
-    sizes disagree, whose integer or number fields hold other JSON values
-    (``geometry.require_integer``, ``require_number``), or whose values
-    ``generate_regression_data`` would not accept."""
+    sizes disagree or whose parameters ``generate_regression_data`` would
+    not accept. JSON has one number type, so an integral float such as 6.0
+    reads as an integer where one is due."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != DATASET_SCHEMA:
         raise ValueError(f"unrecognized dataset schema: {schema!r}")
-    params = {k: (require_integer if kind is int else require_number)(payload[k], k)
-              for k, kind in GENERATION_PARAMETERS.items()}
-    _check_parameters(**params)
+    values = {}
+    for k, kind in GENERATION_PARAMETERS.items():
+        v = payload[k]
+        values[k] = int(v) if kind is int and isinstance(v, float) and v.is_integer() else v
+    params = _check_parameters(**values)
     ds = RegressionDataset(
         covariates=require_finite(payload["covariates"], "covariates"),
         observations=require_finite(payload["observations"], "observations"),

@@ -28,14 +28,13 @@ minimization at the iterate into the next iterate.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .geometry import require_finite
+from .geometry import require_finite, require_integer, require_number
 
 __all__ = [
     "LineSearchParams",
@@ -80,13 +79,13 @@ MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class LineSearchParams:
-    """Sufficient-decrease parameter: accept gamma = SHRINK**j for the
-    smallest j >= 0 with f(x + gamma d) <= f(x) - rho gamma delta."""
+    """Sufficient-decrease parameter rho, a number in (0, 1): accept gamma =
+    SHRINK**j for the smallest j >= 0 with f(x + gamma d) <= f(x) - rho gamma delta."""
 
     rho: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
+        if not 0.0 < require_number(self.rho, "rho") < 1.0:
             raise ValueError("rho must lie in (0, 1)")
 
 
@@ -151,20 +150,22 @@ DELTA_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The loop's limits, each held to its ``geometry`` rule: ``max_iterations``
+    an integer >= 1, ``delta_tol`` positive and finite (an infinite one would
+    certify any start ``stationary``), ``time_budget_s`` a number >= 0, inf
+    included (NaN would never stop the loop)."""
+
     max_iterations: int = 200
     delta_tol: Optional[float] = None  # None: DELTA_RTOL * (1 + |f(x0)|)
     time_budget_s: Optional[float] = None  # 0 stops after one step, inf never
 
     def __post_init__(self):
-        # range() needs an integer; a bool would pass for one iteration
-        n = self.max_iterations
-        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
-        if self.delta_tol is not None and not self.delta_tol > 0:
-            raise ValueError("delta_tol must be positive")
-        # NaN would never stop the loop: every comparison with it is false
-        if self.time_budget_s is not None and not self.time_budget_s >= 0:
-            raise ValueError("time_budget_s must be non-negative")
+        require_integer(self.max_iterations, "max_iterations", 1)
+        if self.delta_tol is not None:
+            require_number(self.delta_tol, "delta_tol", "positive")
+        if self.time_budget_s is not None:
+            if not require_number(self.time_budget_s, "time_budget_s") >= 0:
+                raise ValueError("time_budget_s must be non-negative")
 
     def resolve_tol(self, f0):
         if self.delta_tol is not None:

@@ -374,7 +374,7 @@ def test_unit_atoms_set_matches_per_column_balls_bit_for_bit(rng):
 
 
 def test_stacked_l2_ball_rejects_an_empty_stack():
-    with pytest.raises(ValueError, match="count must be positive"):
+    with pytest.raises(ValueError, match="count must be an integer >= 1"):
         L2Ball(3, 1.0, count=0)
 
 

@@ -62,3 +62,26 @@ def test_problem_modules_build_inputs_and_the_runner_runs_them():
     for problem in ("matfac", "regression"):
         assert _relative_imports(problem) <= {"geometry", "inner", "models"}, problem
     assert not _relative_imports("runner") & {"matfac", "regression"}
+
+
+def test_only_geometry_states_the_argument_rules():
+    # the integer and number rules live in geometry; every other module
+    # calls them instead of testing types itself
+    import ast
+
+    pkg = os.path.dirname(modelcg.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "geometry.py":
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "numbers" not in {a.name for a in node.names}, name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "numbers", name
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                assert not any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds), (
+                    f"{name}:{node.lineno}")

@@ -553,9 +553,9 @@ def test_cli_malformed_dataset_or_config_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("field, value, message", [
     ("observations", [1.0], "observations has shape (1,), expected (30,)"),
     ("a_true", [0.0] * 3, "a_true has shape (3,), expected (4,)"),
-    ("P", 0, "P and M must be positive"),
+    ("P", 0, "P must be an integer >= 1"),
     ("mu", float("nan"), "must be finite"),
-    ("b_max", -1.0, "out of range"),
+    ("b_max", -1.0, "b_max must be positive and finite"),
     ("sparsity", 1.0, "sparsity must lie in [0, 1)"),
 ], ids=["observations", "a_true", "P", "mu", "b_max", "sparsity"])
 def test_cli_rejects_inconsistent_dataset_file(tmp_path, capsys, field, value, message):
@@ -857,6 +857,17 @@ def test_cli_rejects_an_infinite_proximal_weight(tmp_path, capsys):
     assert cli_main(["mf-demo", "--rows", "10", "--cols", "8", "--model", "hybrid",
                      "--tau", "inf", "--out", str(tmp_path / "mf")]) == 1
     assert "configuration error: tau must be positive and finite" in capsys.readouterr().err
+
+
+def test_cli_compare_rejects_an_infinite_stationarity_tolerance(tmp_path, capsys):
+    # every method used to stop stationary at k = 0, recording f itself as
+    # its bound, and `check` passed those traces
+    out = tmp_path / "r"
+    assert cli_main(["compare", "--P", "6", "--M", "40", "--seed", "1", "--delta-tol", "inf",
+                     "--max-iterations", "5", "--out", str(out)]) == 1
+    assert ("configuration error: delta_tol must be positive and finite, got inf"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("y_kind", ["low_rank", "sparsity"])

@@ -243,6 +243,15 @@ def test_solver_config_rejects_a_max_iterations_that_is_no_integer_above_zero(n)
     assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
+def test_solver_config_rejects_an_infinite_delta_tol():
+    # an infinite tolerance certified any start stationary at k = 0, with a
+    # recorded bound equal to f itself
+    for tol in (math.inf, math.nan, 0.0, -1.0, True, "1e-6"):
+        with pytest.raises(ValueError, match="delta_tol must be positive and finite"):
+            SolverConfig(delta_tol=tol)
+    assert SolverConfig(delta_tol=np.float64(1e300)).resolve_tol(5.0) == 1e300
+
+
 def test_zero_and_infinite_time_budgets_stay_valid():
     fun, grad, Q, b, box = quadratic_box_setup(seed=2)
     oracle = LinearModelOracle(fun, grad)
