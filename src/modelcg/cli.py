@@ -1,7 +1,7 @@
 """Command line interface.
 
-Subcommands: ``gen`` (write a dataset file), ``solve`` (one method on a
-dataset), ``compare`` (all methods, CSV traces + summary), ``mf-demo``
+Subcommands: ``gen`` (write a dataset file), ``compare`` (the one command
+that runs methods: all, or ``--methods``; CSV traces + summary), ``mf-demo``
 (matrix factorization: a comparison of ``mcgm`` alone on the problem's
 model, plus ``factors.json``), ``check`` (re-verify a trace CSV at the
 ``rho`` it records).
@@ -17,7 +17,8 @@ given with a dataset file. The same keys in a config file are defaults.
 Exit codes: 0 success, 1 configuration/usage error, 2 solver or check
 failure. Non-finite values in a dataset file are a configuration error;
 non-finite model data computed during a solve (``NonFiniteModelError``) are
-a solver failure.
+a solver failure. So is an ``OSError`` inside a solve, while one on a path
+the user named is a configuration error, found before the first solve.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -39,8 +41,6 @@ from .runner import (
     check_trace_file,
     methods_reading,
     run_comparison,
-    run_method,
-    write_trace_csv,
 )
 from .solver import LineSearchParams, SolverConfig
 
@@ -102,14 +102,8 @@ def _build_parser():
     solver_flags.add_argument("--rho", type=float)
     solver_flags.add_argument("--tau0", type=float)
 
-    s = sub.add_parser("solve", parents=[common, solver_flags], help="run one method")
-    s.set_defaults(run=_cmd_solve)
-    s.add_argument("--dataset", required=True)
-    s.add_argument("--method", choices=METHOD_NAMES, default="mcgm")
-    s.add_argument("--out", help="trace CSV path")
-
     c = sub.add_parser(
-        "compare", parents=[common, solver_flags, dataset_flags], help="run all methods"
+        "compare", parents=[common, solver_flags, dataset_flags], help="run methods"
     )
     c.set_defaults(run=_cmd_compare)
     c.add_argument("--dataset", help="dataset file (default: generate one from the dataset flags)")
@@ -224,35 +218,32 @@ def _solver_configs(settings):
             for cls in (LineSearchParams, SolverConfig, ProxLinearConfig)]
 
 
+@contextmanager
+def _user_path(path):
+    """An ``OSError`` on ``path``, a path the user named, as a ConfigError
+    that names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot use {path!r}: {exc.strerror or exc}") from exc
+
+
 def _cmd_gen(args, settings):
     params = _dataset_source(args, settings)
     if isinstance(params, str):
         raise ConfigError(f"gen needs dataset parameters, and the dataset is a file: {params!r}")
     dataset = regression.generate_regression_data(**params)
-    regression.save_dataset(dataset, settings["out"])
+    with _user_path(settings["out"]):
+        regression.save_dataset(dataset, settings["out"])
     print(f"wrote {settings['out']} (P={dataset.P}, M={dataset.M}, seed={dataset.seed})")
-    return 0
-
-
-def _cmd_solve(args, settings):
-    dataset = regression.load_dataset(settings["dataset"])
-    ls, cfg, plcfg = _solver_configs(settings)
-    _reject_unread_flags(args, (settings["method"],), _SOLVER_FLAG_READERS)
-    trace = run_method(settings["method"], regression.solver_inputs(dataset),
-                       ls=ls, cfg=cfg, plcfg=plcfg)
-    if "out" in settings:
-        write_trace_csv(trace, settings["out"], trace.best_f())
-    print(
-        f"method={trace.method} status={trace.status} iterations={len(trace.records)} "
-        f"f={trace.final_f:.9g} delta={trace.records[-1].delta:.3e}"
-    )
     return 0
 
 
 def _cmd_compare(args, settings):
     source = _dataset_source(args, settings)
     if isinstance(source, str):
-        dataset = regression.load_dataset(source)
+        with _user_path(source):
+            dataset = regression.load_dataset(source)
         problem = {**dataset.generation_parameters, "dataset": source}
     else:
         dataset = regression.generate_regression_data(**source)
@@ -267,6 +258,8 @@ def _cmd_compare(args, settings):
     methods = check_methods(methods)
     _reject_unread_flags(args, methods, _SOLVER_FLAG_READERS)
     ls, cfg, plcfg = _solver_configs(settings)
+    with _user_path(settings["out"]):  # before the first solve
+        os.makedirs(settings["out"], exist_ok=True)
     result = run_comparison(lambda: regression.solver_inputs(dataset), problem, settings["out"],
                             methods=methods, ls=ls, cfg=cfg, plcfg=plcfg)
     for m, info in result.summary["methods"].items():
@@ -281,6 +274,8 @@ def _cmd_compare(args, settings):
 def _cmd_mf_demo(args, settings):
     _reject_unread_flags(args, (settings["model"],), _MF_FLAG_READERS)
     problem = {k: v for k, v in settings.items() if k not in ("max_iterations", "out")}
+    for key in ("rows", "cols"):
+        require_integer(problem[key], key, 1)
     rng = np.random.default_rng(problem["seed"])
     A = rng.standard_normal((problem["rows"], 1)) @ rng.standard_normal((1, problem["cols"]))
     problem.setdefault("radius", float(1.5 * np.linalg.norm(A, "nuc")))
@@ -288,6 +283,8 @@ def _cmd_mf_demo(args, settings):
                           y_kind=problem["y_set"], radius=problem["radius"],
                           model=problem["model"], tau=problem["tau"])
     cfg = SolverConfig(max_iterations=settings["max_iterations"])
+    with _user_path(settings["out"]):  # before the first solve
+        os.makedirs(settings["out"], exist_ok=True)
     result = run_comparison(lambda: matfac.solver_inputs(mf, problem["seed"]), problem,
                             settings["out"], methods=("mcgm",), cfg=cfg)
     trace = result.traces["mcgm"]
@@ -302,7 +299,8 @@ def _cmd_mf_demo(args, settings):
 
 
 def _cmd_check(args, settings):
-    problems = check_trace_file(settings["trace"])
+    with _user_path(settings["trace"]):
+        problems = check_trace_file(settings["trace"])
     if problems:
         for p in problems:
             print(f"FAIL {p}")
@@ -319,7 +317,7 @@ def cli_main(argv=None):
         return int(exc.code or 0)
     try:
         return args.run(args, _settings(subparsers[args.command], args))
-    except (ConfigError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver failures

@@ -135,10 +135,10 @@ def columnwise_simplex_set(rows, cols):
 
 @dataclass
 class MfProblem:
-    """One factorization instance. ``x_kind`` in {"unit_atoms", "simplex"},
-    ``y_kind`` in {"sparsity", "low_rank"}, ``model`` in {"cg", "hybrid"};
-    ``inner_dim`` an integer >= 1, and ``radius`` and ``tau`` finite
-    numbers > 0 (the rules of ``geometry``).
+    """One factorization instance. ``A`` a finite non-empty matrix; ``x_kind``
+    in {"unit_atoms", "simplex"}, ``y_kind`` in {"sparsity", "low_rank"},
+    ``model`` in {"cg", "hybrid"}; ``inner_dim`` an integer >= 1, and
+    ``radius`` and ``tau`` finite numbers > 0 (the rules of ``geometry``).
 
     ``A`` must not be written in place or replaced after construction:
     evaluations remember their last products by the problem and the point
@@ -155,8 +155,8 @@ class MfProblem:
 
     def __post_init__(self):
         self.A = require_finite(self.A, "A")
-        if self.A.ndim != 2:
-            raise ValueError("A must be a matrix")
+        if self.A.ndim != 2 or 0 in self.A.shape:
+            raise ValueError(f"A must be a non-empty matrix, got shape {self.A.shape}")
         self.inner_dim = require_integer(self.inner_dim, "inner_dim", 1)
         self.radius = require_number(self.radius, "radius", "positive")
         self.tau = require_number(self.tau, "tau", "positive")

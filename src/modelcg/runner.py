@@ -184,14 +184,14 @@ def run_comparison(
     cfg: Optional[SolverConfig] = None,
     plcfg: Optional[ProxLinearConfig] = None,
 ):
-    """Run each method on fresh inputs from ``make_inputs()``, write one CSV
-    trace per method plus ``summary.json``, which records ``problem`` (a JSON
-    object describing the problem) and per method the failures
-    :func:`verify_trace_arrays` finds in its trace (``checks``, empty when it
-    checks out)."""
+    """Make ``out_dir``, run each method on fresh inputs from ``make_inputs()``,
+    and write one CSV trace per method plus ``summary.json``, which records
+    ``problem`` (a JSON object describing the problem) and per method the
+    failures :func:`verify_trace_arrays` finds in its trace (``checks``, empty
+    when it checks out)."""
     methods = check_methods(methods)
-    traces = {m: run_method(m, make_inputs(), ls=ls, cfg=cfg, plcfg=plcfg) for m in methods}
     os.makedirs(out_dir, exist_ok=True)
+    traces = {m: run_method(m, make_inputs(), ls=ls, cfg=cfg, plcfg=plcfg) for m in methods}
 
     f_lower = min(t.best_f() for t in traces.values())
     trace_paths = {}

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -513,6 +514,15 @@ def test_mf_demo_writes_files(tmp_path):
     assert payload["schema"] == "modelcg.mf-factors/1"
     assert np.array_equal(payload["X"], X) and np.array_equal(payload["Y"], Y)
     assert payload["residual_fro"] == float(np.linalg.norm(prob.A - X @ Y))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (3,)],
+                         ids=["no-rows", "no-columns", "empty", "vector"])
+def test_problem_rejects_a_target_without_rows_or_columns(shape):
+    # an empty A used to pass, and the radius taken from it was 0
+    with pytest.raises(ValueError, match=re.escape(f"A must be a non-empty matrix, got shape "
+                                                   f"{shape}")):
+        MfProblem(A=np.zeros(shape), inner_dim=2, radius=1.0)
 
 
 def test_problem_validation():

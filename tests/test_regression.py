@@ -219,5 +219,5 @@ def test_load_dataset_reads_only_the_values_the_file_states(tmp_path, key, value
         return
     with pytest.raises(ValueError, match=key):
         load_dataset(path)
-    assert cli_main(["solve", "--dataset", str(path), "--max-iterations", "1",
-                     "--out", str(tmp_path / "t.csv")]) == 1
+    assert cli_main(["compare", "--dataset", str(path), "--max-iterations", "1",
+                     "--out", str(tmp_path / "out")]) == 1

@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 
@@ -220,11 +221,11 @@ def test_cli_solve_stationary_start_gives_single_record(tmp_path, capsys):
     )
     path = tmp_path / "stationary.json"
     save_dataset(ds, path)
-    out = tmp_path / "trace.csv"
-    code = cli_main(["solve", "--dataset", str(path), "--method", "mcgm",
+    out = tmp_path / "r"
+    code = cli_main(["compare", "--dataset", str(path), "--methods", "mcgm",
                      "--out", str(out)])
     assert code == 0
-    cols, _ = read_trace_csv(str(out))
+    cols, _ = read_trace_csv(str(out / "mcgm.csv"))
     assert len(cols["k"]) == 1
     assert cols["gamma"][0] == 0.0
     assert "stationary" in capsys.readouterr().out
@@ -300,21 +301,16 @@ def test_summary_checks_are_those_of_the_trace_file_and_of_the_trace(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["solve", "--method", "proxlin_bt", "--rho", "0.9"], "--rho is read only by"),
-    (["solve", "--method", "mcgm", "--tau0", "5"], "--tau0 is read only by"),
-    (["solve", "--tau0", "5"], "--tau0 is read only by"),
     (["compare", "--methods", "proxlin_bt", "--rho", "0.9"], "--rho is read only by"),
     (["compare", "--methods", "mcgm", "--tau0", "5"], "--tau0 is read only by"),
     (["mf-demo", "--model", "cg", "--tau", "2"], "--tau is read only by hybrid"),
     (["mf-demo", "--tau", "2"], "--tau is read only by hybrid"),
-], ids=["solve-rho-bt", "solve-tau0-mcgm", "solve-tau0-default", "compare-rho-bt",
-        "compare-tau0-mcgm", "mf-tau-cg", "mf-tau-default"])
+], ids=["compare-rho-bt", "compare-tau0-mcgm", "mf-tau-cg", "mf-tau-default"])
 def test_cli_rejects_a_flag_no_selected_method_reads(tmp_path, capsys, argv, message):
     # a flag that no selected method reads is an error, not silently dropped
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
-    where = {"solve": ["--dataset", str(path), "--max-iterations", "2"],
-             "compare": ["--dataset", str(path), "--max-iterations", "2",
+    where = {"compare": ["--dataset", str(path), "--max-iterations", "2",
                          "--out", str(tmp_path / "out")],
              "mf-demo": ["--rows", "6", "--cols", "5", "--inner-dim", "2",
                          "--max-iterations", "2", "--out", str(tmp_path / "out")]}
@@ -342,8 +338,8 @@ def test_cli_keeps_config_file_flags_as_defaults(tmp_path):
     save_dataset(small_dataset(), path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rho": 0.5, "tau0": 2.0, "max_iterations": 2}))
-    assert cli_main(["solve", "--dataset", str(path), "--method", "mcgm",
-                     "--config", str(cfg)]) == 0
+    assert cli_main(["compare", "--dataset", str(path), "--methods", "mcgm",
+                     "--config", str(cfg), "--out", str(tmp_path / "mcgm")]) == 0
     assert cli_main(["compare", "--dataset", str(path), "--methods", "proxlin_bt",
                      "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     cfg.write_text(json.dumps({"tau": 3.0, "max_iterations": 2}))
@@ -356,11 +352,13 @@ def test_cli_keeps_config_file_flags_as_defaults(tmp_path):
     ("proxlin_ls", [], 0.25),
     ("proxlin_bt", ["--tau0", "2"], ACCEPT_RATIO),
 ])
-def test_cli_solve_writes_the_rho_its_trace_checks_against(tmp_path, capsys, method, flags, rho):
-    path = tmp_path / "d.json"
-    save_dataset(small_dataset(seed=2), path)
-    out = tmp_path / "t.csv"
-    assert cli_main(["solve", "--dataset", str(path), "--method", method, "--out", str(out),
+def test_cli_solve_writes_the_rho_its_trace_checks_against(tmp_path, capsys, monkeypatch,
+                                                           method, flags, rho):
+    # a relative output path, so the directory printed holds no "rho"
+    monkeypatch.chdir(tmp_path)
+    save_dataset(small_dataset(seed=2), "d.json")
+    out = tmp_path / "r" / f"{method}.csv"
+    assert cli_main(["compare", "--dataset", "d.json", "--methods", method, "--out", "r",
                      "--max-iterations", "6"] + flags) == 0
     assert "rho" not in capsys.readouterr().out
     lines = out.read_text().splitlines()
@@ -393,8 +391,11 @@ def test_cli_check_rejects_a_trace_whose_rho_column_is_bad(tmp_path, capsys, val
 def test_cli_solve_rejects_a_nan_or_negative_time_budget(tmp_path, capsys, budget):
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
-    assert cli_main(["solve", "--dataset", str(path), "--time-budget", budget]) == 1
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--dataset", str(path), "--time-budget", budget,
+                     "--out", str(out)]) == 1
     assert "configuration error: time_budget_s must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config, key", [
@@ -402,19 +403,18 @@ def test_cli_solve_rejects_a_nan_or_negative_time_budget(tmp_path, capsys, budge
     ("gen", {"P": 6, "M": 40.5, "seed": 1}, "M"),
     ("gen", {"P": 6, "M": 40, "seed": 1.7}, "seed"),
     ("gen", {"P": 6, "M": 40, "seed": True}, "seed"),
-    ("solve", {"max_iterations": 3.9}, "max_iterations"),
-    ("solve", {"max_iterations": True}, "max_iterations"),
     ("compare", {"dataset": {"P": 4, "M": 30.5}, "max_iterations": 2}, "M"),
     ("compare", {"max_iterations": 2.5}, "max_iterations"),
+    ("compare", {"max_iterations": True}, "max_iterations"),
     ("compare", {"max_iterations": "2"}, "max_iterations"),
     ("mf-demo", {"rows": 6.5}, "rows"),
     ("mf-demo", {"cols": 5.5}, "cols"),
     ("mf-demo", {"inner_dim": True}, "inner_dim"),
     ("mf-demo", {"seed": 0.5}, "seed"),
     ("mf-demo", {"max_iterations": 3.9}, "max_iterations"),
-], ids=["gen-P", "gen-M", "gen-seed", "gen-seed-bool", "solve-iters", "solve-iters-bool",
-        "compare-dataset-M", "compare-iters", "compare-iters-string", "mf-rows", "mf-cols",
-        "mf-inner-dim-bool", "mf-seed", "mf-iters"])
+], ids=["gen-P", "gen-M", "gen-seed", "gen-seed-bool", "compare-dataset-M", "compare-iters",
+        "compare-iters-bool", "compare-iters-string", "mf-rows", "mf-cols", "mf-inner-dim-bool",
+        "mf-seed", "mf-iters"])
 def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     tmp_path, capsys, command, config, key
 ):
@@ -425,7 +425,6 @@ def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     where = {"gen": [], "mf-demo": [],
-             "solve": ["--dataset", str(path)],
              "compare": [] if "dataset" in config else ["--dataset", str(path)]}
     assert cli_main([command, "--config", str(cfg), "--out", str(out)] + where[command]) == 1
     value = config["dataset"][key] if key in config.get("dataset", {}) else config[key]
@@ -440,17 +439,17 @@ def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     ("gen", {"P": 4, "M": 30, "b_max": False, "seed": 1}, "b_max"),
     ("gen", {"P": 4, "M": 30, "sparsity": True, "seed": 1}, "sparsity"),
     ("gen", {"P": 4, "M": 30, "noise_scale": True, "seed": 1}, "noise_scale"),
-    ("solve", {"rho": True}, "rho"),
-    ("solve", {"tau0": True}, "tau0"),
-    ("solve", {"delta_tol": True}, "delta_tol"),
-    ("solve", {"time_budget": True}, "time_budget"),
+    ("compare", {"rho": True}, "rho"),
+    ("compare", {"tau0": True}, "tau0"),
+    ("compare", {"delta_tol": True}, "delta_tol"),
+    ("compare", {"time_budget": True}, "time_budget"),
     ("compare", {"dataset": {"P": 4, "M": 30, "mu": True}, "max_iterations": 2}, "mu"),
     ("compare", {"delta_tol": "0.5"}, "delta_tol"),
     ("mf-demo", {"radius": True}, "radius"),
     ("mf-demo", {"model": "hybrid", "tau": True}, "tau"),
     ("mf-demo", {"tau": [1.0]}, "tau"),
-], ids=["gen-mu", "gen-a-max", "gen-b-max", "gen-sparsity", "gen-noise-scale", "solve-rho",
-        "solve-tau0", "solve-delta-tol", "solve-time-budget", "compare-dataset-mu",
+], ids=["gen-mu", "gen-a-max", "gen-b-max", "gen-sparsity", "gen-noise-scale", "compare-rho",
+        "compare-tau0", "compare-delta-tol", "compare-time-budget", "compare-dataset-mu",
         "compare-delta-tol-string", "mf-radius", "mf-tau", "mf-tau-list"])
 def test_cli_rejects_a_non_number_config_value_for_a_float_setting(
     tmp_path, capsys, command, config, key
@@ -463,7 +462,6 @@ def test_cli_rejects_a_non_number_config_value_for_a_float_setting(
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     where = {"gen": [], "mf-demo": [],
-             "solve": ["--dataset", str(path)],
              "compare": [] if "dataset" in config else ["--dataset", str(path)]}
     assert cli_main([command, "--config", str(cfg), "--out", str(out)] + where[command]) == 1
     value = config["dataset"][key] if key in config.get("dataset", {}) else config[key]
@@ -480,11 +478,12 @@ def test_cli_reads_integral_config_values_for_integer_settings(tmp_path, capsys)
     ds = load_dataset(tmp_path / "d.json")
     assert (ds.P, ds.M, ds.seed) == (6, 40, 1)
     cfg.write_text(json.dumps({"max_iterations": 2.0, "time_budget": 80}))
-    assert cli_main(["solve", "--dataset", str(tmp_path / "d.json"), "--config", str(cfg),
-                     "--out", str(tmp_path / "t.csv")]) == 0
-    cols, _ = read_trace_csv(tmp_path / "t.csv")
+    out = tmp_path / "r"
+    assert cli_main(["compare", "--dataset", str(tmp_path / "d.json"), "--methods", "mcgm",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    cols, _ = read_trace_csv(out / "mcgm.csv")
     assert len(cols["k"]) == 2
-    assert "iterations=2 " in capsys.readouterr().out
+    assert json.loads((out / "summary.json").read_text())["methods"]["mcgm"]["iterations"] == 2
 
 
 def test_cli_check_fails_on_corrupted_trace(tmp_path, capsys):
@@ -508,7 +507,10 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
 
 
 def test_cli_config_errors_exit_one(tmp_path):
-    assert cli_main(["solve", "--dataset", str(tmp_path / "missing.json")]) == 1
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--dataset", str(tmp_path / "missing.json"),
+                     "--out", str(out)]) == 1
+    assert not out.exists()
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("not json{")
     assert cli_main(["gen", "--out", str(tmp_path / "d.json"),
@@ -529,7 +531,8 @@ def test_cli_non_finite_jacobian_mid_solve_exits_two(tmp_path, monkeypatch, caps
         return np.full_like(jac, np.nan) if len(calls) == 2 else jac
 
     monkeypatch.setattr(regression, "eval_jacobian", nan_on_second_call)
-    assert cli_main(["solve", "--dataset", str(path), "--max-iterations", "5"]) == 2
+    assert cli_main(["compare", "--dataset", str(path), "--methods", "mcgm",
+                     "--max-iterations", "5", "--out", str(tmp_path / "out")]) == 2
     assert len(calls) == 2
     assert "solver failure: NonFiniteModelError" in capsys.readouterr().err
 
@@ -541,13 +544,16 @@ def test_cli_malformed_dataset_or_config_exits_one(tmp_path, capsys):
     payload["covariates"][3] = float("nan")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(payload))
-    assert cli_main(["solve", "--dataset", str(bad)]) == 1
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--dataset", str(bad), "--out", str(out)]) == 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"delta_tol": -1.0}))
-    assert cli_main(["solve", "--dataset", str(good), "--config", str(cfg)]) == 1
+    assert cli_main(["compare", "--dataset", str(good), "--config", str(cfg),
+                     "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("configuration error") == 2
     assert "covariates contains non-finite entries" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -564,9 +570,12 @@ def test_cli_rejects_inconsistent_dataset_file(tmp_path, capsys, field, value, m
     payload = json.loads(path.read_text())
     payload[field] = value
     path.write_text(json.dumps(payload))
-    assert cli_main(["solve", "--dataset", str(path), "--max-iterations", "2"]) == 1
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--dataset", str(path), "--max-iterations", "2",
+                     "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+    assert not out.exists()
 
 
 def test_cli_check_rejects_rows_with_wrong_field_count(tmp_path, capsys):
@@ -668,11 +677,11 @@ def test_cli_compare_summary_records_every_dataset_parameter(tmp_path):
     ("compare", {"dataset": {"P": 4, "M": 30, "seedd": 1}}, "seedd"),
     ("compare", {"rows": 6}, "rows"),
     ("gen", {"P": 4, "M": 30, "max_iterations": 3}, "max_iterations"),
-    ("solve", {"P": 4}, "P"),
+    ("compare", {"method": "mcgm"}, "method"),
     ("mf-demo", {"tau0": 2.0}, "tau0"),
     ("check", {"config": "other.json"}, "config"),
 ], ids=["compare-misspelled", "compare-dataset-object", "compare-mf-key", "gen-solver-key",
-        "solve-dataset-key", "mf-tau0", "check-config"])
+        "compare-method", "mf-tau0", "check-config"])
 def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, config, key):
     # such a key used to be ignored: the misspelled config ran at the defaults
     path = tmp_path / "d.json"
@@ -680,7 +689,7 @@ def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    where = {"gen": ["--out", str(out)], "solve": ["--dataset", str(path)],
+    where = {"gen": ["--out", str(out)],
              "compare": ["--P", "4", "--M", "30", "--out", str(out)],
              "mf-demo": ["--out", str(out)], "check": ["--trace", str(tmp_path / "t.csv")]}
     if "dataset" in config:
@@ -691,12 +700,11 @@ def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize("command, config, message", [
-    ("solve", {"out": 5}, "out must be a string, got 5"),
+    ("compare", {"dataset": "d.json", "out": 5}, "out must be a string, got 5"),
     ("compare", {"dataset": "d.json", "out": ["r"]}, "out must be a string, got ['r']"),
-    ("solve", {"dataset": {"P": 4}}, "dataset must be a string, got {'P': 4}"),
     ("mf-demo", {"model": "prox"}, "model must be one of cg, hybrid, got 'prox'"),
     ("mf-demo", {"y_set": ["low_rank"]}, "y_set must be one of sparsity, low_rank"),
-], ids=["solve-out", "compare-out", "solve-dataset-object", "mf-model", "mf-y-set"])
+], ids=["compare-out-number", "compare-out", "mf-model", "mf-y-set"])
 def test_cli_reads_a_config_value_as_its_flag_reads_it(tmp_path, capsys, monkeypatch,
                                                          command, config, message):
     # "out": 5 used to open file descriptor 5, and an mf-demo choice was
@@ -705,8 +713,7 @@ def test_cli_reads_a_config_value_as_its_flag_reads_it(tmp_path, capsys, monkeyp
     save_dataset(small_dataset(), "d.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    where = {"solve": ["--dataset", "d.json", "--max-iterations", "2"],
-             "compare": ["--max-iterations", "2"], "mf-demo": ["--out", "mf"]}
+    where = {"compare": ["--max-iterations", "2"], "mf-demo": ["--out", "mf"]}
     assert cli_main([command, "--config", str(cfg)] + where[command]) == 1
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.json"]
@@ -717,11 +724,12 @@ def test_cli_takes_required_settings_from_a_config_file(tmp_path, capsys):
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dataset": str(path), "max_iterations": 2,
-                               "out": str(tmp_path / "t.csv")}))
-    assert cli_main(["solve", "--config", str(cfg)]) == 0
-    assert "iterations=2 " in capsys.readouterr().out
-    cfg.write_text(json.dumps({"trace": str(tmp_path / "t.csv")}))
+    out = tmp_path / "r"
+    cfg.write_text(json.dumps({"dataset": str(path), "methods": "mcgm", "max_iterations": 2,
+                               "out": str(out)}))
+    assert cli_main(["compare", "--config", str(cfg)]) == 0
+    assert json.loads((out / "summary.json").read_text())["methods"]["mcgm"]["iterations"] == 2
+    cfg.write_text(json.dumps({"trace": str(out / "mcgm.csv")}))
     assert cli_main(["check", "--config", str(cfg)]) == 0
     cfg.write_text(json.dumps({"P": 4, "M": 30, "out": str(tmp_path / "g.json")}))
     assert cli_main(["gen", "--config", str(cfg)]) == 0
@@ -730,7 +738,7 @@ def test_cli_takes_required_settings_from_a_config_file(tmp_path, capsys):
     # an explicit flag still wins, and a setting given nowhere is an error
     assert cli_main(["gen", "--config", str(cfg), "--out", str(tmp_path / "h.json")]) == 0
     assert (tmp_path / "h.json").exists()
-    for argv, flag in ((["solve"], "--dataset"), (["gen", "--P", "4"], "--out"),
+    for argv, flag in ((["gen", "--P", "4"], "--out"),
                        (["check"], "--trace"), (["compare", "--P", "4"], "--out"),
                        (["mf-demo"], "--out")):
         assert cli_main(argv) == 1
@@ -792,30 +800,33 @@ def test_cli_compare_rejects_an_empty_method_list(tmp_path, capsys):
 
 
 def test_cli_solve_runs_the_method_of_a_config_file(tmp_path, capsys):
-    # a --method default used to override the config file's method
+    # a flag default used to override the config file's method
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"method": "proxlin_bt", "max_iterations": 3}))
-    assert cli_main(["solve", "--dataset", str(path), "--config", str(cfg)]) == 0
-    assert "method=proxlin_bt " in capsys.readouterr().out
+    cfg.write_text(json.dumps({"methods": "proxlin_bt", "max_iterations": 3}))
+    assert cli_main(["compare", "--dataset", str(path), "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 0
+    assert re.findall(r"^(\w+): status=", capsys.readouterr().out, re.M) == ["proxlin_bt"]
     # an explicit flag still takes precedence
-    assert cli_main(["solve", "--dataset", str(path), "--config", str(cfg),
-                     "--method", "proxlin_ls"]) == 0
-    assert "method=proxlin_ls " in capsys.readouterr().out
+    assert cli_main(["compare", "--dataset", str(path), "--config", str(cfg),
+                     "--methods", "proxlin_ls", "--out", str(tmp_path / "b")]) == 0
+    assert re.findall(r"^(\w+): status=", capsys.readouterr().out, re.M) == ["proxlin_ls"]
 
 
-@pytest.mark.parametrize("method", ["nope", 5, ["mcgm"]])
+@pytest.mark.parametrize("method", ["nope", 5, ["mcgm", "nope"]])
 def test_cli_solve_rejects_an_unknown_config_method(tmp_path, capsys, method):
+    # a config file's methods are checked as --methods is, before any solve
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"method": method, "max_iterations": 3}))
-    out = tmp_path / "t.csv"
-    assert cli_main(["solve", "--dataset", str(path), "--config", str(cfg),
+    cfg.write_text(json.dumps({"methods": method, "max_iterations": 3}))
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--dataset", str(path), "--config", str(cfg),
                      "--out", str(out)]) == 1
-    assert (f"configuration error: method must be one of {', '.join(METHOD_NAMES)}, "
-            f"got {method!r}" in capsys.readouterr().err)
+    message = ("unknown method 'nope'" if method != 5 else
+               "methods must be a comma-separated string or a list of strings, got 5")
+    assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -879,6 +890,88 @@ def test_cli_mf_demo_rejects_an_infinite_radius(tmp_path, capsys, y_kind):
                      "--y-set", y_kind, "--radius", "inf", "--out", str(out)]) == 1
     assert "configuration error: radius must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--rows", "0"], "rows"),
+    (["--cols", "0"], "cols"),
+    (["--rows", "0", "--radius", "1"], "rows"),
+    (["--cols", "-2", "--radius", "1"], "cols"),
+], ids=["rows", "cols", "rows-radius", "cols-negative-radius"])
+def test_cli_mf_demo_names_a_target_size_below_one(tmp_path, capsys, flags, setting):
+    # these used to name the radius taken from an empty target, or the
+    # dimension of a set built from it
+    out = tmp_path / "mf"
+    assert cli_main(["mf-demo", "--out", str(out)] + flags) == 1
+    value = flags[flags.index("--" + setting) + 1]
+    assert (f"configuration error: {setting} must be an integer >= 1, got {value}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_cli_compare_of_one_method_writes_the_trace_of_run_method(tmp_path, method):
+    # compare --methods <m> writes, time_s aside, the trace CSV that
+    # write_trace_csv makes of run_method's trace against its own best f
+    path = tmp_path / "d.json"
+    save_dataset(generate_regression_data(P=8, M=60, mu=2.0, seed=3), path)
+    out = tmp_path / "r"
+    assert cli_main(["compare", "--dataset", str(path), "--methods", method,
+                     "--max-iterations", "10", "--out", str(out)]) == 0
+    trace = run_method(method, solver_inputs(load_dataset(path)),
+                       cfg=SolverConfig(max_iterations=10))
+    write_trace_csv(trace, str(tmp_path / "direct.csv"), trace.best_f())
+    assert strip_time_column(out / f"{method}.csv") == strip_time_column(tmp_path / "direct.csv")
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary["methods"]) == [method]
+    assert summary["methods"][method]["checks"] == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["compare", "--P", "4", "--M", "30", "--out", "{F}"], "{F}"),
+    (["compare", "--P", "4", "--M", "30", "--out", "{F}/sub"], "{F}/sub"),
+    (["gen", "--P", "4", "--M", "30", "--out", "{F}/d.json"], "{F}/d.json"),
+    (["mf-demo", "--rows", "6", "--cols", "5", "--inner-dim", "2", "--out", "{F}"], "{F}"),
+    (["compare", "--dataset", "{D}", "--out", "{D}/out"], "{D}"),
+    (["check", "--trace", "{D}"], "{D}"),
+], ids=["compare-out-file", "compare-out-under-file", "gen-out-under-file", "mf-out-file",
+        "compare-dataset-directory", "check-trace-directory"])
+def test_cli_names_a_path_it_cannot_use_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                         argv, named):
+    # each used to exit 2 as a solver failure, compare --out <file> only
+    # after every method had run
+    import modelcg.runner as runner
+
+    (tmp_path / "F").write_text("a file\n")
+    paths = {"F": str(tmp_path / "F"), "D": str(tmp_path)}
+    solved = []
+    monkeypatch.setattr(runner, "run_method", lambda m, *a, **k: solved.append(m))
+    assert cli_main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot use {named.format(**paths)!r}: " in err
+    assert solved == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOMEM, "Cannot allocate memory"),
+                                   FileNotFoundError(errno.ENOENT, "No such file")],
+                         ids=["enomem", "file-not-found"])
+def test_cli_an_os_error_inside_a_solve_is_a_solver_failure(tmp_path, monkeypatch, capsys,
+                                                            error):
+    # only a path the user named maps an OSError to exit 1; a
+    # FileNotFoundError raised by a solve used to exit 1 as well
+    import modelcg.regression as regression
+
+    path = tmp_path / "ds.json"
+    save_dataset(small_dataset(), path)
+
+    def fail(a, b, x):
+        raise error
+
+    monkeypatch.setattr(regression, "eval_jacobian", fail)
+    assert cli_main(["compare", "--dataset", str(path), "--methods", "mcgm",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert f"solver failure: {type(error).__name__}" in capsys.readouterr().err
 
 
 def test_dataset_file_roundtrip_preserves_solver_behaviour(tmp_path):
