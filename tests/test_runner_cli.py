@@ -413,7 +413,7 @@ def test_cli_solve_rejects_a_nan_or_negative_time_budget(tmp_path, capsys, budge
     ("mf-demo", {"seed": 0.5}, "seed"),
     ("mf-demo", {"max_iterations": 3.9}, "max_iterations"),
 ], ids=["gen-P", "gen-M", "gen-seed", "gen-seed-bool", "compare-dataset-M", "compare-iters",
-        "compare-iters-bool", "compare-iters-string", "mf-rows", "mf-cols", "mf-inner-dim-bool",
+        "compare-bool-iters", "compare-iters-string", "mf-rows", "mf-cols", "mf-inner-dim-bool",
         "mf-seed", "mf-iters"])
 def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     tmp_path, capsys, command, config, key
@@ -449,7 +449,7 @@ def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     ("mf-demo", {"model": "hybrid", "tau": True}, "tau"),
     ("mf-demo", {"tau": [1.0]}, "tau"),
 ], ids=["gen-mu", "gen-a-max", "gen-b-max", "gen-sparsity", "gen-noise-scale", "compare-rho",
-        "compare-tau0", "compare-delta-tol", "compare-time-budget", "compare-dataset-mu",
+        "compare-tau0", "compare-bool-delta-tol", "compare-time-budget", "compare-dataset-mu",
         "compare-delta-tol-string", "mf-radius", "mf-tau", "mf-tau-list"])
 def test_cli_rejects_a_non_number_config_value_for_a_float_setting(
     tmp_path, capsys, command, config, key
