@@ -1,24 +1,26 @@
 """Command line interface.
 
 Subcommands: ``gen`` (write a dataset file), ``compare`` (the one command
-that runs methods: all, or ``--methods``; CSV traces + summary), ``mf-demo``
-(matrix factorization: a comparison of ``mcgm`` alone on the problem's
-model, plus ``factors.json``), ``check`` (re-verify a trace CSV at the
-``rho`` it records).
+that runs methods, on ``--problem regression`` or ``matfac``: every method
+the problem can run, or ``--methods``; CSV traces + summary, and for matfac
+each method's factors), ``check`` (re-verify a trace CSV at the ``rho`` it
+records).
 
 A JSON config file (``--config``) gives defaults for any flag, required
 ones included, and explicit flags win. A config key is its flag's name
 (``max_iterations`` for ``--max-iterations``), and a config value must be
 what its flag accepts (``_config_value``). A flag passed explicitly that
-the run does not read is a configuration error: ``--rho``, ``--tau0`` or
-``mf-demo --tau`` when no selected method reads it, and a dataset flag
-given with a dataset file. The same keys in a config file are defaults.
+the run does not read is a configuration error: ``--rho`` or ``--tau0``
+when no selected method reads it, a flag of the other problem (``--dataset``
+included), and a dataset flag given with a dataset file. The same keys in a
+config file are defaults.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 solver or check
 failure. Non-finite values in a dataset file are a configuration error;
 non-finite model data computed during a solve (``NonFiniteModelError``) are
 a solver failure. So is an ``OSError`` inside a solve, while one on a path
-the user named is a configuration error, found before the first solve.
+the user named or a file the run would write is a configuration error,
+found before the first solve.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
-
-import numpy as np
+from functools import partial
 
 from . import matfac, regression
 from .baselines import ProxLinearConfig
@@ -40,6 +41,7 @@ from .runner import (
     check_methods,
     check_trace_file,
     methods_reading,
+    output_files,
     run_comparison,
 )
 from .solver import LineSearchParams, SolverConfig
@@ -54,7 +56,15 @@ class ConfigError(ValueError):
 # the methods that read each method-specific flag: those whose solver reads
 # the line search (rho) or the proximal config (tau0)
 _SOLVER_FLAG_READERS = {"rho": methods_reading("ls"), "tau0": methods_reading("plcfg")}
-_MF_FLAG_READERS = {"tau": ("hybrid",)}
+# the problems that read each problem flag: seed is shared
+_PROBLEM_PARAMETERS = {"regression": (*regression.GENERATION_PARAMETERS, "dataset"),
+                       "matfac": tuple(matfac.GENERATION_PARAMETERS)}
+_PROBLEM_FLAG_READERS = {k: tuple(p for p, keys in _PROBLEM_PARAMETERS.items() if k in keys)
+                         for keys in _PROBLEM_PARAMETERS.values() for k in keys}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +99,7 @@ def _build_parser():
 
     dataset_flags = _Parser(add_help=False)
     for name, kind in regression.GENERATION_PARAMETERS.items():
-        dataset_flags.add_argument("--" + name.replace("_", "-"), type=kind)
+        dataset_flags.add_argument(_flag(name), type=kind)
 
     g = sub.add_parser("gen", parents=[common, dataset_flags], help="generate a dataset file")
     g.set_defaults(run=_cmd_gen)
@@ -106,23 +116,14 @@ def _build_parser():
         "compare", parents=[common, solver_flags, dataset_flags], help="run methods"
     )
     c.set_defaults(run=_cmd_compare)
+    c.add_argument("--problem", choices=tuple(_PROBLEM_PARAMETERS), default="regression")
+    for name, kind in matfac.GENERATION_PARAMETERS.items():
+        if name not in regression.GENERATION_PARAMETERS:
+            c.add_argument(_flag(name), **({"choices": kind} if isinstance(kind, tuple)
+                                           else {"type": kind}))
     c.add_argument("--dataset", help="dataset file (default: generate one from the dataset flags)")
     c.add_argument("--methods", help="comma separated subset of " + ",".join(METHOD_NAMES))
     c.add_argument("--out", required=True, help="output directory")
-
-    m = sub.add_parser("mf-demo", parents=[common], help="matrix factorization demo")
-    m.set_defaults(run=_cmd_mf_demo)
-    m.add_argument("--rows", type=int, default=20)
-    m.add_argument("--cols", type=int, default=15)
-    m.add_argument("--inner-dim", type=int, default=4)
-    m.add_argument("--x-set", choices=("unit_atoms", "simplex"), default="unit_atoms")
-    m.add_argument("--y-set", choices=("sparsity", "low_rank"), default="low_rank")
-    m.add_argument("--radius", type=float, help="default: 1.5 times the target's nuclear norm")
-    m.add_argument("--model", choices=("cg", "hybrid"), default="cg")
-    m.add_argument("--tau", type=float, default=1.0)
-    m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--max-iterations", type=int, default=150)
-    m.add_argument("--out", required=True, help="output directory")
 
     k = sub.add_parser("check", parents=[common], help="verify a trace CSV")
     k.set_defaults(run=_cmd_check)
@@ -147,6 +148,11 @@ def _config_value(flags, key, value):
         return {k: _config_value(dataset_flags, k, v) for k, v in value.items()}
     if key not in flags:
         raise ConfigError(f"the config key {key!r} is none of {', '.join(flags)}")
+    if key == "methods" and not (isinstance(value, str) or isinstance(value, list)
+                                 and all(isinstance(m, str) for m in value)):
+        raise ConfigError(
+            f"methods must be a comma-separated string or a list of strings, got {value!r}"
+        )
     action = flags[key]
     if action.type is int:
         # JSON has one number type: an integral float such as 6.0 reads as 6
@@ -187,11 +193,11 @@ def _settings(parser, args):
 
 def _reject_unread_flags(args, selected, readers):
     """A ConfigError for an explicitly passed flag that none of the
-    ``selected`` methods reads."""
-    for flag, methods in readers.items():
-        if flag in args and not set(selected) & set(methods):
+    ``selected`` methods or problems reads."""
+    for flag, names in readers.items():
+        if flag in args and not set(selected) & set(names):
             raise ConfigError(
-                f"--{flag} is read only by {', '.join(methods)}, "
+                f"{_flag(flag)} is read only by {', '.join(names)}, "
                 f"and this run selects {', '.join(selected)}"
             )
 
@@ -239,7 +245,21 @@ def _cmd_gen(args, settings):
     return 0
 
 
-def _cmd_compare(args, settings):
+def _check_writable(path):
+    """Open ``path``, a file the run will write, for appending (a
+    ConfigError that names it if that fails), and remove it again if that
+    made it."""
+    made = not os.path.lexists(path)
+    with _user_path(path), open(path, "a", encoding="utf-8"):
+        pass
+    if made:
+        os.remove(path)
+
+
+def _regression_problem(args, settings):
+    """The function that makes the regression run's solver inputs, and its
+    summary's problem object: the dataset's parameters, and the file it was
+    read from."""
     source = _dataset_source(args, settings)
     if isinstance(source, str):
         with _user_path(source):
@@ -248,53 +268,40 @@ def _cmd_compare(args, settings):
     else:
         dataset = regression.generate_regression_data(**source)
         problem = dataset.generation_parameters
-    methods = settings.get("methods", METHOD_NAMES)
+    return partial(regression.solver_inputs, dataset), problem
+
+
+def _cmd_compare(args, settings):
+    _reject_unread_flags(args, (settings["problem"],), _PROBLEM_FLAG_READERS)
+    mf = None
+    if settings["problem"] == "matfac":
+        mf, problem = matfac.generate_problem(
+            **{k: v for k, v in settings.items() if k in matfac.GENERATION_PARAMETERS})
+        make_inputs = partial(matfac.solver_inputs, mf, problem["seed"])
+    else:
+        make_inputs, problem = _regression_problem(args, settings)
+    methods = settings.get("methods")
     if isinstance(methods, str):
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    elif not (isinstance(methods, (list, tuple)) and all(isinstance(m, str) for m in methods)):
-        raise ConfigError(
-            f"methods must be a comma-separated string or a list of strings, got {methods!r}"
-        )
-    methods = check_methods(methods)
+    methods = check_methods(methods, make_inputs()[4])
     _reject_unread_flags(args, methods, _SOLVER_FLAG_READERS)
     ls, cfg, plcfg = _solver_configs(settings)
-    with _user_path(settings["out"]):  # before the first solve
-        os.makedirs(settings["out"], exist_ok=True)
-    result = run_comparison(lambda: regression.solver_inputs(dataset), problem, settings["out"],
-                            methods=methods, ls=ls, cfg=cfg, plcfg=plcfg)
+    out = settings["out"]
+    factors = {} if mf is None else {m: os.path.join(out, f"{m}-factors.json") for m in methods}
+    with _user_path(out):  # before the first solve, as is every file the run writes
+        os.makedirs(out, exist_ok=True)
+    for path in output_files(out, methods) + list(factors.values()):
+        _check_writable(path)
+    result = run_comparison(make_inputs, problem, out, methods=methods, ls=ls, cfg=cfg,
+                            plcfg=plcfg)
+    for m, path in factors.items():
+        matfac.write_factors(mf, result.traces[m].final_x, path, m)
     for m, info in result.summary["methods"].items():
         print(
             f"{m}: status={info['status']} best_f={info['best_f']:.9g} "
             f"inner_solves={info['total_inner_solves']}"
         )
     print(f"wrote {result.summary_path}")
-    return 0
-
-
-def _cmd_mf_demo(args, settings):
-    _reject_unread_flags(args, (settings["model"],), _MF_FLAG_READERS)
-    problem = {k: v for k, v in settings.items() if k not in ("max_iterations", "out")}
-    for key in ("rows", "cols"):
-        require_integer(problem[key], key, 1)
-    rng = np.random.default_rng(problem["seed"])
-    A = rng.standard_normal((problem["rows"], 1)) @ rng.standard_normal((1, problem["cols"]))
-    problem.setdefault("radius", float(1.5 * np.linalg.norm(A, "nuc")))
-    mf = matfac.MfProblem(A=A, inner_dim=problem["inner_dim"], x_kind=problem["x_set"],
-                          y_kind=problem["y_set"], radius=problem["radius"],
-                          model=problem["model"], tau=problem["tau"])
-    cfg = SolverConfig(max_iterations=settings["max_iterations"])
-    with _user_path(settings["out"]):  # before the first solve
-        os.makedirs(settings["out"], exist_ok=True)
-    result = run_comparison(lambda: matfac.solver_inputs(mf, problem["seed"]), problem,
-                            settings["out"], methods=("mcgm",), cfg=cfg)
-    trace = result.traces["mcgm"]
-    matfac.write_factors(mf, trace.final_x, os.path.join(settings["out"], "factors.json"))
-    X, Y = matfac.unpack_factors(mf, trace.final_x)
-    rel = float(np.linalg.norm(A - X @ Y) / np.linalg.norm(A))
-    print(
-        f"mf-demo status={trace.status} iterations={len(trace.records)} "
-        f"relative_residual={rel:.4f}"
-    )
     return 0
 
 

@@ -8,9 +8,9 @@ the factors: per-column oracles for X (normalized atoms or simplex columns)
 and either an entrywise-l1 ball or a nuclear norm ball for Y, whose linear
 oracle is the dominant singular pair, taken from the top eigenvector of the
 smaller Gram matrix of the Y-block gradient (k x k when k <= n). The X
-columns after the first form one stacked l2 ball. The hybrid mode keeps a
-quadratic proximal term on the Y block instead (proximal step on Y,
-linear-oracle step on X).
+columns after the first form one stacked l2 ball. The solver inputs
+designate the Y block, on which the method ``mcgm_hybrid`` keeps a quadratic
+proximal term (proximal step on Y, linear-oracle step on X).
 
 The objective and the gradient share one evaluator, which forms only
 k-sized products:
@@ -58,11 +58,12 @@ and ||E||_F <= ||A||_F + ||X||_F ||Y||_F. The evaluator reads the estimate
 2 f, and ||X||_F^2 and ||Y||_F^2 are the traces of X^T X and Y Y^T. While
 the estimate is at most 2**_GRAM_LOST_BITS, the value is the Gram value;
 past it, near a close fit, the evaluator also forms XY - A, as one m x n
-temporary, and returns the residual form's value. The line search needs objective differences far
-below u ||A||^2 there: from the Gram value alone, ``modelcg mf-demo`` on its
-exact rank-one data runs out of backtracks before the stationarity test
-passes. Noisy data keep the ratio small: at most 2**4.8 on the benchmark's
-``matfac-noisy`` solves, where ||A|| / ||R|| is about 18.
+temporary, and returns the residual form's value. The line search needs
+objective differences far below u ||A||^2 there: from the Gram value alone,
+``mcgm`` on the exact rank-one data of ``generate_problem`` runs out of
+backtracks before the stationarity test passes. Noisy data keep the ratio
+small: at most 2**4.8 on the benchmark's ``matfac-noisy`` solves, where
+||A|| / ||R|| is about 18.
 
 Along a segment the objective is an exact quartic in the step. With
 d = (dX, dY), R0 = XY - A, B = X dY + dX Y and C = dX dY,
@@ -81,10 +82,10 @@ Flattening conventions: X column-major (its sets act per column), Y row-major
 (the nuclear ball reshapes row-major); the solver variable is
 ``[vec(X), vec(Y)]`` in that order.
 
-The module builds a problem and runs no solver: ``solver_inputs`` hands
-``(objective, oracle, constraint, x0)`` to ``runner.run_method``, which
-solves it with ``mcgm`` on the problem's model, and ``write_factors`` saves
-the factors of a solution.
+The module builds a problem and runs no solver: ``generate_problem`` poses
+the rank-one demo problem, ``solver_inputs`` hands ``(objective, oracle,
+constraint, x0, block)`` to ``runner.run_method``, which solves it with any
+method, and ``write_factors`` saves the factors of a solution.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ from .models import AdditiveCompositeOracle, ProximalModelOracle
 
 __all__ = [
     "MfProblem",
+    "GENERATION_PARAMETERS",
+    "generate_problem",
     "unit_atoms_set",
     "columnwise_simplex_set",
     "pack_factors",
@@ -116,6 +119,13 @@ __all__ = [
     "solver_inputs",
     "write_factors",
 ]
+
+
+X_KINDS, Y_KINDS = ("unit_atoms", "simplex"), ("sparsity", "low_rank")
+# the parameters ``generate_problem`` takes, with their types; a tuple holds
+# a parameter's choices
+GENERATION_PARAMETERS = {"rows": int, "cols": int, "inner_dim": int, "x_set": X_KINDS,
+                         "y_set": Y_KINDS, "radius": float, "seed": int}
 
 
 def unit_atoms_set(rows, cols):
@@ -136,9 +146,12 @@ def columnwise_simplex_set(rows, cols):
 @dataclass
 class MfProblem:
     """One factorization instance. ``A`` a finite non-empty matrix; ``x_kind``
-    in {"unit_atoms", "simplex"}, ``y_kind`` in {"sparsity", "low_rank"},
-    ``model`` in {"cg", "hybrid"}; ``inner_dim`` an integer >= 1, and
-    ``radius`` and ``tau`` finite numbers > 0 (the rules of ``geometry``).
+    in ``X_KINDS``, ``y_kind`` in ``Y_KINDS``, ``model`` in {"cg", "hybrid"};
+    ``inner_dim`` an integer >= 1, and ``radius`` and ``tau`` finite numbers
+    > 0 (the rules of ``geometry``). ``model`` and ``tau`` are read only by
+    ``make_mf_oracle``, for the benchmark's workloads: a run takes the
+    hybrid as the method ``mcgm_hybrid``, and ``solver_inputs`` refuses a
+    hybrid problem.
 
     ``A`` must not be written in place or replaced after construction:
     evaluations remember their last products by the problem and the point
@@ -160,9 +173,9 @@ class MfProblem:
         self.inner_dim = require_integer(self.inner_dim, "inner_dim", 1)
         self.radius = require_number(self.radius, "radius", "positive")
         self.tau = require_number(self.tau, "tau", "positive")
-        if self.x_kind not in ("unit_atoms", "simplex"):
+        if self.x_kind not in X_KINDS:
             raise ValueError(f"unknown x_kind {self.x_kind!r}")
-        if self.y_kind not in ("sparsity", "low_rank"):
+        if self.y_kind not in Y_KINDS:
             raise ValueError(f"unknown y_kind {self.y_kind!r}")
         if self.model not in ("cg", "hybrid"):
             raise ValueError(f"unknown model {self.model!r}")
@@ -323,6 +336,11 @@ def make_mf_sets(problem):
     return ProductSet([x_set, y_set]), x_set, y_set
 
 
+def _y_block(problem):
+    """The mask of the Y block in the packed variable."""
+    return np.arange(problem.x_size + problem.y_size) >= problem.x_size
+
+
 def make_mf_oracle(problem):
     base = AdditiveCompositeOracle(
         None, mf_objective(problem), mf_gradient(problem), mf_segment_remainder(problem)
@@ -330,8 +348,7 @@ def make_mf_oracle(problem):
     if problem.model == "cg":
         return base
     # hybrid: quadratic proximal term on the Y block, oracle step on X
-    mask = np.arange(problem.x_size + problem.y_size) >= problem.x_size
-    return ProximalModelOracle(base, problem.tau, mask)
+    return ProximalModelOracle(base, problem.tau, _y_block(problem))
 
 
 def default_start(problem, seed=0):
@@ -343,21 +360,44 @@ def default_start(problem, seed=0):
 
 
 def solver_inputs(problem, seed=0):
-    """The solver inputs ``(objective, oracle, constraint, x0)``, starting
-    from ``default_start(problem, seed)``."""
+    """The solver inputs ``(objective, oracle, constraint, x0, block)``:
+    the conditional-gradient model, starting from ``default_start(problem,
+    seed)``, with the Y block as the block a method may take proximal steps
+    on. A problem posed with ``model="hybrid"`` is a ValueError."""
+    if problem.model != "cg":
+        raise ValueError(f"the hybrid is the method mcgm_hybrid: solver_inputs takes a problem "
+                         f"of the default model 'cg', got model={problem.model!r}")
     constraint, _, _ = make_mf_sets(problem)
     return (mf_objective(problem), make_mf_oracle(problem), constraint,
-            default_start(problem, seed=seed))
+            default_start(problem, seed=seed), _y_block(problem))
 
 
-def write_factors(problem, v, path):
-    """Write the factors of the packed point ``v`` to ``path`` as JSON."""
+def generate_problem(rows=20, cols=15, inner_dim=4, x_set="unit_atoms", y_set="low_rank",
+                     radius=None, seed=0):
+    """A problem with the rank-one target ``u v^T``, u (``rows``) and v
+    (``cols``) standard normal from ``seed``, over the sets named; the
+    radius defaults to 1.5 times the target's nuclear norm. Returns the
+    problem and the parameters by name, the radius included."""
+    for name, value, minimum in (("rows", rows, 1), ("cols", cols, 1), ("seed", seed, 0)):
+        require_integer(value, name, minimum)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, 1)) @ rng.standard_normal((1, cols))
+    if radius is None:
+        radius = float(1.5 * np.linalg.norm(A, "nuc"))
+    problem = MfProblem(A=A, inner_dim=inner_dim, x_kind=x_set, y_kind=y_set, radius=radius)
+    return problem, {"rows": rows, "cols": cols, "inner_dim": inner_dim, "x_set": x_set,
+                     "y_set": y_set, "radius": radius, "seed": seed}
+
+
+def write_factors(problem, v, path, method):
+    """Write the factors of the packed point ``v``, which ``method`` found,
+    to ``path`` as JSON."""
     X, Y = unpack_factors(problem, v)
     payload = {
-        "schema": "modelcg.mf-factors/1",
+        "schema": "modelcg.mf-factors/2",
         "x_kind": problem.x_kind,
         "y_kind": problem.y_kind,
-        "model": problem.model,
+        "method": method,
         "radius": problem.radius,
         "residual_fro": float(np.linalg.norm(problem.A - X @ Y)),
         "X": X.tolist(),

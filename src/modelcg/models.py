@@ -195,12 +195,12 @@ class ModelInstance:
     def minimize(self, constraint, tol, warm=None):
         """A :class:`ModelMinimum` over the set, inexact ones stopped by the
         outer loop's rule at its stationarity tolerance ``tol`` (solver)."""
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no model solve")
 
     def minimize_proximal(self, constraint, tol, tau, warm=None, mask=None):
         """Same, for the model plus ||x - anchor||^2 / (2 tau), the quadratic
         taken over the coordinates set in ``mask`` (all if None)."""
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no proximal solve")
 
     def segment_change(self, y):
         """The exact change of the objective along the segment to ``y``, as
@@ -309,7 +309,8 @@ def _prox_term(x, anchor, tau, mask):
 class _ProxRegularizedModel(ModelInstance):
     """A model instance plus ||x - anchor||^2 / (2 tau) over the masked
     coordinates; still a valid model (the quadratic vanishes at the anchor
-    and is dominated by t^2 growth)."""
+    and is dominated by t^2 growth). It has no proximal solve of its own, so
+    a proximal oracle wrapped again fails at its first solve."""
 
     def __init__(self, base, tau, mask):
         self.base = base

@@ -203,10 +203,11 @@ def make_oracle(dataset):
 
 
 def solver_inputs(dataset):
-    """The solver inputs ``(objective, oracle, constraint, x0)`` of the
-    benchmark, starting from the box midpoint."""
+    """The solver inputs ``(objective, oracle, constraint, x0, block)`` of
+    the benchmark, starting from the box midpoint. The block is None: the
+    Gauss-Newton model has no proximal step on part of the coordinates."""
     box = make_constraint_set(dataset)
-    return make_objective(dataset), make_oracle(dataset), box, box.midpoint()
+    return make_objective(dataset), make_oracle(dataset), box, box.midpoint(), None
 
 
 def make_subproblem(dataset, u, tau=None):

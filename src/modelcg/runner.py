@@ -2,10 +2,16 @@
 per-method CSV traces plus a JSON summary.
 
 A problem is handed over as its solver inputs ``(objective, oracle,
-constraint, x0)``, which the problem modules build
+constraint, x0, block)``, which the problem modules build
 (``regression.solver_inputs``, ``matfac.solver_inputs``); the runner knows
 no problem. ``run_comparison`` takes a function that builds them, so each
 method gets fresh objects and warm starts never leak across methods.
+
+The methods: ``mcgm`` minimizes the oracle's model; ``proxlin_ls`` and
+``proxlin_bt`` are the proximal baselines; ``mcgm_hybrid`` is ``mcgm`` on the
+model plus a proximal term of weight ``tau0`` on the coordinates of
+``block``, the paper's hybrid of conditional-gradient and proximal steps. A
+problem whose ``block`` is None (no coordinate mask) cannot run it.
 
 CSV schema (one row per outer iteration, then a terminal row):
 
@@ -36,6 +42,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .baselines import ProxLinearConfig, prox_linear_bt_solve, prox_linear_ls_solve
+from .models import ProximalModelOracle
 from .solver import LineSearchParams, SolverConfig, mcgm_solve, verify_trace_arrays
 
 __all__ = [
@@ -45,20 +52,29 @@ __all__ = [
     "run_method",
     "methods_reading",
     "check_methods",
+    "output_files",
     "run_comparison",
     "write_trace_csv",
     "read_trace_csv",
     "check_trace_file",
 ]
 
-METHOD_NAMES = ("mcgm", "proxlin_ls", "proxlin_bt")
+METHOD_NAMES = ("mcgm", "proxlin_ls", "proxlin_bt", "mcgm_hybrid")
+
+
+def _mcgm_hybrid_solve(oracle, fun, constraint, x0, block, plcfg, ls, cfg):
+    return mcgm_solve(ProximalModelOracle(oracle, plcfg.tau0, mask=block), fun, constraint, x0,
+                      ls=ls, cfg=cfg, method="mcgm_hybrid")
+
+
 # the solver of each method and the method-specific settings it reads: the
-# line search ``ls`` (which holds rho) and the proximal config ``plcfg``
-# (which holds tau0)
+# line search ``ls`` (which holds rho), the proximal config ``plcfg`` (which
+# holds tau0) and the problem's ``block``
 _SOLVERS = {
     "mcgm": (mcgm_solve, ("ls",)),
     "proxlin_ls": (prox_linear_ls_solve, ("plcfg", "ls")),
     "proxlin_bt": (prox_linear_bt_solve, ("plcfg",)),
+    "mcgm_hybrid": (_mcgm_hybrid_solve, ("block", "plcfg", "ls")),
 }
 CSV_COLUMNS = ("k", "time_s", "f", "obj_err", "delta", "gamma", "backtracks", "inner_iters",
                "rho")
@@ -68,18 +84,20 @@ SUMMARY_SCHEMA = "modelcg.summary/4"
 
 def run_method(method, inputs, ls=None, cfg=None, plcfg=None):
     """Solve the problem given by its solver inputs ``(objective, oracle,
-    constraint, x0)`` with one method."""
-    if method not in METHOD_NAMES:
-        raise ValueError(f"unknown method {method!r}")
-    fun, oracle, constraint, x0 = inputs
+    constraint, x0, block)`` with one method, which ``check_methods`` must
+    accept."""
+    fun, oracle, constraint, x0, block = inputs
+    check_methods((method,), block)
     solve, reads = _SOLVERS[method]
-    settings = {"ls": ls or LineSearchParams(), "plcfg": plcfg or ProxLinearConfig()}
+    settings = {"ls": ls or LineSearchParams(), "plcfg": plcfg or ProxLinearConfig(),
+                "block": block}
     read = {k: settings[k] for k in reads}
     return solve(oracle, fun, constraint, x0, cfg=cfg or SolverConfig(), **read)
 
 
 def methods_reading(setting):
-    """The methods whose solver reads ``setting`` (``"ls"`` or ``"plcfg"``)."""
+    """The methods whose solver reads ``setting`` (``"ls"``, ``"plcfg"`` or
+    ``"block"``)."""
     return tuple(m for m in METHOD_NAMES if setting in _SOLVERS[m][1])
 
 
@@ -161,45 +179,61 @@ def check_trace_file(path):
                                final_f=final_f)
 
 
-def check_methods(methods):
-    """``methods`` as a tuple: a ValueError unless it names at least one
-    method, each of ``METHOD_NAMES`` and none twice."""
+def check_methods(methods, block):
+    """The methods to run on a problem whose solver inputs hold ``block``,
+    as a tuple: when ``methods`` is None, every method that can run on it;
+    else ``methods``, and a ValueError unless it names at least one method,
+    each of ``METHOD_NAMES``, none twice, and none that reads a block when
+    ``block`` is None."""
+    unrunnable = methods_reading("block") if block is None else ()
+    if methods is None:
+        return tuple(m for m in METHOD_NAMES if m not in unrunnable)
     methods = tuple(methods)
     if not methods:
         raise ValueError("no methods to compare")
     for m in methods:
         if m not in METHOD_NAMES:
             raise ValueError(f"unknown method {m!r}")
+        if m in unrunnable:
+            raise ValueError(f"{m} takes proximal steps on the block of coordinates a problem "
+                             f"designates, and this problem designates none")
     if len(set(methods)) < len(methods):
         raise ValueError(f"a method is named twice in {', '.join(methods)}")
     return methods
+
+
+def output_files(out_dir, methods):
+    """The files ``run_comparison`` writes in ``out_dir``: each method's
+    trace CSV, then ``summary.json``."""
+    return [os.path.join(out_dir, f"{m}.csv") for m in methods] + [
+        os.path.join(out_dir, "summary.json")]
 
 
 def run_comparison(
     make_inputs,
     problem,
     out_dir,
-    methods=METHOD_NAMES,
+    methods=None,
     ls: Optional[LineSearchParams] = None,
     cfg: Optional[SolverConfig] = None,
     plcfg: Optional[ProxLinearConfig] = None,
 ):
-    """Make ``out_dir``, run each method on fresh inputs from ``make_inputs()``,
-    and write one CSV trace per method plus ``summary.json``, which records
-    ``problem`` (a JSON object describing the problem) and per method the
-    failures :func:`verify_trace_arrays` finds in its trace (``checks``, empty
-    when it checks out)."""
-    methods = check_methods(methods)
+    """Make ``out_dir``, run each method that ``check_methods`` gives on
+    fresh inputs from ``make_inputs()``, and write ``output_files``: one CSV
+    trace per method plus ``summary.json``, which records ``problem`` (a
+    JSON object describing the problem) and per method the failures
+    :func:`verify_trace_arrays` finds in its trace (``checks``, empty when
+    it checks out)."""
+    methods = check_methods(methods, make_inputs()[4])
+    *paths, summary_path = output_files(out_dir, methods)
+    trace_paths = dict(zip(methods, paths))
     os.makedirs(out_dir, exist_ok=True)
     traces = {m: run_method(m, make_inputs(), ls=ls, cfg=cfg, plcfg=plcfg) for m in methods}
 
     f_lower = min(t.best_f() for t in traces.values())
-    trace_paths = {}
     per_method = {}
     for m, t in traces.items():
-        path = os.path.join(out_dir, f"{m}.csv")
-        write_trace_csv(t, path, f_lower)
-        trace_paths[m] = path
+        write_trace_csv(t, trace_paths[m], f_lower)
         per_method[m] = {
             "status": t.status,
             "iterations": len(t.records),
@@ -217,7 +251,6 @@ def run_comparison(
         "methods": per_method,
         "problem": problem,
     }
-    summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")

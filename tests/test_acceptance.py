@@ -39,7 +39,7 @@ from modelcg.regression import (
     save_dataset,
     solver_inputs,
 )
-from modelcg.runner import CSV_COLUMNS, METHOD_NAMES, run_comparison, run_method
+from modelcg.runner import CSV_COLUMNS, check_methods, run_comparison, run_method
 from modelcg.solver import (
     MAX_BACKTRACKS,
     LineSearchParams,
@@ -208,7 +208,7 @@ def test_stationary_traces_are_certified(full_scale_trace, desk_scale_runs):
     for i, run in enumerate(desk_scale_runs):
         traces.extend((f"desk data{i} {m}", t) for m, t in run.items())
     ds = generate_regression_data(P=5, M=40, mu=3.0, seed=11)
-    for m in METHOD_NAMES:
+    for m in check_methods(None, solver_inputs(ds)[4]):  # every method regression runs
         trace = observed_solve(run_method, m, solver_inputs(ds),
                                cfg=SolverConfig(max_iterations=30))
         traces.append((f"golden {m}", trace))

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from modelcg import matfac
+from modelcg.baselines import ProxLinearConfig
 from modelcg.geometry import NuclearBall
 from modelcg.matfac import (
     MfProblem,
+    default_start,
     columnwise_simplex_set,
     make_mf_oracle,
     make_mf_sets,
@@ -28,25 +30,26 @@ from modelcg.matfac import (
     unpack_factors,
     write_factors,
 )
+from modelcg.models import ProximalModelOracle
 from modelcg.runner import run_method
-from modelcg.solver import SolverConfig, armijo_search
+from modelcg.solver import SolverConfig, armijo_search, mcgm_solve
 
 from conftest import central_difference
 
 
-def solve_mf(prob, cfg, seed=0):
-    """``mcgm`` on the problem's model from ``default_start(prob, seed)``:
-    the trace and the factors it ends on."""
-    trace = run_method("mcgm", solver_inputs(prob, seed), cfg=cfg)
+def solve_mf(prob, cfg, seed=0, method="mcgm", tau0=1.0):
+    """``method`` from ``default_start(prob, seed)``, at the proximal weight
+    ``tau0`` if it reads one: the trace and the factors it ends on."""
+    trace = run_method(method, solver_inputs(prob, seed), cfg=cfg,
+                       plcfg=ProxLinearConfig(tau0=tau0))
     return (trace, *unpack_factors(prob, trace.final_x))
 
 
-def rank_one_problem(seed=0, model="cg", y_kind="low_rank"):
+def rank_one_problem(seed=0, y_kind="low_rank"):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((20, 1)) @ rng.standard_normal((1, 15))
     radius = 1.5 * np.linalg.norm(A, "nuc")
-    return MfProblem(A=A, inner_dim=4, x_kind="unit_atoms", y_kind=y_kind,
-                     radius=radius, model=model, tau=0.5)
+    return MfProblem(A=A, inner_dim=4, x_kind="unit_atoms", y_kind=y_kind, radius=radius)
 
 
 def test_factor_packing_roundtrip(rng):
@@ -269,11 +272,11 @@ def test_mf_objective_bits_do_not_depend_on_the_blas_thread_count():
     assert values[0] == values[1]
 
 
-@pytest.mark.parametrize("model, final_f, backtracks, evaluations", [
-    ("cg", "0x1.e9fc80a6eb140p+3", 106, 41),
-    ("hybrid", "0x1.d0b76fa803640p+3", 76, 41),
+@pytest.mark.parametrize("method, final_f, backtracks, evaluations", [
+    ("mcgm", "0x1.e9fc80a6eb140p+3", 106, 41),
+    ("mcgm_hybrid", "0x1.d0b76fa803640p+3", 76, 41),
 ], ids=["cg", "hybrid"])
-def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations):
+def test_mf_demo_golden_run(monkeypatch, method, final_f, backtracks, evaluations):
     # the objective's evaluation, the line-search screen and the reuse of
     # the last evaluation must leave every iterate, and so the backtracks and
     # evaluations, unchanged. The screen leaves one line-search evaluation
@@ -303,8 +306,8 @@ def test_mf_demo_golden_run(monkeypatch, model, final_f, backtracks, evaluations
     A = (rng.standard_normal((40, 2)) @ rng.standard_normal((2, 30))
          + 0.1 * rng.standard_normal((40, 30)))
     prob = MfProblem(A=A, inner_dim=4, y_kind="low_rank",
-                     radius=1.5 * float(np.linalg.norm(A, "nuc")), model=model)
-    trace, _, _ = solve_mf(prob, SolverConfig(max_iterations=20), seed=3)
+                     radius=1.5 * float(np.linalg.norm(A, "nuc")))
+    trace, _, _ = solve_mf(prob, SolverConfig(max_iterations=20), seed=3, method=method)
     assert trace.status == "max_iterations"
     assert trace.final_f.hex() == final_f
     assert sum(r.backtracks for r in trace.records) == backtracks
@@ -362,12 +365,12 @@ def test_mf_residual_reuse_is_per_thread():
                         _reference_objective(prob, w).hex()) for w in points]
 
 
-def _noisy_problem(seed, x_kind="unit_atoms", y_kind="low_rank", model="cg"):
+def _noisy_problem(seed, x_kind="unit_atoms", y_kind="low_rank", model="cg", tau=1.0):
     rng = np.random.default_rng(seed)
     A = (rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
          + 0.1 * rng.standard_normal((12, 9)))
     return MfProblem(A=A, inner_dim=3, x_kind=x_kind, y_kind=y_kind,
-                     radius=float(np.abs(A).sum()), model=model)
+                     radius=float(np.abs(A).sum()), model=model, tau=tau)
 
 
 @pytest.mark.parametrize("x_kind", ["unit_atoms", "simplex"])
@@ -390,10 +393,12 @@ def test_mf_segment_remainder_is_the_linearization_error(x_kind, y_kind):
 
 @pytest.mark.parametrize("model", ["cg", "hybrid"])
 def test_mf_screened_line_search_matches_the_plain_rule(model):
-    # the screen of a real model skips every rejected trial and changes no bit
-    prob = _noisy_problem(6, model=model)
-    constraint, _, _ = make_mf_sets(prob)
-    oracle = make_mf_oracle(prob)
+    # the screen of a real model skips every rejected trial and changes no
+    # bit; the hybrid's model is the one mcgm_hybrid solves
+    prob = _noisy_problem(6)
+    _, oracle, constraint, _, block = solver_inputs(prob)
+    if model == "hybrid":
+        oracle = ProximalModelOracle(oracle, 1.0, mask=block)
     calls = []
     plain_fun = mf_objective(prob)
 
@@ -425,14 +430,14 @@ def _trace_bits(trace):
     return records, trace.status, trace.final_f.hex(), trace.final_x.tobytes()
 
 
-@pytest.mark.parametrize("model", ["cg", "hybrid"])
+@pytest.mark.parametrize("method", ["mcgm", "mcgm_hybrid"], ids=["cg", "hybrid"])
 @pytest.mark.parametrize("y_kind", ["sparsity", "low_rank"])
-def test_mf_demo_trace_is_unchanged_by_the_remainder(monkeypatch, model, y_kind):
-    prob = _noisy_problem(7, y_kind=y_kind, model=model)
+def test_mf_demo_trace_is_unchanged_by_the_remainder(monkeypatch, method, y_kind):
+    prob = _noisy_problem(7, y_kind=y_kind)
     cfg = SolverConfig(max_iterations=60)
-    screened, _, _ = solve_mf(prob, cfg, seed=2)
+    screened, _, _ = solve_mf(prob, cfg, seed=2, method=method)
     monkeypatch.setattr(matfac, "mf_segment_remainder", lambda problem: None)
-    plain, _, _ = solve_mf(prob, cfg, seed=2)
+    plain, _, _ = solve_mf(prob, cfg, seed=2, method=method)
     assert _trace_bits(screened) == _trace_bits(plain)
     assert sum(r.backtracks for r in plain.records) > 0
 
@@ -486,12 +491,42 @@ def test_rank_one_recovery_and_monotone_residual():
 
 
 def test_hybrid_mode_runs_and_descends():
-    prob = rank_one_problem(seed=2, model="hybrid")
-    trace, X, Y = solve_mf(prob, SolverConfig(max_iterations=200))
+    prob = rank_one_problem(seed=2)
+    trace, X, Y = solve_mf(prob, SolverConfig(max_iterations=200), method="mcgm_hybrid",
+                           tau0=0.5)
+    assert trace.method == "mcgm_hybrid"
     assert np.linalg.norm(prob.A - X @ Y) < 0.1 * np.linalg.norm(prob.A)
-    oracle = make_mf_oracle(prob)
-    # proximal step on the Y block
-    np.testing.assert_array_equal(oracle.mask, np.arange(prob.x_size + prob.y_size) >= prob.x_size)
+    # proximal step on the Y block, the block the solver inputs designate and
+    # the mask of the hybrid problem's oracle
+    y_block = np.arange(prob.x_size + prob.y_size) >= prob.x_size
+    np.testing.assert_array_equal(solver_inputs(prob)[4], y_block)
+    hybrid = MfProblem(A=prob.A, inner_dim=4, y_kind="low_rank", radius=prob.radius,
+                       model="hybrid", tau=0.5)
+    np.testing.assert_array_equal(make_mf_oracle(hybrid).mask, y_block)
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("y_kind", ["sparsity", "low_rank"])
+def test_mcgm_hybrid_is_mcgm_on_the_hybrid_problems_oracle(y_kind, tau):
+    # the hybrid branch of make_mf_oracle, which only the benchmark reads,
+    # must not drift from the method: every bit of the trace is the same
+    prob = _noisy_problem(8, y_kind=y_kind)
+    hybrid = _noisy_problem(8, y_kind=y_kind, model="hybrid", tau=tau)
+    cfg = SolverConfig(max_iterations=60)
+    method, _, _ = solve_mf(prob, cfg, seed=4, method="mcgm_hybrid", tau0=tau)
+    constraint, _, _ = make_mf_sets(hybrid)
+    direct = mcgm_solve(make_mf_oracle(hybrid), mf_objective(hybrid), constraint,
+                        default_start(hybrid, seed=4), cfg=cfg)
+    assert _trace_bits(method) == _trace_bits(direct)
+    assert sum(r.backtracks for r in direct.records) > 0
+
+
+def test_solver_inputs_refuses_a_hybrid_problem():
+    # proxlin_ls and proxlin_bt on such inputs used to wrap the proximal
+    # model in a second one and fail with a bare NotImplementedError
+    prob = _noisy_problem(8, model="hybrid")
+    with pytest.raises(ValueError, match="the hybrid is the method mcgm_hybrid"):
+        solver_inputs(prob)
 
 
 def test_simplex_and_sparsity_variants_run():
@@ -509,9 +544,10 @@ def test_simplex_and_sparsity_variants_run():
 def test_mf_demo_writes_files(tmp_path):
     prob = rank_one_problem(seed=6)
     trace, X, Y = solve_mf(prob, SolverConfig(max_iterations=30))
-    write_factors(prob, trace.final_x, tmp_path / "factors.json")
+    write_factors(prob, trace.final_x, tmp_path / "factors.json", "mcgm")
     payload = json.loads((tmp_path / "factors.json").read_text())
-    assert payload["schema"] == "modelcg.mf-factors/1"
+    assert payload["schema"] == "modelcg.mf-factors/2"
+    assert payload["method"] == "mcgm" and "model" not in payload
     assert np.array_equal(payload["X"], X) and np.array_equal(payload["Y"], Y)
     assert payload["residual_fro"] == float(np.linalg.norm(prob.A - X @ Y))
 

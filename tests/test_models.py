@@ -228,6 +228,23 @@ def test_hybrid_mask_selects_the_proximal_block(rng):
     np.testing.assert_allclose(res.point[2:], np.clip(x[2:] - 0.4 * g[2:], -1, 1))
 
 
+def test_a_model_without_a_solve_names_its_class(rng):
+    # both used to raise a NotImplementedError without a message, and a
+    # proximal oracle wrapped again (as proxlin_ls did on a hybrid problem)
+    # failed that way at its first solve
+    f, grad, Q, lmax, box = quadratic_problem()
+    x = box.sample(rng)
+    twice = ProximalModelOracle(ProximalModelOracle(AdditiveCompositeOracle(None, f, grad), 1.0),
+                                1.0)
+    with pytest.raises(NotImplementedError, match="^_ProxRegularizedModel has no proximal solve$"):
+        twice.instantiate(x).minimize(box, 0.0)
+    bare = ModelInstance(x, f(x))
+    with pytest.raises(NotImplementedError, match="^ModelInstance has no model solve$"):
+        bare.minimize(box, 0.0)
+    with pytest.raises(NotImplementedError, match="^ModelInstance has no proximal solve$"):
+        bare.minimize_proximal(box, 0.0, 1.0)
+
+
 def test_proximal_mask_contract(rng):
     f, grad, Q, lmax, box = quadratic_problem()
     base = AdditiveCompositeOracle(None, f, grad)

@@ -18,6 +18,7 @@ from modelcg.regression import (
 from modelcg.runner import (
     CSV_COLUMNS,
     METHOD_NAMES,
+    check_methods,
     check_trace_file,
     read_trace_csv,
     run_comparison,
@@ -25,6 +26,13 @@ from modelcg.runner import (
     write_trace_csv,
 )
 from modelcg.solver import LineSearchParams, SolverConfig, rate_certificate, verify_trace_arrays
+
+
+# the methods a regression problem runs, which designates no coordinate block
+REGRESSION_METHODS = ("mcgm", "proxlin_ls", "proxlin_bt")
+# a compare run on the matrix factorization problem
+MATFAC = ["compare", "--problem", "matfac"]
+SMALL_MATFAC = MATFAC + ["--rows", "6", "--cols", "5", "--inner-dim", "2"]
 
 
 def small_dataset(seed=0):
@@ -56,7 +64,7 @@ def test_run_comparison_outputs(tmp_path):
     ds = small_dataset()
     res = run_comparison(lambda: solver_inputs(ds), {"name": "small"}, str(tmp_path / "out"),
                          cfg=SolverConfig(max_iterations=25))
-    assert set(res.trace_paths) == set(METHOD_NAMES)
+    assert set(res.trace_paths) == set(REGRESSION_METHODS)
     header = None
     for path in res.trace_paths.values():
         cols, _ = read_trace_csv(path)
@@ -68,7 +76,7 @@ def test_run_comparison_outputs(tmp_path):
     summary = json.loads(open(res.summary_path).read())
     assert summary["schema"] == "modelcg.summary/4"
     assert summary["problem"] == {"name": "small"}
-    assert set(summary["methods"]) == set(METHOD_NAMES)
+    assert set(summary["methods"]) == set(REGRESSION_METHODS)
     for info in summary["methods"].values():
         assert info["checks"] == []
         assert info["best_f"] >= res.f_lower
@@ -110,7 +118,7 @@ def test_rerun_is_bit_identical_outside_timing(tmp_path):
     cfg = SolverConfig(max_iterations=20)
     res1 = compare(ds, str(tmp_path / "a"), cfg=cfg)
     res2 = compare(ds, str(tmp_path / "b"), cfg=cfg)
-    for m in METHOD_NAMES:
+    for m in REGRESSION_METHODS:
         assert strip_time_column(res1.trace_paths[m]) == strip_time_column(res2.trace_paths[m])
 
 
@@ -240,7 +248,7 @@ def test_cli_compare_and_check_roundtrip(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "results"
     assert cli_main(["compare", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-    for m in METHOD_NAMES:
+    for m in REGRESSION_METHODS:
         assert (out_dir / f"{m}.csv").exists()
     assert (out_dir / "summary.json").exists()
     assert cli_main(["check", "--trace", str(out_dir / "mcgm.csv")]) == 0
@@ -269,11 +277,11 @@ def test_cli_check_reads_the_rho_each_compare_trace_records(tmp_path):
     cfg.write_text(json.dumps({"rho": 0.9}))
     assert cli_main(["compare", "--P", "8", "--M", "60", "--mu", "2", "--seed", "3",
                      "--rho", "0.9", "--max-iterations", "10", "--out", str(out_dir)]) == 0
-    rhos = {m: read_trace_csv(str(out_dir / f"{m}.csv"))[0]["rho"] for m in METHOD_NAMES}
+    rhos = {m: read_trace_csv(str(out_dir / f"{m}.csv"))[0]["rho"] for m in REGRESSION_METHODS}
     assert {m: set(r) for m, r in rhos.items()} == {
         "mcgm": {0.9}, "proxlin_ls": {0.9}, "proxlin_bt": {ACCEPT_RATIO},
     }
-    for m in METHOD_NAMES:
+    for m in REGRESSION_METHODS:
         trace = str(out_dir / f"{m}.csv")
         assert cli_main(["check", "--trace", trace]) == 0, m
         assert cli_main(["check", "--config", str(cfg), "--trace", trace]) == 1, m
@@ -300,21 +308,26 @@ def test_summary_checks_are_those_of_the_trace_file_and_of_the_trace(tmp_path):
     assert "sufficient decrease violated at k=0" in problems
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["compare", "--methods", "proxlin_bt", "--rho", "0.9"], "--rho is read only by"),
-    (["compare", "--methods", "mcgm", "--tau0", "5"], "--tau0 is read only by"),
-    (["mf-demo", "--model", "cg", "--tau", "2"], "--tau is read only by hybrid"),
-    (["mf-demo", "--tau", "2"], "--tau is read only by hybrid"),
-], ids=["compare-rho-bt", "compare-tau0-mcgm", "mf-tau-cg", "mf-tau-default"])
-def test_cli_rejects_a_flag_no_selected_method_reads(tmp_path, capsys, argv, message):
-    # a flag that no selected method reads is an error, not silently dropped
+@pytest.mark.parametrize("problem, flags, message", [
+    ("regression", ["--methods", "proxlin_bt", "--rho", "0.9"], "--rho is read only by"),
+    ("regression", ["--methods", "mcgm", "--tau0", "5"], "--tau0 is read only by"),
+    ("matfac", ["--methods", "mcgm", "--tau0", "2"],
+     "--tau0 is read only by proxlin_ls, proxlin_bt, mcgm_hybrid, and this run selects mcgm"),
+    ("matfac", ["--P", "4"], "--P is read only by regression, and this run selects matfac"),
+    ("matfac", ["--dataset", "{dataset}"], "--dataset is read only by regression"),
+    ("regression", ["--rows", "6"], "--rows is read only by matfac, and this run selects "
+                                    "regression"),
+    ("regression", ["--x-set", "simplex"], "--x-set is read only by matfac"),
+], ids=["compare-rho-bt", "compare-tau0-mcgm", "mf-tau-cg", "mf-regression-flag", "mf-dataset",
+        "compare-mf-flag", "compare-mf-choice"])
+def test_cli_rejects_a_flag_no_selected_method_reads(tmp_path, capsys, problem, flags, message):
+    # a flag that no selected method, or not the selected problem, reads is
+    # an error, not silently dropped
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
-    where = {"compare": ["--dataset", str(path), "--max-iterations", "2",
-                         "--out", str(tmp_path / "out")],
-             "mf-demo": ["--rows", "6", "--cols", "5", "--inner-dim", "2",
-                         "--max-iterations", "2", "--out", str(tmp_path / "out")]}
-    assert cli_main(argv + where[argv[0]]) == 1
+    where = {"regression": ["compare", "--dataset", str(path)], "matfac": SMALL_MATFAC}
+    argv = where[problem] + [f.format(dataset=path) for f in flags]
+    assert cli_main(argv + ["--max-iterations", "2", "--out", str(tmp_path / "out")]) == 1
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -342,9 +355,13 @@ def test_cli_keeps_config_file_flags_as_defaults(tmp_path):
                      "--config", str(cfg), "--out", str(tmp_path / "mcgm")]) == 0
     assert cli_main(["compare", "--dataset", str(path), "--methods", "proxlin_bt",
                      "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    cfg.write_text(json.dumps({"tau": 3.0, "max_iterations": 2}))
-    assert cli_main(["mf-demo", "--rows", "6", "--cols", "5", "--inner-dim", "2",
-                     "--config", str(cfg), "--out", str(tmp_path / "mf")]) == 0
+    # and so is a key of the other problem
+    cfg.write_text(json.dumps({"tau0": 3.0, "P": 4, "dataset": str(path), "max_iterations": 2}))
+    assert cli_main(SMALL_MATFAC + ["--methods", "mcgm", "--config", str(cfg),
+                                    "--out", str(tmp_path / "mf")]) == 0
+    cfg.write_text(json.dumps({"rows": 6, "y_set": "sparsity", "max_iterations": 2}))
+    assert cli_main(["compare", "--dataset", str(path), "--methods", "mcgm",
+                     "--config", str(cfg), "--out", str(tmp_path / "reg")]) == 0
 
 
 @pytest.mark.parametrize("method, flags, rho", [
@@ -407,11 +424,11 @@ def test_cli_solve_rejects_a_nan_or_negative_time_budget(tmp_path, capsys, budge
     ("compare", {"max_iterations": 2.5}, "max_iterations"),
     ("compare", {"max_iterations": True}, "max_iterations"),
     ("compare", {"max_iterations": "2"}, "max_iterations"),
-    ("mf-demo", {"rows": 6.5}, "rows"),
-    ("mf-demo", {"cols": 5.5}, "cols"),
-    ("mf-demo", {"inner_dim": True}, "inner_dim"),
-    ("mf-demo", {"seed": 0.5}, "seed"),
-    ("mf-demo", {"max_iterations": 3.9}, "max_iterations"),
+    ("matfac", {"rows": 6.5}, "rows"),
+    ("matfac", {"cols": 5.5}, "cols"),
+    ("matfac", {"inner_dim": True}, "inner_dim"),
+    ("matfac", {"seed": 0.5}, "seed"),
+    ("matfac", {"max_iterations": 3.9}, "max_iterations"),
 ], ids=["gen-P", "gen-M", "gen-seed", "gen-seed-bool", "compare-dataset-M", "compare-iters",
         "compare-bool-iters", "compare-iters-string", "mf-rows", "mf-cols", "mf-inner-dim-bool",
         "mf-seed", "mf-iters"])
@@ -424,9 +441,9 @@ def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    where = {"gen": [], "mf-demo": [],
-             "compare": [] if "dataset" in config else ["--dataset", str(path)]}
-    assert cli_main([command, "--config", str(cfg), "--out", str(out)] + where[command]) == 1
+    where = {"gen": ["gen"], "matfac": MATFAC,
+             "compare": ["compare"] + ([] if "dataset" in config else ["--dataset", str(path)])}
+    assert cli_main(where[command] + ["--config", str(cfg), "--out", str(out)]) == 1
     value = config["dataset"][key] if key in config.get("dataset", {}) else config[key]
     assert (f"configuration error: {key} must be an integer, got {value!r}"
             in capsys.readouterr().err)
@@ -445,9 +462,9 @@ def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     ("compare", {"time_budget": True}, "time_budget"),
     ("compare", {"dataset": {"P": 4, "M": 30, "mu": True}, "max_iterations": 2}, "mu"),
     ("compare", {"delta_tol": "0.5"}, "delta_tol"),
-    ("mf-demo", {"radius": True}, "radius"),
-    ("mf-demo", {"model": "hybrid", "tau": True}, "tau"),
-    ("mf-demo", {"tau": [1.0]}, "tau"),
+    ("matfac", {"radius": True}, "radius"),
+    ("matfac", {"methods": "mcgm_hybrid", "tau0": True}, "tau0"),
+    ("matfac", {"tau0": [1.0]}, "tau0"),
 ], ids=["gen-mu", "gen-a-max", "gen-b-max", "gen-sparsity", "gen-noise-scale", "compare-rho",
         "compare-tau0", "compare-bool-delta-tol", "compare-time-budget", "compare-dataset-mu",
         "compare-delta-tol-string", "mf-radius", "mf-tau", "mf-tau-list"])
@@ -461,9 +478,9 @@ def test_cli_rejects_a_non_number_config_value_for_a_float_setting(
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    where = {"gen": [], "mf-demo": [],
-             "compare": [] if "dataset" in config else ["--dataset", str(path)]}
-    assert cli_main([command, "--config", str(cfg), "--out", str(out)] + where[command]) == 1
+    where = {"gen": ["gen"], "matfac": MATFAC,
+             "compare": ["compare"] + ([] if "dataset" in config else ["--dataset", str(path)])}
+    assert cli_main(where[command] + ["--config", str(cfg), "--out", str(out)]) == 1
     value = config["dataset"][key] if key in config.get("dataset", {}) else config[key]
     assert (f"configuration error: {key} must be a number, got {value!r}"
             in capsys.readouterr().err)
@@ -614,7 +631,7 @@ def test_cli_compare_generates_a_dataset_from_the_dataset_flags(tmp_path):
     assert code == 0
     dataset = json.loads((out / "summary.json").read_text())["problem"]
     assert (dataset["P"], dataset["M"]) == (4, 30)
-    for m in METHOD_NAMES:
+    for m in REGRESSION_METHODS:
         assert (out / f"{m}.csv").exists()
 
 
@@ -675,13 +692,13 @@ def test_cli_compare_summary_records_every_dataset_parameter(tmp_path):
 @pytest.mark.parametrize("command, config, key", [
     ("compare", {"rhoo": 0.5, "max_iteratons": 3}, "rhoo"),
     ("compare", {"dataset": {"P": 4, "M": 30, "seedd": 1}}, "seedd"),
-    ("compare", {"rows": 6}, "rows"),
+    ("compare", {"model": "hybrid"}, "model"),
     ("gen", {"P": 4, "M": 30, "max_iterations": 3}, "max_iterations"),
     ("compare", {"method": "mcgm"}, "method"),
-    ("mf-demo", {"tau0": 2.0}, "tau0"),
+    ("matfac", {"tau": 2.0}, "tau"),
     ("check", {"config": "other.json"}, "config"),
 ], ids=["compare-misspelled", "compare-dataset-object", "compare-mf-key", "gen-solver-key",
-        "compare-method", "mf-tau0", "check-config"])
+        "compare-method", "mf-tau", "check-config"])
 def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, config, key):
     # such a key used to be ignored: the misspelled config ran at the defaults
     path = tmp_path / "d.json"
@@ -689,12 +706,13 @@ def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    where = {"gen": ["--out", str(out)],
-             "compare": ["--P", "4", "--M", "30", "--out", str(out)],
-             "mf-demo": ["--out", str(out)], "check": ["--trace", str(tmp_path / "t.csv")]}
+    where = {"gen": ["gen", "--out", str(out)],
+             "compare": ["compare", "--P", "4", "--M", "30", "--out", str(out)],
+             "matfac": MATFAC + ["--out", str(out)],
+             "check": ["check", "--trace", str(tmp_path / "t.csv")]}
     if "dataset" in config:
-        where["compare"] = ["--out", str(out)]
-    assert cli_main([command, "--config", str(cfg)] + where[command]) == 1
+        where["compare"] = ["compare", "--out", str(out)]
+    assert cli_main(where[command] + ["--config", str(cfg)]) == 1
     assert f"configuration error: the config key {key!r} is none of " in capsys.readouterr().err
     assert not out.exists()
 
@@ -702,19 +720,19 @@ def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, 
 @pytest.mark.parametrize("command, config, message", [
     ("compare", {"dataset": "d.json", "out": 5}, "out must be a string, got 5"),
     ("compare", {"dataset": "d.json", "out": ["r"]}, "out must be a string, got ['r']"),
-    ("mf-demo", {"model": "prox"}, "model must be one of cg, hybrid, got 'prox'"),
-    ("mf-demo", {"y_set": ["low_rank"]}, "y_set must be one of sparsity, low_rank"),
-], ids=["compare-out-number", "compare-out", "mf-model", "mf-y-set"])
+    ("compare", {"problem": "prox"}, "problem must be one of regression, matfac, got 'prox'"),
+    ("matfac", {"y_set": ["low_rank"]}, "y_set must be one of sparsity, low_rank"),
+], ids=["compare-out-number", "compare-out", "compare-problem", "mf-y-set"])
 def test_cli_reads_a_config_value_as_its_flag_reads_it(tmp_path, capsys, monkeypatch,
                                                          command, config, message):
-    # "out": 5 used to open file descriptor 5, and an mf-demo choice was
-    # checked only once the problem was built
+    # "out": 5 used to open file descriptor 5, and a matrix factorization
+    # choice was checked only once the problem was built
     monkeypatch.chdir(tmp_path)
     save_dataset(small_dataset(), "d.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    where = {"compare": ["--max-iterations", "2"], "mf-demo": ["--out", "mf"]}
-    assert cli_main([command, "--config", str(cfg)] + where[command]) == 1
+    where = {"compare": ["compare", "--max-iterations", "2"], "matfac": MATFAC + ["--out", "mf"]}
+    assert cli_main(where[command] + ["--config", str(cfg)]) == 1
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.json"]
 
@@ -740,7 +758,7 @@ def test_cli_takes_required_settings_from_a_config_file(tmp_path, capsys):
     assert (tmp_path / "h.json").exists()
     for argv, flag in ((["gen", "--P", "4"], "--out"),
                        (["check"], "--trace"), (["compare", "--P", "4"], "--out"),
-                       (["mf-demo"], "--out")):
+                       (MATFAC, "--out")):
         assert cli_main(argv) == 1
         assert f"configuration error: {flag} is required" in capsys.readouterr().err
 
@@ -847,27 +865,119 @@ def test_cli_compare_rejects_methods_that_are_not_names(tmp_path, capsys, method
 
 def test_cli_mf_demo(tmp_path):
     out = tmp_path / "mf"
-    code = cli_main(["mf-demo", "--rows", "10", "--cols", "8", "--inner-dim", "3",
-                     "--max-iterations", "40", "--out", str(out)])
+    code = cli_main(MATFAC + ["--rows", "10", "--cols", "8", "--inner-dim", "3",
+                              "--methods", "mcgm", "--max-iterations", "40", "--out", str(out)])
     assert code == 0
-    assert (out / "factors.json").exists()
+    assert json.loads((out / "mcgm-factors.json").read_text())["method"] == "mcgm"
     summary = json.loads((out / "summary.json").read_text())
     assert list(summary["methods"]) == ["mcgm"]
-    assert summary["problem"]["rows"] == 10 and summary["problem"]["model"] == "cg"
+    assert summary["problem"]["rows"] == 10 and "model" not in summary["problem"]
     assert cli_main(["check", "--trace", str(out / "mcgm.csv")]) == 0
+
+
+def test_the_default_methods_are_every_method_the_problem_can_run(tmp_path):
+    # mcgm_hybrid needs the coordinate block a problem designates with its
+    # solver inputs, and regression designates none
+    assert check_methods(None, None) == REGRESSION_METHODS
+    assert check_methods(None, np.ones(4, dtype=bool)) == METHOD_NAMES
+    ds = small_dataset()
+    for methods in (["mcgm_hybrid"], ["mcgm", "mcgm_hybrid"]):
+        with pytest.raises(ValueError, match="mcgm_hybrid takes proximal steps on the block"):
+            check_methods(methods, None)
+        with pytest.raises(ValueError, match="this problem designates none"):
+            compare(ds, str(tmp_path / "r"), methods=methods)
+    with pytest.raises(ValueError, match="this problem designates none"):
+        run_method("mcgm_hybrid", solver_inputs(ds))
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_refuses_mcgm_hybrid_on_regression_before_any_solve(tmp_path, capsys, monkeypatch):
+    import modelcg.runner as runner
+
+    solved = []
+    monkeypatch.setattr(runner, "run_method", lambda m, *a, **k: solved.append(m))
+    out = tmp_path / "smoke-h"
+    assert cli_main(["compare", "--P", "8", "--M", "60", "--methods", "mcgm,mcgm_hybrid",
+                     "--out", str(out)]) == 1
+    assert ("configuration error: mcgm_hybrid takes proximal steps on the block of coordinates "
+            "a problem designates, and this problem designates none" in capsys.readouterr().err)
+    assert solved == [] and not out.exists()
+
+
+def test_cli_compare_matfac_runs_every_method_by_default(tmp_path, capsys):
+    # the four-way comparison: each method writes its trace and its factors,
+    # and every trace checks out
+    out = tmp_path / "mf"
+    assert cli_main(MATFAC + ["--max-iterations", "20", "--out", str(out)]) == 0
+    printed = re.findall(r"^(\w+): status=", capsys.readouterr().out, re.M)
+    assert printed == list(METHOD_NAMES)
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["methods"]) == set(METHOD_NAMES)
+    assert summary["problem"] == {"rows": 20, "cols": 15, "inner_dim": 4, "x_set": "unit_atoms",
+                                  "y_set": "low_rank", "radius": summary["problem"]["radius"],
+                                  "seed": 0}
+    for m in METHOD_NAMES:
+        assert summary["methods"][m]["checks"] == [], m
+        assert cli_main(["check", "--trace", str(out / f"{m}.csv")]) == 0, m
+        factors = json.loads((out / f"{m}-factors.json").read_text())
+        assert (factors["schema"], factors["method"]) == ("modelcg.mf-factors/2", m)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{m}.csv" for m in METHOD_NAMES] + [f"{m}-factors.json" for m in METHOD_NAMES]
+        + ["summary.json"])
+
+
+@pytest.mark.parametrize("flags, final_f, iterations", [
+    (["--methods", "mcgm"], "0x1.afab19733803cp-51", 33),
+    (["--methods", "mcgm_hybrid"], "0x1.63d8a06c0741dp-47", 48),
+    (["--methods", "mcgm_hybrid", "--tau0", "0.5"], "0x1.f4b13111a56b2p-41", 138),
+], ids=["cg", "hybrid", "hybrid-tau"])
+def test_cli_compare_matfac_runs_what_mf_demo_ran(tmp_path, flags, final_f, iterations):
+    # the final objectives and iteration counts of the removed mf-demo at its
+    # defaults (150 iterations), with --model hybrid and with --tau 0.5
+    out = tmp_path / "mf"
+    assert cli_main(MATFAC + flags + ["--max-iterations", "150", "--out", str(out)]) == 0
+    method = flags[1]
+    cols, f = read_trace_csv(out / f"{method}.csv")
+    assert (f.hex(), len(cols["k"])) == (final_f, iterations)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["methods"][method]["status"] == "stationary"
+
+
+@pytest.mark.parametrize("problem, name", [
+    ("regression", "mcgm.csv"),
+    ("regression", "summary.json"),
+    ("matfac", "mcgm-factors.json"),
+], ids=["trace", "summary", "factors"])
+def test_cli_checks_every_file_it_writes_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                          problem, name):
+    # a trace CSV that was a directory used to exit 2 as a solver failure
+    # once every method had run
+    import modelcg.runner as runner
+
+    solved = []
+    monkeypatch.setattr(runner, "run_method", lambda m, *a, **k: solved.append(m))
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = {"regression": ["compare", "--P", "4", "--M", "30"], "matfac": SMALL_MATFAC}[problem]
+    assert cli_main(argv + ["--methods", "mcgm", "--out", str(out)]) == 1
+    assert (f"configuration error: cannot use {str(out / name)!r}: Is a directory"
+            in capsys.readouterr().err)
+    assert solved == []
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_cli_rejects_an_infinite_proximal_weight(tmp_path, capsys):
     # an infinite weight used to pass as a NaN inner gap and a false
-    # "stationary" status (compare), or fail later inside the SVD (mf-demo)
+    # "stationary" status (regression), or fail later inside the SVD (matfac)
     out = tmp_path / "out"
     assert cli_main(["compare", "--P", "4", "--M", "30", "--sparsity", "0.5", "--tau0", "inf",
                      "--methods", "proxlin_ls,proxlin_bt", "--max-iterations", "5",
                      "--out", str(out)]) == 1
     assert "configuration error: tau0 must be finite" in capsys.readouterr().err
-    assert cli_main(["mf-demo", "--rows", "10", "--cols", "8", "--model", "hybrid",
-                     "--tau", "inf", "--out", str(tmp_path / "mf")]) == 1
-    assert "configuration error: tau must be positive and finite" in capsys.readouterr().err
+    assert cli_main(MATFAC + ["--rows", "10", "--cols", "8", "--methods", "mcgm_hybrid",
+                              "--tau0", "inf", "--out", str(tmp_path / "mf")]) == 1
+    assert "configuration error: tau0 must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "mf").exists()
 
 
 def test_cli_compare_rejects_an_infinite_stationarity_tolerance(tmp_path, capsys):
@@ -886,8 +996,8 @@ def test_cli_mf_demo_rejects_an_infinite_radius(tmp_path, capsys, y_kind):
     # an infinite radius used to start a solve over an unbounded set, which
     # failed in the line search after a RuntimeWarning from the oracle's inf
     out = tmp_path / "mf"
-    assert cli_main(["mf-demo", "--rows", "6", "--cols", "5", "--inner-dim", "2",
-                     "--y-set", y_kind, "--radius", "inf", "--out", str(out)]) == 1
+    assert cli_main(SMALL_MATFAC + ["--y-set", y_kind, "--radius", "inf",
+                                    "--out", str(out)]) == 1
     assert "configuration error: radius must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -902,14 +1012,23 @@ def test_cli_mf_demo_names_a_target_size_below_one(tmp_path, capsys, flags, sett
     # these used to name the radius taken from an empty target, or the
     # dimension of a set built from it
     out = tmp_path / "mf"
-    assert cli_main(["mf-demo", "--out", str(out)] + flags) == 1
+    assert cli_main(MATFAC + ["--out", str(out)] + flags) == 1
     value = flags[flags.index("--" + setting) + 1]
     assert (f"configuration error: {setting} must be an integer >= 1, got {value}"
             in capsys.readouterr().err)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_cli_compare_matfac_names_a_negative_seed(tmp_path, capsys):
+    # numpy's "expected non-negative integer" named no setting
+    out = tmp_path / "mf"
+    assert cli_main(MATFAC + ["--seed", "-1", "--out", str(out)]) == 1
+    assert ("configuration error: seed must be non-negative and an integer, got -1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", REGRESSION_METHODS)
 def test_cli_compare_of_one_method_writes_the_trace_of_run_method(tmp_path, method):
     # compare --methods <m> writes, time_s aside, the trace CSV that
     # write_trace_csv makes of run_method's trace against its own best f
@@ -931,7 +1050,7 @@ def test_cli_compare_of_one_method_writes_the_trace_of_run_method(tmp_path, meth
     (["compare", "--P", "4", "--M", "30", "--out", "{F}"], "{F}"),
     (["compare", "--P", "4", "--M", "30", "--out", "{F}/sub"], "{F}/sub"),
     (["gen", "--P", "4", "--M", "30", "--out", "{F}/d.json"], "{F}/d.json"),
-    (["mf-demo", "--rows", "6", "--cols", "5", "--inner-dim", "2", "--out", "{F}"], "{F}"),
+    (SMALL_MATFAC + ["--out", "{F}"], "{F}"),
     (["compare", "--dataset", "{D}", "--out", "{D}/out"], "{D}"),
     (["check", "--trace", "{D}"], "{D}"),
 ], ids=["compare-out-file", "compare-out-under-file", "gen-out-under-file", "mf-out-file",
