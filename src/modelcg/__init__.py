@@ -15,7 +15,6 @@ from .inner import PiecewiseLinearSubproblem, pdhg_solve, primal_dual_gap
 from .models import (
     AdditiveCompositeOracle,
     GaussNewtonOracle,
-    L1Loss,
     LinearModelOracle,
     ProximalModelOracle,
     WeightedL1,
@@ -46,7 +45,6 @@ __all__ = [
     "primal_dual_gap",
     "AdditiveCompositeOracle",
     "GaussNewtonOracle",
-    "L1Loss",
     "LinearModelOracle",
     "ProximalModelOracle",
     "WeightedL1",

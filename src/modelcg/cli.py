@@ -8,10 +8,12 @@ records).
 
 A JSON config file (``--config``) gives defaults for any flag, required
 ones included, and explicit flags win. A config key is its flag's name
-(``max_iterations`` for ``--max-iterations``), and a config value must be
-what its flag accepts (``_config_value``). A flag passed explicitly that
-the run does not read is a configuration error: ``--rho`` or ``--tau0``
-when no selected method reads it, a flag of the other problem (``--dataset``
+(``max_iterations`` for ``--max-iterations``), and a config value is what
+its flag accepts, in no other form (``_config_value``): ``methods`` is a
+comma-separated string, ``dataset`` a path (``compare`` only), and each
+dataset parameter a key of its own. A flag passed explicitly that the run
+does not read is a configuration error: ``--rho`` or ``--tau0`` when no
+selected method reads it, a flag of the other problem (``--dataset``
 included), and a dataset flag given with a dataset file. The same keys in a
 config file are defaults.
 
@@ -132,27 +134,12 @@ def _build_parser():
 
 
 def _config_value(flags, key, value):
-    """A config file's ``value`` for ``key``, read through the flag of that
-    name in ``flags``: an integer for an ``int`` flag (``6.0`` reads as 6), a
-    number for a ``float`` flag, one of the choices of a flag with choices,
-    and a string for any other. ``methods`` may also be a list of names, and
-    ``dataset``, beside the dataset flags, an object of dataset parameters."""
-    if key == "dataset" and regression.GENERATION_PARAMETERS.keys() <= flags.keys():
-        if isinstance(value, str):
-            return value
-        if not isinstance(value, dict):
-            raise ConfigError(
-                f"dataset must be a file path or an object of dataset parameters, got {value!r}"
-            )
-        dataset_flags = {k: flags[k] for k in regression.GENERATION_PARAMETERS}
-        return {k: _config_value(dataset_flags, k, v) for k, v in value.items()}
+    """A config file's ``value`` for ``key``, read as the flag of that name
+    in ``flags`` reads its argument: an integer for an ``int`` flag (``6.0``
+    reads as 6), a number for a ``float`` flag, one of the choices of a flag
+    with choices, and a string for any other. No key takes another form."""
     if key not in flags:
         raise ConfigError(f"the config key {key!r} is none of {', '.join(flags)}")
-    if key == "methods" and not (isinstance(value, str) or isinstance(value, list)
-                                 and all(isinstance(m, str) for m in value)):
-        raise ConfigError(
-            f"methods must be a comma-separated string or a list of strings, got {value!r}"
-        )
     action = flags[key]
     if action.type is int:
         # JSON has one number type: an integral float such as 6.0 reads as 6
@@ -164,7 +151,7 @@ def _config_value(flags, key, value):
     if action.choices is not None:
         if value not in action.choices:
             raise ConfigError(f"{key} must be one of {', '.join(action.choices)}, got {value!r}")
-    elif not isinstance(value, str) and key != "methods":
+    elif not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
 
@@ -204,16 +191,15 @@ def _reject_unread_flags(args, selected, readers):
 
 def _dataset_source(args, settings):
     """A run's dataset as a file path, which no explicit dataset flag may
-    come with, or as generation parameters: the ``dataset`` object under the
-    explicit dataset flags, or else the dataset settings."""
+    come with, or else as the dataset settings, its generation parameters."""
     source = settings.get("dataset")
     if source is None:
         return {k: v for k, v in settings.items() if k in regression.GENERATION_PARAMETERS}
-    given = {k: v for k, v in vars(args).items() if k in regression.GENERATION_PARAMETERS}
-    if isinstance(source, str) and given:
+    given = [k for k in vars(args) if k in regression.GENERATION_PARAMETERS]
+    if given:
         raise ConfigError(f"the dataset flags {', '.join(given)} cannot be given with the "
                           f"dataset file {source!r}")
-    return source if isinstance(source, str) else {**source, **given}
+    return source
 
 
 def _solver_configs(settings):
@@ -235,10 +221,7 @@ def _user_path(path):
 
 
 def _cmd_gen(args, settings):
-    params = _dataset_source(args, settings)
-    if isinstance(params, str):
-        raise ConfigError(f"gen needs dataset parameters, and the dataset is a file: {params!r}")
-    dataset = regression.generate_regression_data(**params)
+    dataset = regression.generate_regression_data(**_dataset_source(args, settings))
     with _user_path(settings["out"]):
         regression.save_dataset(dataset, settings["out"])
     print(f"wrote {settings['out']} (P={dataset.P}, M={dataset.M}, seed={dataset.seed})")
@@ -281,7 +264,7 @@ def _cmd_compare(args, settings):
     else:
         make_inputs, problem = _regression_problem(args, settings)
     methods = settings.get("methods")
-    if isinstance(methods, str):
+    if methods is not None:
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
     methods = check_methods(methods, make_inputs()[4])
     _reject_unread_flags(args, methods, _SOLVER_FLAG_READERS)

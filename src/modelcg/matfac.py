@@ -375,15 +375,19 @@ def solver_inputs(problem, seed=0):
 def generate_problem(rows=20, cols=15, inner_dim=4, x_set="unit_atoms", y_set="low_rank",
                      radius=None, seed=0):
     """A problem with the rank-one target ``u v^T``, u (``rows``) and v
-    (``cols``) standard normal from ``seed``, over the sets named; the
-    radius defaults to 1.5 times the target's nuclear norm. Returns the
-    problem and the parameters by name, the radius included."""
+    (``cols``) standard normal from ``seed``, over the sets named. The
+    radius defaults to 1.5 times the norm the Y set bounds of the Y that
+    fits the target when the first X column is u / ||u||_2: the target's
+    nuclear norm for ``low_rank``, and for ``sparsity`` (an entrywise l1
+    ball) the sum of its column norms. Returns the problem and the
+    parameters by name, the radius included."""
     for name, value, minimum in (("rows", rows, 1), ("cols", cols, 1), ("seed", seed, 0)):
         require_integer(value, name, minimum)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((rows, 1)) @ rng.standard_normal((1, cols))
     if radius is None:
-        radius = float(1.5 * np.linalg.norm(A, "nuc"))
+        fit = np.linalg.norm(A, "nuc") if y_set == "low_rank" else np.linalg.norm(A, axis=0).sum()
+        radius = float(1.5 * fit)
     problem = MfProblem(A=A, inner_dim=inner_dim, x_kind=x_set, y_kind=y_set, radius=radius)
     return problem, {"rows": rows, "cols": cols, "inner_dim": inner_dim, "x_set": x_set,
                      "y_set": y_set, "radius": radius, "seed": seed}

@@ -15,9 +15,9 @@ the work horse of the conditional-gradient outer loop:
                                   mask makes the hybrid: the masked blocks of
                                   a product set take a proximal step, the
                                   others a linear-oracle step.
-* ``GaussNewtonOracle``        -- linearizes an inner residual map inside a
-                                  convex outer loss; the l1 case is handed to
-                                  the primal-dual inner solver.
+* ``GaussNewtonOracle``        -- ||F(x) - targets||_1 + penalty(x) with the
+                                  residual map F linearized, minimized by the
+                                  primal-dual inner solver.
 
 A minimization returns a :class:`ModelMinimum` that carries the model
 improvement of its point, computed by the solve itself: the exact solves
@@ -38,7 +38,6 @@ from .inner import PiecewiseLinearSubproblem, pdhg_solve
 __all__ = [
     "ZeroPenalty",
     "WeightedL1",
-    "L1Loss",
     "ModelMinimum",
     "ModelInstance",
     "LinearModelOracle",
@@ -103,6 +102,13 @@ class WeightedL1:
 
 def _is_zero(penalty):
     return penalty is None or isinstance(penalty, ZeroPenalty)
+
+
+def _on_block(penalty, s):
+    """The penalty of the coordinates in the slice ``s`` alone."""
+    if isinstance(penalty, WeightedL1) and penalty.mask is not None:
+        return WeightedL1(penalty.weight, penalty.mask[s])
+    return penalty
 
 
 def prox_penalized(penalty, z, step, constraint):
@@ -248,12 +254,12 @@ class _AdditiveCompositeModel(ModelInstance):
             parts = []
             for b, set_b in enumerate(constraint.sets):
                 s = slice(constraint.offsets[b], constraint.offsets[b + 1])
-                g_b, mask_b = self.h_grad[s], mask[s]
+                g_b, mask_b, penalty_b = self.h_grad[s], mask[s], _on_block(self.penalty, s)
                 if mask_b.all():
                     z = self.anchor[s] - tau * g_b
-                    parts.append(prox_penalized(self.penalty, z, tau, set_b))
+                    parts.append(prox_penalized(penalty_b, z, tau, set_b))
                 elif not mask_b.any():
-                    parts.append(linear_composite_min(self.penalty, g_b, set_b))
+                    parts.append(linear_composite_min(penalty_b, g_b, set_b))
                 else:
                     raise ValueError(f"the proximal mask splits block {b} of the product set")
             y = np.concatenate(parts)
@@ -346,40 +352,33 @@ class ProximalModelOracle:
         return _ProxRegularizedModel(base, self.tau, self.mask)
 
 
-class L1Loss:
-    """z -> sum_i |z_i - target_i|; 1-Lipschitz in the l1 norm."""
-
-    def __init__(self, targets):
-        self.targets = require_finite(targets, "targets")
-
-    def value(self, z):
-        return float(np.abs(np.asarray(z, float) - self.targets).sum())
-
-
 class _GaussNewtonModel(ModelInstance):
-    def __init__(self, anchor, loss, penalty, F_value, jac):
-        self.loss = loss
+    def __init__(self, anchor, targets, penalty, F_value, jac):
+        self.targets = targets
         self.penalty = penalty if penalty is not None else ZeroPenalty()
         self.F_value = _finite_oracle_data(F_value, "residual")
         self.jac = _finite_oracle_data(jac, "Jacobian")
+        if self.targets.shape != self.F_value.shape:
+            raise ValueError("targets do not match the residual dimension")
         if self.jac.shape[0] != self.F_value.size:
             raise ValueError("jacobian rows do not match the residual dimension")
         anchor = np.asarray(anchor, dtype=float)
         if self.jac.shape[1] != anchor.size:
             raise ValueError("jacobian columns do not match the anchor dimension")
-        super().__init__(anchor, loss.value(F_value) + self.penalty.value(anchor))
+        super().__init__(anchor, self._l1_loss(self.F_value) + self.penalty.value(anchor))
+
+    def _l1_loss(self, z):
+        return float(np.abs(z - self.targets).sum())
 
     def linearized_residual(self, x):
         x = np.asarray(x, dtype=float)
         return self.F_value + self.jac @ (x - self.anchor)
 
     def value(self, x):
-        return self.loss.value(self.linearized_residual(x)) + self.penalty.value(x)
+        return self._l1_loss(self.linearized_residual(x)) + self.penalty.value(x)
 
     def subproblem(self, constraint):
-        """The equivalent box-constrained piecewise-linear problem (l1 loss)."""
-        if not isinstance(self.loss, L1Loss):
-            raise NotImplementedError("only the l1 outer loss maps to a subproblem")
+        """The equivalent box-constrained piecewise-linear problem."""
         if not isinstance(constraint, Box):
             raise NotImplementedError("the inner solver handles box constraints")
         n = self.anchor.size
@@ -392,7 +391,7 @@ class _GaussNewtonModel(ModelInstance):
             )
         else:
             raise NotImplementedError("unsupported penalty for the inner solver")
-        shifted = self.loss.targets - self.F_value + self.jac @ self.anchor
+        shifted = self.targets - self.F_value + self.jac @ self.anchor
         return PiecewiseLinearSubproblem(
             K=self.jac,
             target=shifted,
@@ -422,26 +421,27 @@ class _GaussNewtonModel(ModelInstance):
 
 
 class GaussNewtonOracle:
-    """Model family for objectives loss(F(x)) + penalty(x): the residual map
-    F is linearized at the anchor inside the (Lipschitz, convex) outer loss.
+    """Model family for objectives ||F(x) - targets||_1 + penalty(x): the
+    residual map F is linearized at the anchor inside the l1 loss.
 
-    The model is minimized by the primal-dual inner solver, which takes an
-    :class:`L1Loss` with no penalty or a weighted-l1 one over a box; with
-    any other loss, penalty or set the instances still evaluate, but their
-    minimization raises ``NotImplementedError``.
+    The model is minimized by the primal-dual inner solver, which takes no
+    penalty or a weighted-l1 one over a box; with any other penalty or set
+    the instances still evaluate, but their minimization raises
+    ``NotImplementedError``. ``targets`` is a finite vector of the
+    residual's shape.
     """
 
-    def __init__(self, residual, jacobian, loss, penalty=None):
+    def __init__(self, residual, jacobian, targets, penalty=None):
         self.residual = residual
         self.jacobian = jacobian
-        self.loss = loss
+        self.targets = require_finite(targets, "targets")
         self.penalty = penalty
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)
         return _GaussNewtonModel(
             anchor,
-            self.loss,
+            self.targets,
             self.penalty,
             np.asarray(self.residual(anchor), dtype=float),
             np.asarray(self.jacobian(anchor), dtype=float),

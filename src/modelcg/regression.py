@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import Box, require_finite, require_integer, require_number
 from .inner import aligned
-from .models import GaussNewtonOracle, L1Loss, WeightedL1
+from .models import GaussNewtonOracle, WeightedL1
 
 __all__ = [
     "RegressionDataset",
@@ -197,7 +197,7 @@ def make_oracle(dataset):
     return GaussNewtonOracle(
         residual,
         jacobian,
-        L1Loss(dataset.observations),
+        dataset.observations,
         penalty=WeightedL1(dataset.mu, amplitude_mask(dataset)),
     )
 

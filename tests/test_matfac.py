@@ -52,6 +52,24 @@ def rank_one_problem(seed=0, y_kind="low_rank"):
     return MfProblem(A=A, inner_dim=4, x_kind="unit_atoms", y_kind=y_kind, radius=radius)
 
 
+@pytest.mark.parametrize("y_set", ["low_rank", "sparsity"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_default_radius_holds_a_y_that_fits_the_target(seed, y_set):
+    # the sparsity radius was also 1.5 times the nuclear norm, 14.7 at seed
+    # 0, where the l1 ball must hold 31.1 to fit the target: every method
+    # stopped near f = 9.925
+    prob, params = matfac.generate_problem(y_set=y_set, seed=seed)
+    U, s, Vt = np.linalg.svd(prob.A)
+    m, k, n = prob.shape
+    X, Y = np.zeros((m, k)), np.zeros((k, n))
+    X[:, 0], Y[0] = U[:, 0], s[0] * Vt[0]
+    fit = pack_factors(prob, X, Y)
+    assert mf_objective(prob)(fit) < 1e-24
+    norm = np.linalg.norm(Y, "nuc") if y_set == "low_rank" else np.abs(Y).sum()
+    assert params["radius"] == prob.radius == pytest.approx(1.5 * norm, rel=1e-12)
+    assert make_mf_sets(prob)[0].contains(fit)
+
+
 def test_factor_packing_roundtrip(rng):
     prob = rank_one_problem()
     m, k, n = prob.shape

@@ -6,7 +6,6 @@ from modelcg.inner import pdhg_solve
 from modelcg.models import (
     AdditiveCompositeOracle,
     GaussNewtonOracle,
-    L1Loss,
     LinearModelOracle,
     ModelInstance,
     ProximalModelOracle,
@@ -16,6 +15,7 @@ from modelcg.models import (
     prox_penalized,
 )
 from modelcg.regression import generate_regression_data, make_constraint_set, make_objective, make_oracle, make_subproblem
+from modelcg.solver import mcgm_solve
 
 from conftest import central_difference
 from model_error import PowerGrowth, model_error_growth, verify_model_error
@@ -137,7 +137,7 @@ def test_segment_change_only_from_a_zero_penalty_with_a_remainder(rng):
     without = (
         AdditiveCompositeOracle(WeightedL1(0.3), f, grad, remainder),
         LinearModelOracle(f, grad),
-        GaussNewtonOracle(lambda z: z, lambda z: np.eye(4), L1Loss(np.zeros(4))),
+        GaussNewtonOracle(lambda z: z, lambda z: np.eye(4), np.zeros(4)),
     )
     for oracle in without:
         assert oracle.instantiate(x).segment_change(y) is None
@@ -228,6 +228,28 @@ def test_hybrid_mask_selects_the_proximal_block(rng):
     np.testing.assert_allclose(res.point[2:], np.clip(x[2:] - 0.4 * g[2:], -1, 1))
 
 
+def test_hybrid_hands_each_block_the_penalty_of_its_coordinates(rng):
+    # each block was handed the penalty of the whole vector, so a masked one
+    # raised "penalty mask does not match the dimension"
+    f, grad, Q, lmax, _ = quadratic_problem()
+    weight, tau = 0.1, 1.0
+    pen = WeightedL1(weight, np.array([True, False, True, False]))
+    prod = ProductSet([Box(np.zeros(2), np.ones(2)), Box(np.zeros(2), np.ones(2))])
+    oracle = ProximalModelOracle(AdditiveCompositeOracle(pen, f, grad), tau, FIRST_BLOCK)
+    for _ in range(10):
+        x = prod.sample(rng)
+        res = oracle.instantiate(x).minimize(prod, 0.0)
+        g = grad(x)
+        z = x[:2] - tau * g[:2]
+        soft = np.sign(z) * np.maximum(np.abs(z) - tau * np.array([weight, 0.0]), 0.0)
+        np.testing.assert_array_equal(res.point[:2], np.clip(soft, 0.0, 1.0))
+        lmo_block = linear_composite_min(WeightedL1(weight, np.array([True, False])), g[2:],
+                                         prod.sets[1])
+        np.testing.assert_array_equal(res.point[2:], lmo_block)
+    trace = mcgm_solve(oracle, lambda u: f(u) + pen.value(u), prod, prod.sample(rng))
+    assert trace.final_f <= trace.f0
+
+
 def test_a_model_without_a_solve_names_its_class(rng):
     # both used to raise a NotImplementedError without a message, and a
     # proximal oracle wrapped again (as proxlin_ls did on a hybrid problem)
@@ -283,7 +305,7 @@ def test_gauss_newton_affine_residual_is_exact(rng):
     v = rng.standard_normal(5)
     targets = rng.standard_normal(5)
     oracle = GaussNewtonOracle(
-        lambda u: A @ u + v, lambda u: A, L1Loss(targets),
+        lambda u: A @ u + v, lambda u: A, targets,
         penalty=WeightedL1(0.4, np.array([True, False, True])),
     )
     box = Box(-np.ones(3), np.ones(3))
@@ -298,6 +320,18 @@ def test_gauss_newton_affine_residual_is_exact(rng):
     res = pdhg_solve(m.subproblem(box), gap_tol=1e-10)
     _, direct = brute_force_subproblem(m.subproblem(box))
     assert fun(res.u) == pytest.approx(direct, abs=1e-7)
+
+
+@pytest.mark.parametrize("targets, message", [
+    (np.zeros(1), "targets do not match the residual dimension"),
+    (np.zeros((4, 1)), "targets do not match the residual dimension"),
+    ([0.0, np.nan, 0.0, 0.0], "targets contains non-finite entries"),
+], ids=["short", "column", "nan"])
+def test_gauss_newton_targets_are_checked(targets, message):
+    # targets of one entry broadcast against any residual: the model took
+    # the l1 distance of every residual entry to that one value
+    with pytest.raises(ValueError, match=message):
+        GaussNewtonOracle(lambda u: u, lambda u: np.eye(4), targets).instantiate(np.ones(4))
 
 
 def test_gauss_newton_regression_structure_matches_subproblem(rng):

@@ -130,6 +130,18 @@ def test_linearization_identity_and_anchor(rng):
     assert subp.objective(u) == pytest.approx(fun(u), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 97, 3])
+@pytest.mark.parametrize("P, M", [(100, 1000), (20, 200)])
+def test_the_objective_and_the_model_anchor_value_agree_bit_for_bit(P, M, seed):
+    # the line search reads the objective and PDHG's stop rule the model's
+    # anchor value: the two statements of the objective must not drift apart
+    ds = generate_regression_data(P=P, M=M, mu=80.0, seed=seed)
+    box, fun, oracle = make_constraint_set(ds), make_objective(ds), make_oracle(ds)
+    rng = np.random.default_rng(seed)
+    for u in [box.midpoint()] + [box.sample(rng) for _ in range(5)]:
+        assert fun(u) == oracle.instantiate(u).anchor_value
+
+
 def test_model_and_subproblem_agree_everywhere(rng):
     ds = generate_regression_data(P=3, M=15, mu=2.0, seed=5)
     box = make_constraint_set(ds)

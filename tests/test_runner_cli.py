@@ -240,10 +240,7 @@ def test_cli_solve_stationary_start_gives_single_record(tmp_path, capsys):
 
 
 def test_cli_compare_and_check_roundtrip(tmp_path):
-    cfg = {
-        "dataset": {"P": 4, "M": 30, "mu": 2.0, "sparsity": 0.5, "seed": 5},
-        "max_iterations": 20,
-    }
+    cfg = {"P": 4, "M": 30, "mu": 2.0, "sparsity": 0.5, "seed": 5, "max_iterations": 20}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "results"
@@ -420,7 +417,7 @@ def test_cli_solve_rejects_a_nan_or_negative_time_budget(tmp_path, capsys, budge
     ("gen", {"P": 6, "M": 40.5, "seed": 1}, "M"),
     ("gen", {"P": 6, "M": 40, "seed": 1.7}, "seed"),
     ("gen", {"P": 6, "M": 40, "seed": True}, "seed"),
-    ("compare", {"dataset": {"P": 4, "M": 30.5}, "max_iterations": 2}, "M"),
+    ("compare", {"P": 4, "M": 30.5, "max_iterations": 2}, "M"),
     ("compare", {"max_iterations": 2.5}, "max_iterations"),
     ("compare", {"max_iterations": True}, "max_iterations"),
     ("compare", {"max_iterations": "2"}, "max_iterations"),
@@ -442,10 +439,9 @@ def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     where = {"gen": ["gen"], "matfac": MATFAC,
-             "compare": ["compare"] + ([] if "dataset" in config else ["--dataset", str(path)])}
+             "compare": ["compare", "--dataset", str(path)]}
     assert cli_main(where[command] + ["--config", str(cfg), "--out", str(out)]) == 1
-    value = config["dataset"][key] if key in config.get("dataset", {}) else config[key]
-    assert (f"configuration error: {key} must be an integer, got {value!r}"
+    assert (f"configuration error: {key} must be an integer, got {config[key]!r}"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -460,7 +456,7 @@ def test_cli_rejects_a_non_integer_config_value_for_an_integer_setting(
     ("compare", {"tau0": True}, "tau0"),
     ("compare", {"delta_tol": True}, "delta_tol"),
     ("compare", {"time_budget": True}, "time_budget"),
-    ("compare", {"dataset": {"P": 4, "M": 30, "mu": True}, "max_iterations": 2}, "mu"),
+    ("compare", {"P": 4, "M": 30, "mu": True, "max_iterations": 2}, "mu"),
     ("compare", {"delta_tol": "0.5"}, "delta_tol"),
     ("matfac", {"radius": True}, "radius"),
     ("matfac", {"methods": "mcgm_hybrid", "tau0": True}, "tau0"),
@@ -479,10 +475,9 @@ def test_cli_rejects_a_non_number_config_value_for_a_float_setting(
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     where = {"gen": ["gen"], "matfac": MATFAC,
-             "compare": ["compare"] + ([] if "dataset" in config else ["--dataset", str(path)])}
+             "compare": ["compare", "--dataset", str(path)]}
     assert cli_main(where[command] + ["--config", str(cfg), "--out", str(out)]) == 1
-    value = config["dataset"][key] if key in config.get("dataset", {}) else config[key]
-    assert (f"configuration error: {key} must be a number, got {value!r}"
+    assert (f"configuration error: {key} must be a number, got {config[key]!r}"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -635,11 +630,9 @@ def test_cli_compare_generates_a_dataset_from_the_dataset_flags(tmp_path):
         assert (out / f"{m}.csv").exists()
 
 
-def test_cli_compare_flags_override_a_config_dataset_object(tmp_path):
-    # the config's dataset object used to win over the explicit flags
+def test_cli_compare_flags_override_the_config_dataset_keys(tmp_path):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"dataset": {"P": 4, "M": 30, "mu": 2.0, "sparsity": 0.5,
-                                           "seed": 5},
+    cfg.write_text(json.dumps({"P": 4, "M": 30, "mu": 2.0, "sparsity": 0.5, "seed": 5,
                                "max_iterations": 2}))
     out = tmp_path / "results"
     assert cli_main(["compare", "--config", str(cfg), "--P", "6", "--seed", "9",
@@ -691,13 +684,13 @@ def test_cli_compare_summary_records_every_dataset_parameter(tmp_path):
 
 @pytest.mark.parametrize("command, config, key", [
     ("compare", {"rhoo": 0.5, "max_iteratons": 3}, "rhoo"),
-    ("compare", {"dataset": {"P": 4, "M": 30, "seedd": 1}}, "seedd"),
+    ("gen", {"dataset": {"P": 4, "M": 30, "seed": 1}}, "dataset"),
     ("compare", {"model": "hybrid"}, "model"),
     ("gen", {"P": 4, "M": 30, "max_iterations": 3}, "max_iterations"),
     ("compare", {"method": "mcgm"}, "method"),
     ("matfac", {"tau": 2.0}, "tau"),
     ("check", {"config": "other.json"}, "config"),
-], ids=["compare-misspelled", "compare-dataset-object", "compare-mf-key", "gen-solver-key",
+], ids=["compare-misspelled", "gen-dataset", "compare-mf-key", "gen-solver-key",
         "compare-method", "mf-tau", "check-config"])
 def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, config, key):
     # such a key used to be ignored: the misspelled config ran at the defaults
@@ -710,8 +703,6 @@ def test_cli_rejects_a_config_key_that_names_no_flag(tmp_path, capsys, command, 
              "compare": ["compare", "--P", "4", "--M", "30", "--out", str(out)],
              "matfac": MATFAC + ["--out", str(out)],
              "check": ["check", "--trace", str(tmp_path / "t.csv")]}
-    if "dataset" in config:
-        where["compare"] = ["compare", "--out", str(out)]
     assert cli_main(where[command] + ["--config", str(cfg)]) == 1
     assert f"configuration error: the config key {key!r} is none of " in capsys.readouterr().err
     assert not out.exists()
@@ -764,15 +755,17 @@ def test_cli_takes_required_settings_from_a_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["gen", "compare"])
-@pytest.mark.parametrize("dataset", [5, ["d.json"], True])
+@pytest.mark.parametrize("dataset", [5, ["d.json"], True, {"P": 4}])
 def test_cli_rejects_a_config_dataset_of_another_type(tmp_path, capsys, command, dataset):
-    # compare used to fall back to the full-scale default dataset
+    # compare used to fall back to the full-scale default dataset; gen has
+    # no dataset flag, and compare's is a path
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": dataset, "max_iterations": 2}))
     out = tmp_path / "out"
     assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    assert ("configuration error: dataset must be a file path or an object of dataset "
-            f"parameters, got {dataset!r}" in capsys.readouterr().err)
+    message = {"gen": "the config key 'dataset' is none of ",
+               "compare": f"dataset must be a string, got {dataset!r}"}[command]
+    assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -782,14 +775,13 @@ def test_cli_gen_rejects_a_config_dataset_file(tmp_path, capsys):
     cfg.write_text(json.dumps({"dataset": "d.json"}))
     out = tmp_path / "out.json"
     assert cli_main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
-    assert ("configuration error: gen needs dataset parameters, and the dataset is a file: "
-            "'d.json'" in capsys.readouterr().err)
+    assert "configuration error: the config key 'dataset' is none of " in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_cli_gen_reads_a_config_dataset_object_under_the_flags(tmp_path, capsys):
+def test_cli_gen_reads_the_config_dataset_keys_under_the_flags(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"dataset": {"P": 4, "M": 30, "seed": 5}, "P": 8}))
+    cfg.write_text(json.dumps({"P": 4, "M": 30, "seed": 5}))
     out = tmp_path / "d.json"
     assert cli_main(["gen", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
     ds = load_dataset(out)
@@ -832,7 +824,7 @@ def test_cli_solve_runs_the_method_of_a_config_file(tmp_path, capsys):
     assert re.findall(r"^(\w+): status=", capsys.readouterr().out, re.M) == ["proxlin_ls"]
 
 
-@pytest.mark.parametrize("method", ["nope", 5, ["mcgm", "nope"]])
+@pytest.mark.parametrize("method", ["nope", 5, ["mcgm", "nope"], "mcgm,nope"])
 def test_cli_solve_rejects_an_unknown_config_method(tmp_path, capsys, method):
     # a config file's methods are checked as --methods is, before any solve
     path = tmp_path / "d.json"
@@ -842,15 +834,16 @@ def test_cli_solve_rejects_an_unknown_config_method(tmp_path, capsys, method):
     out = tmp_path / "out"
     assert cli_main(["compare", "--dataset", str(path), "--config", str(cfg),
                      "--out", str(out)]) == 1
-    message = ("unknown method 'nope'" if method != 5 else
-               "methods must be a comma-separated string or a list of strings, got 5")
+    message = ("unknown method 'nope'" if isinstance(method, str) else
+               f"methods must be a string, got {method!r}")
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("methods", [5, ["mcgm", 3], {"mcgm": 1}, None])
+@pytest.mark.parametrize("methods", [5, ["mcgm", 3], {"mcgm": 1}, None, ["mcgm"]])
 def test_cli_compare_rejects_methods_that_are_not_names(tmp_path, capsys, methods):
-    # {"methods": 5} exited 2 with a TypeError
+    # {"methods": 5} exited 2 with a TypeError; methods are one
+    # comma-separated string, as --methods takes them
     path = tmp_path / "d.json"
     save_dataset(small_dataset(), path)
     cfg = tmp_path / "cfg.json"
@@ -858,8 +851,8 @@ def test_cli_compare_rejects_methods_that_are_not_names(tmp_path, capsys, method
     out = tmp_path / "out"
     assert cli_main(["compare", "--dataset", str(path), "--config", str(cfg),
                      "--out", str(out)]) == 1
-    assert ("configuration error: methods must be a comma-separated string or a list of "
-            f"strings, got {methods!r}" in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert f"configuration error: methods must be a string, got {methods!r}" in err
     assert not out.exists()
 
 
