@@ -18,7 +18,6 @@ from .models import (
     LinearModelOracle,
     ProximalModelOracle,
     WeightedL1,
-    ZeroPenalty,
 )
 from .baselines import ProxLinearConfig, prox_linear_bt_solve, prox_linear_ls_solve
 from .solver import (
@@ -48,7 +47,6 @@ __all__ = [
     "LinearModelOracle",
     "ProximalModelOracle",
     "WeightedL1",
-    "ZeroPenalty",
     "ProxLinearConfig",
     "prox_linear_bt_solve",
     "prox_linear_ls_solve",

@@ -7,17 +7,23 @@ within an error growth function of it nearby. Each family also knows how to
 the work horse of the conditional-gradient outer loop:
 
 * ``LinearModelOracle``        -- plain first-order linearization, minimized by
-                                  one call to the set's linear oracle.
+                                  the set's linear oracle, block by block.
 * ``AdditiveCompositeOracle``  -- keeps a convex penalty exactly, linearizes
                                   the smooth part.
 * ``ProximalModelOracle``      -- any of these plus ||x - anchor||^2/(2 tau),
-                                  on all coordinates or on a ``mask``. The
-                                  mask makes the hybrid: the masked blocks of
-                                  a product set take a proximal step, the
-                                  others a linear-oracle step.
+                                  on all coordinates or on a ``mask``.
 * ``GaussNewtonOracle``        -- ||F(x) - targets||_1 + penalty(x) with the
                                   residual map F linearized, minimized by the
                                   primal-dual inner solver.
+
+The one penalty type is :class:`WeightedL1`; an oracle given ``penalty=None``
+holds the zero penalty, ``WeightedL1(0)``. An additive-composite instance
+has one step routine: each block of a product set, or the whole set as one
+block, takes a proximal step (``prox_penalized``) where a proximal weight is
+given and the mask covers the block, and a linear-oracle step
+(``linear_composite_min``) where not. The linear step, the proximal step and
+the CG/prox hybrid (a mask covering some blocks) are that choice, made per
+block.
 
 A minimization returns a :class:`ModelMinimum` that carries the model
 improvement of its point, computed by the solve itself: the exact solves
@@ -36,7 +42,6 @@ from .geometry import Box, ProductSet, require_finite, require_number
 from .inner import PiecewiseLinearSubproblem, pdhg_solve
 
 __all__ = [
-    "ZeroPenalty",
     "WeightedL1",
     "ModelMinimum",
     "ModelInstance",
@@ -70,16 +75,11 @@ def _finite_oracle_data(arr, name):
 # ---------------------------------------------------------------------------
 
 
-class ZeroPenalty:
-    """The identically-zero penalty."""
-
-    def value(self, x):
-        return 0.0
-
-
 class WeightedL1:
     """weight * sum of |x_j| over a coordinate subset (all coordinates if
-    ``mask`` is None); ``weight`` is a finite number >= 0."""
+    ``mask`` is None); ``weight`` is a finite number >= 0. The one penalty
+    type of the composite models: weight 0 is the zero penalty, which an
+    oracle holds when it is given ``penalty=None``."""
 
     def __init__(self, weight, mask=None):
         self.weight = require_number(weight, "weight", "non-negative")
@@ -93,6 +93,8 @@ class WeightedL1:
         return np.where(self.mask, self.weight, 0.0)
 
     def value(self, x):
+        if self.weight == 0.0:
+            return 0.0
         x = np.asarray(x, dtype=float)
         if self.mask is not None and self.mask.shape != x.shape:
             raise ValueError("penalty mask does not match the dimension")
@@ -100,47 +102,47 @@ class WeightedL1:
         return self.weight * float(np.abs(sub).sum())
 
 
-def _is_zero(penalty):
-    return penalty is None or isinstance(penalty, ZeroPenalty)
-
-
-def _on_block(penalty, s):
-    """The penalty of the coordinates in the slice ``s`` alone."""
-    if isinstance(penalty, WeightedL1) and penalty.mask is not None:
-        return WeightedL1(penalty.weight, penalty.mask[s])
+def _oracle_penalty(penalty):
+    """The penalty an oracle holds: ``None`` is the zero penalty, and a
+    penalty of another type than ``WeightedL1`` is refused."""
+    if penalty is None:
+        return WeightedL1(0.0)
+    if not isinstance(penalty, WeightedL1):
+        raise ValueError(f"penalty must be None or a WeightedL1, got {type(penalty).__name__}")
     return penalty
 
 
 def prox_penalized(penalty, z, step, constraint):
-    """argmin penalty(u) + (1/(2 step)) ||u - z||^2 over the set.
+    """argmin penalty(u) + (1/(2 step)) ||u - z||^2 over the set, for a
+    ``WeightedL1`` penalty: the proximal step of one block.
 
-    Exact for a zero penalty on any projectable set, and for a weighted l1
-    penalty on a box (soft-threshold then clamp, which is exact because the
-    1-D objective is convex). ``step`` may be a scalar or a vector.
+    At weight 0 it is the set's own projection, exact on any projectable
+    set; otherwise the set must be a box, where it is soft-threshold then
+    clamp, exact because the 1-D objective is convex. ``step`` may be a
+    scalar or a vector.
     """
     z = np.asarray(z, dtype=float)
-    if _is_zero(penalty):
+    if penalty.weight == 0.0:
         return constraint.project(z)
-    if isinstance(penalty, WeightedL1) and isinstance(constraint, Box):
+    if isinstance(constraint, Box):
         level = np.asarray(step, dtype=float) * penalty.weights_vector(z.size)
         s = np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
         return np.clip(s, constraint.lo, constraint.hi)
-    raise NotImplementedError(
-        "no proximal step for this penalty/constraint combination"
-    )
+    raise NotImplementedError("a weighted l1 proximal step needs a box")
 
 
 def linear_composite_min(penalty, c, constraint):
-    """argmin penalty(u) + <c, u> over the set, exactly.
+    """argmin penalty(u) + <c, u> over the set, exactly, for a ``WeightedL1``
+    penalty: the linear-oracle step of one block.
 
-    A zero penalty reduces to the set's linear oracle. A weighted l1 penalty
-    over a box separates per coordinate; each 1-D piecewise-linear term is
-    minimized over {lo, 0, hi}.
+    At weight 0 it is the set's own linear oracle. Otherwise the set must be
+    a box, over which the problem separates per coordinate; each 1-D
+    piecewise-linear term is minimized over {lo, 0, hi}.
     """
     c = np.asarray(c, dtype=float)
-    if _is_zero(penalty):
+    if penalty.weight == 0.0:
         return constraint.lmo(c)
-    if isinstance(penalty, WeightedL1) and isinstance(constraint, Box):
+    if isinstance(constraint, Box):
         lo, hi = constraint.lo, constraint.hi
         w = penalty.weights_vector(c.size)
         v_lo = w * np.abs(lo) + c * lo
@@ -149,9 +151,7 @@ def linear_composite_min(penalty, c, constraint):
         val = np.minimum(v_lo, v_hi)
         zero_ok = (lo <= 0.0) & (hi >= 0.0)
         return np.where(zero_ok & (val > 0.0), 0.0, out)
-    raise NotImplementedError(
-        "no linear-composite minimizer for this penalty/constraint combination"
-    )
+    raise NotImplementedError("a weighted l1 linear-composite step needs a box")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ class ModelInstance:
 
 class _AdditiveCompositeModel(ModelInstance):
     def __init__(self, anchor, penalty, h_value, h_grad, remainder=None):
-        self.penalty = penalty if penalty is not None else ZeroPenalty()
+        self.penalty = penalty
         self.h_value = float(h_value)
         self.h_grad = _finite_oracle_data(h_grad, "gradient")
         self.remainder = remainder
@@ -226,7 +226,7 @@ class _AdditiveCompositeModel(ModelInstance):
 
     def segment_change(self, y):
         # the objective is h alone only without a penalty
-        if self.remainder is None or not _is_zero(self.penalty):
+        if self.remainder is None or self.penalty.weight != 0.0:
             return None
         d = np.asarray(y, dtype=float) - self.anchor
         slope = float(self.h_grad @ d)
@@ -239,30 +239,37 @@ class _AdditiveCompositeModel(ModelInstance):
     def value(self, x):
         return self.penalty.value(x) + self.smooth_part(x)
 
+    def _step(self, constraint, tau=None, mask=None):
+        """The model minimizer, block by block: each block of a product set,
+        or the whole set as one block, with the penalty of its own
+        coordinates, takes a proximal step where ``tau`` is given and
+        ``mask`` covers the block (or is None), a linear-oracle step where
+        not. A mask must cover each block fully or not at all."""
+        if isinstance(constraint, ProductSet):
+            offsets, sets = constraint.offsets, constraint.sets
+        else:
+            offsets, sets = (0, self.anchor.size), (constraint,)
+        pen, parts = self.penalty, []
+        for b, set_b in enumerate(sets):
+            s = slice(offsets[b], offsets[b + 1])
+            covered = mask is None or mask[s].all()
+            if not covered and mask[s].any():
+                raise ValueError(f"the proximal mask splits block {b} of the set: a mask "
+                                 f"covers whole blocks of a product set")
+            pen_b = pen if pen.mask is None else WeightedL1(pen.weight, pen.mask[s])
+            if tau is not None and covered:
+                z = self.anchor[s] - tau * self.h_grad[s]
+                parts.append(prox_penalized(pen_b, z, tau, set_b))
+            else:
+                parts.append(linear_composite_min(pen_b, self.h_grad[s], set_b))
+        return np.concatenate(parts)
+
     def minimize(self, constraint, tol, warm=None):
-        y = linear_composite_min(self.penalty, self.h_grad, constraint)
+        y = self._step(constraint)
         return ModelMinimum(point=y, improvement=self.anchor_value - self.value(y), gap=0.0)
 
     def minimize_proximal(self, constraint, tol, tau, warm=None, mask=None):
-        """With a mask, each block of a product set is either fully masked
-        (proximal step) or fully unmasked (linear-oracle step)."""
-        if mask is None:
-            y = prox_penalized(self.penalty, self.anchor - tau * self.h_grad, tau, constraint)
-        elif not isinstance(constraint, ProductSet):
-            raise ValueError("a proximal mask needs a product set to split into blocks")
-        else:
-            parts = []
-            for b, set_b in enumerate(constraint.sets):
-                s = slice(constraint.offsets[b], constraint.offsets[b + 1])
-                g_b, mask_b, penalty_b = self.h_grad[s], mask[s], _on_block(self.penalty, s)
-                if mask_b.all():
-                    z = self.anchor[s] - tau * g_b
-                    parts.append(prox_penalized(penalty_b, z, tau, set_b))
-                elif not mask_b.any():
-                    parts.append(linear_composite_min(penalty_b, g_b, set_b))
-                else:
-                    raise ValueError(f"the proximal mask splits block {b} of the product set")
-            y = np.concatenate(parts)
+        y = self._step(constraint, tau, mask)
         value = self.value(y) + _prox_term(y, self.anchor, tau, mask)
         return ModelMinimum(point=y, improvement=self.anchor_value - value, gap=0.0)
 
@@ -280,10 +287,17 @@ class AdditiveCompositeOracle:
     give the objective's change along a segment (``segment_change``), and
     the line search skips the trial steps it shows the objective would
     reject. A remainder that is not exact may change the iterates.
+
+    ``penalty`` is None (the zero penalty) or a ``WeightedL1``, else
+    ``ValueError``. An instance minimizes block by block (one step routine):
+    a linear-oracle step on every block from ``minimize``, a proximal step
+    on the blocks its mask covers from ``minimize_proximal``. A block with a
+    nonzero penalty must be a box; at weight 0 any set with a linear oracle
+    and a projection will do.
     """
 
     def __init__(self, penalty, h, grad_h, remainder=None):
-        self.penalty = penalty
+        self.penalty = _oracle_penalty(penalty)
         self.h = h
         self.grad_h = grad_h
         self.remainder = remainder
@@ -355,7 +369,7 @@ class ProximalModelOracle:
 class _GaussNewtonModel(ModelInstance):
     def __init__(self, anchor, targets, penalty, F_value, jac):
         self.targets = targets
-        self.penalty = penalty if penalty is not None else ZeroPenalty()
+        self.penalty = penalty
         self.F_value = _finite_oracle_data(F_value, "residual")
         self.jac = _finite_oracle_data(jac, "Jacobian")
         if self.targets.shape != self.F_value.shape:
@@ -381,22 +395,13 @@ class _GaussNewtonModel(ModelInstance):
         """The equivalent box-constrained piecewise-linear problem."""
         if not isinstance(constraint, Box):
             raise NotImplementedError("the inner solver handles box constraints")
-        n = self.anchor.size
-        if _is_zero(self.penalty):
-            weight, mask = 0.0, np.zeros(n, dtype=bool)
-        elif isinstance(self.penalty, WeightedL1):
-            weight = self.penalty.weight
-            mask = (
-                np.ones(n, dtype=bool) if self.penalty.mask is None else self.penalty.mask
-            )
-        else:
-            raise NotImplementedError("unsupported penalty for the inner solver")
+        mask = self.penalty.mask
         shifted = self.targets - self.F_value + self.jac @ self.anchor
         return PiecewiseLinearSubproblem(
             K=self.jac,
             target=shifted,
-            l1_weight=weight,
-            l1_mask=mask,
+            l1_weight=self.penalty.weight,
+            l1_mask=np.ones(self.anchor.size, dtype=bool) if mask is None else mask,
             lo=constraint.lo,
             hi=constraint.hi,
         )
@@ -424,18 +429,18 @@ class GaussNewtonOracle:
     """Model family for objectives ||F(x) - targets||_1 + penalty(x): the
     residual map F is linearized at the anchor inside the l1 loss.
 
-    The model is minimized by the primal-dual inner solver, which takes no
-    penalty or a weighted-l1 one over a box; with any other penalty or set
-    the instances still evaluate, but their minimization raises
-    ``NotImplementedError``. ``targets`` is a finite vector of the
-    residual's shape.
+    The model is minimized by the primal-dual inner solver over a box; over
+    any other set the instances still evaluate, but their minimization
+    raises ``NotImplementedError``. ``targets`` is a finite vector of the
+    residual's shape; ``penalty`` is None (the zero penalty) or a
+    ``WeightedL1``, else ``ValueError``.
     """
 
     def __init__(self, residual, jacobian, targets, penalty=None):
         self.residual = residual
         self.jacobian = jacobian
         self.targets = require_finite(targets, "targets")
-        self.penalty = penalty
+        self.penalty = _oracle_penalty(penalty)
 
     def instantiate(self, anchor):
         anchor = np.asarray(anchor, dtype=float)

@@ -85,3 +85,16 @@ def test_only_geometry_states_the_argument_rules():
                 kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
                 assert not any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds), (
                     f"{name}:{node.lineno}")
+
+
+def test_the_readme_library_quick_start_runs():
+    # the README's example imports top-level names, so a renamed export
+    # breaks this test and not only the docs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["trace"].status == "stationary"

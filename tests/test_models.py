@@ -10,12 +10,12 @@ from modelcg.models import (
     ModelInstance,
     ProximalModelOracle,
     WeightedL1,
-    ZeroPenalty,
     linear_composite_min,
     prox_penalized,
 )
 from modelcg.regression import generate_regression_data, make_constraint_set, make_objective, make_oracle, make_subproblem
-from modelcg.solver import mcgm_solve
+from modelcg.runner import METHOD_NAMES, run_method
+from modelcg.solver import mcgm_solve, verify_trace_arrays
 
 from conftest import central_difference
 from model_error import PowerGrowth, model_error_growth, verify_model_error
@@ -248,6 +248,65 @@ def test_hybrid_hands_each_block_the_penalty_of_its_coordinates(rng):
         np.testing.assert_array_equal(res.point[2:], lmo_block)
     trace = mcgm_solve(oracle, lambda u: f(u) + pen.value(u), prod, prod.sample(rng))
     assert trace.final_f <= trace.f0
+
+
+# h = ||x - C||^2 / 2 plus 0.1 (|x_1| + |x_3|) over two unit boxes: the
+# minimizer is (0.2, 0.1, 0.6, 0.2), with f = 0.01 + 0.08
+PRODUCT_TARGET = np.array([0.3, 0.1, 0.7, 0.2])
+
+
+def penalized_product_inputs():
+    pen = WeightedL1(0.1, [True, False, True, False])
+    h = lambda x: 0.5 * float((x - PRODUCT_TARGET) @ (x - PRODUCT_TARGET))
+    grad = lambda x: np.asarray(x, float) - PRODUCT_TARGET
+    prod = ProductSet([Box(np.zeros(2), np.ones(2)), Box(np.zeros(2), np.ones(2))])
+    fun = lambda x: h(x) + pen.value(x)
+    return fun, AdditiveCompositeOracle(pen, h, grad), prod, np.full(4, 0.5), FIRST_BLOCK
+
+
+def test_every_step_takes_a_penalized_product_set_block_by_block():
+    # the linear and the unmasked proximal step took the whole product set,
+    # for which neither closed form exists, and raised NotImplementedError
+    fun, oracle, prod, x0, block = penalized_product_inputs()
+    m = oracle.instantiate(x0)
+    g, tau = x0 - PRODUCT_TARGET, 1.0
+    linear = m.minimize(prod, 0.0).point
+    proximal = m.minimize_proximal(prod, 0.0, tau).point
+    hybrid = m.minimize_proximal(prod, 0.0, tau, mask=block).point
+    pen_b = WeightedL1(0.1, [True, False])
+    for box, s in zip(prod.sets, (slice(0, 2), slice(2, 4))):
+        np.testing.assert_array_equal(linear[s], linear_composite_min(pen_b, g[s], box))
+        np.testing.assert_array_equal(proximal[s], prox_penalized(pen_b, x0[s] - tau * g[s], tau, box))
+    np.testing.assert_array_equal(hybrid, np.concatenate([proximal[:2], linear[2:]]))
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_every_method_solves_a_penalized_product_set(method):
+    # mcgm, proxlin_ls and proxlin_bt raised NotImplementedError, while
+    # mcgm_hybrid, whose masked step went block by block, solved it
+    trace = run_method(method, penalized_product_inputs())
+    assert verify_trace_arrays(*trace.arrays(), rho=trace.rho, final_f=trace.final_f) == []
+    assert trace.final_f < trace.f0
+    if method.startswith("proxlin"):
+        assert trace.status == "stationary"
+        np.testing.assert_allclose(trace.final_x, [0.2, 0.1, 0.6, 0.2], rtol=0, atol=1e-12)
+        assert trace.final_f == pytest.approx(0.09, rel=1e-12)
+
+
+class _Ridge:
+    def value(self, x):
+        return float(np.asarray(x) @ np.asarray(x))
+
+
+@pytest.mark.parametrize("build", [
+    lambda pen: AdditiveCompositeOracle(pen, lambda x: 0.0, np.zeros_like),
+    lambda pen: GaussNewtonOracle(lambda x: x, lambda x: np.eye(2), np.zeros(2), pen),
+], ids=["additive", "gauss-newton"])
+def test_an_oracle_refuses_a_penalty_that_is_not_a_weighted_l1(build):
+    # another penalty object was accepted and failed only at the first solve
+    with pytest.raises(ValueError, match="^penalty must be None or a WeightedL1, got _Ridge$"):
+        build(_Ridge())
+    assert build(None).penalty.weight == 0.0
 
 
 def test_a_model_without_a_solve_names_its_class(rng):
