@@ -1,5 +1,6 @@
 """Convex geometry layer: compact constraint sets with linear minimization
-oracles and Euclidean projections.
+oracles and Euclidean projections, and the weighted l1 penalty that the
+composite models keep exactly and the inner subproblem takes with its box.
 
 Each set owns its oracle and its projection as methods; the set parameters
 are checked once, in the constructor, by the package's argument rules below
@@ -15,6 +16,11 @@ values it thresholds for a point outside. A product of equal l2 balls on
 consecutive blocks is one ``L2Ball`` with ``count`` blocks, computed on a
 ``(count, dim)`` view; its blocks are scaled by a power of two before they
 are made mean-zero or squared.
+
+The penalty, ``WeightedL1``, lives here, in the layer below both ``models``
+and ``inner``, so a model and its inner subproblem hold the same penalty
+and the same ``Box`` objects. Its weight and mask are checked once, by the
+same rules (a weight a finite number >= 0, a mask an array of booleans).
 """
 
 from __future__ import annotations
@@ -32,8 +38,10 @@ __all__ = [
     "L2Ball",
     "NuclearBall",
     "ProductSet",
+    "WeightedL1",
     "require_finite",
     "require_integer",
+    "require_mask",
     "require_number",
 ]
 
@@ -80,6 +88,16 @@ def require_number(value, name, bound=None):
     if not (real and passes(value)):
         raise ValueError(f"{name} must be {need}, got {value!r}")
     return float(value)
+
+
+def require_mask(value, name):
+    """``value`` as a bool ndarray: an array-like whose dtype is already
+    bool. Anything else, index-like integers included (``[0, 1]`` is no
+    mask of coordinate 1 alone), raises ``ValueError`` naming ``name``."""
+    mask = np.asarray(value)
+    if mask.dtype != bool:
+        raise ValueError(f"{name} must be an array of booleans, got {value!r}")
+    return mask
 
 
 def _simplex_projection(v, radius):
@@ -433,3 +451,36 @@ class ProductSet(ConstraintSet):
 
     def sample(self, rng):
         return np.concatenate([s.sample(rng) for s in self.sets])
+
+
+# ---------------------------------------------------------------------------
+# the penalty (the convex term kept exactly by composite models)
+# ---------------------------------------------------------------------------
+
+
+class WeightedL1:
+    """weight * sum of |x_j| over a coordinate subset (all coordinates if
+    ``mask`` is None); ``weight`` is a finite number >= 0 and ``mask`` None
+    or an array of booleans (the rules above). The one penalty type of the
+    composite models and of the inner subproblem: weight 0 is the zero
+    penalty, which an oracle holds when it is given ``penalty=None``."""
+
+    def __init__(self, weight, mask=None):
+        self.weight = require_number(weight, "weight", "non-negative")
+        self.mask = None if mask is None else require_mask(mask, "mask")
+
+    def weights_vector(self, n):
+        if self.mask is None:
+            return np.full(n, self.weight)
+        if self.mask.shape != (n,):
+            raise ValueError("penalty mask does not match the dimension")
+        return np.where(self.mask, self.weight, 0.0)
+
+    def value(self, x):
+        if self.weight == 0.0:
+            return 0.0
+        x = np.asarray(x, dtype=float)
+        if self.mask is not None and self.mask.shape != x.shape:
+            raise ValueError("penalty mask does not match the dimension")
+        sub = x if self.mask is None else x[self.mask]
+        return self.weight * float(np.abs(sub).sum())

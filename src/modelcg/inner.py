@@ -1,8 +1,11 @@
 """Preconditioned primal-dual splitting for the box-constrained convex
 subproblems that arise from linearized l1 regression models:
 
-    min_{lo <= u <= hi}  sum_i |(K u - target)_i|  +  l1_weight * sum_{j in mask} |u_j|
-                         [+ 1/(2 tau) ||u - center||^2]
+    min_{u in box}  sum_i |(K u - target)_i|  +  penalty(u)
+                    [+ 1/(2 tau) ||u - center||^2]
+
+The box and the penalty are the models' own types from ``geometry``: a
+``Box`` [lo, hi] and a ``WeightedL1``, weight * sum_{j in mask} |u_j|.
 
 The diagonal step sizes are computed from the entries of K, the dual of the
 l1 data term is kept in [-1, 1] by clipping, and a Fenchel duality gap serves
@@ -66,7 +69,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import require_finite, require_integer, require_number
+from .geometry import Box, WeightedL1, require_finite, require_integer, require_number
 
 __all__ = [
     "aligned",
@@ -138,46 +141,42 @@ def _on_huge_pages(size):
 class PiecewiseLinearSubproblem:
     """Data of one inner subproblem (see module docstring for the objective).
 
-    ``l1_mask`` flags the coordinates carrying the l1 penalty, whose
-    ``l1_weight`` is a finite number >= 0. The optional proximal term
-    (``prox_tau``, a finite number > 0, and ``prox_center``) makes the
-    objective strongly convex; both must be given together. ``K`` is held
-    as an aligned array (see the module docstring): one that is not gets an
-    aligned copy.
+    ``penalty`` is a ``WeightedL1`` and ``box`` a ``Box`` (another set
+    raises ``NotImplementedError``), each checked by its own type; the
+    subproblem checks only that the mask, if any, and the box match the
+    columns of K. The optional proximal term (``prox_tau``, a finite number
+    > 0, and ``prox_center``) makes the objective strongly convex; both must
+    be given together. ``K`` is held as an aligned array (see the module
+    docstring): one that is not gets an aligned copy.
     """
 
     K: np.ndarray
     target: np.ndarray
-    l1_weight: float
-    l1_mask: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    penalty: WeightedL1
+    box: Box
     prox_tau: Optional[float] = None
     prox_center: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not isinstance(self.box, Box):
+            raise NotImplementedError("the inner solver handles box constraints")
         K = require_finite(self.K, "K")
         if K.ndim != 2:
             raise ValueError("K must be a matrix")
         K = aligned(K.shape, K)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "target", require_finite(self.target, "target"))
-        object.__setattr__(self, "lo", require_finite(self.lo, "lo"))
-        object.__setattr__(self, "hi", require_finite(self.hi, "hi"))
-        mask = np.asarray(self.l1_mask, dtype=bool)
-        object.__setattr__(self, "l1_mask", mask)
         m, n = K.shape
         if self.target.shape != (m,):
             raise ValueError("target length must match the rows of K")
-        if not (mask.shape == (n,) and self.lo.shape == (n,) and self.hi.shape == (n,)):
-            raise ValueError("mask and box bounds must match the columns of K")
-        if np.any(self.lo > self.hi):
-            raise ValueError("box is empty: lo > hi somewhere")
-        require_number(self.l1_weight, "l1_weight", "non-negative")
+        mask = self.penalty.mask
+        if not (self.box.dim == n and (mask is None or mask.shape == (n,))):
+            raise ValueError("penalty mask and box must match the columns of K")
         if (self.prox_tau is None) != (self.prox_center is None):
             raise ValueError("prox_tau and prox_center must be given together")
         if self.prox_tau is not None:
-            require_number(self.prox_tau, "prox_tau", "positive")
+            tau = require_number(self.prox_tau, "prox_tau", "positive")
+            object.__setattr__(self, "prox_tau", tau)
             center = require_finite(self.prox_center, "prox_center")
             if center.shape != (n,):
                 raise ValueError("prox_center must match the columns of K")
@@ -191,20 +190,17 @@ class PiecewiseLinearSubproblem:
     def n(self):
         return self.K.shape[1]
 
-    def penalty_weights(self):
-        return np.where(self.l1_mask, self.l1_weight, 0.0)
-
     def objective(self, u):
         u = np.asarray(u, dtype=float)
         val = float(np.abs(self.K @ u - self.target).sum())
-        val += self.l1_weight * float(np.abs(u[self.l1_mask]).sum())
+        val += self.penalty.value(u)
         if self.prox_tau is not None:
             d = u - self.prox_center
             val += float(d @ d) / (2.0 * self.prox_tau)
         return val
 
     def with_prox(self, tau, center):
-        return replace(self, prox_tau=float(tau), prox_center=np.asarray(center, float))
+        return replace(self, prox_tau=tau, prox_center=np.asarray(center, float))
 
 
 @dataclass
@@ -252,8 +248,8 @@ def _gap_function(problem):
     is a concave parabola whose clamped vertex is optimal. The terms that do
     not depend on v are computed here once.
     """
-    lo, hi, target = problem.lo, problem.hi, problem.target
-    w = problem.penalty_weights()
+    lo, hi, target = problem.box.lo, problem.box.hi, problem.target
+    w = problem.penalty.weights_vector(problem.n)
     if problem.prox_tau is None:
         w_lo, w_hi = w * np.abs(lo), w * np.abs(hi)
         inside = (lo <= 0.0) & (hi >= 0.0)
@@ -336,7 +332,7 @@ def pdhg_solve(
     require_integer(max_iters, "max_iters", 0)
     if anchor_value is not None:
         require_number(anchor_value, "anchor_value", "finite")
-    K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
+    K, target, lo, hi = problem.K, problem.target, problem.box.lo, problem.box.hi
     m, n = K.shape
     sigma, theta = precond_steps(K)
     if warm is None:
@@ -355,7 +351,7 @@ def pdhg_solve(
     else:
         blend = None
         theta_eff = theta
-    level = theta_eff * problem.penalty_weights()
+    level = theta_eff * problem.penalty.weights_vector(n)
     # No lo_j below +0.0: then u >= 0 on the box and the soft-threshold then
     # clamp equals clip(z - level, lo, hi) bit for bit. Where z <= level both
     # give lo, as np.maximum(-0.0, +0.0) is +0.0; with a lo_j of -0.0 that

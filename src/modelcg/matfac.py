@@ -131,7 +131,9 @@ GENERATION_PARAMETERS = {"rows": int, "cols": int, "inner_dim": int, "x_set": X_
 def unit_atoms_set(rows, cols):
     """Per-column l2 unit balls; every column after the first is additionally
     mean-zero (the first column keeps a free mean so constant offsets remain
-    representable). The mean-zero columns are one stacked ball."""
+    representable). The mean-zero columns are one stacked ball. ``cols`` is
+    an integer >= 1 (the rule of ``geometry``)."""
+    cols = require_integer(cols, "cols", 1)
     sets = [L2Ball(rows, 1.0)]
     if cols > 1:
         sets.append(L2Ball(rows, 1.0, mean_zero=True, count=cols - 1))
@@ -139,8 +141,9 @@ def unit_atoms_set(rows, cols):
 
 
 def columnwise_simplex_set(rows, cols):
-    """Each column on the unit simplex: non-negative entries summing to one."""
-    return ProductSet([Simplex(rows) for _ in range(cols)])
+    """Each column on the unit simplex: non-negative entries summing to one.
+    ``cols`` is an integer >= 1 (the rule of ``geometry``)."""
+    return ProductSet([Simplex(rows) for _ in range(require_integer(cols, "cols", 1))])
 
 
 @dataclass
@@ -352,9 +355,10 @@ def make_mf_oracle(problem):
 
 
 def default_start(problem, seed=0):
-    """Deterministic feasible start: sampled X atoms, zero Y."""
+    """Deterministic feasible start: sampled X atoms, zero Y. ``seed`` is an
+    integer >= 0 (the rule of ``geometry``)."""
+    rng = np.random.default_rng(require_integer(seed, "seed", 0))
     _, x_set, _ = make_mf_sets(problem)
-    rng = np.random.default_rng(seed)
     x0 = x_set.sample(rng)
     return np.concatenate([x0, np.zeros(problem.y_size)])
 

@@ -16,14 +16,15 @@ the work horse of the conditional-gradient outer loop:
                                   residual map F linearized, minimized by the
                                   primal-dual inner solver.
 
-The one penalty type is :class:`WeightedL1`; an oracle given ``penalty=None``
-holds the zero penalty, ``WeightedL1(0)``. An additive-composite instance
-has one step routine: each block of a product set, or the whole set as one
-block, takes a proximal step (``prox_penalized``) where a proximal weight is
-given and the mask covers the block, and a linear-oracle step
-(``linear_composite_min``) where not. The linear step, the proximal step and
-the CG/prox hybrid (a mask covering some blocks) are that choice, made per
-block.
+The one penalty type is :class:`WeightedL1`, of ``geometry``, the layer below
+this module and the inner solver, which takes it as it is. An oracle given
+``penalty=None`` holds the zero penalty, ``WeightedL1(0)``. An
+additive-composite instance has one step routine: each block of a product
+set, or the whole set as one block, takes a proximal step (``prox_penalized``)
+where a proximal weight is given and the mask covers the block, and a
+linear-oracle step (``linear_composite_min``) where not. The linear step,
+the proximal step and the CG/prox hybrid (a mask covering some blocks) are
+that choice, made per block.
 
 A minimization returns a :class:`ModelMinimum` that carries the model
 improvement of its point, computed by the solve itself: the exact solves
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, ProductSet, require_finite, require_number
+from .geometry import Box, ProductSet, WeightedL1, require_finite, require_mask, require_number
 from .inner import PiecewiseLinearSubproblem, pdhg_solve
 
 __all__ = [
@@ -71,35 +72,8 @@ def _finite_oracle_data(arr, name):
 
 
 # ---------------------------------------------------------------------------
-# penalties (the convex term kept exactly by composite models)
+# penalized steps (the penalty type, WeightedL1, is in geometry)
 # ---------------------------------------------------------------------------
-
-
-class WeightedL1:
-    """weight * sum of |x_j| over a coordinate subset (all coordinates if
-    ``mask`` is None); ``weight`` is a finite number >= 0. The one penalty
-    type of the composite models: weight 0 is the zero penalty, which an
-    oracle holds when it is given ``penalty=None``."""
-
-    def __init__(self, weight, mask=None):
-        self.weight = require_number(weight, "weight", "non-negative")
-        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
-
-    def weights_vector(self, n):
-        if self.mask is None:
-            return np.full(n, self.weight)
-        if self.mask.shape != (n,):
-            raise ValueError("penalty mask does not match the dimension")
-        return np.where(self.mask, self.weight, 0.0)
-
-    def value(self, x):
-        if self.weight == 0.0:
-            return 0.0
-        x = np.asarray(x, dtype=float)
-        if self.mask is not None and self.mask.shape != x.shape:
-            raise ValueError("penalty mask does not match the dimension")
-        sub = x if self.mask is None else x[self.mask]
-        return self.weight * float(np.abs(sub).sum())
 
 
 def _oracle_penalty(penalty):
@@ -357,7 +331,7 @@ class ProximalModelOracle:
     def __init__(self, base_oracle, tau, mask=None):
         self.base_oracle = base_oracle
         self.tau = require_number(tau, "tau", "positive")
-        self.mask = None if mask is None else np.asarray(mask, dtype=bool)
+        self.mask = None if mask is None else require_mask(mask, "mask")
 
     def instantiate(self, anchor):
         base = self.base_oracle.instantiate(anchor)
@@ -392,19 +366,11 @@ class _GaussNewtonModel(ModelInstance):
         return self._l1_loss(self.linearized_residual(x)) + self.penalty.value(x)
 
     def subproblem(self, constraint):
-        """The equivalent box-constrained piecewise-linear problem."""
-        if not isinstance(constraint, Box):
-            raise NotImplementedError("the inner solver handles box constraints")
-        mask = self.penalty.mask
+        """The equivalent box-constrained piecewise-linear problem, which
+        takes the penalty and the set as they are (a box, else
+        ``NotImplementedError``)."""
         shifted = self.targets - self.F_value + self.jac @ self.anchor
-        return PiecewiseLinearSubproblem(
-            K=self.jac,
-            target=shifted,
-            l1_weight=self.penalty.weight,
-            l1_mask=np.ones(self.anchor.size, dtype=bool) if mask is None else mask,
-            lo=constraint.lo,
-            hi=constraint.hi,
-        )
+        return PiecewiseLinearSubproblem(self.jac, shifted, self.penalty, constraint)
 
     def _run(self, sub, tol, warm):
         # the subproblem's objective is the model (with the proximal term),

@@ -13,7 +13,9 @@ def objective_batch(problem, U):
     """The subproblem objective at each row of U, vectorized."""
     U = np.asarray(U, dtype=float)
     vals = np.abs(U @ problem.K.T - problem.target).sum(axis=1)
-    vals = vals + problem.l1_weight * np.abs(U[:, problem.l1_mask]).sum(axis=1)
+    pen = problem.penalty
+    cols = slice(None) if pen.mask is None else pen.mask
+    vals = vals + pen.weight * np.abs(U[:, cols]).sum(axis=1)
     if problem.prox_tau is not None:
         D = U - problem.prox_center
         vals = vals + (D * D).sum(axis=1) / (2.0 * problem.prox_tau)
@@ -28,7 +30,7 @@ def _line_min(problem, u, d):
     term, the parabola vertex of each smooth piece between consecutive kinks.
     Returns the best point and its value.
     """
-    lo, hi = problem.lo, problem.hi
+    lo, hi = problem.box.lo, problem.box.hi
     d = np.asarray(d, dtype=float)
     nz = d != 0
     if not np.any(nz):
@@ -46,7 +48,7 @@ def _line_min(problem, u, d):
     cands = [tmin, tmax]
     knz = kd != 0
     cands.extend((r[knz] / kd[knz]).tolist())
-    w = problem.penalty_weights()
+    w = problem.penalty.weights_vector(problem.n)
     pen = (w > 0) & nz
     cands.extend((-u[pen] / d[pen]).tolist())
     cands = np.clip(np.asarray(cands, dtype=float), tmin, tmax)
@@ -89,14 +91,16 @@ def _kink_vertex_min(problem):
             normals.append(row)
             offsets.append(problem.target[i])
     eye = np.eye(n)
+    w = problem.penalty.weights_vector(n)
+    lo, hi = problem.box.lo, problem.box.hi
     for j in range(n):
-        if problem.l1_mask[j] and problem.l1_weight > 0:
+        if w[j] > 0:
             normals.append(eye[j])
             offsets.append(0.0)
         normals.append(eye[j])
-        offsets.append(problem.lo[j])
+        offsets.append(lo[j])
         normals.append(eye[j])
-        offsets.append(problem.hi[j])
+        offsets.append(hi[j])
     normals = np.asarray(normals)
     offsets = np.asarray(offsets)
     if len(normals) > 48:
@@ -109,10 +113,10 @@ def _kink_vertex_min(problem):
     row_scale = np.prod(np.linalg.norm(A, axis=2), axis=1)
     ok = dets > 1e-12 * np.maximum(row_scale, 1e-30)
     pts = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
-    pad = 1e-9 * (1.0 + np.maximum(np.abs(problem.lo), np.abs(problem.hi)))
-    feas = np.all(pts >= problem.lo - pad, axis=1) & np.all(pts <= problem.hi + pad, axis=1)
-    pts = np.clip(pts[feas], problem.lo, problem.hi)
-    pts = np.vstack([pts, problem.lo, problem.hi, np.clip(np.zeros(n), problem.lo, problem.hi)])
+    pad = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    feas = np.all(pts >= lo - pad, axis=1) & np.all(pts <= hi + pad, axis=1)
+    pts = np.clip(pts[feas], lo, hi)
+    pts = np.vstack([pts, lo, hi, np.clip(np.zeros(n), lo, hi)])
     vals = objective_batch(problem, pts)
     i = int(np.argmin(vals))
     return pts[i], float(vals[i])
@@ -136,7 +140,7 @@ def brute_force_subproblem(problem, resolution=9, max_stages=24, seed=0):
     if problem.prox_tau is None:
         return _kink_vertex_min(problem)
 
-    lo, hi = problem.lo, problem.hi
+    lo, hi = problem.box.lo, problem.box.hi
     wlo, whi = lo.copy(), hi.copy()
     best_u, best_val = None, np.inf
     for _ in range(max_stages):
@@ -179,7 +183,7 @@ def _polish_directions(problem, u, rng):
     scale = 1.0 + float(np.abs(problem.target).max(initial=0.0))
     act = np.abs(problem.K @ u - problem.target) <= 1e-9 * scale
     normals = [problem.K[act]] if np.any(act) else []
-    w = problem.penalty_weights()
+    w = problem.penalty.weights_vector(problem.n)
     pen_act = (w > 0) & (np.abs(u) <= 1e-12 * (1.0 + np.abs(u).max()))
     if np.any(pen_act):
         normals.append(np.eye(n)[pen_act])

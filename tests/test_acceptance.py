@@ -269,8 +269,8 @@ def test_criterion_06_inner_solver_against_oracle():
         K = rng.standard_normal((m, n)) * (rng.random((m, n)) > 0.15)
         sub = PiecewiseLinearSubproblem(
             K=K, target=rng.standard_normal(m),
-            l1_weight=float(2 * rng.random()), l1_mask=rng.random(n) > 0.4,
-            lo=np.full(n, -2.0), hi=np.full(n, 2.0),
+            penalty=WeightedL1(float(2 * rng.random()), rng.random(n) > 0.4),
+            box=Box(np.full(n, -2.0), np.full(n, 2.0)),
         )
         res = pdhg_solve(sub, gap_tol=1e-9, max_iters=200000)
         _, val = brute_force_subproblem(sub)

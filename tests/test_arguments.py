@@ -1,7 +1,7 @@
-"""The two scalar argument rules of ``geometry``, at every site that uses
-them: an integer is a ``numbers.Integral`` that is no bool, at least its
-minimum and never truncated; a number is a ``numbers.Real`` that is no bool,
-and finite when it has a lower bound."""
+"""The argument rules of ``geometry``, at every site that uses them: an
+integer is a ``numbers.Integral`` that is no bool, at least its minimum and
+never truncated; a number is a ``numbers.Real`` that is no bool, and finite
+when it has a lower bound; a mask is an array of booleans."""
 
 import math
 import re
@@ -10,20 +10,31 @@ import numpy as np
 import pytest
 
 from modelcg.baselines import ProxLinearConfig
-from modelcg.geometry import L1Ball, L2Ball, NuclearBall, Simplex, require_integer, require_number
+from modelcg.geometry import (
+    Box, L1Ball, L2Ball, NuclearBall, Simplex, require_integer, require_mask, require_number,
+)
 from modelcg.inner import PiecewiseLinearSubproblem, pdhg_solve
-from modelcg.matfac import MfProblem
+from modelcg.matfac import MfProblem, columnwise_simplex_set, default_start, unit_atoms_set
 from modelcg.models import LinearModelOracle, ProximalModelOracle, WeightedL1
-from modelcg.regression import generate_regression_data
+from modelcg.regression import generate_regression_data, make_constraint_set, make_subproblem
 from modelcg.solver import SolverConfig
 
 
-def _subproblem(l1_weight=0.5, prox_tau=None):
+def _subproblem(weight=0.5, prox_tau=None):
     return PiecewiseLinearSubproblem(
         K=np.array([[1.0, 2.0], [0.5, -1.0]]), target=np.array([1.0, 0.0]),
-        l1_weight=l1_weight, l1_mask=[True, False], lo=np.zeros(2), hi=np.ones(2),
+        penalty=WeightedL1(weight, [True, False]), box=Box(np.zeros(2), np.ones(2)),
         prox_tau=prox_tau, prox_center=None if prox_tau is None else np.zeros(2),
     )
+
+
+def _regression_subproblem(tau):
+    ds = generate_regression_data(P=2, M=10, seed=0)
+    return make_subproblem(ds, make_constraint_set(ds).midpoint(), tau=tau)
+
+
+def _mf_problem():
+    return MfProblem(A=np.ones((3, 3)), inner_dim=2)
 
 
 def _oracle():
@@ -31,7 +42,8 @@ def _oracle():
 
 
 # (call, bad value, the argument the message names); each of these was
-# truncated, accepted, or refused with numpy's TypeError
+# truncated, accepted, cast to booleans, or refused with numpy's TypeError or
+# a message that named no argument
 BAD = [
     (lambda v: Simplex(v), 2.5, "dim"),
     (lambda v: L1Ball(v, 1.0), 2.5, "dim"),
@@ -41,7 +53,6 @@ BAD = [
     (lambda v: L2Ball(3, 1.0, count=v), 2.0, "count"),
     (lambda v: WeightedL1(v), math.nan, "weight"),
     (lambda v: WeightedL1(v), math.inf, "weight"),
-    (lambda v: _subproblem(l1_weight=v), math.nan, "l1_weight"),
     (lambda v: ProxLinearConfig(tau0=v), True, "tau0"),
     (lambda v: ProximalModelOracle(_oracle(), v), True, "tau"),
     (lambda v: MfProblem(A=np.ones((3, 3)), inner_dim=2, model="hybrid", tau=v), True, "tau"),
@@ -51,14 +62,27 @@ BAD = [
     (lambda v: generate_regression_data(P=v, M=20), 2.5, "P"),
     (lambda v: generate_regression_data(P=4, M=20, seed=v), 1.5, "seed"),
     (lambda v: generate_regression_data(P=4, M=20, mu=v), True, "mu"),
+    (lambda v: _subproblem().with_prox(v, np.zeros(2)), True, "prox_tau"),
+    (lambda v: _subproblem().with_prox(v, np.zeros(2)), "2", "prox_tau"),
+    (lambda v: _regression_subproblem(tau=v), "2", "prox_tau"),
+    (lambda v: unit_atoms_set(4, v), 0, "cols"),
+    (lambda v: unit_atoms_set(4, v), True, "cols"),
+    (lambda v: columnwise_simplex_set(4, v), 0, "cols"),
+    (lambda v: columnwise_simplex_set(4, v), True, "cols"),
+    (lambda v: default_start(_mf_problem(), v), True, "seed"),
+    (lambda v: default_start(_mf_problem(), v), 2.0, "seed"),
+    (lambda v: WeightedL1(1.0, v), [0, 1], "mask"),
+    (lambda v: ProximalModelOracle(_oracle(), 1.0, mask=v), [0, 1], "mask"),
 ]
 
 
 @pytest.mark.parametrize("call, value, name", BAD, ids=[
     "simplex-dim", "l1-dim", "nuclear-rows", "nuclear-cols", "l2-dim-bool", "l2-count",
-    "weight-nan", "weight-inf", "l1_weight-nan", "tau0-bool", "prox-tau-bool", "mf-tau-bool",
+    "weight-nan", "weight-inf", "tau0-bool", "prox-tau-bool", "mf-tau-bool",
     "mf-radius", "time-budget-bool", "delta-tol-inf", "regression-P", "regression-seed",
-    "regression-mu-bool",
+    "regression-mu-bool", "with-prox-bool", "with-prox-str", "make-subproblem-tau-str",
+    "unit-atoms-cols-0", "unit-atoms-cols-bool", "simplex-cols-0", "simplex-cols-bool",
+    "start-seed-bool", "start-seed-float", "weighted-l1-index-mask", "prox-oracle-index-mask",
 ])
 def test_a_bad_argument_is_refused_by_name(call, value, name):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got {re.escape(repr(value))}$"):
@@ -81,7 +105,9 @@ def test_valid_arguments_stay_valid():
     ds = generate_regression_data(P=np.int64(4), M=np.int32(20), mu=2, a_max=3, seed=np.int64(1))
     assert (ds.P, ds.M, ds.seed, ds.mu, ds.a_max) == (4, 20, 1, 2.0, 3.0)
     assert all(type(getattr(ds, k)) is int for k in ("P", "M", "seed"))
-    sub = _subproblem(l1_weight=0, prox_tau=2)
+    sub = _subproblem(weight=0, prox_tau=2)
+    assert type(sub.prox_tau) is float
+    assert type(_subproblem().with_prox(np.int64(3), np.zeros(2)).prox_tau) is float
     assert pdhg_solve(sub, gap_tol=0, max_iters=0).iterations == 0
     assert pdhg_solve(sub, gap_tol=0.0, max_iters=np.int64(3)).iterations == 3
 
@@ -100,6 +126,15 @@ def test_require_integer_states_its_minimum():
         require_integer(-1, "seed", 0)
     with pytest.raises(ValueError, match=r"^k must be an integer >= 5, got 4$"):
         require_integer(4, "k", 5)
+
+
+def test_require_mask_takes_booleans_only():
+    for good in ([True, False], np.array([1, 0]) > 0, np.ones(3, dtype=np.bool_)):
+        out = require_mask(good, "m")
+        assert out.dtype == bool and out.tolist() == np.asarray(good).tolist()
+    for bad in ([0, 1], np.array([1.0, 0.0]), ["True"], [True, 0]):
+        with pytest.raises(ValueError, match="^m must be an array of booleans, got "):
+            require_mask(bad, "m")
 
 
 @pytest.mark.parametrize("bound, good, bad, need", [

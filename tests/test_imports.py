@@ -64,6 +64,15 @@ def test_problem_modules_build_inputs_and_the_runner_runs_them():
     assert not _relative_imports("runner") & {"matfac", "regression"}
 
 
+def test_the_inner_solver_builds_on_geometry_alone():
+    # the subproblem takes the models' Box and WeightedL1 from geometry, the
+    # layer below both, so inner needs nothing else of the package
+    assert _relative_imports("inner") == {"geometry"}
+    from modelcg import geometry, models
+
+    assert modelcg.WeightedL1 is models.WeightedL1 is geometry.WeightedL1
+
+
 def test_only_geometry_states_the_argument_rules():
     # the integer and number rules live in geometry; every other module
     # calls them instead of testing types itself

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modelcg.geometry import Box, L1Ball, WeightedL1
 from modelcg.inner import (
     ALIGNMENT,
     GAP_RATIO,
@@ -29,10 +30,8 @@ def random_subproblem(rng, m=None, n=None, with_prox=False):
     sub = PiecewiseLinearSubproblem(
         K=K,
         target=rng.standard_normal(m),
-        l1_weight=float(2.0 * rng.random()),
-        l1_mask=rng.random(n) > 0.4,
-        lo=np.full(n, -2.0),
-        hi=np.full(n, 2.0),
+        penalty=WeightedL1(float(2.0 * rng.random()), rng.random(n) > 0.4),
+        box=Box(np.full(n, -2.0), np.full(n, 2.0)),
     )
     if with_prox:
         sub = sub.with_prox(float(0.2 + rng.random()), rng.standard_normal(n))
@@ -43,10 +42,8 @@ def box_problem(K, target, mu, mask, lo, hi, **kw):
     return PiecewiseLinearSubproblem(
         K=np.asarray(K, float),
         target=np.asarray(target, float),
-        l1_weight=mu,
-        l1_mask=np.asarray(mask, bool),
-        lo=np.asarray(lo, float),
-        hi=np.asarray(hi, float),
+        penalty=WeightedL1(mu, mask),
+        box=Box(lo, hi),
         **kw,
     )
 
@@ -126,7 +123,7 @@ def test_pdhg_feasibility_every_iteration(rng):
         seen = []
 
         def observe(u, p, z):
-            seen.append(bool(np.all(u >= sub.lo) and np.all(u <= sub.hi)
+            seen.append(bool(np.all(u >= sub.box.lo) and np.all(u <= sub.box.hi)
                              and np.all(np.abs(p) <= 1.0)))
 
         _reference_pdhg(sub, **{"gap_tol": 1e-10, "max_iters": 3000, **kw}, observe=observe)
@@ -278,7 +275,7 @@ def test_gap_nonnegative_at_random_pairs(rng):
     for _ in range(20):
         sub = random_subproblem(rng, with_prox=bool(rng.integers(0, 2)))
         for _ in range(50):
-            u = sub.lo + rng.random(sub.n) * (sub.hi - sub.lo)
+            u = sub.box.lo + rng.random(sub.n) * (sub.box.hi - sub.box.lo)
             p = rng.uniform(-1, 1, sub.m)
             assert primal_dual_gap(sub, u, p) >= -1e-12
 
@@ -332,7 +329,7 @@ def test_brute_force_separable_weighted_medians(rng):
         nz = col != 0
         cands = np.concatenate([(target[nz] / col[nz]), [0.0, -2.0, 2.0]])
         cands = np.clip(cands, -2.0, 2.0)
-        w = 0.7 if sub.l1_mask[j] else 0.0
+        w = 0.7 if sub.penalty.mask[j] else 0.0
 
         def coord_obj(t):
             return np.abs(col * t - target).sum() + w * abs(t)
@@ -348,8 +345,8 @@ def test_brute_force_matches_linear_program(rng):
         sub = random_subproblem(rng)
         _, val = brute_force_subproblem(sub)
         m, n = sub.K.shape
-        nmask = int(sub.l1_mask.sum())
-        c = np.concatenate([np.zeros(n), np.ones(m), sub.l1_weight * np.ones(nmask)])
+        nmask = int(sub.penalty.mask.sum())
+        c = np.concatenate([np.zeros(n), np.ones(m), sub.penalty.weight * np.ones(nmask)])
         rows, rhs = [], []
         for i in range(m):
             for sign in (1.0, -1.0):
@@ -360,7 +357,7 @@ def test_brute_force_matches_linear_program(rng):
                 rhs.append(sign * sub.target[i])
         mi = 0
         for j in range(n):
-            if sub.l1_mask[j]:
+            if sub.penalty.mask[j]:
                 for sign in (1.0, -1.0):
                     row = np.zeros(n + m + nmask)
                     row[j] = sign
@@ -368,7 +365,7 @@ def test_brute_force_matches_linear_program(rng):
                     rows.append(row)
                     rhs.append(0.0)
                 mi += 1
-        bounds = [(sub.lo[j], sub.hi[j]) for j in range(n)]
+        bounds = [(sub.box.lo[j], sub.box.hi[j]) for j in range(n)]
         bounds += [(0, None)] * (m + nmask)
         lp = scipy_opt.linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
                                bounds=bounds, method="highs")
@@ -405,7 +402,7 @@ def test_prox_solution_directional_derivatives(rng):
     t = 1e-7
     for _ in range(100):
         d = rng.standard_normal(4)
-        z = np.clip(u + t * d, sub.lo, sub.hi)  # feasible direction
+        z = np.clip(u + t * d, sub.box.lo, sub.box.hi)  # feasible direction
         if np.linalg.norm(z - u) == 0:
             continue
         assert (sub.objective(z) - f0) / np.linalg.norm(z - u) >= -1e-6
@@ -422,6 +419,14 @@ def test_subproblem_validation():
     for tau in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             sub.with_prox(tau, np.zeros(2))
+    # the penalty and the box are checked by their own types; the subproblem
+    # checks that they match K, and takes no other set than a box
+    with pytest.raises(ValueError, match="^penalty mask and box must match the columns of K$"):
+        box_problem(np.ones((2, 2)), np.ones(2), 0.5, [True, False, True], [0, 0], [1, 1])
+    with pytest.raises(ValueError, match="^penalty mask and box must match the columns of K$"):
+        box_problem(np.ones((2, 2)), np.ones(2), 0.5, [True, False], [0, 0, 0], [1, 1, 1])
+    with pytest.raises(NotImplementedError, match="box constraints"):
+        PiecewiseLinearSubproblem(np.ones((2, 2)), np.ones(2), WeightedL1(0.5), L1Ball(2, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +602,7 @@ def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000, observe=N
     iterations, converged). ``observe(u, p, z)``, if given, sees every
     iterate and the point z the primal step thresholds; the arrays are fresh
     each iteration, so it may keep them."""
-    K, target, lo, hi = problem.K, problem.target, problem.lo, problem.hi
+    K, target, lo, hi = problem.K, problem.target, problem.box.lo, problem.box.hi
     m, n = K.shape
     sigma, theta = precond_steps(K)
     if warm is None:
@@ -617,7 +622,7 @@ def _reference_pdhg(problem, warm=None, gap_tol=1e-8, max_iters=20000, observe=N
     else:
         blend = None
         theta_eff = theta
-    level = theta_eff * problem.penalty_weights()
+    level = theta_eff * problem.penalty.weights_vector(n)
 
     def soft(z):
         return np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
@@ -647,9 +652,10 @@ def _reference_cases(rng):
         sub = random_subproblem(rng, m=8, n=4, with_prox=i % 2 == 1)
         cases.append((f"random{i}", sub, {}))
     sub = random_subproblem(rng, m=7, n=4)
-    for name, weight, mask in (("no_penalty", 0.0, sub.l1_mask),
+    for name, weight, mask in (("no_penalty", 0.0, sub.penalty.mask),
                                ("partial_mask", 1.3, [True, False, True, False])):
-        cases.append((name, box_problem(sub.K, sub.target, weight, mask, sub.lo, sub.hi), {}))
+        cases.append((name, PiecewiseLinearSubproblem(sub.K, sub.target, WeightedL1(weight, mask),
+                                                      sub.box), {}))
     # coordinate 1 is pinned (lo == hi), coordinate 2 pinned at zero
     lo, hi = np.array([-2.0, 0.5, 0.0, -1.0]), np.array([2.0, 0.5, 0.0, 3.0])
     pinned = box_problem(sub.K, sub.target, 0.8, [True, True, True, False], lo, hi)
@@ -739,11 +745,11 @@ def test_pdhg_one_signed_cases_reach_the_zero_tie(rng):
         sub = cases[name]
         _, theta = precond_steps(sub.K)
         blend = 1.0 if sub.prox_tau is None else sub.prox_tau / (sub.prox_tau + theta)
-        level = theta * blend * sub.penalty_weights()
+        level = theta * blend * sub.penalty.weights_vector(sub.n)
         ties = []
 
         def observe(u, p, z):
-            ties.append(np.sum((sub.lo == 0.0) & np.signbit(z) & (-z <= level)))
+            ties.append(np.sum((sub.box.lo == 0.0) & np.signbit(z) & (-z <= level)))
 
         _reference_pdhg(sub, gap_tol=1e-10, max_iters=3000, observe=observe)
         assert sum(ties) > 0, name
