@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import require_number
-from .models import ProximalModelOracle
+from .models import DEFAULT_TAU, ProximalModelOracle
 from .solver import (
     LineSearchParams,
     SolverConfig,
@@ -60,10 +60,11 @@ class ProxLinearConfig:
     """The starting proximal weight of both baselines: a number (``geometry``
     rule), finite and at least ``TAU_FLOOR``. A vanishing weight pins the
     subproblem solution to the anchor and stalls the method; with an
-    infinite one the inner solver's step blends turn NaN.
+    infinite one the inner solver's step blends turn NaN. It defaults to
+    ``models.DEFAULT_TAU``.
     """
 
-    tau0: float = 1.0
+    tau0: float = DEFAULT_TAU
 
     def __post_init__(self):
         if not TAU_FLOOR <= require_number(self.tau0, "tau0") < math.inf:

@@ -20,7 +20,8 @@ are made mean-zero or squared.
 The penalty, ``WeightedL1``, lives here, in the layer below both ``models``
 and ``inner``, so a model and its inner subproblem hold the same penalty
 and the same ``Box`` objects. Its weight and mask are checked once, by the
-same rules (a weight a finite number >= 0, a mask an array of booleans).
+same rules (a weight a finite number >= 0, a mask an array of booleans),
+and ``require_penalty`` is the rule that refuses a penalty of another type.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "require_integer",
     "require_mask",
     "require_number",
+    "require_penalty",
 ]
 
 
@@ -98,6 +100,14 @@ def require_mask(value, name):
     if mask.dtype != bool:
         raise ValueError(f"{name} must be an array of booleans, got {value!r}")
     return mask
+
+
+def require_penalty(value, name):
+    """``value`` if it is a ``WeightedL1`` (below), the one penalty type;
+    anything else, ``None`` included, raises ``ValueError`` naming ``name``."""
+    if not isinstance(value, WeightedL1):
+        raise ValueError(f"{name} must be a WeightedL1, got {value!r}")
+    return value
 
 
 def _simplex_projection(v, radius):

@@ -70,6 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Box, WeightedL1, require_finite, require_integer, require_number
+from .geometry import require_penalty
 
 __all__ = [
     "aligned",
@@ -141,13 +142,14 @@ def _on_huge_pages(size):
 class PiecewiseLinearSubproblem:
     """Data of one inner subproblem (see module docstring for the objective).
 
-    ``penalty`` is a ``WeightedL1`` and ``box`` a ``Box`` (another set
-    raises ``NotImplementedError``), each checked by its own type; the
-    subproblem checks only that the mask, if any, and the box match the
-    columns of K. The optional proximal term (``prox_tau``, a finite number
-    > 0, and ``prox_center``) makes the objective strongly convex; both must
-    be given together. ``K`` is held as an aligned array (see the module
-    docstring): one that is not gets an aligned copy.
+    ``penalty`` is a ``WeightedL1`` (anything else, ``None`` included, is a
+    ``ValueError``) and ``box`` a ``Box`` (another set raises
+    ``NotImplementedError``), each checked by its own type; the subproblem
+    checks only that the mask, if any, and the box match the columns of K.
+    The optional proximal term (``prox_tau``, a finite number > 0, and
+    ``prox_center``) makes the objective strongly convex; both must be given
+    together. ``K`` is held as an aligned array (see the module docstring):
+    one that is not gets an aligned copy.
     """
 
     K: np.ndarray
@@ -169,7 +171,7 @@ class PiecewiseLinearSubproblem:
         m, n = K.shape
         if self.target.shape != (m,):
             raise ValueError("target length must match the rows of K")
-        mask = self.penalty.mask
+        mask = require_penalty(self.penalty, "penalty").mask
         if not (self.box.dim == n and (mask is None or mask.shape == (n,))):
             raise ValueError("penalty mask and box must match the columns of K")
         if (self.prox_tau is None) != (self.prox_center is None):

@@ -100,7 +100,7 @@ import numpy as np
 
 from .geometry import L1Ball, L2Ball, NuclearBall, ProductSet, Simplex
 from .geometry import require_finite, require_integer, require_number
-from .models import AdditiveCompositeOracle, ProximalModelOracle
+from .models import DEFAULT_TAU, AdditiveCompositeOracle, ProximalModelOracle
 
 __all__ = [
     "MfProblem",
@@ -131,9 +131,9 @@ GENERATION_PARAMETERS = {"rows": int, "cols": int, "inner_dim": int, "x_set": X_
 def unit_atoms_set(rows, cols):
     """Per-column l2 unit balls; every column after the first is additionally
     mean-zero (the first column keeps a free mean so constant offsets remain
-    representable). The mean-zero columns are one stacked ball. ``cols`` is
-    an integer >= 1 (the rule of ``geometry``)."""
-    cols = require_integer(cols, "cols", 1)
+    representable). The mean-zero columns are one stacked ball. ``rows`` and
+    ``cols`` are integers >= 1 (the rule of ``geometry``)."""
+    rows, cols = require_integer(rows, "rows", 1), require_integer(cols, "cols", 1)
     sets = [L2Ball(rows, 1.0)]
     if cols > 1:
         sets.append(L2Ball(rows, 1.0, mean_zero=True, count=cols - 1))
@@ -142,19 +142,19 @@ def unit_atoms_set(rows, cols):
 
 def columnwise_simplex_set(rows, cols):
     """Each column on the unit simplex: non-negative entries summing to one.
-    ``cols`` is an integer >= 1 (the rule of ``geometry``)."""
-    return ProductSet([Simplex(rows) for _ in range(require_integer(cols, "cols", 1))])
+    ``rows`` and ``cols`` are integers >= 1 (the rule of ``geometry``)."""
+    rows, cols = require_integer(rows, "rows", 1), require_integer(cols, "cols", 1)
+    return ProductSet([Simplex(rows) for _ in range(cols)])
 
 
 @dataclass
 class MfProblem:
     """One factorization instance. ``A`` a finite non-empty matrix; ``x_kind``
     in ``X_KINDS``, ``y_kind`` in ``Y_KINDS``, ``model`` in {"cg", "hybrid"};
-    ``inner_dim`` an integer >= 1, and ``radius`` and ``tau`` finite numbers
-    > 0 (the rules of ``geometry``). ``model`` and ``tau`` are read only by
-    ``make_mf_oracle``, for the benchmark's workloads: a run takes the
-    hybrid as the method ``mcgm_hybrid``, and ``solver_inputs`` refuses a
-    hybrid problem.
+    ``inner_dim`` an integer >= 1, and ``radius`` a finite number > 0 (the
+    rules of ``geometry``). ``model`` is read only by ``make_mf_oracle``,
+    for the benchmark's workloads: a run takes the hybrid as the method
+    ``mcgm_hybrid``, and ``solver_inputs`` refuses a hybrid problem.
 
     ``A`` must not be written in place or replaced after construction:
     evaluations remember their last products by the problem and the point
@@ -167,7 +167,6 @@ class MfProblem:
     y_kind: str = "sparsity"
     radius: float = 1.0
     model: str = "cg"
-    tau: float = 1.0
 
     def __post_init__(self):
         self.A = require_finite(self.A, "A")
@@ -175,7 +174,6 @@ class MfProblem:
             raise ValueError(f"A must be a non-empty matrix, got shape {self.A.shape}")
         self.inner_dim = require_integer(self.inner_dim, "inner_dim", 1)
         self.radius = require_number(self.radius, "radius", "positive")
-        self.tau = require_number(self.tau, "tau", "positive")
         if self.x_kind not in X_KINDS:
             raise ValueError(f"unknown x_kind {self.x_kind!r}")
         if self.y_kind not in Y_KINDS:
@@ -350,8 +348,9 @@ def make_mf_oracle(problem):
     )
     if problem.model == "cg":
         return base
-    # hybrid: quadratic proximal term on the Y block, oracle step on X
-    return ProximalModelOracle(base, problem.tau, _y_block(problem))
+    # hybrid: quadratic proximal term of the default weight on the Y block,
+    # oracle step on X; ``mcgm_hybrid`` builds the same oracle from its tau0
+    return ProximalModelOracle(base, DEFAULT_TAU, _y_block(problem))
 
 
 def default_start(problem, seed=0):

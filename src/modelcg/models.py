@@ -40,9 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, ProductSet, WeightedL1, require_finite, require_mask, require_number
+from .geometry import require_penalty
 from .inner import PiecewiseLinearSubproblem, pdhg_solve
 
 __all__ = [
+    "DEFAULT_TAU",
     "WeightedL1",
     "ModelMinimum",
     "ModelInstance",
@@ -77,13 +79,9 @@ def _finite_oracle_data(arr, name):
 
 
 def _oracle_penalty(penalty):
-    """The penalty an oracle holds: ``None`` is the zero penalty, and a
-    penalty of another type than ``WeightedL1`` is refused."""
-    if penalty is None:
-        return WeightedL1(0.0)
-    if not isinstance(penalty, WeightedL1):
-        raise ValueError(f"penalty must be None or a WeightedL1, got {type(penalty).__name__}")
-    return penalty
+    """The penalty an oracle holds: ``None`` is the zero penalty, and
+    anything else must pass ``geometry.require_penalty``."""
+    return WeightedL1(0.0) if penalty is None else require_penalty(penalty, "penalty")
 
 
 def prox_penalized(penalty, z, step, constraint):
@@ -321,6 +319,12 @@ class _ProxRegularizedModel(ModelInstance):
     def segment_change(self, y):
         # the quadratic is part of the model, not of the objective
         return self.base.segment_change(y)
+
+
+# the proximal weight a method starts from unless it is given one: the
+# default of ``ProxLinearConfig.tau0``, which the proximal baselines and
+# ``mcgm_hybrid`` read
+DEFAULT_TAU = 1.0
 
 
 class ProximalModelOracle:

@@ -59,8 +59,6 @@ __all__ = [
     "check_trace_file",
 ]
 
-METHOD_NAMES = ("mcgm", "proxlin_ls", "proxlin_bt", "mcgm_hybrid")
-
 
 def _mcgm_hybrid_solve(oracle, fun, constraint, x0, block, plcfg, ls, cfg):
     return mcgm_solve(ProximalModelOracle(oracle, plcfg.tau0, mask=block), fun, constraint, x0,
@@ -69,13 +67,15 @@ def _mcgm_hybrid_solve(oracle, fun, constraint, x0, block, plcfg, ls, cfg):
 
 # the solver of each method and the method-specific settings it reads: the
 # line search ``ls`` (which holds rho), the proximal config ``plcfg`` (which
-# holds tau0) and the problem's ``block``
+# holds tau0) and the problem's ``block``; its keys, in order, are the
+# method names
 _SOLVERS = {
     "mcgm": (mcgm_solve, ("ls",)),
     "proxlin_ls": (prox_linear_ls_solve, ("plcfg", "ls")),
     "proxlin_bt": (prox_linear_bt_solve, ("plcfg",)),
     "mcgm_hybrid": (_mcgm_hybrid_solve, ("block", "plcfg", "ls")),
 }
+METHOD_NAMES = tuple(_SOLVERS)
 CSV_COLUMNS = ("k", "time_s", "f", "obj_err", "delta", "gamma", "backtracks", "inner_iters",
                "rho")
 FINAL_ROW = "final"  # the k field of the terminal row

@@ -28,6 +28,10 @@ def _subproblem(weight=0.5, prox_tau=None):
     )
 
 
+def _unit_box_subproblem(penalty):
+    return PiecewiseLinearSubproblem(np.eye(2), np.zeros(2), penalty, Box(np.zeros(2), np.ones(2)))
+
+
 def _regression_subproblem(tau):
     ds = generate_regression_data(P=2, M=10, seed=0)
     return make_subproblem(ds, make_constraint_set(ds).midpoint(), tau=tau)
@@ -42,8 +46,8 @@ def _oracle():
 
 
 # (call, bad value, the argument the message names); each of these was
-# truncated, accepted, cast to booleans, or refused with numpy's TypeError or
-# a message that named no argument
+# truncated, accepted, cast to booleans, or refused with numpy's TypeError, an
+# AttributeError, a message that named no argument or one that named another
 BAD = [
     (lambda v: Simplex(v), 2.5, "dim"),
     (lambda v: L1Ball(v, 1.0), 2.5, "dim"),
@@ -55,7 +59,6 @@ BAD = [
     (lambda v: WeightedL1(v), math.inf, "weight"),
     (lambda v: ProxLinearConfig(tau0=v), True, "tau0"),
     (lambda v: ProximalModelOracle(_oracle(), v), True, "tau"),
-    (lambda v: MfProblem(A=np.ones((3, 3)), inner_dim=2, model="hybrid", tau=v), True, "tau"),
     (lambda v: MfProblem(A=np.ones((3, 3)), inner_dim=2, radius=v), -1.0, "radius"),
     (lambda v: SolverConfig(time_budget_s=v), True, "time_budget_s"),
     (lambda v: SolverConfig(delta_tol=v), math.inf, "delta_tol"),
@@ -73,16 +76,25 @@ BAD = [
     (lambda v: default_start(_mf_problem(), v), 2.0, "seed"),
     (lambda v: WeightedL1(1.0, v), [0, 1], "mask"),
     (lambda v: ProximalModelOracle(_oracle(), 1.0, mask=v), [0, 1], "mask"),
+    (_unit_box_subproblem, None, "penalty"),
+    (_unit_box_subproblem, 0.5, "penalty"),
+    (_unit_box_subproblem, Box(np.zeros(2), np.ones(2)), "penalty"),
+    (lambda v: unit_atoms_set(v, 3), 2.5, "rows"),
+    (lambda v: unit_atoms_set(v, 3), 0, "rows"),
+    (lambda v: columnwise_simplex_set(v, 2), True, "rows"),
+    (lambda v: columnwise_simplex_set(v, 2), 2.0, "rows"),
 ]
 
 
 @pytest.mark.parametrize("call, value, name", BAD, ids=[
     "simplex-dim", "l1-dim", "nuclear-rows", "nuclear-cols", "l2-dim-bool", "l2-count",
-    "weight-nan", "weight-inf", "tau0-bool", "prox-tau-bool", "mf-tau-bool",
+    "weight-nan", "weight-inf", "tau0-bool", "prox-tau-bool",
     "mf-radius", "time-budget-bool", "delta-tol-inf", "regression-P", "regression-seed",
     "regression-mu-bool", "with-prox-bool", "with-prox-str", "make-subproblem-tau-str",
     "unit-atoms-cols-0", "unit-atoms-cols-bool", "simplex-cols-0", "simplex-cols-bool",
     "start-seed-bool", "start-seed-float", "weighted-l1-index-mask", "prox-oracle-index-mask",
+    "subproblem-penalty-none", "subproblem-penalty-weight", "subproblem-penalty-box",
+    "unit-atoms-rows-float", "unit-atoms-rows-0", "simplex-rows-bool", "simplex-rows-float",
 ])
 def test_a_bad_argument_is_refused_by_name(call, value, name):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got {re.escape(repr(value))}$"):
@@ -98,8 +110,9 @@ def test_valid_arguments_stay_valid():
     assert L1Ball(4, np.float32(0.5)).radius == 0.5
     assert WeightedL1(0).weight == 0.0 and ProximalModelOracle(_oracle(), 3).tau == 3.0
     assert ProxLinearConfig(tau0=np.float64(2.0)).tau0 == 2.0
-    problem = MfProblem(A=np.ones((3, 3)), inner_dim=np.int64(2), radius=2, tau=1)
-    assert problem.shape == (3, 2, 3) and (problem.radius, problem.tau) == (2.0, 1.0)
+    problem = MfProblem(A=np.ones((3, 3)), inner_dim=np.int64(2), radius=2)
+    assert problem.shape == (3, 2, 3) and problem.radius == 2.0 and type(problem.radius) is float
+    assert unit_atoms_set(np.int64(3), 2).dim == 6 and columnwise_simplex_set(np.int32(2), 3).dim == 6
     cfg = SolverConfig(max_iterations=np.int64(3), delta_tol=1, time_budget_s=math.inf)
     assert cfg.max_iterations == 3 and SolverConfig(time_budget_s=0).time_budget_s == 0
     ds = generate_regression_data(P=np.int64(4), M=np.int32(20), mu=2, a_max=3, seed=np.int64(1))
