@@ -67,7 +67,8 @@ class ProxLinearConfig:
     tau0: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if not TAU_FLOOR <= require_number(self.tau0, "tau0") < math.inf:
+        object.__setattr__(self, "tau0", require_number(self.tau0, "tau0"))
+        if not TAU_FLOOR <= self.tau0 < math.inf:
             raise ValueError(f"tau0 must be finite and at least TAU_FLOOR = {TAU_FLOOR}, "
                              f"got {self.tau0!r}")
 

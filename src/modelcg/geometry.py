@@ -22,6 +22,9 @@ and ``inner``, so a model and its inner subproblem hold the same penalty
 and the same ``Box`` objects. Its weight and mask are checked once, by the
 same rules (a weight a finite number >= 0, a mask an array of booleans),
 and ``require_penalty`` is the rule that refuses a penalty of another type.
+The penalty owns the coordinate-wise problems it poses over a set: the
+linear step and the proximal step of the composite models, and the box
+conjugate of the inner solver's duality gap.
 """
 
 from __future__ import annotations
@@ -494,3 +497,78 @@ class WeightedL1:
             raise ValueError("penalty mask does not match the dimension")
         sub = x if self.mask is None else x[self.mask]
         return self.weight * float(np.abs(sub).sum())
+
+    # The coordinate-wise problems the penalty poses over a set. Only the
+    # inner solver's loop restates one, the proximal step, in place.
+
+    def _corners(self, box):
+        """The candidates of sup_{u in box} <v, u> - penalty(u), coordinate
+        by coordinate: the function v -> (the value at lo, the value at hi),
+        whose terms free of v are computed here once, and the mask of the
+        coordinates where 0 is in the box, the third candidate, of value 0."""
+        lo, hi = box.lo, box.hi
+        w_lo, w_hi = self.weights_vector(box.dim) * np.abs([lo, hi])
+        return (lambda v: (v * lo - w_lo, v * hi - w_hi)), (lo <= 0.0) & (hi >= 0.0)
+
+    def linear_step(self, c, constraint):
+        """argmin penalty(u) + <c, u> over the set, exactly: at weight 0 the
+        set's own linear oracle; otherwise the set must be a box, over which
+        each coordinate takes the least of its candidates {lo, 0, hi}, lo on
+        a tie (the best of ``_corners`` at v = -c). A ``c`` of another length
+        than the set is a ``ValueError``, at any weight."""
+        if self.weight == 0.0:
+            return constraint.lmo(c)
+        if not isinstance(constraint, Box):
+            raise NotImplementedError("a weighted l1 linear step needs a box")
+        corners, inside = self._corners(constraint)
+        at_lo, at_hi = corners(-constraint._shaped(c, "c"))
+        out = np.where(at_hi > at_lo, constraint.hi, constraint.lo)
+        return np.where(inside & (np.maximum(at_lo, at_hi) < 0.0), 0.0, out)
+
+    def prox_step(self, z, step, constraint):
+        """argmin penalty(u) + ||u - z||^2 / (2 step) over the set: at weight
+        0 the set's own projection; otherwise the set must be a box, where it
+        is soft-threshold then clamp, exact because the 1-D objective is
+        convex. ``step`` may be a scalar or a vector; a ``z`` of another
+        length than the set is a ``ValueError``, at any weight."""
+        if self.weight == 0.0:
+            return constraint.project(z)
+        if not isinstance(constraint, Box):
+            raise NotImplementedError("a weighted l1 proximal step needs a box")
+        z = constraint._shaped(z, "z")
+        level = np.asarray(step, dtype=float) * self.weights_vector(z.size)
+        s = np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
+        return np.clip(s, constraint.lo, constraint.hi)
+
+    def box_conjugate(self, box, tau=None, center=None):
+        """The function v -> sup_{u in box} <v, u> - penalty(u)
+        [- ||u - center||^2 / (2 tau)], a float, with the terms free of v
+        computed here once. Without the proximal term the supremum of each
+        piecewise-linear coordinate sits at {lo, 0, hi} (``_corners``); with
+        it, each sign branch is a concave parabola whose clamped vertex is
+        optimal."""
+        if tau is None:
+            corners, inside = self._corners(box)
+
+            def conjugate(v):
+                vals = np.maximum(*corners(v))
+                vals = np.where(inside, np.maximum(vals, 0.0), vals)
+                return float(vals.sum())
+
+            return conjugate
+        w = self.weights_vector(box.dim)
+        two_tau = 2.0 * tau
+        pos_lo, neg_hi = np.maximum(box.lo, 0.0), np.minimum(box.hi, 0.0)
+        pos_ok, neg_ok = pos_lo <= box.hi, box.lo <= neg_hi
+
+        def branch_value(v, vertex, blo, bhi, nonempty):
+            u = np.clip(vertex, blo, bhi)
+            val = v * u - w * np.abs(u) - (u - center) ** 2 / two_tau
+            return np.where(nonempty, val, -np.inf)
+
+        def conjugate(v):
+            pos = branch_value(v, center + tau * (v - w), pos_lo, box.hi, pos_ok)
+            neg = branch_value(v, center + tau * (v + w), box.lo, neg_hi, neg_ok)
+            return float(np.maximum(pos, neg).sum())
+
+        return conjugate

@@ -243,43 +243,15 @@ def _gap_function(problem):
     function (primal, gap) = gap(u, p, ktp) of a primal point u in the box,
     a dual point p in [-1, 1] and ktp = K.T @ p.
 
-    The dual value needs the box conjugate
-    sup_{lo<=u<=hi} <v, u> - w|u| [- (u-center)^2/(2 tau)], coordinate-wise,
-    at v = -ktp. Closed form: without the proximal term the supremum of a
-    piecewise linear function sits at {lo, 0, hi}; with it, each sign branch
-    is a concave parabola whose clamped vertex is optimal. The terms that do
-    not depend on v are computed here once.
+    The dual value needs the penalty's box conjugate (with the proximal term
+    if the problem has one) at v = -ktp: ``WeightedL1.box_conjugate``, whose
+    terms free of v are computed here once.
     """
-    lo, hi, target = problem.box.lo, problem.box.hi, problem.target
-    w = problem.penalty.weights_vector(problem.n)
-    if problem.prox_tau is None:
-        w_lo, w_hi = w * np.abs(lo), w * np.abs(hi)
-        inside = (lo <= 0.0) & (hi >= 0.0)
-
-        def conjugate(v):
-            vals = np.maximum(v * lo - w_lo, v * hi - w_hi)
-            vals = np.where(inside, np.maximum(vals, 0.0), vals)
-            return float(vals.sum())
-
-    else:
-        tau, c = problem.prox_tau, problem.prox_center
-        two_tau = 2.0 * tau
-        pos_lo, neg_hi = np.maximum(lo, 0.0), np.minimum(hi, 0.0)
-        pos_ok, neg_ok = pos_lo <= hi, lo <= neg_hi
-
-        def branch_value(v, vertex, blo, bhi, nonempty):
-            u = np.clip(vertex, blo, bhi)
-            val = v * u - w * np.abs(u) - (u - c) ** 2 / two_tau
-            return np.where(nonempty, val, -np.inf)
-
-        def conjugate(v):
-            pos = branch_value(v, c + tau * (v - w), pos_lo, hi, pos_ok)
-            neg = branch_value(v, c + tau * (v + w), lo, neg_hi, neg_ok)
-            return float(np.maximum(pos, neg).sum())
+    conjugate = problem.penalty.box_conjugate(problem.box, problem.prox_tau, problem.prox_center)
 
     def gap(u, p, ktp):
         primal = problem.objective(u)
-        dual = -float(p @ target) - conjugate(-ktp)
+        dual = -float(p @ problem.target) - conjugate(-ktp)
         return primal, primal - dual
 
     return gap
@@ -410,6 +382,8 @@ def pdhg_solve(
         if blend is not None:
             multiply(blend, z, out=z)
             add(z, center_term, out=z)
+        # the penalty's proximal step (WeightedL1.prox_step) at step
+        # theta_eff, in place: the one restatement of it outside geometry
         if one_signed:
             # u_new = clip(z - level, lo, hi)
             subtract(z, level, out=u_new)

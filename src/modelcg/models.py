@@ -20,11 +20,11 @@ The one penalty type is :class:`WeightedL1`, of ``geometry``, the layer below
 this module and the inner solver, which takes it as it is. An oracle given
 ``penalty=None`` holds the zero penalty, ``WeightedL1(0)``. An
 additive-composite instance has one step routine: each block of a product
-set, or the whole set as one block, takes a proximal step (``prox_penalized``)
-where a proximal weight is given and the mask covers the block, and a
-linear-oracle step (``linear_composite_min``) where not. The linear step,
-the proximal step and the CG/prox hybrid (a mask covering some blocks) are
-that choice, made per block.
+set, or the whole set as one block, takes the penalty's proximal step
+(``WeightedL1.prox_step``) where a proximal weight is given and the mask
+covers the block, and its linear step (``WeightedL1.linear_step``) where
+not. The linear step, the proximal step and the CG/prox hybrid (a mask
+covering some blocks) are that choice, made per block.
 
 A minimization returns a :class:`ModelMinimum` that carries the model
 improvement of its point, computed by the solve itself: the exact solves
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, ProductSet, WeightedL1, require_finite, require_mask, require_number
+from .geometry import ProductSet, WeightedL1, require_finite, require_mask, require_number
 from .geometry import require_penalty
 from .inner import PiecewiseLinearSubproblem, pdhg_solve
 
@@ -53,8 +53,6 @@ __all__ = [
     "ProximalModelOracle",
     "GaussNewtonOracle",
     "NonFiniteModelError",
-    "prox_penalized",
-    "linear_composite_min",
 ]
 
 
@@ -74,7 +72,7 @@ def _finite_oracle_data(arr, name):
 
 
 # ---------------------------------------------------------------------------
-# penalized steps (the penalty type, WeightedL1, is in geometry)
+# the penalty (its type and its steps, WeightedL1, are in geometry)
 # ---------------------------------------------------------------------------
 
 
@@ -82,48 +80,6 @@ def _oracle_penalty(penalty):
     """The penalty an oracle holds: ``None`` is the zero penalty, and
     anything else must pass ``geometry.require_penalty``."""
     return WeightedL1(0.0) if penalty is None else require_penalty(penalty, "penalty")
-
-
-def prox_penalized(penalty, z, step, constraint):
-    """argmin penalty(u) + (1/(2 step)) ||u - z||^2 over the set, for a
-    ``WeightedL1`` penalty: the proximal step of one block.
-
-    At weight 0 it is the set's own projection, exact on any projectable
-    set; otherwise the set must be a box, where it is soft-threshold then
-    clamp, exact because the 1-D objective is convex. ``step`` may be a
-    scalar or a vector.
-    """
-    z = np.asarray(z, dtype=float)
-    if penalty.weight == 0.0:
-        return constraint.project(z)
-    if isinstance(constraint, Box):
-        level = np.asarray(step, dtype=float) * penalty.weights_vector(z.size)
-        s = np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
-        return np.clip(s, constraint.lo, constraint.hi)
-    raise NotImplementedError("a weighted l1 proximal step needs a box")
-
-
-def linear_composite_min(penalty, c, constraint):
-    """argmin penalty(u) + <c, u> over the set, exactly, for a ``WeightedL1``
-    penalty: the linear-oracle step of one block.
-
-    At weight 0 it is the set's own linear oracle. Otherwise the set must be
-    a box, over which the problem separates per coordinate; each 1-D
-    piecewise-linear term is minimized over {lo, 0, hi}.
-    """
-    c = np.asarray(c, dtype=float)
-    if penalty.weight == 0.0:
-        return constraint.lmo(c)
-    if isinstance(constraint, Box):
-        lo, hi = constraint.lo, constraint.hi
-        w = penalty.weights_vector(c.size)
-        v_lo = w * np.abs(lo) + c * lo
-        v_hi = w * np.abs(hi) + c * hi
-        out = np.where(v_hi < v_lo, hi, lo)
-        val = np.minimum(v_lo, v_hi)
-        zero_ok = (lo <= 0.0) & (hi >= 0.0)
-        return np.where(zero_ok & (val > 0.0), 0.0, out)
-    raise NotImplementedError("a weighted l1 linear-composite step needs a box")
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +187,9 @@ class _AdditiveCompositeModel(ModelInstance):
             pen_b = pen if pen.mask is None else WeightedL1(pen.weight, pen.mask[s])
             if tau is not None and covered:
                 z = self.anchor[s] - tau * self.h_grad[s]
-                parts.append(prox_penalized(pen_b, z, tau, set_b))
+                parts.append(pen_b.prox_step(z, tau, set_b))
             else:
-                parts.append(linear_composite_min(pen_b, self.h_grad[s], set_b))
+                parts.append(pen_b.linear_step(self.h_grad[s], set_b))
         return np.concatenate(parts)
 
     def minimize(self, constraint, tol, warm=None):

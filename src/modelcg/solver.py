@@ -85,7 +85,8 @@ class LineSearchParams:
     rho: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 < require_number(self.rho, "rho") < 1.0:
+        object.__setattr__(self, "rho", require_number(self.rho, "rho"))
+        if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
 
 
@@ -161,11 +162,12 @@ class SolverConfig:
 
     def __post_init__(self):
         require_integer(self.max_iterations, "max_iterations", 1)
-        if self.delta_tol is not None:
-            require_number(self.delta_tol, "delta_tol", "positive")
-        if self.time_budget_s is not None:
-            if not require_number(self.time_budget_s, "time_budget_s") >= 0:
-                raise ValueError("time_budget_s must be non-negative")
+        # a number stores the float its rule returns
+        for key, bound in (("delta_tol", "positive"), ("time_budget_s", None)):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, require_number(getattr(self, key), key, bound))
+        if not (self.time_budget_s is None or self.time_budget_s >= 0):
+            raise ValueError("time_budget_s must be non-negative")
 
     def resolve_tol(self, f0):
         if self.delta_tol is not None:

@@ -17,7 +17,7 @@ from modelcg.inner import PiecewiseLinearSubproblem, pdhg_solve
 from modelcg.matfac import MfProblem, columnwise_simplex_set, default_start, unit_atoms_set
 from modelcg.models import LinearModelOracle, ProximalModelOracle, WeightedL1
 from modelcg.regression import generate_regression_data, make_constraint_set, make_subproblem
-from modelcg.solver import SolverConfig
+from modelcg.solver import LineSearchParams, SolverConfig
 
 
 def _subproblem(weight=0.5, prox_tau=None):
@@ -110,11 +110,16 @@ def test_valid_arguments_stay_valid():
     assert L1Ball(4, np.float32(0.5)).radius == 0.5
     assert WeightedL1(0).weight == 0.0 and ProximalModelOracle(_oracle(), 3).tau == 3.0
     assert ProxLinearConfig(tau0=np.float64(2.0)).tau0 == 2.0
+    # a config stores the float its rule returns, as the sets do
+    assert type(ProxLinearConfig(tau0=1).tau0) is float
+    assert type(LineSearchParams(rho=np.float32(0.25)).rho) is float
     problem = MfProblem(A=np.ones((3, 3)), inner_dim=np.int64(2), radius=2)
     assert problem.shape == (3, 2, 3) and problem.radius == 2.0 and type(problem.radius) is float
     assert unit_atoms_set(np.int64(3), 2).dim == 6 and columnwise_simplex_set(np.int32(2), 3).dim == 6
     cfg = SolverConfig(max_iterations=np.int64(3), delta_tol=1, time_budget_s=math.inf)
     assert cfg.max_iterations == 3 and SolverConfig(time_budget_s=0).time_budget_s == 0
+    assert type(cfg.delta_tol) is float
+    assert type(SolverConfig(time_budget_s=np.float32(2)).time_budget_s) is float
     ds = generate_regression_data(P=np.int64(4), M=np.int32(20), mu=2, a_max=3, seed=np.int64(1))
     assert (ds.P, ds.M, ds.seed, ds.mu, ds.a_max) == (4, 20, 1, 2.0, 3.0)
     assert all(type(getattr(ds, k)) is int for k in ("P", "M", "seed"))

@@ -12,6 +12,7 @@ from modelcg.geometry import (
     NuclearBall,
     ProductSet,
     Simplex,
+    WeightedL1,
 )
 from modelcg.matfac import unit_atoms_set
 
@@ -570,3 +571,162 @@ def test_nuclear_project_bound_rejects_its_equality_case(monkeypatch):
     sv = np.linalg.svd(p.reshape(4, 7), compute_uv=False)
     assert sv.sum() == pytest.approx(s.radius, rel=1e-14)
     assert p.tobytes() != X.ravel().tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the penalty's box rules, against the formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_linear_step(penalty, c, constraint):
+    # models.linear_composite_min before it became WeightedL1.linear_step
+    c = np.asarray(c, dtype=float)
+    if penalty.weight == 0.0:
+        return constraint.lmo(c)
+    if isinstance(constraint, Box):
+        lo, hi = constraint.lo, constraint.hi
+        w = penalty.weights_vector(c.size)
+        v_lo = w * np.abs(lo) + c * lo
+        v_hi = w * np.abs(hi) + c * hi
+        out = np.where(v_hi < v_lo, hi, lo)
+        val = np.minimum(v_lo, v_hi)
+        zero_ok = (lo <= 0.0) & (hi >= 0.0)
+        return np.where(zero_ok & (val > 0.0), 0.0, out)
+    raise NotImplementedError("a weighted l1 linear-composite step needs a box")
+
+
+def _reference_prox_step(penalty, z, step, constraint):
+    # models.prox_penalized before it became WeightedL1.prox_step
+    z = np.asarray(z, dtype=float)
+    if penalty.weight == 0.0:
+        return constraint.project(z)
+    if isinstance(constraint, Box):
+        level = np.asarray(step, dtype=float) * penalty.weights_vector(z.size)
+        s = np.sign(z) * np.maximum(np.abs(z) - level, 0.0)
+        return np.clip(s, constraint.lo, constraint.hi)
+    raise NotImplementedError("a weighted l1 proximal step needs a box")
+
+
+def _reference_conjugate(penalty, box, prox_tau=None, prox_center=None):
+    # the two conjugates of inner._gap_function before they became
+    # WeightedL1.box_conjugate
+    lo, hi = box.lo, box.hi
+    w = penalty.weights_vector(box.dim)
+    if prox_tau is None:
+        w_lo, w_hi = w * np.abs(lo), w * np.abs(hi)
+        inside = (lo <= 0.0) & (hi >= 0.0)
+
+        def conjugate(v):
+            vals = np.maximum(v * lo - w_lo, v * hi - w_hi)
+            vals = np.where(inside, np.maximum(vals, 0.0), vals)
+            return float(vals.sum())
+
+    else:
+        tau, c = prox_tau, prox_center
+        two_tau = 2.0 * tau
+        pos_lo, neg_hi = np.maximum(lo, 0.0), np.minimum(hi, 0.0)
+        pos_ok, neg_ok = pos_lo <= hi, lo <= neg_hi
+
+        def branch_value(v, vertex, blo, bhi, nonempty):
+            u = np.clip(vertex, blo, bhi)
+            val = v * u - w * np.abs(u) - (u - c) ** 2 / two_tau
+            return np.where(nonempty, val, -np.inf)
+
+        def conjugate(v):
+            pos = branch_value(v, c + tau * (v - w), pos_lo, hi, pos_ok)
+            neg = branch_value(v, c + tau * (v + w), lo, neg_hi, neg_ok)
+            return float(np.maximum(pos, neg).sum())
+
+    return conjugate
+
+
+def _random_box(rng, n):
+    # each coordinate one of: straddling 0, one-signed either way, lo == hi
+    # (0 among them), lo = -0.0, hi = 0, lo = -0.0 with hi = 0, symmetric
+    a, b = np.sort(rng.uniform(0.1, 3.0, (2, n)), axis=0)
+    pairs = [(-a, b), (a, b), (-b, -a), (a, a), (-a, -a), (np.zeros(n), np.zeros(n)),
+             (np.full(n, -0.0), b), (-a, np.zeros(n)), (np.full(n, -0.0), np.zeros(n)), (-a, a)]
+    kind = rng.integers(len(pairs), size=n)
+    lo = np.choose(kind, [p[0] for p in pairs])
+    hi = np.choose(kind, [p[1] for p in pairs])
+    return Box(lo, hi)
+
+
+def _random_vector(rng, n):
+    # signed zeros and exact zeros among scaled normals
+    v = rng.standard_normal(n) * rng.choice([0.1, 1.0, 10.0], n)
+    v[rng.random(n) < 0.15] = 0.0
+    v[rng.random(n) < 0.15] = -0.0
+    return v
+
+
+def _penalties(rng, n):
+    mask = rng.random(n) < 0.5
+    return [WeightedL1(0.0), WeightedL1(0.0, mask), WeightedL1(0.7), WeightedL1(0.7, mask),
+            WeightedL1(rng.uniform(0.01, 5.0), mask), WeightedL1(1.0, np.zeros(n, bool))]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_penalty_steps_give_the_bits_of_the_formulas_they_replaced(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        box = _random_box(rng, n)
+        for pen in _penalties(rng, n):
+            c, z = _random_vector(rng, n), _random_vector(rng, n)
+            for step in (0.3, rng.uniform(0.01, 3.0, n)):
+                mine, ref = pen.prox_step(z, step, box), _reference_prox_step(pen, z, step, box)
+                np.testing.assert_array_equal(_bits(mine), _bits(ref))
+            np.testing.assert_array_equal(
+                _bits(pen.linear_step(c, box)), _bits(_reference_linear_step(pen, c, box)))
+
+
+def test_box_conjugates_give_the_bits_of_the_formulas_they_replaced(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        box = _random_box(rng, n)
+        for pen in _penalties(rng, n):
+            tau, center = rng.uniform(0.05, 4.0), _random_vector(rng, n)
+            for args in ((), (tau, center)):
+                mine, ref = pen.box_conjugate(box, *args), _reference_conjugate(pen, box, *args)
+                for v in (_random_vector(rng, n), _random_vector(rng, n), np.zeros(n),
+                          np.full(n, -0.0)):
+                    assert _bits(mine(v)) == _bits(ref(v))
+
+
+def test_linear_step_minimum_is_minus_the_conjugate(rng):
+    # min_u penalty(u) + <c, u> = -sup_u <-c, u> - penalty(u), one candidate
+    # computation read with both signs; compared with ==, as the sign of an
+    # all-zero sum may differ
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        box = _random_box(rng, n)
+        for pen in _penalties(rng, n):
+            c = _random_vector(rng, n)
+            y = pen.linear_step(c, box)
+            assert box.contains(y, 0.0)
+            w = pen.weights_vector(n)
+            assert float((w * np.abs(y) + c * y).sum()) == -pen.box_conjugate(box)(-c)
+
+
+def test_penalty_steps_need_a_box_past_weight_zero():
+    ball = L2Ball(2, 1.0)
+    free = WeightedL1(0.0)
+    np.testing.assert_array_equal(free.linear_step([3.0, 4.0], ball), ball.lmo([3.0, 4.0]))
+    np.testing.assert_array_equal(free.prox_step([3.0, 4.0], 1.0, ball), ball.project([3.0, 4.0]))
+    with pytest.raises(NotImplementedError, match="linear step needs a box"):
+        WeightedL1(0.5).linear_step([3.0, 4.0], ball)
+    with pytest.raises(NotImplementedError, match="proximal step needs a box"):
+        WeightedL1(0.5).prox_step([3.0, 4.0], 1.0, ball)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.5])
+def test_penalty_steps_refuse_a_vector_of_the_wrong_length(weight):
+    # past weight 0 a one-entry cost or point broadcast over the box
+    box, pen = Box(np.zeros(3), np.ones(3)), WeightedL1(weight)
+    with pytest.raises(ValueError, match=r"^c has shape \(1,\), the set needs \(3,\)$"):
+        pen.linear_step([-3.0], box)
+    with pytest.raises(ValueError, match=r"^(x|z) has shape \(4,\), the set needs \(3,\)$"):
+        pen.prox_step(np.ones(4), 1.0, box)

@@ -10,8 +10,6 @@ from modelcg.models import (
     ModelInstance,
     ProximalModelOracle,
     WeightedL1,
-    linear_composite_min,
-    prox_penalized,
 )
 from modelcg.regression import generate_regression_data, make_constraint_set, make_objective, make_oracle, make_subproblem
 from modelcg.runner import METHOD_NAMES, run_method
@@ -152,12 +150,12 @@ def test_additive_composite_model_error_bound():
     assert report.passed
 
 
-def test_linear_composite_min_is_exact(rng):
+def test_linear_step_is_exact(rng):
     box = Box(np.array([-1.0, 0.0, -2.0]), np.array([1.0, 2.0, 0.5]))
     pen = WeightedL1(0.6, np.array([True, False, True]))
     for _ in range(50):
         c = rng.standard_normal(3)
-        y = linear_composite_min(pen, c, box)
+        y = pen.linear_step(c, box)
         assert box.contains(y, 1e-12)
         val = pen.value(y) + c @ y
         grid = np.stack(np.meshgrid(*[np.linspace(l, h, 81) for l, h in zip(box.lo, box.hi)],
@@ -166,13 +164,13 @@ def test_linear_composite_min_is_exact(rng):
         assert val <= grid_best + 1e-9
 
 
-def test_prox_penalized_matches_candidates(rng):
+def test_prox_step_matches_candidates(rng):
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     pen = WeightedL1(0.5)
     for _ in range(30):
         z = 2.0 * rng.standard_normal(2)
         step = 0.1 + rng.random()
-        y = prox_penalized(pen, z, step, box)
+        y = pen.prox_step(z, step, box)
         t = np.linspace(0, 1, 301)
         for j in range(2):
             axis = box.lo[j] + t * (box.hi[j] - box.lo[j])
@@ -243,8 +241,7 @@ def test_hybrid_hands_each_block_the_penalty_of_its_coordinates(rng):
         z = x[:2] - tau * g[:2]
         soft = np.sign(z) * np.maximum(np.abs(z) - tau * np.array([weight, 0.0]), 0.0)
         np.testing.assert_array_equal(res.point[:2], np.clip(soft, 0.0, 1.0))
-        lmo_block = linear_composite_min(WeightedL1(weight, np.array([True, False])), g[2:],
-                                         prod.sets[1])
+        lmo_block = WeightedL1(weight, np.array([True, False])).linear_step(g[2:], prod.sets[1])
         np.testing.assert_array_equal(res.point[2:], lmo_block)
     trace = mcgm_solve(oracle, lambda u: f(u) + pen.value(u), prod, prod.sample(rng))
     assert trace.final_f <= trace.f0
@@ -275,8 +272,8 @@ def test_every_step_takes_a_penalized_product_set_block_by_block():
     hybrid = m.minimize_proximal(prod, 0.0, tau, mask=block).point
     pen_b = WeightedL1(0.1, [True, False])
     for box, s in zip(prod.sets, (slice(0, 2), slice(2, 4))):
-        np.testing.assert_array_equal(linear[s], linear_composite_min(pen_b, g[s], box))
-        np.testing.assert_array_equal(proximal[s], prox_penalized(pen_b, x0[s] - tau * g[s], tau, box))
+        np.testing.assert_array_equal(linear[s], pen_b.linear_step(g[s], box))
+        np.testing.assert_array_equal(proximal[s], pen_b.prox_step(x0[s] - tau * g[s], tau, box))
     np.testing.assert_array_equal(hybrid, np.concatenate([proximal[:2], linear[2:]]))
 
 
