@@ -22,22 +22,26 @@ clamp of z - level instead of a soft-threshold then a clamp, with the same
 bits. The gap check reuses the iteration's K^T p and the per-problem
 constants of the box conjugate, so it adds one matvec.
 
-Every subproblem holds K as a C-contiguous float64 array whose data starts
-on a 64-byte boundary (``aligned``): numpy guarantees only 16 bytes, and
-OpenBLAS's matvecs are slower off a cache-line boundary. The two 1000 x 200
-products of one iteration took 52.8 us with K at byte offset 0 mod 64 and
-63.9-68.8 us at offsets 16, 32 and 48 (median of 7 x 300 repeats, one BLAS
-thread, 2-vCPU Xeon VM), so where the heap put K decided the cost of a
-solve. The iterates do not depend on the placement.
+Every subproblem holds its own copy of the K it is given, placed by one
+rule (``aligned``), applied once, in the subproblem's construction: a
+C-contiguous float64 array whose data starts on a 64-byte boundary. numpy
+guarantees only 16 bytes, and OpenBLAS's matvecs are slower off a
+cache-line boundary. The two 1000 x 200 products of one iteration took
+52.8 us with K at byte offset 0 mod 64 and 63.9-68.8 us at offsets 16, 32
+and 48 (median of 7 x 300 repeats, one BLAS thread, 2-vCPU Xeon VM), so
+where the heap put K decided the cost of a solve. The iterates do not
+depend on the placement. No caller places a matrix for the subproblem,
+and none is passed through: each construction makes one copy, 1.6 MB and
+about 0.2 ms at full scale against a PDHG call of about 0.4 s.
 
 A K of at least 1 MiB, half a 2 MiB huge page, gets an anonymous mapping of
 its own instead: it starts on a 2 MiB boundary, and the mapping asks the
 kernel for transparent huge pages (``MADV_HUGEPAGE``). The full-scale
-1000 x 200 Jacobian is 1.6 MB against a 2 MB L2 cache per core. On 4 KiB
-pages, where those pages fell in physical memory decided how evenly the
-matrix covered the cache sets, and so how much of it stayed in L2: twelve
-64-byte-aligned heap copies of one Jacobian took 50.0-63.2 us per product
-pair (median 55.9 us), each copy keeping its own time. A huge page is one
+K, a 1000 x 200 Jacobian, is 1.6 MB against a 2 MB L2 cache per core. On
+4 KiB pages, where those pages fell in physical memory decided how evenly
+the matrix covered the cache sets, and so how much of it stayed in L2:
+twelve 64-byte-aligned heap copies of one Jacobian took 50.0-63.2 us per
+product pair (median 55.9 us), each copy keeping its own time. A huge page is one
 physically contiguous block, which covers every set alike: twelve copies on
 huge pages took 42.3-47.2 us (median 45.2 us; 15 interleaved rounds of 100
 pairs, one BLAS thread, 2-vCPU Xeon VM), and a full-scale solve's time per
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -90,35 +94,25 @@ ALIGNMENT = 64
 HUGE_PAGE = 2 << 20
 
 
-def aligned(shape, data=None):
-    """A C-contiguous float64 array of ``shape``, uninitialized or holding
-    ``data``, whose data starts on an ``ALIGNMENT``-byte boundary of a heap
-    buffer; or, when it takes at least half a huge page (1 MiB) and the
-    platform has ``MADV_HUGEPAGE``, on a ``HUGE_PAGE`` boundary of an
-    anonymous mapping advised to use huge pages, rounded up to whole ones.
-    Why: the ``inner`` module docstring.
+def aligned(shape, data):
+    """A copy of ``data`` as a C-contiguous float64 array of ``shape``,
+    whose data starts on an ``ALIGNMENT``-byte boundary of a heap buffer;
+    or, when it takes at least half a huge page (1 MiB) and the platform
+    has ``MADV_HUGEPAGE``, on a ``HUGE_PAGE`` boundary of an anonymous
+    mapping advised to use huge pages, rounded up to whole ones. Why: the
+    ``inner`` module docstring.
 
-    ``data`` itself is returned when it already is such an array, so a
-    matrix built by ``aligned`` passes through again without a copy; a large
-    array passes only from a huge-page boundary, so a heap copy is copied
-    once. The result is a view into a larger buffer or mapping, which it
-    keeps alive.
+    It always copies, wherever ``data`` sits. The result is a view into a
+    larger buffer or mapping, which it keeps alive.
     """
     size = math.prod(shape)
-    huge = 8 * size >= HUGE_PAGE // 2 and hasattr(mmap, "MADV_HUGEPAGE")
-    boundary = HUGE_PAGE if huge else ALIGNMENT
-    if data is not None:
-        data = np.asarray(data, dtype=float)
-        if data.flags.c_contiguous and data.ctypes.data % boundary == 0:
-            return data
-    if huge:
+    if 8 * size >= HUGE_PAGE // 2 and hasattr(mmap, "MADV_HUGEPAGE"):
         out = _on_huge_pages(size).reshape(shape)
     else:
         buf = np.empty(size + ALIGNMENT // 8)
         skip = (-buf.ctypes.data % ALIGNMENT) // 8
         out = buf[skip : skip + size].reshape(shape)
-    if data is not None:
-        out[...] = data
+    out[...] = data
     return out
 
 
@@ -148,8 +142,9 @@ class PiecewiseLinearSubproblem:
     checks only that the mask, if any, and the box match the columns of K.
     The optional proximal term (``prox_tau``, a finite number > 0, and
     ``prox_center``) makes the objective strongly convex; both must be given
-    together. ``K`` is held as an aligned array (see the module docstring):
-    one that is not gets an aligned copy.
+    together. The subproblem holds its own copy of ``K``, placed by
+    ``aligned`` (see the module docstring): one copy per construction,
+    ``dataclasses.replace`` included, and never the caller's array.
     """
 
     K: np.ndarray
@@ -200,9 +195,6 @@ class PiecewiseLinearSubproblem:
             d = u - self.prox_center
             val += float(d @ d) / (2.0 * self.prox_tau)
         return val
-
-    def with_prox(self, tau, center):
-        return replace(self, prox_tau=tau, prox_center=np.asarray(center, float))
 
 
 @dataclass

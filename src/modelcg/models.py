@@ -325,12 +325,14 @@ class _GaussNewtonModel(ModelInstance):
     def value(self, x):
         return self._l1_loss(self.linearized_residual(x)) + self.penalty.value(x)
 
-    def subproblem(self, constraint):
-        """The equivalent box-constrained piecewise-linear problem, which
-        takes the penalty and the set as they are (a box, else
+    def subproblem(self, constraint, tau=None):
+        """The equivalent box-constrained piecewise-linear problem, plus
+        ||x - anchor||^2 / (2 tau) when ``tau`` is given, which takes the
+        penalty and the set as they are (a box, else
         ``NotImplementedError``)."""
         shifted = self.targets - self.F_value + self.jac @ self.anchor
-        return PiecewiseLinearSubproblem(self.jac, shifted, self.penalty, constraint)
+        center = None if tau is None else self.anchor
+        return PiecewiseLinearSubproblem(self.jac, shifted, self.penalty, constraint, tau, center)
 
     def _run(self, sub, tol, warm):
         # the subproblem's objective is the model (with the proximal term),
@@ -347,8 +349,7 @@ class _GaussNewtonModel(ModelInstance):
     def minimize_proximal(self, constraint, tol, tau, warm=None, mask=None):
         if mask is not None:
             raise NotImplementedError("the Gauss-Newton model has no masked proximal step")
-        sub = self.subproblem(constraint).with_prox(tau, self.anchor)
-        return self._run(sub, tol, warm)
+        return self._run(self.subproblem(constraint, tau), tol, warm)
 
 
 class GaussNewtonOracle:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, require_finite, require_integer, require_number
-from .inner import aligned
 from .models import GaussNewtonOracle, WeightedL1
 
 __all__ = [
@@ -86,12 +85,9 @@ def eval_F(a, b, x_points):
 def eval_jacobian(a, b, x_points):
     """M x 2P Jacobian of ``eval_F``: columns [d/da_j, d/db_j].
 
-    d/da_j = exp(-b_j x_i) and d/db_j = -a_j x_i exp(-b_j x_i). The result
-    is C-contiguous and placed by ``inner.aligned``, so the inner subproblem
-    takes it as its matrix without a copy: on a 64-byte boundary in a heap
-    buffer, or, from 1 MiB up (the 1000 x 200 full-scale Jacobian), at the
-    start of a transparent huge page of its own, whose 2 MiB cover every L2
-    set alike (``inner`` module docstring).
+    d/da_j = exp(-b_j x_i) and d/db_j = -a_j x_i exp(-b_j x_i), as a plain
+    C-contiguous array: the inner subproblem places its own copy of the
+    matrix it is given (``inner`` module docstring).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -101,7 +97,7 @@ def eval_jacobian(a, b, x_points):
     # same loop; the right block, -(x * E) * a, takes only correctly rounded
     # products, which give the same bits wherever they are written
     E = np.exp(-np.outer(x, b))
-    J = aligned((x.size, 2 * P))
+    J = np.empty((x.size, 2 * P))
     J[:, :P] = E
     R = J[:, P:]
     np.multiply(x[:, None], E, out=R)
@@ -211,10 +207,10 @@ def solver_inputs(dataset):
 
 
 def make_subproblem(dataset, u, tau=None):
-    """The inner subproblem anchored at u (optionally with a proximal term):
-    the box-constrained form of the benchmark oracle's model at u."""
-    sub = make_oracle(dataset).instantiate(u).subproblem(make_constraint_set(dataset))
-    return sub if tau is None else sub.with_prox(tau, np.asarray(u, float))
+    """The inner subproblem anchored at u, plus ||x - u||^2 / (2 tau) when
+    ``tau`` is given: the box-constrained form of the benchmark oracle's
+    model at u, built once, as a (proximal) model solve builds it."""
+    return make_oracle(dataset).instantiate(u).subproblem(make_constraint_set(dataset), tau)
 
 
 # ---------------------------------------------------------------------------

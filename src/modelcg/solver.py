@@ -161,8 +161,9 @@ class SolverConfig:
     time_budget_s: Optional[float] = None  # 0 stops after one step, inf never
 
     def __post_init__(self):
-        require_integer(self.max_iterations, "max_iterations", 1)
-        # a number stores the float its rule returns
+        # an integer stores the int its rule returns, a number the float
+        object.__setattr__(self, "max_iterations",
+                           require_integer(self.max_iterations, "max_iterations", 1))
         for key, bound in (("delta_tol", "positive"), ("time_budget_s", None)):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, require_number(getattr(self, key), key, bound))

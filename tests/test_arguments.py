@@ -3,6 +3,7 @@ integer is a ``numbers.Integral`` that is no bool, at least its minimum and
 never truncated; a number is a ``numbers.Real`` that is no bool, and finite
 when it has a lower bound; a mask is an array of booleans."""
 
+import dataclasses
 import math
 import re
 
@@ -26,6 +27,10 @@ def _subproblem(weight=0.5, prox_tau=None):
         penalty=WeightedL1(weight, [True, False]), box=Box(np.zeros(2), np.ones(2)),
         prox_tau=prox_tau, prox_center=None if prox_tau is None else np.zeros(2),
     )
+
+
+def _prox(sub, tau):
+    return dataclasses.replace(sub, prox_tau=tau, prox_center=np.zeros(2))
 
 
 def _unit_box_subproblem(penalty):
@@ -65,8 +70,8 @@ BAD = [
     (lambda v: generate_regression_data(P=v, M=20), 2.5, "P"),
     (lambda v: generate_regression_data(P=4, M=20, seed=v), 1.5, "seed"),
     (lambda v: generate_regression_data(P=4, M=20, mu=v), True, "mu"),
-    (lambda v: _subproblem().with_prox(v, np.zeros(2)), True, "prox_tau"),
-    (lambda v: _subproblem().with_prox(v, np.zeros(2)), "2", "prox_tau"),
+    (lambda v: _prox(_subproblem(), v), True, "prox_tau"),
+    (lambda v: _prox(_subproblem(), v), "2", "prox_tau"),
     (lambda v: _regression_subproblem(tau=v), "2", "prox_tau"),
     (lambda v: unit_atoms_set(4, v), 0, "cols"),
     (lambda v: unit_atoms_set(4, v), True, "cols"),
@@ -118,6 +123,8 @@ def test_valid_arguments_stay_valid():
     assert unit_atoms_set(np.int64(3), 2).dim == 6 and columnwise_simplex_set(np.int32(2), 3).dim == 6
     cfg = SolverConfig(max_iterations=np.int64(3), delta_tol=1, time_budget_s=math.inf)
     assert cfg.max_iterations == 3 and SolverConfig(time_budget_s=0).time_budget_s == 0
+    # an integer stores the int its rule returns
+    assert type(cfg.max_iterations) is int
     assert type(cfg.delta_tol) is float
     assert type(SolverConfig(time_budget_s=np.float32(2)).time_budget_s) is float
     ds = generate_regression_data(P=np.int64(4), M=np.int32(20), mu=2, a_max=3, seed=np.int64(1))
@@ -125,7 +132,7 @@ def test_valid_arguments_stay_valid():
     assert all(type(getattr(ds, k)) is int for k in ("P", "M", "seed"))
     sub = _subproblem(weight=0, prox_tau=2)
     assert type(sub.prox_tau) is float
-    assert type(_subproblem().with_prox(np.int64(3), np.zeros(2)).prox_tau) is float
+    assert type(_prox(_subproblem(), np.int64(3)).prox_tau) is float
     assert pdhg_solve(sub, gap_tol=0, max_iters=0).iterations == 0
     assert pdhg_solve(sub, gap_tol=0.0, max_iters=np.int64(3)).iterations == 3
 

@@ -57,10 +57,11 @@ def _relative_imports(module):
 
 
 def test_problem_modules_build_inputs_and_the_runner_runs_them():
-    # a problem module builds solver inputs and runs no solver; the runner
-    # runs any problem and builds none
+    # a problem module builds solver inputs and runs no solver, nor places
+    # the inner solver's matrix (the subproblem does); the runner runs any
+    # problem and builds none
     for problem in ("matfac", "regression"):
-        assert _relative_imports(problem) <= {"geometry", "inner", "models"}, problem
+        assert _relative_imports(problem) <= {"geometry", "models"}, problem
     assert not _relative_imports("runner") & {"matfac", "regression"}
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import mmap
 import tracemalloc
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modelcg import inner
 from modelcg.geometry import Box, L1Ball, WeightedL1
 from modelcg.inner import (
     ALIGNMENT,
@@ -18,12 +20,14 @@ from modelcg.inner import (
     precond_steps,
     primal_dual_gap,
 )
-from modelcg.regression import generate_regression_data, make_constraint_set, make_subproblem
+from modelcg.regression import (
+    generate_regression_data, make_constraint_set, make_oracle, make_subproblem,
+)
 
 from oracle import brute_force_subproblem
 
 
-def random_subproblem(rng, m=None, n=None, with_prox=False):
+def random_subproblem(rng, m=None, n=None, prox=False):
     m = m or int(rng.integers(1, 9))
     n = n or int(rng.integers(1, 5))
     K = rng.standard_normal((m, n)) * (rng.random((m, n)) > 0.15)
@@ -33,8 +37,9 @@ def random_subproblem(rng, m=None, n=None, with_prox=False):
         penalty=WeightedL1(float(2.0 * rng.random()), rng.random(n) > 0.4),
         box=Box(np.full(n, -2.0), np.full(n, 2.0)),
     )
-    if with_prox:
-        sub = sub.with_prox(float(0.2 + rng.random()), rng.standard_normal(n))
+    if prox:
+        sub = dataclasses.replace(sub, prox_tau=float(0.2 + rng.random()),
+                                  prox_center=rng.standard_normal(n))
     return sub
 
 
@@ -92,7 +97,7 @@ def test_pdhg_degenerate_data_term():
     assert res.gap <= 1e-10
 
     # proximal variant: unique solution is the box projection of the center
-    subp = sub.with_prox(0.5, np.array([-1.0, 1.5]))
+    subp = dataclasses.replace(sub, prox_tau=0.5, prox_center=np.array([-1.0, 1.5]))
     resp = pdhg_solve(subp, gap_tol=1e-12, max_iters=2000)
     np.testing.assert_allclose(resp.u, [0.0, 1.5], atol=1e-9)
 
@@ -264,8 +269,8 @@ def test_pdhg_loop_memory_does_not_grow_with_iterations():
 
 
 def test_gap_zero_at_optimum(rng):
-    for with_prox in (False, True):
-        sub = random_subproblem(rng, m=6, n=3, with_prox=with_prox)
+    for prox in (False, True):
+        sub = random_subproblem(rng, m=6, n=3, prox=prox)
         res = pdhg_solve(sub, gap_tol=1e-11, max_iters=200000)
         assert res.converged
         assert primal_dual_gap(sub, res.u, res.state.p) <= 1e-10
@@ -273,7 +278,7 @@ def test_gap_zero_at_optimum(rng):
 
 def test_gap_nonnegative_at_random_pairs(rng):
     for _ in range(20):
-        sub = random_subproblem(rng, with_prox=bool(rng.integers(0, 2)))
+        sub = random_subproblem(rng, prox=bool(rng.integers(0, 2)))
         for _ in range(50):
             u = sub.box.lo + rng.random(sub.n) * (sub.box.hi - sub.box.lo)
             p = rng.uniform(-1, 1, sub.m)
@@ -375,7 +380,7 @@ def test_brute_force_matches_linear_program(rng):
 
 def test_brute_force_agrees_with_pdhg(rng):
     for _ in range(15):
-        sub = random_subproblem(rng, with_prox=bool(rng.integers(0, 2)))
+        sub = random_subproblem(rng, prox=bool(rng.integers(0, 2)))
         res = pdhg_solve(sub, gap_tol=1e-10, max_iters=150000)
         _, val = brute_force_subproblem(sub)
         assert abs(sub.objective(res.u) - val) <= 1e-5
@@ -394,7 +399,7 @@ def test_brute_force_rejects_large_dimension(rng):
 
 
 def test_prox_solution_directional_derivatives(rng):
-    sub = random_subproblem(rng, m=6, n=4, with_prox=True)
+    sub = random_subproblem(rng, m=6, n=4, prox=True)
     res = pdhg_solve(sub, gap_tol=1e-12, max_iters=200000)
     assert res.converged
     u = res.u
@@ -418,7 +423,7 @@ def test_subproblem_validation():
     sub = box_problem(np.ones((2, 2)), np.ones(2), 0.0, [False, False], [0, 0], [1, 1])
     for tau in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
-            sub.with_prox(tau, np.zeros(2))
+            dataclasses.replace(sub, prox_tau=tau, prox_center=np.zeros(2))
     # the penalty and the box are checked by their own types; the subproblem
     # checks that they match K, and takes no other set than a box
     with pytest.raises(ValueError, match="^penalty mask and box must match the columns of K$"):
@@ -466,18 +471,46 @@ HALF_HUGE_PAGE = (128, 1024)
 
 
 @pytest.mark.parametrize("P, M", [(100, 1000), (20, 200)])
-def test_regression_subproblem_matrix_is_aligned_without_a_copy(P, M):
+def test_regression_subproblem_holds_a_placed_copy_of_the_jacobian(P, M):
     ds = generate_regression_data(P=P, M=M, mu=80.0, seed=0)
-    u = make_constraint_set(ds).midpoint()
-    sub = make_subproblem(ds, u)
-    # the 1.6 MB full-scale Jacobian starts a huge page, the 64 KB desk one
-    # a cache line of a heap buffer
+    box = make_constraint_set(ds)
+    model = make_oracle(ds).instantiate(box.midpoint())
+    # the 1.6 MB full-scale Jacobian is copied to the start of a huge page,
+    # the 64 KB desk one to a cache line of a heap buffer
     boundary = LARGE_BOUNDARY if M == 1000 else ALIGNMENT
-    assert _is_aligned(sub.K, boundary)
-    assert (_mapping(sub.K) is not None) == (boundary == HUGE_PAGE)
-    # the proximal variant shares the matrix instead of copying it
-    assert sub.with_prox(0.5, u).K is sub.K
-    assert _is_aligned(make_subproblem(ds, u, tau=0.5).K, boundary)
+    for tau in (None, 0.5):
+        sub = model.subproblem(box, tau)
+        assert not np.shares_memory(sub.K, model.jac) and sub.K.tobytes() == model.jac.tobytes()
+        assert _is_aligned(sub.K, boundary)
+        assert (_mapping(sub.K) is not None) == (boundary == HUGE_PAGE)
+    assert _is_aligned(make_subproblem(ds, box.midpoint(), tau=0.5).K, boundary)
+    # every construction makes its own copy, dataclasses.replace included
+    again = dataclasses.replace(sub, prox_tau=0.25)
+    assert not np.shares_memory(again.K, sub.K) and _is_aligned(again.K, boundary)
+
+
+def test_a_model_solve_builds_and_places_one_subproblem(monkeypatch):
+    ds = generate_regression_data(P=4, M=30, mu=2.0, seed=1)
+    box = make_constraint_set(ds)
+    model = make_oracle(ds).instantiate(box.midpoint())
+    built, placed = [], []
+    construct, place = PiecewiseLinearSubproblem.__post_init__, inner.aligned
+
+    def counting_construct(sub):
+        built.append(sub)
+        construct(sub)
+
+    def counting_place(shape, data):
+        placed.append(shape)
+        return place(shape, data)
+
+    monkeypatch.setattr(PiecewiseLinearSubproblem, "__post_init__", counting_construct)
+    monkeypatch.setattr(inner, "aligned", counting_place)
+    model.minimize_proximal(box, 1e-6, 0.5)
+    assert len(built) == len(placed) == 1
+    assert built[0].prox_tau == 0.5 and built[0].prox_center is model.anchor
+    model.minimize(box, 1e-6)
+    assert len(built) == len(placed) == 2 and built[1].prox_tau is None
 
 
 @needs_madv_hugepage
@@ -493,7 +526,8 @@ def test_a_large_array_starts_a_huge_page_and_holds_its_data(rng, shape):
     out[-1, -1] = 7.0
     assert out[-1, -1] == 7.0
     # one element less than half a huge page stays on the heap
-    small = aligned((HALF_HUGE_PAGE[0] * HALF_HUGE_PAGE[1] - 1,))
+    size = HALF_HUGE_PAGE[0] * HALF_HUGE_PAGE[1] - 1
+    small = aligned((size,), np.zeros(size))
     assert _is_aligned(small) and _mapping(small) is None
 
 
@@ -509,29 +543,14 @@ def test_a_huge_page_array_outlives_everything_but_itself(rng):
     assert all((a == 3.0).all() for a in others)
 
 
-@needs_madv_hugepage
-def test_a_cache_line_aligned_large_matrix_is_copied_once(rng):
-    K = rng.standard_normal((1000, 200))
-    given = _at_offset(K, 0)
-    assert not _is_aligned(given, HUGE_PAGE)
-    first = aligned(K.shape, given)
-    assert first is not given and _is_aligned(first, HUGE_PAGE)
-    assert first.tobytes() == K.tobytes()
-    assert aligned(K.shape, first) is first
-    kw = dict(target=np.zeros(1000), mu=0.5, mask=np.ones(200, bool), lo=np.zeros(200),
-              hi=np.ones(200))
-    sub = box_problem(given, **kw)
-    assert sub.K is not given and _is_aligned(sub.K, HUGE_PAGE)
-    assert box_problem(sub.K, **kw).K is sub.K
-
-
 def test_without_madv_hugepage_a_large_array_stays_on_the_heap(rng, monkeypatch):
     monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
     data = rng.standard_normal((1000, 200))
     out = aligned(data.shape, data)
     assert out.flags.writeable and _is_aligned(out) and _mapping(out) is None
     assert out.tobytes() == data.tobytes()
-    assert aligned(out.shape, out) is out
+    again = aligned(out.shape, out)
+    assert not np.shares_memory(again, out) and _is_aligned(again) and _mapping(again) is None
 
 
 @needs_madv_hugepage
@@ -555,19 +574,35 @@ def test_a_refused_huge_page_advice_leaves_a_valid_array(rng, monkeypatch):
     assert out.tobytes() == data.tobytes()
 
 
+def _subproblem_of(K):
+    m, n = K.shape
+    return box_problem(K, np.zeros(m), 0.5, np.ones(n, bool), np.zeros(n), np.ones(n))
+
+
 def test_subproblem_copies_an_unaligned_matrix_to_an_aligned_one(rng):
     K = rng.standard_normal((7, 5))
-    kw = dict(target=np.zeros(7), mu=0.5, mask=np.ones(5, bool), lo=np.zeros(5), hi=np.ones(5))
     # offset views (the last starts one 40-byte row into a larger matrix,
     # so 8 bytes off any 16-byte boundary) and a Fortran-order copy
     row_view = np.vstack([np.zeros((1, 5)), K])[1:]
     for given in (_at_offset(K, 16), _at_offset(K, 48), row_view, np.asfortranarray(K)):
         assert not _is_aligned(given)
-        sub = box_problem(given, **kw)
-        assert sub.K is not given and _is_aligned(sub.K)
+        sub = _subproblem_of(given)
+        assert not np.shares_memory(sub.K, given) and _is_aligned(sub.K)
         assert sub.K.tobytes() == K.tobytes()
-    fitted = _at_offset(K, 0)
-    assert box_problem(fitted, **kw).K is fitted
+
+
+def test_subproblem_copies_an_already_placed_matrix_too(rng):
+    # a matrix on the subproblem's own boundary is not passed through: a
+    # 64-byte-aligned heap array, a large one on a cache line (its copy
+    # starts a huge page) and a large one already on a huge page
+    for K, boundary in ((rng.standard_normal((7, 5)), ALIGNMENT),
+                        (rng.standard_normal((1000, 200)), LARGE_BOUNDARY)):
+        placed = aligned(K.shape, K)
+        assert _is_aligned(placed, boundary)
+        for given in (_at_offset(K, 0), placed):
+            sub = _subproblem_of(given)
+            assert not np.shares_memory(sub.K, given) and _is_aligned(sub.K, boundary)
+            assert sub.K.tobytes() == K.tobytes()
 
 
 @pytest.mark.parametrize("P, M, tau", [(100, 1000, None), (20, 200, None), (20, 200, 0.5)])
@@ -649,7 +684,7 @@ def _reference_cases(rng):
     """(name, problem, solve keywords) covering both branches of the loop."""
     cases = []
     for i in range(6):
-        sub = random_subproblem(rng, m=8, n=4, with_prox=i % 2 == 1)
+        sub = random_subproblem(rng, m=8, n=4, prox=i % 2 == 1)
         cases.append((f"random{i}", sub, {}))
     sub = random_subproblem(rng, m=7, n=4)
     for name, weight, mask in (("no_penalty", 0.0, sub.penalty.mask),
@@ -660,7 +695,8 @@ def _reference_cases(rng):
     lo, hi = np.array([-2.0, 0.5, 0.0, -1.0]), np.array([2.0, 0.5, 0.0, 3.0])
     pinned = box_problem(sub.K, sub.target, 0.8, [True, True, True, False], lo, hi)
     cases.append(("zero_width", pinned, {}))
-    cases.append(("zero_width_prox", pinned.with_prox(0.3, rng.standard_normal(4)), {}))
+    zero_width_prox = dataclasses.replace(pinned, prox_tau=0.3, prox_center=rng.standard_normal(4))
+    cases.append(("zero_width_prox", zero_width_prox, {}))
     capped = {"gap_tol": 1e-14, "max_iters": 37}
     cases.append(("max_iters", random_subproblem(rng, m=8, n=4), capped))
     ds = generate_regression_data(P=4, M=30, mu=2.0, a_max=4.0, b_max=2.5, seed=1)
@@ -674,7 +710,9 @@ def _reference_cases(rng):
     pulled = sub.K @ np.array([1.0, -0.1, -0.1, 0.0]) + 0.1 * sub.target
     signed = box_problem(sub.K, pulled, 1.3, [True, True, False, True], lo, hi)
     cases.append(("one_signed", signed, {}))
-    cases.append(("one_signed_prox", signed.with_prox(0.4, np.array([0.1, -0.5, 0.3, -1.0])), {}))
+    one_signed_prox = dataclasses.replace(signed, prox_tau=0.4,
+                                          prox_center=np.array([0.1, -0.5, 0.3, -1.0]))
+    cases.append(("one_signed_prox", one_signed_prox, {}))
     return cases
 
 
@@ -761,7 +799,7 @@ def test_pdhg_one_signed_cases_reach_the_zero_tie(rng):
 
 
 def test_pdhg_warm_state_and_result_not_overwritten(rng):
-    sub = random_subproblem(rng, m=7, n=4, with_prox=True)
+    sub = random_subproblem(rng, m=7, n=4, prox=True)
     first = pdhg_solve(sub, gap_tol=1e-4, max_iters=100000)
     before = [a.copy() for a in (first.u, first.state.u, first.state.p)]
     second = pdhg_solve(sub, warm=first.state, gap_tol=1e-12, max_iters=100000)
